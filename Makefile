@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify serve-smoke chaos-smoke fleet-smoke bench bench-parallel bench-regression clean
+.PHONY: build test vet race lint verify serve-smoke chaos-smoke fleet-smoke bench bench-parallel bench-regression benchmark clean
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ bench-parallel:
 bench-regression:
 	./scripts/bench_regression.sh
 
+# benchmark runs the repo benchmark (BENCHMARK.json, benchmark/README.md):
+# four serving workloads, end-to-end metrics, every answer checked. A few
+# minutes; `go test ./benchmark/` covers the seconds-long -smoke in tier-1.
+benchmark:
+	$(GO) run ./benchmark
+
 clean:
 	$(GO) clean ./...
 	rm -f lite-tuner.json chaos_report.txt fleet_report.txt bench_regression.txt
+	rm -rf .bench_out

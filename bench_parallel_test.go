@@ -48,7 +48,10 @@ func parBench() (*core.Tuner, *core.Dataset) {
 
 // BenchmarkRecommend measures one online recommendation (sample 64
 // candidates from the ACG region, score each with NECS, rank) at several
-// scoring-pool widths. The serial/1 case is the pre-pool baseline.
+// scoring-pool widths. The serial/1 case is the pre-pool baseline. After
+// the first iteration the model's stage-representation cache is warm, as
+// it is for every request but an app's first on a serving generation;
+// BenchmarkRecommendColdReps measures that first one.
 func BenchmarkRecommend(b *testing.B) {
 	tuner, _ := parBench()
 	app := workload.ByName("WordCount")
@@ -73,6 +76,31 @@ func BenchmarkRecommend(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecommendColdReps is BenchmarkRecommend/workers=1 with the
+// stage-representation cache dropped before every recommendation, so each
+// one pays the CNN and GCN forward for every stage: the encoder hoist's
+// cost (DESIGN.md §12), which the warm benchmark no longer shows.
+func BenchmarkRecommendColdReps(b *testing.B) {
+	tuner, _ := parBench()
+	app := workload.ByName("WordCount")
+	data := app.Spec.MakeData(app.Sizes.Train[0])
+	env := sparksim.ClusterC
+
+	b.Run("workers=1", func(b *testing.B) {
+		core.SetScoreWorkers(1)
+		defer core.SetScoreWorkers(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tuner.Model.ResetStageReps()
+			rec := tuner.Recommend(app.Spec, data, env)
+			if len(rec.Ranked) != 64 {
+				b.Fatalf("ranked %d candidates, want 64", len(rec.Ranked))
+			}
+		}
+	})
 }
 
 // BenchmarkRecommendF32 is BenchmarkRecommend with float32 serving enabled

@@ -3,7 +3,7 @@
 // ephemeral ports — shard0 as the trainer with a feedback WAL and snapshot
 // persistence, the rest as followers — and serves a consistent-hash router
 // in front of them. Requests are placed by the same (app, datasize bucket,
-// env fingerprint) key the per-shard cache and batcher use, dead or slow
+// env fingerprint) key the per-shard cache uses, dead or slow
 // shards are health-checked out of the ring (their arc falls to ring
 // successors) and re-admitted with backoff when they recover, crashed
 // shard processes are restarted, and every model generation the trainer

@@ -1,7 +1,7 @@
 // Command liteserve runs the LITE recommendation service: an HTTP server
 // that serves knob recommendations from an immutable model snapshot,
-// micro-batches concurrent inference, caches repeated-key answers, and
-// folds posted execution feedback back into the model with an online
+// caches repeated-key answers (concurrent misses on one key compute once),
+// and folds posted execution feedback back into the model with an online
 // adaptive-update loop that hot-swaps snapshots without blocking readers.
 //
 // Usage:
@@ -55,9 +55,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	cacheTTL := flag.Duration("cache-ttl", 30*time.Second, "recommendation cache TTL")
 	noCache := flag.Bool("no-cache", false, "disable the recommendation cache")
-	batchMax := flag.Int("batch-max", 16, "max requests per inference micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch latency cutoff")
-	noBatch := flag.Bool("no-batch", false, "disable inference micro-batching")
 	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline for /recommend and /feedback (0 = none); blown deadlines return 504")
 	maxInFlight := flag.Int("max-inflight", 256, "max concurrent requests in the pipeline before load shedding (0 = unbounded); shed requests return 503 + Retry-After")
 	updateBatch := flag.Int("update-batch", 8, "feedback runs per adaptive model update")
@@ -92,9 +89,6 @@ func main() {
 	s := serve.New(tuner, serve.Options{
 		CacheTTL:        *cacheTTL,
 		DisableCache:    *noCache,
-		BatchMax:        *batchMax,
-		BatchWindow:     *batchWindow,
-		DisableBatcher:  *noBatch,
 		RequestTimeout:  *requestTimeout,
 		MaxInFlight:     *maxInFlight,
 		UpdateBatch:     *updateBatch,

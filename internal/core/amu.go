@@ -78,6 +78,8 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 // must not run concurrently with readers of the same model — serving
 // layers fine-tune a clone and hot-swap (see internal/serve).
 func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
+	m.ResetStageReps()
+	defer m.ResetStageReps()
 	data := make([]domainSample, 0, len(source)+len(target))
 	for _, x := range source {
 		data = append(data, domainSample{x, 1})

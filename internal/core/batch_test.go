@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,14 +27,23 @@ import (
 // batchTestTuner trains a tiny tuner for kernel-equivalence tests.
 func batchTestTuner(t *testing.T) *Tuner {
 	t.Helper()
+	tuner, _ := batchTestTrain(t)
+	return tuner
+}
+
+// batchTestTrain is batchTestTuner plus its training set. It trains just
+// long enough that predictions leave the zero-seconds clamp: an
+// under-trained model scores every candidate 0, and bitwise comparisons of
+// zeros prove nothing about the kernel.
+func batchTestTrain(t *testing.T) (*Tuner, *Dataset) {
+	t.Helper()
 	apps := []*workload.App{workload.ByName("WordCount"), workload.ByName("PageRank")}
 	opts := DefaultTrainOptions()
-	opts.Collect.ConfigsPerInstance = 2
+	opts.Collect.ConfigsPerInstance = 4
 	opts.Collect.Sizes = []int{0}
 	opts.Collect.Clusters = []sparksim.Environment{sparksim.ClusterC}
-	opts.NECS.Epochs = 2
-	tuner, _ := Train(apps, opts)
-	return tuner
+	opts.NECS.Epochs = 12
+	return Train(apps, opts)
 }
 
 // batchTestCandidates samples a deterministic candidate set.
@@ -62,6 +72,9 @@ func TestScoreBatchBitwiseGolden(t *testing.T) {
 			preds := make([]float64, len(cands))
 			oks := make([]bool, len(cands))
 			scorer.ScoreBatch(cands, preds, oks)
+			if slices.Max(preds) == 0 {
+				t.Fatalf("%s/%s: every prediction is clamped to 0; the fixture cannot tell kernels apart", name, env.Name)
+			}
 
 			for i, c := range cands {
 				want, wantOK := scorer.scoreGraph(c)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"lite/internal/feature"
 	"lite/internal/instrument"
@@ -214,6 +215,70 @@ type NECS struct {
 	Code  *nn.CNNEncoder
 	DAG   *nn.GCNEncoder
 	Tower *nn.MLP
+
+	// reps memoizes each stage's h_code ‖ h_DAG under the current weights
+	// (stageRepKey → []float64, see stageRep); repHits and repMisses count
+	// its lookups over the model's lifetime, resets included.
+	reps               sync.Map
+	repHits, repMisses atomic.Uint64
+}
+
+// stageRepKey identifies a stage's static encoding by the addresses the
+// encoder memoized for it: stageStatic returns the same token-id slice for
+// the same code and the same *dagEnc for the same DAG, and never evicts.
+type stageRepKey struct {
+	toks *int
+	dag  *dagEnc
+}
+
+// stageRep returns h_code ‖ h_DAG for one stage: the CNN and GCN forward
+// passes depend only on the stage and on this model's weights, so they run
+// once per (stage, weights) and every later scorer shares the result. The
+// returned slice is shared and read-only. Safe for concurrent use with
+// other readers of the model.
+func (m *NECS) stageRep(toks []int, dag *dagEnc) []float64 {
+	key := stageRepKey{dag: dag}
+	if len(toks) > 0 {
+		key.toks = &toks[0]
+	}
+	if rep, ok := m.reps.Load(key); ok {
+		m.repHits.Add(1)
+		return rep.([]float64)
+	}
+	m.repMisses.Add(1)
+	hCode := m.Code.Infer(toks)
+	hDAG := m.DAG.Infer(dag.aHat, dag.nodes)
+	rep := make([]float64, 0, hCode.Cols+hDAG.Cols)
+	rep = append(rep, hCode.Data...)
+	rep = append(rep, hDAG.Data...)
+	// A concurrent miss on the same stage may have published first; every
+	// caller then shares that one slice.
+	won, _ := m.reps.LoadOrStore(key, rep)
+	return won.([]float64)
+}
+
+// ResetStageReps drops every memoized stage representation. Everything
+// that writes this model's weights in place calls it before the first
+// write and after the last: Fit, AdaptiveModelUpdate and the best-epoch
+// rollback do so themselves; code that writes Params() directly must too.
+// Clone and LoadNECS start empty.
+func (m *NECS) ResetStageReps() {
+	// sync.Map.Clear needs go1.23; the module builds with go1.22.
+	m.reps.Range(func(k, _ any) bool { m.reps.Delete(k); return true })
+}
+
+// StageRepEntries reports how many stage representations are memoized.
+func (m *NECS) StageRepEntries() int {
+	n := 0
+	m.reps.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// StageRepStats reports how many of this model's stage-representation
+// lookups were served from the cache and how many ran the CNN and GCN
+// forward.
+func (m *NECS) StageRepStats() (hits, misses uint64) {
+	return m.repHits.Load(), m.repMisses.Load()
 }
 
 // NewNECS constructs the model for the given encoder.
@@ -330,9 +395,11 @@ func (m *NECS) snapshotParams() [][]float64 {
 
 // restoreParams writes a snapshot back into the model.
 func (m *NECS) restoreParams(snap [][]float64) {
+	m.ResetStageReps()
 	for i, p := range m.Params() {
 		copy(p.Value.Data, snap[i])
 	}
+	m.ResetStageReps()
 }
 
 // paramsFinite reports whether every weight is a finite number.
@@ -378,6 +445,8 @@ func gradsFinite(params []*nn.Node) bool {
 // Fit itself must not be called concurrently with anything that reads or
 // writes this model's weights.
 func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
+	m.ResetStageReps()
+	defer m.ResetStageReps()
 	if m.Cfg.FitWorkers >= 1 {
 		return m.fitDataParallel(data, rng, m.Cfg.FitWorkers)
 	}

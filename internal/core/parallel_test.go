@@ -65,8 +65,8 @@ func TestParallelDoCountsItems(t *testing.T) {
 }
 
 // Nested fan-out must not deadlock: inner calls degrade to inline execution
-// when no helper slot is free. This mirrors the serving shape — the batcher
-// fans out over keys, and each key's recommendation fans out over candidates.
+// when no helper slot is free (a helper that itself fans out, as a training
+// replica's caller scoring candidates would).
 func TestParallelDoNestedDoesNotDeadlock(t *testing.T) {
 	defer SetScoreWorkers(0)
 	SetScoreWorkers(2)

@@ -10,13 +10,15 @@ import (
 )
 
 // poisonModel overwrites every weight with NaN — the worst corruption a
-// serialized or diverged model can present.
+// serialized or diverged model can present. It writes Params() directly,
+// so it owes the model a ResetStageReps.
 func poisonModel(m *NECS) {
 	for _, p := range m.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
+	m.ResetStageReps()
 }
 
 // Fit must survive a batch whose label is NaN: the poisoned batch is

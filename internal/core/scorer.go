@@ -4,13 +4,14 @@ package core
 // One online recommendation scores NumCandidates (64 by default)
 // configurations for a single fixed (application, datasize, environment)
 // triple; every per-stage input except the knob-dependent features is
-// identical across those candidates. AppScorer therefore encodes AND
-// forward-passes the shared parts exactly once — stage token ids, DAG
-// matrices, the CNN code representation h_code, the GCN representation
-// h_DAG, data features, environment features — so per-candidate work is
-// reduced to the candidate's dense features plus the tower MLP. The tower
-// itself runs batched: all candidates' rows go through one GEMM per layer
-// (batch.go). See DESIGN.md §12 for the kernel and its cost model.
+// identical across those candidates. AppScorer therefore gathers the shared
+// parts exactly once — stage token ids, DAG matrices, data features,
+// environment features, and each stage's h_code ‖ h_DAG, which depends only
+// on (stage, model weights) and is memoized on the model (NECS.stageRep) —
+// so per-candidate work is reduced to the candidate's dense features plus
+// the tower MLP. The tower itself runs batched: all candidates' rows go
+// through one GEMM per layer (batch.go). See DESIGN.md §12 for the kernel
+// and its cost model.
 
 import (
 	"lite/internal/feature"
@@ -25,8 +26,9 @@ type scorerStage struct {
 	toks  []int
 	dag   *dagEnc
 	// rep is h_code ‖ h_DAG, the candidate-invariant suffix of this
-	// stage's tower input row, computed once at scorer construction via
-	// the forward-only inference path (bitwise identical to the graph).
+	// stage's tower input row, from the forward-only inference path
+	// (bitwise identical to the graph). It aliases the model's memoized
+	// slice and is read-only: the kernels copy it into arena rows.
 	rep []float64
 }
 
@@ -62,10 +64,11 @@ type AppScorer struct {
 	shared32 []float32
 }
 
-// NewAppScorer precomputes the candidate-invariant encodings for scoring
-// app on data in env, including each unique stage's CNN and GCN forward
-// pass (run once here instead of once per candidate). The returned scorer
-// is immutable and safe for concurrent Score / ScoreBatch calls.
+// NewAppScorer gathers the candidate-invariant encodings for scoring app
+// on data in env. Each unique stage's CNN and GCN forward pass runs the
+// first time this model sees the stage and is looked up afterwards. The
+// returned scorer is immutable and safe for concurrent Score / ScoreBatch
+// calls.
 func (m *NECS) NewAppScorer(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment) *AppScorer {
 	plan := app.ExpandedStages(data)
 	s := &AppScorer{model: m, plan: plan, data: data, env: env, slot: make(map[int]int, len(app.Stages))}
@@ -78,13 +81,8 @@ func (m *NECS) NewAppScorer(app *sparksim.AppSpec, data sparksim.DataSpec, env s
 		seen[si] = true
 		st := &app.Stages[si]
 		toks, dag := m.Encoder.stageStatic(st.Code, st.Ops, st.Edges)
-		hCode := m.Code.Infer(toks)
-		hDAG := m.DAG.Infer(dag.aHat, dag.nodes)
-		rep := make([]float64, 0, hCode.Cols+hDAG.Cols)
-		rep = append(rep, hCode.Data...)
-		rep = append(rep, hDAG.Data...)
 		s.slot[si] = len(s.stages)
-		s.stages = append(s.stages, scorerStage{index: si, toks: toks, dag: dag, rep: rep})
+		s.stages = append(s.stages, scorerStage{index: si, toks: toks, dag: dag, rep: m.stageRep(toks, dag)})
 	}
 	return s
 }

@@ -2,8 +2,8 @@
 // (DESIGN.md §10): a supervisor that runs N liteserve shards on ephemeral
 // ports, a reverse-proxy router that consistent-hashes /recommend and
 // /feedback by the same (app, datasize bucket, env fingerprint) key the
-// per-shard cache and batcher already use — so each shard stays hot on its
-// slice of the keyspace — an active health checker that ejects slow or
+// per-shard cache already uses — so each shard stays hot on its slice of
+// the keyspace — an active health checker that ejects slow or
 // dead shards and re-admits them with backoff, and a flip coordinator that
 // fans the trainer shard's validated model generations out to every
 // follower (publish-then-flip).

@@ -18,7 +18,10 @@ const degradedCacheTTL = 2 * time.Second
 
 // ttlCache is the recommendation cache: key → response with a TTL, plus
 // singleflight deduplication so a stampede of concurrent misses on one key
-// computes exactly once while the rest wait for the leader's result.
+// computes exactly once while the rest wait for the leader's result. It is
+// the serving path's only coalescer. A ttl <= 0 stores nothing
+// (Options.DisableCache): every call computes, but concurrent calls for
+// one key still share the leader's computation.
 type ttlCache struct {
 	ttl time.Duration
 	now func() time.Time
@@ -35,9 +38,10 @@ type cacheEntry struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	resp RecommendResponse
-	err  error
+	done    chan struct{}
+	resp    RecommendResponse
+	err     error
+	waiters int // callers that attached to this call, under ttlCache.mu
 }
 
 func newTTLCache(ttl time.Duration, now func() time.Time) *ttlCache {
@@ -85,7 +89,7 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 			// A compute that was in flight across a hot-swap carries the
 			// previous snapshot's generation; flush already raised minGen, so
 			// the stale result is handed to its waiters but never cached.
-			if call.err == nil && call.resp.Generation >= c.minGen {
+			if c.ttl > 0 && call.err == nil && call.resp.Generation >= c.minGen {
 				ttl := c.ttl
 				if call.resp.Tier != string(core.TierNECS) && ttl > degradedCacheTTL {
 					ttl = degradedCacheTTL
@@ -96,6 +100,7 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 			close(call.done)
 			return call.resp, false, false, call.err
 		}
+		call.waiters++
 		c.mu.Unlock()
 
 		select {

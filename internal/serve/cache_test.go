@@ -107,8 +107,8 @@ func TestCacheSingleflight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-started
 	}
-	// Give followers a moment to park on the in-flight call, then release.
-	time.Sleep(20 * time.Millisecond)
+	// Release once every follower has parked on the in-flight call.
+	waitParked(t, c, "k", n-1)
 	close(gate)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"lite/internal/metrics"
 )
 
 // --- cache cancellation semantics ---
@@ -29,11 +28,7 @@ func TestCacheWaiterDetachOnCancel(t *testing.T) {
 		leaderDone <- err
 	}()
 	// Wait for the leader to register its in-flight call.
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.inflight["k"] != nil
-	})
+	waitInflight(t, c, "k")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
@@ -44,7 +39,7 @@ func TestCacheWaiterDetachOnCancel(t *testing.T) {
 		})
 		waiterDone <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter park on call.done
+	waitParked(t, c, "k", 1)
 	cancel()
 	select {
 	case err := <-waiterDone:
@@ -79,11 +74,7 @@ func TestCacheLeaderCancelledWaiterRetries(t *testing.T) {
 			return RecommendResponse{}, context.Canceled
 		})
 	}()
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.inflight["k"] != nil
-	})
+	waitInflight(t, c, "k")
 
 	var retried atomic.Int32
 	waiterDone := make(chan struct{})
@@ -97,7 +88,7 @@ func TestCacheLeaderCancelledWaiterRetries(t *testing.T) {
 			return RecommendResponse{Tier: "necs"}, nil
 		})
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitParked(t, c, "k", 1)
 	close(gate) // leader hands its cancellation to the waiter
 
 	select {
@@ -144,12 +135,7 @@ func TestCacheSingleflightErrorShared(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.inflight["k"] != nil
-	})
-	time.Sleep(20 * time.Millisecond) // let followers park
+	waitParked(t, c, "k", n-1)
 	close(gate)
 	wg.Wait()
 
@@ -174,187 +160,125 @@ func TestCacheSingleflightErrorShared(t *testing.T) {
 	}
 }
 
-// --- batcher cancellation semantics ---
+// --- the cache as the only coalescer ---
 
-// TestBatcherRejectsDoomedDeadline: a request whose remaining budget cannot
-// outlive the collection window is rejected up front instead of queueing
-// work that is guaranteed to miss its deadline.
-func TestBatcherRejectsDoomedDeadline(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
-	defer b.stop()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := b.submit(ctx, "k", func(context.Context) (RecommendResponse, error) {
-		t.Error("doomed request must not compute")
-		return RecommendResponse{}, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+// TestCacheNoStoreStillCoalesces: with storing off (Options.DisableCache)
+// a stampede on one key still computes exactly once and every follower
+// shares the leader's result; nothing is kept, so the next call computes
+// again.
+func TestCacheNoStoreStillCoalesces(t *testing.T) {
+	c := newTTLCache(0, time.Now)
+	var calls atomic.Int32
+	gate := make(chan struct{})
+	fn := func() (RecommendResponse, error) {
+		calls.Add(1)
+		<-gate
+		return RecommendResponse{Tier: "necs"}, nil
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("doomed request took %v to reject", d)
-	}
-}
-
-// TestBatcherWaiterDetachOnCancel: a request cancelled while parked in the
-// collection window returns ctx.Err() promptly; its slot in the batch later
-// computes under the (cancelled) group context and the result is dropped
-// into the buffered channel, so nothing hangs at shutdown.
-func TestBatcherWaiterDetachOnCancel(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
-
-	var sawCancelled atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.submit(ctx, "k", func(gctx context.Context) (RecommendResponse, error) {
-			if gctx.Err() != nil {
-				sawCancelled.Store(true)
-			}
-			return RecommendResponse{}, gctx.Err()
-		})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // enqueue + park in the hour-long window
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled submit did not detach from the batch window")
-	}
-
-	// stop() flushes the pending batch; the abandoned request's compute runs
-	// under its cancelled context and must not block shutdown.
-	stopped := make(chan struct{})
-	go func() { b.stop(); close(stopped) }()
-	select {
-	case <-stopped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stop() hung on an abandoned request")
-	}
-	if !sawCancelled.Load() {
-		t.Fatal("abandoned slot's compute did not observe the cancellation")
-	}
-}
-
-// TestBatcherStopMidFlight: requests already collected when stop() lands
-// are flushed and answered; requests racing in after stop compute directly.
-// Either way every waiter completes — none hang.
-func TestBatcherStopMidFlight(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
 
 	const n = 8
-	var computes atomic.Int32
-	errs := make(chan error, n)
 	var wg sync.WaitGroup
+	var sharedCount atomic.Int32
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, err := b.submit(context.Background(), fmt.Sprintf("k%d", i),
-				func(context.Context) (RecommendResponse, error) {
-					computes.Add(1)
-					return RecommendResponse{Tier: "necs"}, nil
-				})
-			errs <- err
-		}(i)
+			resp, hit, shared, err := c.getOrDo(context.Background(), "k", fn)
+			if err != nil || hit || resp.Tier != "necs" {
+				t.Errorf("resp=%+v hit=%v err=%v", resp, hit, err)
+			}
+			if shared {
+				sharedCount.Add(1)
+			}
+		}()
 	}
-	time.Sleep(50 * time.Millisecond) // let the submits enqueue into pending
+	waitParked(t, c, "k", n-1)
+	close(gate)
+	wg.Wait()
 
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	b.stop()
-	select {
-	case <-finished:
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiters hung across stop()")
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("stampede computed %d times, want exactly 1", got)
 	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("mid-flight request err = %v", err)
-		}
+	if got := sharedCount.Load(); got != n-1 {
+		t.Fatalf("%d callers shared, want %d", got, n-1)
 	}
-	if got := computes.Load(); got != n {
-		t.Fatalf("%d computes for %d distinct keys", got, n)
+	if c.len() != 0 {
+		t.Fatalf("no-store cache holds %d entries", c.len())
 	}
-
-	// A submit after stop short-circuits to direct computation.
-	resp, err := b.submit(context.Background(), "late", func(context.Context) (RecommendResponse, error) {
-		return RecommendResponse{Tier: "necs"}, nil
-	})
-	if err != nil || resp.Tier != "necs" {
-		t.Fatalf("post-stop submit: resp=%+v err=%v", resp, err)
+	if _, hit, _, _ := c.getOrDo(context.Background(), "k", fn); hit || calls.Load() != 2 {
+		t.Fatalf("second call: hit=%v calls=%d, want a recompute", hit, calls.Load())
 	}
 }
 
-// TestGroupContext: the group's compute context is cancelled only when
-// every sharer has cancelled; an uncancellable member pins it alive.
-func TestGroupContext(t *testing.T) {
-	mkReq := func(ctx context.Context) *batchReq { return &batchReq{ctx: ctx, key: "k"} }
+// TestCacheAllWaitersCancelled: when every waiter gives up, each detaches
+// with its own ctx.Err(), the leader still finishes, and nothing is left
+// behind — no in-flight entry and no goroutine (waiting takes none).
+func TestCacheAllWaitersCancelled(t *testing.T) {
+	c := newTTLCache(0, time.Now)
+	before := runtime.NumGoroutine()
+	gate := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+			<-gate
+			return RecommendResponse{Tier: "necs"}, nil
+		})
+		leaderDone <- err
+	}()
+	waitInflight(t, c, "k")
 
-	t.Run("all background", func(t *testing.T) {
-		gctx, release := groupContext([]*batchReq{mkReq(context.Background()), mkReq(context.Background())})
-		defer release()
-		if gctx.Done() != nil {
-			t.Fatal("uncancellable group must get an uncancellable context")
+	const n = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, _, _, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
+				t.Error("a cancelled waiter must not compute")
+				return RecommendResponse{}, nil
+			})
+			errs <- err
+		}()
+	}
+	waitParked(t, c, "k", n)
+	cancel()
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter err = %v, want context.Canceled", err)
 		}
+	}
+	close(gate)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader err = %v", err)
+	}
+	c.mu.Lock()
+	left := len(c.inflight)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d in-flight entries left behind", left)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// waitInflight blocks until some caller is computing key in c.
+func waitInflight(t *testing.T, c *ttlCache, key string) {
+	t.Helper()
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.inflight[key] != nil
 	})
+}
 
-	t.Run("single member shares its context", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx)})
-		defer release()
-		cancel()
-		if gctx.Err() == nil {
-			t.Fatal("sole member's cancellation must cancel the compute")
-		}
-	})
-
-	t.Run("one of two cancels: compute survives", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		defer cancel2()
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(ctx2)})
-		defer release()
-		cancel1()
-		select {
-		case <-gctx.Done():
-			t.Fatal("one impatient caller killed the shared compute")
-		case <-time.After(50 * time.Millisecond):
-		}
-	})
-
-	t.Run("all cancel: compute cancelled", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(ctx2)})
-		defer release()
-		cancel1()
-		cancel2()
-		select {
-		case <-gctx.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatal("group context not cancelled after every sharer cancelled")
-		}
-	})
-
-	t.Run("background member pins compute alive", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(context.Background())})
-		defer release()
-		cancel1()
-		if gctx.Done() != nil {
-			t.Fatal("background member must make the group uncancellable")
-		}
+// waitParked blocks until n callers have attached to key's in-flight call
+// as waiters: from then on each of them gets that call's result (or its
+// own cancellation), whatever the scheduler does next.
+func waitParked(t *testing.T, c *ttlCache, key string, n int) {
+	t.Helper()
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		call := c.inflight[key]
+		return call != nil && call.waiters >= n
 	})
 }
 

@@ -11,30 +11,52 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/workload"
 	"lite/pkg/api"
 )
 
+// holdKey makes the test the singleflight leader for key: until release is
+// called, every request for that key parks in the cache as a waiter; then
+// the leader runs compute and hands them its result.
+func holdKey(t *testing.T, s *Server, key string, compute func() (RecommendResponse, error)) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.cache.getOrDo(context.Background(), key, func() (RecommendResponse, error) {
+			<-gate
+			return compute()
+		})
+	}()
+	waitInflight(t, s.cache, key)
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }); <-done }
+	t.Cleanup(release)
+	return release
+}
+
 // TestEndToEndShedAndCancel exercises the full admission-control story on a
-// real server: with MaxInFlight=1 and an hour-long batch window, the first
-// request parks inside the batcher holding the only pipeline slot, so
+// real server: with MaxInFlight=1, the first request parks behind another
+// caller's in-flight computation of its key, holding the only pipeline
+// slot, so
 //
 //   - a second HTTP request is shed with 503 + Retry-After while
 //     lite_requests_shed_total increments, and
 //   - cancelling the parked request's context makes it return
-//     context.Canceled promptly (it would otherwise sit for the full hour),
-//     releasing the slot.
+//     context.Canceled promptly (it would otherwise wait for the leader
+//     indefinitely), releasing the slot.
 func TestEndToEndShedAndCancel(t *testing.T) {
-	s := newTestServer(t, Options{
-		MaxInFlight:  1,
-		BatchWindow:  time.Hour,
-		BatchMax:     64,
-		DisableCache: true,
-	})
+	s := newTestServer(t, Options{MaxInFlight: 1, DisableCache: true})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Park request 1: it acquires the in-flight slot, enters the batcher and
-	// waits out the collection window until cancelled.
+	// Park request 1: it acquires the in-flight slot, finds its key being
+	// computed and waits for that leader until cancelled.
+	envC, _ := ClusterByName("C")
+	holdKey(t, s, requestKey("WordCount", 512, envC), func() (RecommendResponse, error) {
+		return RecommendResponse{}, nil
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	parked := make(chan error, 1)
@@ -72,7 +94,7 @@ func TestEndToEndShedAndCancel(t *testing.T) {
 	}
 
 	// Cancel the parked request: it must return promptly with
-	// context.Canceled — not after the hour-long window — and free the slot.
+	// context.Canceled — the leader never finishes — and free the slot.
 	cancel()
 	select {
 	case err := <-parked:
@@ -88,26 +110,38 @@ func TestEndToEndShedAndCancel(t *testing.T) {
 	waitFor(t, func() bool { return len(s.inflight) == 0 })
 }
 
-// TestEndToEndCancelWhileOthersComplete: one request is cancelled while
-// queued for scoring and returns context.Canceled promptly; concurrent
-// requests on other keys in the same batch complete normally. The batch
-// flushes on size (window is an hour), so the sequencing is deterministic:
-// the cancelled request detaches before the batch even forms.
+// TestEndToEndCancelWhileOthersComplete: several requests wait on one
+// in-flight computation of their key. One is cancelled and returns
+// context.Canceled promptly; then the leader itself gives up. Neither
+// impatient caller kills the answer for the rest: the remaining waiters
+// retry, one of them scores, and all of them complete normally.
 func TestEndToEndCancelWhileOthersComplete(t *testing.T) {
 	const others = 4
-	s := newTestServer(t, Options{
-		BatchWindow:  time.Hour,
-		BatchMax:     others + 1, // flushes only once the late requests arrive
-		DisableCache: true,
+	s := newTestServer(t, Options{MaxInFlight: others + 1, DisableCache: true})
+	envC, _ := ClusterByName("C")
+	req := RecommendRequest{App: "WordCount", SizeMB: 256, Cluster: "C"}
+	leaderGivesUp := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), func() (RecommendResponse, error) {
+		return RecommendResponse{}, context.Canceled
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelled := make(chan error, 1)
 	go func() {
-		_, err := s.RecommendCtx(ctx, RecommendRequest{App: "WordCount", SizeMB: 256, Cluster: "C"})
+		_, err := s.RecommendCtx(ctx, req)
 		cancelled <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // request is pending in the batcher
+	var wg sync.WaitGroup
+	resps := make([]RecommendResponse, others)
+	errs := make([]error, others)
+	for i := 0; i < others; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = s.RecommendCtx(context.Background(), req)
+		}(i)
+	}
+	waitParked(t, s.cache, requestKey(req.App, req.SizeMB, envC), others+1)
+
 	cancel()
 	select {
 	case err := <-cancelled:
@@ -118,35 +152,79 @@ func TestEndToEndCancelWhileOthersComplete(t *testing.T) {
 		t.Fatal("cancelled request did not detach")
 	}
 
-	// The other keys arrive, fill the batch (the abandoned slot still counts
-	// toward BatchMax) and score normally.
-	sizes := []float64{512, 1024, 2048, 4096}
-	var wg sync.WaitGroup
-	resps := make([]RecommendResponse, others)
-	errs := make([]error, others)
-	for i := 0; i < others; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = s.RecommendCtx(context.Background(),
-				RecommendRequest{App: "KMeans", SizeMB: sizes[i], Cluster: "C"})
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	leaderGivesUp()
 	select {
-	case <-done:
+	case <-waitGroupDone(&wg):
 	case <-time.After(60 * time.Second):
-		t.Fatal("concurrent requests on other keys did not complete")
+		t.Fatal("remaining requests on the key did not complete")
 	}
 	for i := 0; i < others; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d err = %v", i, errs[i])
 		}
-		if resps[i].Tier == "" || resps[i].BatchSize != others+1 {
-			t.Fatalf("request %d: tier=%q batch=%d, want a scored answer from the %d-slot batch",
-				i, resps[i].Tier, resps[i].BatchSize, others+1)
+		if resps[i].Tier == "" || resps[i].BatchSize != 1 || len(resps[i].Config) == 0 {
+			t.Fatalf("request %d: tier=%q batch=%d config=%v, want a scored answer",
+				i, resps[i].Tier, resps[i].BatchSize, resps[i].Config)
 		}
+	}
+	if c := s.reg.Counter("lite_requests_cancelled_total").Value(); c != 1 {
+		t.Fatalf("lite_requests_cancelled_total = %d, want 1 (only the caller that cancelled)", c)
+	}
+}
+
+// waitGroupDone returns a channel closed once wg.Wait returns.
+func waitGroupDone(wg *sync.WaitGroup) <-chan struct{} {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	return done
+}
+
+// TestDisabledCacheCoalescesSameKey: with the cache disabled, requests
+// that arrive while their key is being scored share that one scoring pass
+// — exactly one score call, coalesced=true on every request that waited —
+// and the next request scores again because nothing was stored.
+func TestDisabledCacheCoalescesSameKey(t *testing.T) {
+	const n = 8
+	s := newTestServer(t, Options{MaxInFlight: n, DisableCache: true})
+	envC, _ := ClusterByName("C")
+	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
+	scored := s.reg.Counter(`lite_recommendations_total{tier="necs"}`)
+
+	// The leader is a real scoring pass, held at its start so the requests
+	// below are certain to arrive while it is in flight.
+	score := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), func() (RecommendResponse, error) {
+		return s.score(context.Background(), workload.ByName(req.App), req, envC)
+	})
+
+	var wg sync.WaitGroup
+	resps := make([]RecommendResponse, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = s.RecommendCtx(context.Background(), req)
+		}(i)
+	}
+	waitParked(t, s.cache, requestKey(req.App, req.SizeMB, envC), n)
+	score()
+	wg.Wait()
+
+	if got := scored.Value(); got != 1 {
+		t.Fatalf("%d score calls for %d concurrent same-key requests, want exactly 1", got, n)
+	}
+	for i := range resps {
+		if errs[i] != nil {
+			t.Fatalf("request %d err = %v", i, errs[i])
+		}
+		if !resps[i].Coalesced || resps[i].Cached || resps[i].Tier != "necs" || resps[i].SizeMB != req.SizeMB {
+			t.Fatalf("request %d: coalesced=%v cached=%v tier=%q size=%v", i,
+				resps[i].Coalesced, resps[i].Cached, resps[i].Tier, resps[i].SizeMB)
+		}
+	}
+	again, err := s.RecommendCtx(context.Background(), req)
+	if err != nil || again.Cached || again.Coalesced || scored.Value() != 2 {
+		t.Fatalf("follow-up request: resp=%+v err=%v score calls=%d, want a fresh uncoalesced score", again, err, scored.Value())
 	}
 }
 
@@ -154,7 +232,7 @@ func TestEndToEndCancelWhileOthersComplete(t *testing.T) {
 // expired on arrival, the HTTP handler answers 504 and the deadline counter
 // moves — the client's own context never fired.
 func TestEndToEndRequestTimeout(t *testing.T) {
-	s := newTestServer(t, Options{RequestTimeout: time.Nanosecond, DisableBatcher: true, DisableCache: true})
+	s := newTestServer(t, Options{RequestTimeout: time.Nanosecond, DisableCache: true})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

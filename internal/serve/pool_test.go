@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,9 +47,9 @@ func TestPoolGaugesExposed(t *testing.T) {
 }
 
 // TestServeParallelScoringRace overlaps pooled batch scoring with
-// data-parallel adaptive updates and a hot-swap. Run with -race: the batcher
-// fans keys across the same pool each recommendation fans candidates
-// across, while retrains run FitWorkers=2 replicas concurrently.
+// data-parallel adaptive updates and a hot-swap. Run with -race: concurrent
+// recommendations fan their candidates across the same pool the retrains
+// run their FitWorkers=2 replicas on.
 func TestServeParallelScoringRace(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
 	s := newTestServer(t, Options{
@@ -55,7 +57,6 @@ func TestServeParallelScoringRace(t *testing.T) {
 		FitWorkers:    2,
 		DisableCache:  true,
 		UpdateBatch:   2,
-		BatchWindow:   time.Millisecond,
 		FeedbackQueue: 8,
 	})
 
@@ -112,4 +113,60 @@ func TestServeParallelScoringRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStageRepCacheExposed: the stage-representation cache shows up in
+// /metrics — a key's first miss fills it, the next miss is served from it,
+// a hot-swapped generation starts empty — and the deleted batcher series
+// are gone.
+func TestStageRepCacheExposed(t *testing.T) {
+	s := newTestServer(t, Options{DisableCache: true})
+	req := RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
+	entries := func() int { return s.Snapshot().Tuner.Model.StageRepEntries() }
+
+	if _, err := s.Recommend(req); err != nil {
+		t.Fatalf("recommend: %v", err)
+	}
+	filled := entries()
+	if filled == 0 {
+		t.Fatal("a NECS-tier miss left the stage-representation cache empty")
+	}
+	hits0, misses0 := s.Snapshot().Tuner.Model.StageRepStats()
+	if _, err := s.Recommend(req); err != nil {
+		t.Fatalf("recommend: %v", err)
+	}
+	hits1, misses1 := s.Snapshot().Tuner.Model.StageRepStats()
+	if hits1-hits0 != uint64(filled) || misses1 != misses0 {
+		t.Fatalf("second miss on the key: %d hits, %d misses; want %d hits and no encoder forward",
+			hits1-hits0, misses1-misses0, filled)
+	}
+
+	var buf bytes.Buffer
+	if err := s.Metrics().WriteText(&buf); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		fmt.Sprintf("lite_stage_rep_cache_entries %d\n", filled),
+		fmt.Sprintf("lite_stage_rep_cache_hits_total %d\n", hits1),
+		fmt.Sprintf("lite_stage_rep_cache_misses_total %d\n", misses1),
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "lite_batch") {
+		t.Fatalf("exposition still carries a batcher series:\n%s", out)
+	}
+
+	path := filepath.Join(t.TempDir(), "next.json")
+	if err := saveTunerAtomic(s.Snapshot().Tuner, path); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := s.FlipTo(path, 1); err != nil || gen != 1 {
+		t.Fatalf("FlipTo: gen=%d err=%v", gen, err)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("generation 1 inherited %d stage representations", n)
+	}
 }

@@ -12,11 +12,9 @@
 //     retrains a clone of the current model off the hot path
 //     (core.Tuner.CloneForUpdate + AdaptiveModelUpdate) and hot-swaps the
 //     snapshot atomically.
-//   - Concurrent requests are *micro-batched*: requests arriving within a
-//     small window coalesce into one batch, and requests for the same
-//     (app, datasize bucket, env) key inside a batch are scored once.
 //   - A TTL *recommendation cache* with singleflight deduplication absorbs
-//     repeated-key traffic; a stampede on a cold key computes once.
+//     repeated-key traffic; a stampede on one (app, datasize bucket, env)
+//     key computes once, and a miss goes straight to the model.
 //
 // The HTTP/JSON API lives in http.go; cmd/liteserve runs it and
 // cmd/liteload benchmarks it.
@@ -45,23 +43,22 @@ import (
 	"lite/pkg/api"
 )
 
-// Options configures the server. The zero value enables the cache and the
-// batcher with the defaults below.
+// Options configures the server. The zero value enables the cache with
+// the defaults below.
 type Options struct {
 	// CacheTTL bounds how long a recommendation is served from cache
 	// (default 30s). The cache is also flushed on every model hot-swap.
 	CacheTTL time.Duration
-	// DisableCache bypasses the recommendation cache (every request goes
-	// to the batcher / model).
+	// DisableCache stops the cache from storing answers: every request
+	// goes to the model, except that concurrent requests for one key still
+	// share a single computation.
 	DisableCache bool
 
-	// BatchMax is the most requests coalesced into one inference batch
-	// (default 16); BatchWindow is how long the batcher waits for
-	// stragglers after the first request arrives (default 2ms).
+	// Deprecated: BatchMax and BatchWindow configured the micro-batcher,
+	// which no longer exists; both are ignored. They remain only until the
+	// benchmark harness stops setting them.
 	BatchMax    int
 	BatchWindow time.Duration
-	// DisableBatcher scores every request individually.
-	DisableBatcher bool
 
 	// MaxInFlight bounds how many recommendation requests may be inside
 	// the serving pipeline at once. Excess load is shed immediately with
@@ -72,9 +69,8 @@ type Options struct {
 
 	// RequestTimeout caps how long one HTTP request may spend in the
 	// pipeline: the handler derives a deadline from it, and every stage
-	// (cache wait, batcher queue, candidate scoring) observes the
-	// cancellation. 0 means no server-imposed deadline (the client's
-	// context still applies).
+	// (cache wait, candidate scoring) observes the cancellation. 0 means no
+	// server-imposed deadline (the client's context still applies).
 	RequestTimeout time.Duration
 
 	// UpdateBatch is how many feedback runs trigger one adaptive model
@@ -91,10 +87,9 @@ type Options struct {
 
 	// ScoreWorkers resizes the process-wide candidate-scoring pool
 	// (core.SetScoreWorkers) at construction: recommendations fan their
-	// 64-candidate NECS scoring across this many goroutines, and the
-	// batcher scores distinct keys of one batch concurrently under the
-	// same bound. 0 leaves the pool at its default, GOMAXPROCS; 1 forces
-	// serial scoring. Rankings are deterministic at any width.
+	// 64-candidate NECS scoring across this many goroutines. 0 leaves the
+	// pool at its default, GOMAXPROCS; 1 forces serial scoring. Rankings
+	// are deterministic at any width.
 	ScoreWorkers int
 
 	// FitWorkers is the number of data-parallel replicas each adaptive
@@ -208,12 +203,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheTTL <= 0 {
 		o.CacheTTL = 30 * time.Second
 	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 16
-	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
 	if o.UpdateBatch <= 0 {
 		o.UpdateBatch = 8
 	}
@@ -270,8 +259,8 @@ type Server struct {
 	// generation); readers never take it — they load the atomic pointer.
 	publishMu sync.Mutex
 	cache     *ttlCache
-	batch     *batcher
 	reg       *metrics.Registry
+	ctr       requestCounters
 	// inflight is the admission-control semaphore (nil when
 	// Options.MaxInFlight is 0): a slot is held for a request's whole stay
 	// in the pipeline, and a request that cannot get one immediately is
@@ -311,6 +300,30 @@ type Server struct {
 	retrieval *retrieval.Store
 }
 
+// requestCounters are the series every recommendation touches, resolved
+// once in New so the hot path does no registry lookup.
+type requestCounters struct {
+	cacheHits, cacheMisses *metrics.Counter
+	recsByTier, coldByTier map[core.Tier]*metrics.Counter
+}
+
+func newRequestCounters(reg *metrics.Registry) requestCounters {
+	c := requestCounters{
+		cacheHits:   reg.Counter("lite_cache_hits_total"),
+		cacheMisses: reg.Counter("lite_cache_misses_total"),
+		recsByTier:  map[core.Tier]*metrics.Counter{},
+		coldByTier:  map[core.Tier]*metrics.Counter{},
+	}
+	for _, t := range []core.Tier{core.TierNECS, core.TierRetrieval, core.TierACGRegion, core.TierSafeDefault} {
+		c.recsByTier[t] = reg.Counter(`lite_recommendations_total{tier="` + string(t) + `"}`)
+	}
+	// An unseen app has no NECS or ACG tier.
+	for _, t := range []core.Tier{core.TierRetrieval, core.TierSafeDefault} {
+		c.coldByTier[t] = reg.Counter(`lite_cold_requests_total{tier="` + string(t) + `"}`)
+	}
+	return c
+}
+
 type feedbackItem struct {
 	app *workload.App
 	req FeedbackRequest
@@ -335,6 +348,7 @@ func New(tuner *core.Tuner, opts Options) *Server {
 		feedbackCh: make(chan feedbackItem, opts.FeedbackQueue),
 		stopCh:     make(chan struct{}),
 	}
+	s.ctr = newRequestCounters(s.reg)
 	if opts.Float32 {
 		tuner.EnableF32Serving()
 	}
@@ -353,8 +367,11 @@ func New(tuner *core.Tuner, opts Options) *Server {
 		})
 	}
 	s.snap.Store(&Snapshot{Tuner: tuner, Gen: 0, CreatedAt: opts.Now()})
-	s.cache = newTTLCache(opts.CacheTTL, opts.Now)
-	s.batch = newBatcher(opts.BatchMax, opts.BatchWindow, s.reg)
+	ttl := opts.CacheTTL
+	if opts.DisableCache {
+		ttl = 0 // store nothing; the cache is then only the singleflight
+	}
+	s.cache = newTTLCache(ttl, opts.Now)
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
 	}
@@ -375,6 +392,27 @@ func New(tuner *core.Tuner, opts Options) *Server {
 	s.reg.GaugeFunc("lite_score_pool_items_total", func() float64 {
 		return float64(core.ScorePoolStats().Items)
 	})
+	// Stage-representation cache (DESIGN.md §12) of the live generation's
+	// model: all three series restart from zero at a hot-swap.
+	repStat := func(name string, read func(*core.NECS) float64) {
+		s.reg.GaugeFunc(name, func() float64 {
+			if m := s.snap.Load().Tuner.Model; m != nil {
+				return read(m)
+			}
+			return 0
+		})
+	}
+	repStat("lite_stage_rep_cache_hits_total", func(m *core.NECS) float64 {
+		hits, _ := m.StageRepStats()
+		return float64(hits)
+	})
+	repStat("lite_stage_rep_cache_misses_total", func(m *core.NECS) float64 {
+		_, misses := m.StageRepStats()
+		return float64(misses)
+	})
+	repStat("lite_stage_rep_cache_entries", func(m *core.NECS) float64 {
+		return float64(m.StageRepEntries())
+	})
 	return s
 }
 
@@ -385,7 +423,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // value is immutable and safe to read from any goroutine.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Start launches the background adaptive-update loop and the batcher.
+// Start launches the background adaptive-update loop.
 // When Options.WALDir is set it first recovers the feedback WAL — torn and
 // corrupt tails are skipped and counted, unfolded records are queued for
 // replay ahead of new traffic — and when Options.Validation.Enable is set
@@ -451,7 +489,6 @@ func (s *Server) Start() error {
 		s.started.Store(false)
 		return fmt.Errorf("serve: opening session store: %w", err)
 	}
-	s.batch.start()
 	if s.opts.Follower {
 		// A follower never retrains: its model advances only through FlipTo.
 		// WAL-recovered feedback (accepted before a crash, never folded here)
@@ -529,12 +566,11 @@ func (s *Server) replayItem(rec wal.Record) (feedbackItem, bool) {
 	return feedbackItem{app: app, req: req, cfg: core.ForceFeasible(cfg, env), env: env, seq: rec.Seq}, true
 }
 
-// Shutdown stops the batcher and the update loop, waiting for an in-flight
-// retrain to finish (bounded by the deadline, if any, on done), then closes
-// the WAL (final fsync included). It is safe to call more than once.
+// Shutdown stops the update loop, waiting for an in-flight retrain to
+// finish (bounded by the deadline, if any, on done), then closes the WAL
+// (final fsync included). It is safe to call more than once.
 func (s *Server) Shutdown(done <-chan struct{}) error {
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.batch.stop()
 	finished := make(chan struct{})
 	go func() { s.wg.Wait(); close(finished) }()
 	select {
@@ -598,15 +634,15 @@ func sizeBucket(sizeMB float64) int {
 // bucketSizeMB is the canonical size every request in bucket b is scored
 // at: the bucket's inclusive upper bound (2^b MB). Scoring at one
 // representative size per bucket means a response shared through the cache
-// or the batcher corresponds to the same computation for every caller,
-// rather than to whichever caller happened to lead.
+// corresponds to the same computation for every caller, rather than to
+// whichever caller happened to lead.
 func bucketSizeMB(b int) float64 { return math.Exp2(float64(b)) }
 
 // envFingerprint identifies an environment for cache keying: the hardware
 // profile plus the active fault profile's actual knobs — two clusters
-// injecting different fault intensities must never share cache, batcher or
-// routing entries. It is the retrieval store's fingerprint, so cache keys
-// and retrieval entries agree on environment identity.
+// injecting different fault intensities must never share cache or routing
+// entries. It is the retrieval store's fingerprint, so cache keys and
+// retrieval entries agree on environment identity.
 func envFingerprint(env sparksim.Environment) string {
 	return retrieval.EnvFingerprint(env)
 }
@@ -621,10 +657,10 @@ func requestKey(appName string, sizeMB float64, env sparksim.Environment) string
 const coldDefaultSizeMB = 1024
 
 // RoutingKey is the sharding key a fleet router hashes to place a request:
-// the same (app, datasize bucket, env fingerprint) string the cache and the
-// batcher key on, so routing by it keeps each shard's cache and batcher hot
-// on its slice of the keyspace. sizeMB <= 0 defaults to the app's test
-// size, exactly as the serving path does. An app absent from the workload
+// the same (app, datasize bucket, env fingerprint) string the cache keys
+// on, so routing by it keeps each shard's cache hot on its slice of the
+// keyspace. sizeMB <= 0 defaults to the app's test size, exactly as the
+// serving path does. An app absent from the workload
 // registry still gets a well-formed key over its raw (name, size bucket,
 // env) fields — unseen-app traffic served by the retrieval tier must land
 // on one consistent shard, not scatter its cache fleet-wide. An
@@ -671,18 +707,17 @@ func (s *Server) resolve(appName, cluster string) (*workload.App, sparksim.Envir
 	return app, env, nil
 }
 
-// Recommend serves one recommendation request through the cache, the
-// batcher and the current model snapshot. It is safe for concurrent use.
-// It never times out on its own; callers that want a deadline use
-// RecommendCtx.
+// Recommend serves one recommendation request through the cache and the
+// current model snapshot. It is safe for concurrent use. It never times
+// out on its own; callers that want a deadline use RecommendCtx.
 func (s *Server) Recommend(req RecommendRequest) (RecommendResponse, error) {
 	return s.RecommendCtx(context.Background(), req)
 }
 
 // RecommendCtx is Recommend under a caller-supplied context: the deadline
 // and cancellation flow through admission control, the cache's
-// singleflight wait, the batcher's queue and the NECS candidate-scoring
-// pass, so an abandoned request stops consuming the pipeline promptly.
+// singleflight wait and the NECS candidate-scoring pass, so an abandoned
+// request stops consuming the pipeline promptly.
 // Typed failures: ErrOverloaded when the in-flight limit sheds the
 // request, ctx.Err() (context.Canceled / context.DeadlineExceeded) when
 // the caller's budget ran out first.
@@ -741,42 +776,32 @@ func (s *Server) recommend(ctx context.Context, req RecommendRequest) (Recommend
 
 	// Score at the bucket's canonical size, not the (leader's) exact size:
 	// every request sharing this key gets an answer computed for the same
-	// input, and SizeMB is restored to the caller's value below.
+	// input.
 	scoreReq := req
 	scoreReq.SizeMB = bucketSizeMB(sizeBucket(req.SizeMB))
+	return s.cached(ctx, key, req.SizeMB, func() (RecommendResponse, error) {
+		return s.score(ctx, app, scoreReq, env)
+	})
+}
 
-	compute := func() (RecommendResponse, error) {
-		if s.opts.DisableBatcher {
-			return s.score(ctx, app, scoreReq, env)
-		}
-		return s.batch.submit(ctx, key, func(bctx context.Context) (RecommendResponse, error) {
-			return s.score(bctx, app, scoreReq, env)
-		})
-	}
-
-	var resp RecommendResponse
-	var err error
-	if s.opts.DisableCache {
-		resp, err = compute()
-	} else {
-		var hit, shared bool
-		resp, hit, shared, err = s.cache.getOrDo(ctx, key, compute)
-		if err == nil {
-			resp.Cached = hit
-			resp.Coalesced = resp.Coalesced || shared
-			if hit {
-				s.reg.Counter("lite_cache_hits_total").Inc()
-			} else {
-				s.reg.Counter("lite_cache_misses_total").Inc()
-			}
-		}
-	}
+// cached answers key from the recommendation cache, or computes it once
+// for every caller waiting on the key at that moment (ttlCache.getOrDo),
+// and stamps the answer with how this caller got it and with the size it
+// asked for: the answer may be shared with other callers in the same
+// bucket, but it is a value copy, so the stamp does not leak across.
+func (s *Server) cached(ctx context.Context, key string, sizeMB float64, compute func() (RecommendResponse, error)) (RecommendResponse, error) {
+	resp, hit, shared, err := s.cache.getOrDo(ctx, key, compute)
 	if err != nil {
 		return RecommendResponse{}, err
 	}
-	// resp may be shared with other callers in the same bucket; it is a
-	// value copy, so restoring this caller's size does not leak across.
-	resp.SizeMB = req.SizeMB
+	if hit {
+		s.ctr.cacheHits.Inc()
+	} else {
+		s.ctr.cacheMisses.Inc()
+	}
+	resp.Cached = hit
+	resp.Coalesced = shared
+	resp.SizeMB = sizeMB
 	return resp, nil
 }
 
@@ -789,52 +814,23 @@ func hasEmbeddableFeatures(f *api.AppFeatures) bool {
 // recommendCold serves an application absent from the workload registry
 // through the retrieval tier: embed the request's features, look up the
 // nearest historical neighbour, adapt its best-known config. The path
-// shares the cache and the batcher with warm requests, keyed by the
-// feature content hash as well as the app name — two apps reusing a name
-// with different code must not share an answer.
+// shares the cache with warm requests, keyed by the feature content hash
+// as well as the app name — two apps reusing a name with different code
+// must not share an answer.
 func (s *Server) recommendCold(ctx context.Context, req RecommendRequest, env sparksim.Environment) (RecommendResponse, error) {
 	if req.SizeMB <= 0 {
 		req.SizeMB = coldDefaultSizeMB
 	}
-	emb := retrieval.EmbedCode(req.Features.Code, req.Features.Ops)
 	key := fmt.Sprintf("cold:%s|%x|b%d|%s",
 		req.App, featureHash(req.Features), sizeBucket(req.SizeMB), envFingerprint(env))
 	scoreSize := bucketSizeMB(sizeBucket(req.SizeMB))
-
-	compute := func() (RecommendResponse, error) {
-		if s.opts.DisableBatcher {
-			return s.scoreCold(ctx, req.App, emb, scoreSize, env)
-		}
-		return s.batch.submit(ctx, key, func(bctx context.Context) (RecommendResponse, error) {
-			return s.scoreCold(bctx, req.App, emb, scoreSize, env)
-		})
-	}
-
-	var resp RecommendResponse
-	var err error
-	if s.opts.DisableCache {
-		resp, err = compute()
-	} else {
-		var hit, shared bool
-		resp, hit, shared, err = s.cache.getOrDo(ctx, key, compute)
-		if err == nil {
-			resp.Cached = hit
-			resp.Coalesced = resp.Coalesced || shared
-			if hit {
-				s.reg.Counter("lite_cache_hits_total").Inc()
-			} else {
-				s.reg.Counter("lite_cache_misses_total").Inc()
-			}
-		}
-	}
-	if err != nil {
-		return RecommendResponse{}, err
-	}
-	resp.SizeMB = req.SizeMB
-	return resp, nil
+	return s.cached(ctx, key, req.SizeMB, func() (RecommendResponse, error) {
+		emb := retrieval.EmbedCode(req.Features.Code, req.Features.Ops)
+		return s.scoreCold(ctx, req.App, emb, scoreSize, env)
+	})
 }
 
-// featureHash fingerprints a feature payload for cache/batch keying.
+// featureHash fingerprints a feature payload for cache keying.
 func featureHash(f *api.AppFeatures) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(f.Code))
@@ -857,8 +853,8 @@ func (s *Server) scoreCold(ctx context.Context, appName string, emb []float64, s
 		}
 		return RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
 	}
-	s.reg.Counter("lite_recommendations_total{tier=\"" + string(sr.Tier) + "\"}").Inc()
-	s.reg.Counter("lite_cold_requests_total{tier=\"" + string(sr.Tier) + "\"}").Inc()
+	s.ctr.recsByTier[sr.Tier].Inc()
+	s.ctr.coldByTier[sr.Tier].Inc()
 	return RecommendResponse{
 		App:        appName,
 		SizeMB:     sizeMB,
@@ -883,7 +879,7 @@ func (s *Server) score(ctx context.Context, app *workload.App, req RecommendRequ
 		}
 		return RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
 	}
-	s.reg.Counter("lite_recommendations_total{tier=\"" + string(sr.Tier) + "\"}").Inc()
+	s.ctr.recsByTier[sr.Tier].Inc()
 	resp := RecommendResponse{
 		App:        app.Spec.Name,
 		SizeMB:     req.SizeMB,

@@ -484,6 +484,9 @@ func chaosCorrupt(t *core.Tuner) {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
+	// Params() was written directly: the model's memoized stage
+	// representations no longer match its weights (DESIGN.md §12).
+	t.Model.ResetStageReps()
 }
 
 // snapshotFS seams the snapshot/quarantine file operations so persistence

@@ -113,12 +113,12 @@ type RecommendResponse struct {
 	// Generation is the model snapshot that produced the answer.
 	Generation uint64 `json:"generation"`
 	// Cached is true when the answer came from the recommendation cache;
-	// Coalesced when this request shared another request's computation
-	// (singleflight or in-batch dedup).
+	// Coalesced when this request waited on another request's in-flight
+	// computation of the same key instead of computing (singleflight).
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
-	// BatchSize is how many requests shared the inference batch (1 when
-	// the batcher is disabled or the answer was cached).
+	// BatchSize is always 1: requests are no longer micro-batched. The
+	// field stays so existing clients keep decoding the response.
 	BatchSize int `json:"batch_size"`
 	// OverheadMS is the server-side decision time in milliseconds.
 	OverheadMS float64 `json:"overhead_ms"`

@@ -25,7 +25,7 @@ if [[ -z "$cores" || "$cores" == "0" ]]; then
 fi
 
 awk -v cores="$cores" -v benchtime="$BENCHTIME" '
-/^Benchmark(Recommend|RecommendF32|Fit)\// {
+/^Benchmark(Recommend|RecommendColdReps|RecommendF32|Fit)\// {
     # BenchmarkRecommend/workers=4-8   12   345 ns/op ...
     name = $1; sub(/-[0-9]+$/, "", name)
     iters[name] = $2
