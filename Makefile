@@ -24,10 +24,13 @@ lint:
 
 # verify is the tier-1 gate plus the serving-stack race check: everything
 # must compile, every test pass, every exported symbol be documented, and
-# the concurrent read/hot-swap paths be clean under the race detector.
+# the concurrent read/hot-swap paths be clean under the race detector. The
+# arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
+# pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/...
@@ -53,7 +56,7 @@ fleet-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 45m
 
-# bench-parallel runs only the scoring/training parallelism benchmarks and
+# bench-parallel runs the scoring, training, AMU and tower-GEMM benchmarks and
 # writes BENCH_parallel.json (see DESIGN.md §7 and README "Performance").
 bench-parallel:
 	./scripts/bench.sh

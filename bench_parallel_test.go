@@ -5,7 +5,7 @@
 // smoke run (-benchtime=1x); the paper-scale benchmarks live in
 // bench_test.go. Run with:
 //
-//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit' -benchtime 3x
+//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime 3x
 package lite
 
 import (
@@ -17,6 +17,7 @@ import (
 
 	"lite/internal/core"
 	"lite/internal/sparksim"
+	"lite/internal/tensor"
 	"lite/internal/workload"
 )
 
@@ -103,33 +104,6 @@ func BenchmarkRecommendColdReps(b *testing.B) {
 	})
 }
 
-// BenchmarkRecommendF32 is BenchmarkRecommend with float32 serving enabled
-// (the packed tower plan, DESIGN.md §12); the delta against BenchmarkRecommend
-// isolates what the f32 kernel buys on top of batched f64 scoring.
-func BenchmarkRecommendF32(b *testing.B) {
-	tuner, _ := parBench()
-	app := workload.ByName("WordCount")
-	data := app.Spec.MakeData(app.Sizes.Train[0])
-	env := sparksim.ClusterC
-
-	tuner.EnableF32Serving()
-	defer tuner.DisableF32Serving()
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			core.SetScoreWorkers(w)
-			defer core.SetScoreWorkers(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := tuner.Recommend(app.Spec, data, env)
-				if len(rec.Ranked) != 64 {
-					b.Fatalf("ranked %d candidates, want 64", len(rec.Ranked))
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFit measures NECS training throughput over the shared dataset:
 // replicas=0 is the historical serial loop, replicas=1 the parallel engine's
 // bit-identical mode, higher counts the data-parallel regime (one averaged
@@ -153,6 +127,58 @@ func BenchmarkFit(b *testing.B) {
 				m.Fit(encoded, rng)
 			}
 			b.ReportMetric(float64(len(encoded)*cfg.Epochs)/b.Elapsed().Seconds()/float64(b.N), "inst/s")
+		})
+	}
+}
+
+// BenchmarkAMU measures one Adaptive Model Update — the retrain behind
+// every feedback batch — on a clone of the fixture model: 64 source and 16
+// target instances (the fixture's encoded set, cycled), serial loop
+// (Workers 0), default epochs.
+func BenchmarkAMU(b *testing.B) {
+	tuner, ds := parBench()
+	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
+	batch := make([]*core.Encoded, 80)
+	for i := range batch {
+		batch[i] = encoded[i%len(encoded)]
+	}
+	source, target := batch[:64], batch[64:]
+	cfg := core.DefaultAMUConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := tuner.Model.Clone()
+		b.StartTimer()
+		core.AdaptiveModelUpdate(m, source, target, cfg, rand.New(rand.NewSource(1)))
+	}
+}
+
+// BenchmarkTowerGEMM measures tensor.MatMulInto at the three shapes one
+// 64-candidate recommendation puts through the tower's hidden layers
+// (rows = candidates × unique stages, here 257), with the second layer's
+// input half zeros as it is after a ReLU. It reports achieved MAC/s
+// counting every multiply-add of the dense product, skipped or not.
+func BenchmarkTowerGEMM(b *testing.B) {
+	for _, sh := range []struct {
+		m, k, n int
+		zeros   float64
+	}{{257, 66, 64, 0}, {257, 64, 32, 0.5}, {257, 32, 16, 0}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := tensor.Randn(sh.m, sh.k, 1, rng)
+			for i := range x.Data {
+				if rng.Float64() < sh.zeros {
+					x.Data[i] = 0
+				}
+			}
+			w := tensor.Randn(sh.k, sh.n, 1, rng)
+			out := tensor.New(sh.m, sh.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulInto(out, x, w)
+			}
+			b.ReportMetric(float64(sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds(), "MAC/s")
 		})
 	}
 }

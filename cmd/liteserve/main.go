@@ -73,7 +73,6 @@ func main() {
 	admin := flag.Bool("admin", false, "expose POST /v1/admin/flip (fleet-coordinated hot-swap)")
 	sessionDir := flag.String("session-dir", "", "tuning-session WAL+snapshot directory (default <wal-dir>/sessions when -wal-dir is set; empty without it = in-memory sessions)")
 	sessionBound := flag.Float64("session-bound", 0, "default session safety bound: a trial is a violation when it runs worse than bound x the measured baseline (0 = built-in 1.5)")
-	f32 := flag.Bool("f32", false, "serve with the packed float32 inference plan (train/validate stay float64; see DESIGN.md §12)")
 	flag.Parse()
 
 	// Resize the scoring pool before boot-training so the first model's
@@ -109,7 +108,6 @@ func main() {
 		EnableAdmin:         *admin,
 		SessionDir:          *sessionDir,
 		SessionDefaultBound: *sessionBound,
-		Float32:             *f32,
 	})
 	if err := s.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "liteserve:", err)

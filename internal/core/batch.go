@@ -48,20 +48,16 @@ func (s *AppScorer) ScoreBatch(cfgs []sparksim.Config, preds []float64, oks []bo
 	if len(cfgs) == 0 {
 		return
 	}
-	if s.f32 != nil {
-		s.scoreBatchF32(cfgs, preds, oks)
-		return
-	}
 	ar := arenaPool.Get().(*nn.Arena)
 	ar.Reset()
 	defer arenaPool.Put(ar)
-	s.scoreBatchF64(ar, cfgs, preds, oks)
+	s.scoreBatch(ar, cfgs, preds, oks)
 }
 
-// scoreBatchF64 is the float64 batched kernel. It fills the (C·S)×d tower
-// input in arena memory, runs the tower with one GEMM per layer, and folds
-// the per-stage outputs into per-candidate totals in plan order.
-func (s *AppScorer) scoreBatchF64(ar *nn.Arena, cfgs []sparksim.Config, preds []float64, oks []bool) {
+// scoreBatch is the batched kernel. It fills the (C·S)×d tower input in
+// arena memory, runs the tower with one GEMM per layer, and folds the
+// per-stage outputs into per-candidate totals in plan order.
+func (s *AppScorer) scoreBatch(ar *nn.Arena, cfgs []sparksim.Config, preds []float64, oks []bool) {
 	nStages := len(s.stages)
 	repW := len(s.stages[0].rep)
 	width := feature.DenseWidth + repW

@@ -1,16 +1,13 @@
 package core
 
-// Tests for the batched one-GEMM scoring kernel (batch.go) and the float32
-// serving path (f32.go). The contracts under test are the ones DESIGN.md
-// §12 promises:
+// Tests for the batched one-GEMM scoring kernel (batch.go). The contracts
+// under test are the ones DESIGN.md §12 promises:
 //
-//   - float64 batched scoring is BITWISE identical to the historical
-//     per-candidate autograd path (scoreGraph), at any batch size and any
-//     scoring-pool width;
+//   - batched scoring is BITWISE identical to the historical per-candidate
+//     autograd path (scoreGraph), at any batch size and any scoring-pool
+//     width;
 //   - per-request arenas never leak state across concurrent passes
-//     (scribble-and-check under -race);
-//   - the float32 path preserves candidate RANKING (top-K order) even
-//     though individual predictions may differ in low-order bits.
+//     (scribble-and-check under -race).
 
 import (
 	"context"
@@ -19,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
 )
@@ -176,107 +172,4 @@ func TestScoreBatchArenaRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// rankOrder returns candidate indices best-first with index tie-breaking,
-// mirroring the stable sort recommendFrom uses.
-func rankOrder(preds []float64) []int {
-	order := make([]int, len(preds))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && preds[order[j]] < preds[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
-}
-
-// TestF32RankingEquivalence is the golden guard on the train-f64/serve-f32
-// contract: across seeded workloads the float32 path must reproduce the
-// float64 top-K candidate ordering exactly, and every float32 prediction
-// must sit within float32 rounding distance of its float64 counterpart.
-func TestF32RankingEquivalence(t *testing.T) {
-	const topK = 10
-	tuner := batchTestTuner(t)
-	plan := tuner.Model.CompileF32()
-	if !plan.f32Finite() {
-		t.Fatal("compiled plan has non-finite weights")
-	}
-	for _, name := range []string{"WordCount", "PageRank"} {
-		app := workload.ByName(name)
-		for _, env := range []sparksim.Environment{sparksim.ClusterC, sparksim.ClusterA} {
-			data := app.Spec.MakeData(app.Sizes.Test)
-			cands := batchTestCandidates(t, tuner, app, data, env, 64)
-
-			f64Scorer := tuner.Model.NewAppScorer(app.Spec, data, env)
-			f64Preds := make([]float64, len(cands))
-			f64Scorer.ScoreBatch(cands, f64Preds, nil)
-
-			f32Scorer := tuner.Model.NewAppScorer(app.Spec, data, env).UseF32(plan)
-			f32Preds := make([]float64, len(cands))
-			f32Scorer.ScoreBatch(cands, f32Preds, nil)
-
-			for i := range cands {
-				rel := math.Abs(f32Preds[i]-f64Preds[i]) / math.Max(1, math.Abs(f64Preds[i]))
-				if rel > 1e-3 {
-					t.Fatalf("%s/%s cand %d: f32 %v vs f64 %v (rel %v)", name, env.Name, i, f32Preds[i], f64Preds[i], rel)
-				}
-			}
-			o64 := rankOrder(f64Preds)
-			o32 := rankOrder(f32Preds)
-			for k := 0; k < topK; k++ {
-				if o64[k] != o32[k] {
-					t.Fatalf("%s/%s: top-%d rank %d differs: f64 cand %d (%v) vs f32 cand %d (%v)",
-						name, env.Name, topK, k, o64[k], f64Preds[o64[k]], o32[k], f32Preds[o32[k]])
-				}
-			}
-		}
-	}
-}
-
-// TestF32TunerLifecycle covers the tuner-level wiring: enabling compiles a
-// plan that serves, an in-place adaptive update recompiles it (never serves
-// stale weights), and CloneForUpdate clones come up float64.
-func TestF32TunerLifecycle(t *testing.T) {
-	tuner := batchTestTuner(t)
-	app := workload.ByName("WordCount")
-	env := sparksim.ClusterC
-	data := app.Spec.MakeData(app.Sizes.Test)
-
-	tuner.EnableF32Serving()
-	if !tuner.F32ServingEnabled() {
-		t.Fatal("f32 serving not enabled")
-	}
-	rec := tuner.Recommend(app.Spec, data, env)
-	if len(rec.Ranked) != tuner.NumCandidates {
-		t.Fatalf("f32 recommend ranked %d, want %d", len(rec.Ranked), tuner.NumCandidates)
-	}
-	if !sparksim.Feasible(rec.Config, env) {
-		t.Fatal("f32 recommendation infeasible")
-	}
-
-	if tuner.CloneForUpdate(3).F32ServingEnabled() {
-		t.Fatal("clone must serve float64 until explicitly re-enabled")
-	}
-
-	planBefore := tuner.f32
-	tuner.UpdateBatch = 1
-	run := instrument.Run(app.Spec, data, env, rec.Config)
-	if !tuner.CollectFeedback(run, nil) {
-		t.Fatal("feedback did not trigger an update")
-	}
-	if tuner.f32 == planBefore {
-		t.Fatal("in-place update did not recompile the f32 plan")
-	}
-	rec2 := tuner.Recommend(app.Spec, data, env)
-	if len(rec2.Ranked) != tuner.NumCandidates {
-		t.Fatalf("post-update f32 recommend ranked %d", len(rec2.Ranked))
-	}
-
-	tuner.DisableF32Serving()
-	if tuner.F32ServingEnabled() {
-		t.Fatal("f32 serving still enabled after disable")
-	}
 }

@@ -1,0 +1,76 @@
+package core
+
+// Cross-PR drift guard: the trained weights themselves, not a score derived
+// from them, are pinned as a checksum. The goldens in batch_test.go and
+// parallel_test.go compare two paths of the *same* build, so a change that
+// moves both paths together passes them; these constants were computed on
+// the commit named below and only change when a PR changes the arithmetic
+// of training on purpose (and says so).
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"lite/internal/sparksim"
+	"lite/internal/workload"
+)
+
+// Recorded on 8cc9e5ebf34f70a26209f749c7959b1782907f8f (PR 17), go1.24,
+// linux/amd64. The Go compiler fuses multiply-add on arm64, ppc64le and
+// s390x, so the constants hold for amd64 only.
+const (
+	bitsFit = 0x68c8d9a397e233ac // FitWorkers 0 and 1: K=1 is bit-identical to serial
+	bitsAMU = 0x767b310028fa157f
+)
+
+// weightChecksum is FNV-64a over the IEEE-754 bits of every parameter
+// value, in Params() order.
+func weightChecksum(m *NECS) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range m.Params() {
+		for _, v := range p.Value.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+func bitsTrain(fitWorkers int) (*Tuner, *Dataset) {
+	apps := []*workload.App{workload.ByName("WordCount"), workload.ByName("PageRank")}
+	opts := DefaultTrainOptions()
+	opts.Collect.ConfigsPerInstance = 4
+	opts.Collect.Sizes = []int{0, 1}
+	opts.Collect.Clusters = []sparksim.Environment{sparksim.ClusterC}
+	opts.NECS.Epochs = 3
+	opts.NECS.FitWorkers = fitWorkers
+	return Train(apps, opts)
+}
+
+func TestWeightBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("weight checksums are recorded for amd64; %s may fuse multiply-add", runtime.GOARCH)
+	}
+	serial, ds := bitsTrain(0)
+	k1, _ := bitsTrain(1)
+	for name, tuner := range map[string]*Tuner{"serial": serial, "K=1": k1} {
+		if got := weightChecksum(tuner.Model); got != bitsFit {
+			t.Errorf("Fit %s: weight checksum %#016x, recorded %#016x", name, got, uint64(bitsFit))
+		}
+	}
+
+	enc := EncodeAll(serial.Model.Encoder, ds.Instances)
+	if len(enc) < 24 {
+		t.Fatalf("fixture has %d encoded instances, want at least 24", len(enc))
+	}
+	clone := serial.Model.Clone()
+	AdaptiveModelUpdate(clone, enc[:16], enc[len(enc)-8:], DefaultAMUConfig(), rand.New(rand.NewSource(19)))
+	if got := weightChecksum(clone); got != bitsAMU {
+		t.Errorf("AMU: weight checksum %#016x, recorded %#016x", got, uint64(bitsAMU))
+	}
+}

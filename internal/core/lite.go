@@ -54,13 +54,6 @@ type Tuner struct {
 
 	rng *rand.Rand
 
-	// f32 is the packed float32 serving plan (f32.go), nil unless
-	// EnableF32Serving was called. Guarded by mu: read paths attach it to
-	// their per-request scorer under RLock; CollectFeedback recompiles it
-	// under the write lock after an in-place Adaptive Model Update so the
-	// plan can never serve stale weights.
-	f32 *F32Plan
-
 	// mu is held shared by the read paths and exclusively by
 	// CollectFeedback (which appends feedback and may mutate the model
 	// weights in place via AdaptiveModelUpdate).
@@ -77,43 +70,6 @@ func (t *Tuner) ensureRNG() {
 		t.rng = rand.New(rand.NewSource(1))
 	}
 	t.rngMu.Unlock()
-}
-
-// EnableF32Serving compiles the current model into a packed float32 plan
-// and routes all subsequent recommendations through the float32 tower
-// kernel (train-f64/serve-f32 contract, DESIGN.md §12). The plan tracks
-// in-place Adaptive Model Updates automatically (CollectFeedback
-// recompiles it); CloneForUpdate clones serve float64 until re-enabled.
-func (t *Tuner) EnableF32Serving() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.f32 = t.Model.CompileF32()
-}
-
-// DisableF32Serving drops the float32 plan; recommendations return to the
-// float64 tower kernel.
-func (t *Tuner) DisableF32Serving() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.f32 = nil
-}
-
-// F32ServingEnabled reports whether recommendations currently run the
-// float32 tower kernel.
-func (t *Tuner) F32ServingEnabled() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.f32 != nil
-}
-
-// newScorer builds the per-request scorer, attaching the float32 plan when
-// float32 serving is enabled. Callers must hold t.mu (read).
-func (t *Tuner) newScorer(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment) *AppScorer {
-	s := t.Model.NewAppScorer(app, data, env)
-	if t.f32 != nil {
-		s.UseF32(t.f32)
-	}
-	return s
 }
 
 // sampleFeasible draws candidates from the ACG region under the RNG lock.
@@ -243,7 +199,7 @@ func (t *Tuner) recommendFrom(ctx context.Context, app *sparksim.AppSpec, data s
 	// features are encoded AND forward-passed once, not once per candidate.
 	// Scoring runs through the batched one-GEMM kernel (batch.go), chunked
 	// across the scoring pool.
-	scorer := t.newScorer(app, data, env)
+	scorer := t.Model.NewAppScorer(app, data, env)
 	preds := make([]float64, len(cands))
 	if err := scorer.ScoreBatchCtx(ctx, cands, preds, nil); err != nil {
 		return Recommendation{}, err
@@ -380,7 +336,7 @@ func (t *Tuner) tryNECSTier(ctx context.Context, app *sparksim.AppSpec, data spa
 		return rec, "model or candidate generator missing"
 	}
 	cands := t.sampleFeasible(app.Name, data, env, t.NumCandidates)
-	scorer := t.newScorer(app, data, env)
+	scorer := t.Model.NewAppScorer(app, data, env)
 	// Batched scoring writes into index slots; a worker panic re-raises
 	// on this goroutine and is absorbed by the recover guard above, so
 	// the degradation chain behaves exactly as it did serially.
@@ -547,11 +503,6 @@ func (t *Tuner) CollectFeedback(run instrument.AppInstance, sourceSample []*Enco
 	t.rngMu.Lock()
 	AdaptiveModelUpdate(t.Model, sourceSample, t.Feedback, t.AMU, t.rng)
 	t.rngMu.Unlock()
-	if t.f32 != nil {
-		// The update mutated the weights in place; recompile the serving
-		// plan under the same write lock so no reader sees a stale plan.
-		t.f32 = t.Model.CompileF32()
-	}
 	t.Feedback = t.Feedback[:0]
 	return true
 }

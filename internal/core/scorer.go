@@ -54,14 +54,6 @@ type AppScorer struct {
 	shared []float64
 	data   sparksim.DataSpec
 	env    sparksim.Environment
-	// f32 is the packed float32 serving plan, nil unless the owning tuner
-	// enabled float32 serving (f32.go). When set, Score/ScoreBatch run the
-	// tower in float32; the float64 path is the default everywhere else.
-	f32 *F32Plan
-	// rep32/shared32 are the float32 projections of the per-stage reps and
-	// the shared dense section, materialized by UseF32.
-	rep32    [][]float32
-	shared32 []float32
 }
 
 // NewAppScorer gathers the candidate-invariant encodings for scoring app

@@ -34,19 +34,21 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 		if input.requiresGrad {
 			gin = tensor.New(d, n)
 		}
-		gb := tensor.New(1, f)
+		in := input.Value.Data
 		for fi, filt := range filters {
 			gv := g.Data[fi]
-			gb.Data[fi] = gv
 			p := argmax[fi]
 			if filt.requiresGrad {
-				gw := tensor.New(d, k)
+				// grad += gv·window, each product rounded before its add
+				// (the float64 conversion keeps fusing compilers from
+				// skipping that rounding).
+				gw := filt.ensureGrad().Data
 				for r := 0; r < d; r++ {
-					for c := 0; c < k; c++ {
-						gw.Data[r*k+c] = gv * input.Value.Data[r*n+p+c]
+					win := in[r*n+p:][:k]
+					for c, x := range win {
+						gw[r*k+c] += float64(gv * x)
 					}
 				}
-				filt.accumGrad(gw)
 			}
 			if gin != nil {
 				w := filt.Value
@@ -58,10 +60,15 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 			}
 		}
 		if gin != nil {
+			// The input gradient sums over this bank's filters before it
+			// joins the other banks' in input.Grad, so it stays a temporary.
 			input.accumGrad(gin)
 		}
 		if bias.requiresGrad {
-			bias.accumGrad(gb)
+			gb := bias.ensureGrad().Data
+			for fi := range filters {
+				gb[fi] += g.Data[fi]
+			}
 		}
 	}
 	return newNode(out, back, parents...)
@@ -71,6 +78,12 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 // computes the 1×F pooled feature map and the argmax position per filter.
 // Both the autograd op above and the inference path (infer.go) call it, so
 // the two paths are bitwise identical by construction.
+//
+// Per (filter, embedding row) it makes one pass over all N−k+1 window
+// positions, acc[p] = ((acc[p] + in[p]·w0) + in[p+1]·w1) + …, so every
+// position still sums its D×k products row by row, column by column within
+// a row, starting from zero — the order of the position-by-position loop it
+// replaces (DESIGN.md §12.7) — and strict > keeps the first maximum.
 func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *tensor.Tensor) (*tensor.Tensor, []int) {
 	d := input.Rows
 	n := input.Cols
@@ -84,20 +97,17 @@ func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *te
 	}
 	out := tensor.New(1, f)
 	argmax := make([]int, f)
+	acc := make([]float64, n-k+1)
 	for fi, w := range filters {
 		if w.Rows != d || w.Cols != k {
 			panic("nn: Conv1DMaxPool filter shape mismatch")
 		}
+		clear(acc)
+		for r := 0; r < d; r++ {
+			convRowAccum(acc, input.Data[r*n:(r+1)*n], w.Data[r*k:(r+1)*k])
+		}
 		best, bp := math.Inf(-1), 0
-		for p := 0; p+k <= n; p++ {
-			var s float64
-			for r := 0; r < d; r++ {
-				irow := input.Data[r*n:]
-				wrow := w.Data[r*k:]
-				for c := 0; c < k; c++ {
-					s += irow[p+c] * wrow[c]
-				}
-			}
+		for p, s := range acc {
 			if s > best {
 				best, bp = s, p
 			}
@@ -106,6 +116,43 @@ func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *te
 		argmax[fi] = bp
 	}
 	return out, argmax
+}
+
+// convRowAccum adds one embedding row's share of a filter response to every
+// window position: acc[p] += Σ_c in[p+c]·w[c], the products joining acc[p]
+// in ascending c. len(in) must be len(acc)+len(w)−1. The kernel widths NECS
+// uses are written out so each acc[p] is loaded and stored once per row.
+func convRowAccum(acc, in, w []float64) {
+	switch len(w) {
+	case 2:
+		w0, w1 := w[0], w[1]
+		in1 := in[1:][:len(acc)]
+		in = in[:len(acc)]
+		for p, a := range acc {
+			acc[p] = (a + in[p]*w0) + in1[p]*w1
+		}
+	case 3:
+		w0, w1, w2 := w[0], w[1], w[2]
+		in1, in2 := in[1:][:len(acc)], in[2:][:len(acc)]
+		in = in[:len(acc)]
+		for p, a := range acc {
+			acc[p] = ((a + in[p]*w0) + in1[p]*w1) + in2[p]*w2
+		}
+	case 4:
+		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+		in1, in2, in3 := in[1:][:len(acc)], in[2:][:len(acc)], in[3:][:len(acc)]
+		in = in[:len(acc)]
+		for p, a := range acc {
+			acc[p] = (((a + in[p]*w0) + in1[p]*w1) + in2[p]*w2) + in3[p]*w3
+		}
+	default:
+		for c, wc := range w {
+			inc := in[c:][:len(acc)]
+			for p, a := range acc {
+				acc[p] = a + inc[p]*wc
+			}
+		}
+	}
 }
 
 // EmbeddingLookup gathers rows of the embedding table for the given ids and
@@ -120,17 +167,31 @@ func EmbeddingLookup(table *Node, ids []int) *Node {
 		if !table.requiresGrad {
 			return
 		}
-		gt := tensor.New(table.Value.Rows, table.Value.Cols)
+		// Only the rows ids names change. A repeated id's columns of g are
+		// summed first and added to its row once, grad + (g₁+g₂+…), the
+		// association the full-table temporary this replaces produced.
+		grad := table.ensureGrad()
+		sum := make([]float64, d)
+		done := make([]bool, n)
 		for j, id := range ids {
-			if id < 0 {
+			if id < 0 || done[j] {
 				continue
 			}
-			grow := gt.RowView(id)
-			for r := 0; r < d; r++ {
-				grow[r] += g.Data[r*n+j]
+			clear(sum)
+			for j2 := j; j2 < n; j2++ {
+				if ids[j2] != id {
+					continue
+				}
+				done[j2] = true
+				for r := range sum {
+					sum[r] += g.Data[r*n+j2]
+				}
+			}
+			grow := grad.RowView(id)
+			for r, s := range sum {
+				grow[r] += s
 			}
 		}
-		table.accumGrad(gt)
 	}
 	return newNode(v, back, table)
 }

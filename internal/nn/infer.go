@@ -81,15 +81,21 @@ func reluInPlace(t *tensor.Tensor) {
 	}
 }
 
-// addRowBroadcastInPlace adds the 1×cols row v to every row of m in place.
-func addRowBroadcastInPlace(m, v *tensor.Tensor) {
+// addBiasInPlace adds the 1×cols row v to every row of m in place and,
+// when relu is set, applies ReLU to the sum in the same pass — with
+// reluInPlace's predicate, so the bits match the two-pass form.
+func addBiasInPlace(m, v *tensor.Tensor, relu bool) {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic("nn: broadcast shape mismatch")
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.RowView(i)
+		row := m.RowView(i)[:len(v.Data)]
 		for j, b := range v.Data {
-			row[j] += b
+			x := row[j] + b
+			if relu && !(x > 0) {
+				x = 0
+			}
+			row[j] = x
 		}
 	}
 }
@@ -145,10 +151,7 @@ func (m *MLP) InferBatch(ar *Arena, x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
 		out := ar.Alloc(h.Rows, l.W.Value.Cols)
 		tensor.MatMulInto(out, h, l.W.Value)
-		addRowBroadcastInPlace(out, l.B.Value)
-		if i+1 < len(m.Layers) {
-			reluInPlace(out)
-		}
+		addBiasInPlace(out, l.B.Value, i+1 < len(m.Layers))
 		h = out
 	}
 	return h

@@ -1,0 +1,288 @@
+package nn
+
+// The conv forward kernel and the in-place backward accumulations must do,
+// per output element, the floating-point operations of the code they
+// replaced, in the same order (DESIGN.md §12.7). That code is kept here as
+// reference ops and every comparison is on math.Float64bits.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"lite/internal/tensor"
+)
+
+// refConv1DMaxPoolValue is conv1DMaxPoolValue as it stood before the
+// one-pass-per-row rewrite: window position by window position.
+func refConv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *tensor.Tensor) (*tensor.Tensor, []int) {
+	d, n, f := input.Rows, input.Cols, len(filters)
+	k := filters[0].Cols
+	out := tensor.New(1, f)
+	argmax := make([]int, f)
+	for fi, w := range filters {
+		best, bp := math.Inf(-1), 0
+		for p := 0; p+k <= n; p++ {
+			var s float64
+			for r := 0; r < d; r++ {
+				irow := input.Data[r*n:]
+				wrow := w.Data[r*k:]
+				for c := 0; c < k; c++ {
+					s += irow[p+c] * wrow[c]
+				}
+			}
+			if s > best {
+				best, bp = s, p
+			}
+		}
+		out.Data[fi] = best + bias.Data[fi]
+		argmax[fi] = bp
+	}
+	return out, argmax
+}
+
+// refConv1DMaxPool is Conv1DMaxPool with the backward pass that built one
+// temporary tensor per filter gradient and one for the bias gradient.
+func refConv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
+	d, n, f := input.Value.Rows, input.Value.Cols, len(filters)
+	vals := make([]*tensor.Tensor, f)
+	for i, filt := range filters {
+		vals[i] = filt.Value
+	}
+	out, argmax := refConv1DMaxPoolValue(input.Value, vals, bias.Value)
+	k := vals[0].Cols
+	parents := append(append([]*Node{input}, filters...), bias)
+	back := func(g *tensor.Tensor) {
+		var gin *tensor.Tensor
+		if input.requiresGrad {
+			gin = tensor.New(d, n)
+		}
+		gb := tensor.New(1, f)
+		for fi, filt := range filters {
+			gv := g.Data[fi]
+			gb.Data[fi] = gv
+			p := argmax[fi]
+			if filt.requiresGrad {
+				gw := tensor.New(d, k)
+				for r := 0; r < d; r++ {
+					for c := 0; c < k; c++ {
+						gw.Data[r*k+c] = gv * input.Value.Data[r*n+p+c]
+					}
+				}
+				filt.accumGrad(gw)
+			}
+			if gin != nil {
+				w := filt.Value
+				for r := 0; r < d; r++ {
+					for c := 0; c < k; c++ {
+						gin.Data[r*n+p+c] += gv * w.Data[r*k+c]
+					}
+				}
+			}
+		}
+		if gin != nil {
+			input.accumGrad(gin)
+		}
+		if bias.requiresGrad {
+			bias.accumGrad(gb)
+		}
+	}
+	return newNode(out, back, parents...)
+}
+
+// refEmbeddingLookup is EmbeddingLookup with the backward pass that zeroed
+// and added a full vocab×D temporary per call.
+func refEmbeddingLookup(table *Node, ids []int) *Node {
+	d, n := table.Value.Cols, len(ids)
+	v := embeddingLookupValue(table.Value, ids)
+	back := func(g *tensor.Tensor) {
+		if !table.requiresGrad {
+			return
+		}
+		gt := tensor.New(table.Value.Rows, table.Value.Cols)
+		for j, id := range ids {
+			if id < 0 {
+				continue
+			}
+			grow := gt.RowView(id)
+			for r := 0; r < d; r++ {
+				grow[r] += g.Data[r*n+j]
+			}
+		}
+		table.accumGrad(gt)
+	}
+	return newNode(v, back, table)
+}
+
+// refMatMul is MatMul with both gradients materialised before they are
+// added.
+func refMatMul(a, b *Node) *Node {
+	v := tensor.MatMul(a.Value, b.Value)
+	back := func(g *tensor.Tensor) {
+		if a.requiresGrad {
+			a.accumGrad(tensor.MatMulTransB(g, b.Value))
+		}
+		if b.requiresGrad {
+			b.accumGrad(tensor.MatMulTransA(a.Value, g))
+		}
+	}
+	return newNode(v, back, a, b)
+}
+
+// sparsify zeroes each element with probability sparsity; a third of the
+// zeros are −0.
+func sparsify(t *tensor.Tensor, sparsity float64, rng *rand.Rand) *tensor.Tensor {
+	for i := range t.Data {
+		if rng.Float64() < sparsity {
+			t.Data[i] = 0
+			if rng.Intn(3) == 0 {
+				t.Data[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return t
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %x (%v), reference %x (%v)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// twin returns two parameter nodes with the same value and the same
+// non-zero starting gradient, one for the kernel under test and one for the
+// reference.
+func twin(v *tensor.Tensor, rng *rand.Rand) (*Node, *Node) {
+	g := tensor.Randn(v.Rows, v.Cols, 1, rng)
+	a, b := NewParam(v.Clone(), "kernel"), NewParam(v.Clone(), "reference")
+	a.Grad, b.Grad = g.Clone(), g.Clone()
+	return a, b
+}
+
+// weightedSum reduces x to a scalar with fixed random weights so every
+// output element sends a distinct gradient back.
+func weightedSum(x *Node, w *tensor.Tensor) *Node { return Sum(Mul(x, NewConst(w))) }
+
+func TestConv1DMaxPoolValueMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 3, 16} {
+		for k := 1; k <= 5; k++ {
+			for _, n := range []int{k, k + 1, k + 6, 96} {
+				for _, sparsity := range []float64{0, 0.5, 1} {
+					name := fmt.Sprintf("d=%d/k=%d/n=%d/zeros=%v", d, k, n, sparsity)
+					in := sparsify(tensor.Randn(d, n, 1, rng), sparsity, rng)
+					filters := make([]*tensor.Tensor, 1+rng.Intn(8))
+					for i := range filters {
+						filters[i] = sparsify(tensor.Randn(d, k, 1, rng), 0.1, rng)
+					}
+					bias := tensor.Randn(1, len(filters), 1, rng)
+					got, gotArg := conv1DMaxPoolValue(in, filters, bias)
+					want, wantArg := refConv1DMaxPoolValue(in, filters, bias)
+					requireSameBits(t, name+": pooled", got.Data, want.Data)
+					for i := range wantArg {
+						if gotArg[i] != wantArg[i] {
+							t.Fatalf("%s: argmax[%d] = %d, reference %d", name, i, gotArg[i], wantArg[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A filter response that ties across positions (here: every window sums to
+// the same value) must pool the first one, as strict > always has.
+func TestConv1DMaxPoolValueKeepsFirstArgmaxOnTies(t *testing.T) {
+	in := tensor.New(2, 9)
+	in.Fill(0.5)
+	w := tensor.New(2, 3)
+	w.Fill(0.25)
+	_, arg := conv1DMaxPoolValue(in, []*tensor.Tensor{w}, tensor.New(1, 1))
+	if arg[0] != 0 {
+		t.Fatalf("argmax on a constant response = %d, want 0", arg[0])
+	}
+}
+
+func TestConvAndEmbeddingBackwardMatchReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const vocab, d = 12, 5
+	for k := 1; k <= 5; k++ {
+		for _, n := range []int{k, k + 3, 40} {
+			name := fmt.Sprintf("k=%d/n=%d", k, n)
+			// Repeated ids (n can exceed vocab) and −1 padding.
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = rng.Intn(vocab+2) - 2
+				if ids[i] < 0 {
+					ids[i] = -1
+				}
+			}
+			ids[rng.Intn(n)] = 3
+			tab, refTab := twin(sparsify(tensor.Randn(vocab, d, 1, rng), 0.2, rng), rng)
+			const f = 4
+			filts, refFilts := make([]*Node, f), make([]*Node, f)
+			for i := range filts {
+				filts[i], refFilts[i] = twin(tensor.Randn(d, k, 1, rng), rng)
+			}
+			bias, refBias := twin(tensor.Randn(1, f, 1, rng), rng)
+			w := tensor.Randn(1, f, 1, rng)
+			// Two backward passes accumulate into the same buffers.
+			for pass := 0; pass < 2; pass++ {
+				Backward(weightedSum(Conv1DMaxPool(EmbeddingLookup(tab, ids), filts, bias), w))
+				Backward(weightedSum(refConv1DMaxPool(refEmbeddingLookup(refTab, ids), refFilts, refBias), w))
+			}
+			requireSameBits(t, name+": table grad", tab.Grad.Data, refTab.Grad.Data)
+			requireSameBits(t, name+": bias grad", bias.Grad.Data, refBias.Grad.Data)
+			for i := range filts {
+				requireSameBits(t, fmt.Sprintf("%s: filter %d grad", name, i), filts[i].Grad.Data, refFilts[i].Grad.Data)
+			}
+		}
+	}
+}
+
+func TestMatMulBackwardMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, m := range []int{1, 3} {
+		for _, k := range []int{1, 4, 7} {
+			for _, n := range []int{1, 6} {
+				for _, sparsity := range []float64{0, 0.5, 1} {
+					name := fmt.Sprintf("%dx%dx%d/zeros=%v", m, k, n, sparsity)
+					a, refA := twin(sparsify(tensor.Randn(m, k, 1, rng), sparsity, rng), rng)
+					b, refB := twin(sparsify(tensor.Randn(k, n, 1, rng), 0.1, rng), rng)
+					w := tensor.Randn(m, n, 1, rng)
+					for pass := 0; pass < 2; pass++ {
+						Backward(weightedSum(MatMul(a, b), w))
+						Backward(weightedSum(refMatMul(refA, refB), w))
+					}
+					requireSameBits(t, name+": a grad", a.Grad.Data, refA.Grad.Data)
+					requireSameBits(t, name+": b grad", b.Grad.Data, refB.Grad.Data)
+				}
+			}
+		}
+	}
+}
+
+// The fused bias-add + ReLU pass of MLP.InferBatch must give the bits of
+// the graph's AddRowBroadcast followed by ReLU, −0 and NaN sums included.
+func TestAddBiasInPlaceMatchesGraphOps(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	m := tensor.FromSlice(2, 4, []float64{1, -1, negZero, nan, 0, 2.5, -3, negZero})
+	bias := tensor.FromRow([]float64{0.5, 0.5, 0, 1})
+	for _, relu := range []bool{false, true} {
+		want := AddRowBroadcast(NewConst(m.Clone()), NewConst(bias))
+		if relu {
+			want = ReLU(want)
+		}
+		got := m.Clone()
+		addBiasInPlace(got, bias, relu)
+		requireSameBits(t, fmt.Sprintf("relu=%v", relu), got.Data, want.Value.Data)
+	}
+}

@@ -12,10 +12,40 @@ func MatMul(a, b *Node) *Node {
 	v := tensor.MatMul(a.Value, b.Value)
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.accumGrad(tensor.MatMulTransB(g, b.Value))
+			// ∂a = g·bᵀ: each element is one dot product, finished in a
+			// register and added to the gradient once.
+			ga, bv := a.ensureGrad().Data, b.Value
+			for i := 0; i < g.Rows; i++ {
+				grow := g.RowView(i)
+				for k := 0; k < bv.Rows; k++ {
+					brow := bv.RowView(k)[:len(grow)]
+					var s float64
+					for j, gv := range grow {
+						s += gv * brow[j]
+					}
+					ga[i*bv.Rows+k] += s
+				}
+			}
 		}
 		if b.requiresGrad {
-			b.accumGrad(tensor.MatMulTransA(a.Value, g))
+			if a.Value.Rows == 1 {
+				// A 1×n activation (every per-sample forward): ∂b is the
+				// outer product aᵀ·g, one rounded product per element and
+				// one add.
+				gb, gd := b.ensureGrad().Data, g.Data
+				for i, av := range a.Value.Data {
+					if av == 0 {
+						continue
+					}
+					grow := gb[i*len(gd):][:len(gd)]
+					for j, gv := range gd {
+						grow[j] += float64(av * gv)
+					}
+				}
+			} else {
+				// aᵀ·g sums over a's rows before it joins the gradient.
+				b.accumGrad(tensor.MatMulTransA(a.Value, g))
+			}
 		}
 	}
 	return newNode(v, back, a, b)

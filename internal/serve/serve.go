@@ -167,14 +167,6 @@ type Options struct {
 	// "replace my model with this file" surface.
 	EnableAdmin bool
 
-	// Float32 enables float32 serving (DESIGN.md §12): every tuner this
-	// server publishes — the boot tuner, each validated retrain clone, and
-	// snapshots adopted via FlipTo — is compiled to a packed float32
-	// inference plan after it passes validation, so the hot path runs the
-	// tower in float32 while training, validation, and persistence stay
-	// float64.
-	Float32 bool
-
 	// ChaosCorruptEveryN and ChaosPanicEveryN are chaos-engineering
 	// failpoints (0 = off, the production setting): every Nth retrain
 	// attempt respectively poisons the candidate's weights with NaNs
@@ -349,9 +341,6 @@ func New(tuner *core.Tuner, opts Options) *Server {
 		stopCh:     make(chan struct{}),
 	}
 	s.ctr = newRequestCounters(s.reg)
-	if opts.Float32 {
-		tuner.EnableF32Serving()
-	}
 	// One retrieval store serves every generation: prefer the injected one,
 	// else adopt whatever the boot tuner carries, and reattach on every
 	// publish (retrain clones share the pointer; FlipTo reattaches after
@@ -522,11 +511,6 @@ func (s *Server) FlipTo(path string, gen uint64) (uint64, error) {
 	if err != nil {
 		// A snapshot that does not load must never replace a serving model.
 		return s.snap.Load().Gen, fmt.Errorf("serve: flip: loading snapshot %s: %w", path, err)
-	}
-	if s.opts.Float32 {
-		// Snapshots persist float64 weights only; the float32 serving plan
-		// is recompiled at every adoption (DESIGN.md §12).
-		tuner.EnableF32Serving()
 	}
 	// Snapshots do not serialize the retrieval store either; the adopted
 	// tuner keeps serving this server's live store.

@@ -299,16 +299,7 @@ func (s *Server) retrain(batch []pendingRun) {
 
 	// Persist before publishing: a generation that readers can observe is
 	// always durable on disk (restart serves exactly what crashed).
-	// Persistence sees float64 weights only; the float32 plan below is a
-	// serving-side compilation, never written to disk.
 	persisted := s.persistSnapshot(clone)
-
-	// Compile the float32 serving plan only after the candidate passed the
-	// (float64) validation gate: a rejected clone is never compiled, and a
-	// published one always serves the exact weights that were validated.
-	if s.opts.Float32 {
-		clone.EnableF32Serving()
-	}
 
 	// Publication is serialized with FlipTo; the generation is recomputed
 	// under the lock so a fleet flip landing mid-retrain is never regressed

@@ -85,11 +85,7 @@ func (t *Tensor) Size() int { return t.Rows * t.Cols }
 func (t *Tensor) SameShape(o *Tensor) bool { return t.Rows == o.Rows && t.Cols == o.Cols }
 
 // Zero sets every element to 0 in place.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Fill sets every element to v in place.
 func (t *Tensor) Fill(v float64) {
@@ -120,21 +116,50 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes out = a×b, reusing out's storage. out must already
 // have shape a.Rows×b.Cols and must not alias a or b.
+//
+// Each output element accumulates its products k-ascending from zero with
+// one rounding per multiply and one per add — the order the batch-vs-graph
+// and width-invariance goldens rest on (DESIGN.md §12.7). The shared
+// dimension is walked four at a time with the output element carried in a
+// register across the four multiply-adds; a group is skipped only when all
+// four of a's values are zero. A zero inside a live group contributes
+// o + 0·b = o, so for finite operands the result is bit-identical to
+// skipping that term; when b holds NaN or ±Inf there, the output goes
+// non-finite instead of staying silently finite.
 func MatMulInto(out, a, b *Tensor) {
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic("tensor: matmul output shape mismatch")
+	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
+		panic("tensor: matmul shape mismatch")
 	}
 	out.Zero()
+	n, kk := b.Cols, a.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
+		arow := a.Data[i*kk : (i+1)*kk]
+		orow := out.Data[i*n : (i+1)*n]
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			ag := arow[k : k+4]
+			a0, a1, a2, a3 := ag[0], ag[1], ag[2], ag[3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			// Re-slice the four rows of b to orow's length so the inner
+			// loop carries no bounds checks.
+			b0 := b.Data[k*n:][:len(orow)]
+			b1 := b.Data[(k+1)*n:][:len(orow)]
+			b2 := b.Data[(k+2)*n:][:len(orow)]
+			b3 := b.Data[(k+3)*n:][:len(orow)]
+			for j, o := range orow {
+				orow[j] = (((o + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+			}
+		}
+		for ; k < kk; k++ {
+			av := arow[k]
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			brow := b.Data[k*n:][:len(orow)]
+			for j, o := range orow {
+				orow[j] = o + av*brow[j]
 			}
 		}
 	}

@@ -16,8 +16,8 @@ OUT="${OUT:-BENCH_parallel.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench: running BenchmarkRecommend + BenchmarkFit (-benchtime $BENCHTIME)…" >&2
-go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit' -benchtime "$BENCHTIME" . | tee "$raw" >&2
+echo "bench: running BenchmarkRecommend + BenchmarkFit + BenchmarkAMU + BenchmarkTowerGEMM (-benchtime $BENCHTIME)…" >&2
+go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime "$BENCHTIME" . | tee "$raw" >&2
 
 cores="$(go env GOMAXPROCS 2>/dev/null || true)"
 if [[ -z "$cores" || "$cores" == "0" ]]; then
@@ -25,7 +25,7 @@ if [[ -z "$cores" || "$cores" == "0" ]]; then
 fi
 
 awk -v cores="$cores" -v benchtime="$BENCHTIME" '
-/^Benchmark(Recommend|RecommendColdReps|RecommendF32|Fit)\// {
+/^Benchmark(Recommend|RecommendColdReps|Fit|TowerGEMM)\/|^BenchmarkAMU/ {
     # BenchmarkRecommend/workers=4-8   12   345 ns/op ...
     name = $1; sub(/-[0-9]+$/, "", name)
     iters[name] = $2

@@ -24,10 +24,8 @@ trap cleanup EXIT
 echo "serve-smoke: building liteserve…"
 go build -o "$workdir/liteserve" ./cmd/liteserve
 
-echo "serve-smoke: starting on a random port (quick boot-training, float32 serving)…"
-# -f32 exercises the packed float32 inference plan end to end (DESIGN.md
-# §12): every response below is served by the f32 tower kernel.
-"$workdir/liteserve" -addr 127.0.0.1:0 -configs 2 -train-sizes 1 -f32 >"$logfile" 2>&1 &
+echo "serve-smoke: starting on a random port (quick boot-training)…"
+"$workdir/liteserve" -addr 127.0.0.1:0 -configs 2 -train-sizes 1 >"$logfile" 2>&1 &
 pid=$!
 
 # The server prints "liteserve: listening on http://ADDR (…)" once ready.
