@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify serve-smoke chaos-smoke fleet-smoke bench bench-parallel bench-regression benchmark clean
+.PHONY: build test vet race lint verify fidelity serve-smoke chaos-smoke fleet-smoke bench bench-parallel bench-regression benchmark clean
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,7 @@ lint:
 # the concurrent read/hot-swap paths be clean under the race detector. The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
+# The fidelity gate last: the paper tables must not drift silently.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -34,6 +35,12 @@ verify:
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/...
+	./scripts/fidelity.sh
+
+# fidelity re-runs litebench's Table VI and Table IX and diffs them, timing
+# lines stripped, against testdata/fidelity/ (amd64 only; ~30 s).
+fidelity:
+	./scripts/fidelity.sh
 
 # serve-smoke boots liteserve on a random port, issues one /recommend and
 # one /feedback request, and asserts both return 200.
