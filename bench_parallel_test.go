@@ -1,9 +1,9 @@
-// Benchmarks for the parallel scoring and training engine (see DESIGN.md
-// §7). These are what scripts/bench.sh runs to produce BENCH_parallel.json:
-// recommend latency at several pool widths, and Fit throughput at several
-// replica counts. A small dedicated fixture keeps them fast enough for a CI
-// smoke run (-benchtime=1x); the paper-scale benchmarks live in
-// bench_test.go. Run with:
+// Benchmarks for the parallel scoring engine and the training step (see
+// DESIGN.md §7 and §12.8). These are what scripts/bench.sh runs to produce
+// BENCH_parallel.json: recommend latency at several pool widths, Fit and
+// AMU cost, and the tower GEMM shapes. A small dedicated fixture keeps them
+// fast enough for a CI smoke run (-benchtime=1x); the paper-scale
+// benchmarks live in bench_test.go. Run with:
 //
 //	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime 3x
 package lite
@@ -105,36 +105,30 @@ func BenchmarkRecommendColdReps(b *testing.B) {
 }
 
 // BenchmarkFit measures NECS training throughput over the shared dataset:
-// replicas=0 is the historical serial loop, replicas=1 the parallel engine's
-// bit-identical mode, higher counts the data-parallel regime (one averaged
-// step per K batches).
+// two epochs of minibatched Fit from a fresh initialisation. stages/inst is
+// distinct stages ÷ rows per minibatch — the share of CNN and GCN forwards
+// the minibatched step still runs (DESIGN.md §12.8).
 func BenchmarkFit(b *testing.B) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
-
-	for _, k := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", k), func(b *testing.B) {
-			cfg := tuner.Model.Cfg
-			cfg.Epochs = 2
-			cfg.FitWorkers = k
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rng := rand.New(rand.NewSource(1))
-				m := core.NewNECS(tuner.Model.Encoder, cfg, rng)
-				b.StartTimer()
-				m.Fit(encoded, rng)
-			}
-			b.ReportMetric(float64(len(encoded)*cfg.Epochs)/b.Elapsed().Seconds()/float64(b.N), "inst/s")
-		})
+	cfg := tuner.Model.Cfg
+	cfg.Epochs = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rng := rand.New(rand.NewSource(1))
+		m := core.NewNECS(tuner.Model.Encoder, cfg, rng)
+		b.StartTimer()
+		m.Fit(encoded, rng)
 	}
+	b.ReportMetric(float64(len(encoded)*cfg.Epochs*b.N)/b.Elapsed().Seconds(), "inst/s")
+	b.ReportMetric(stagesPerInst(encoded, cfg.BatchSize), "stages/inst")
 }
 
 // BenchmarkAMU measures one Adaptive Model Update — the retrain behind
 // every feedback batch — on a clone of the fixture model: 64 source and 16
-// target instances (the fixture's encoded set, cycled), serial loop
-// (Workers 0), default epochs.
+// target instances (the fixture's encoded set, cycled), default epochs.
 func BenchmarkAMU(b *testing.B) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -152,6 +146,27 @@ func BenchmarkAMU(b *testing.B) {
 		b.StartTimer()
 		core.AdaptiveModelUpdate(m, source, target, cfg, rand.New(rand.NewSource(1)))
 	}
+	b.ReportMetric(stagesPerInst(batch, cfg.BatchSize), "stages/inst")
+}
+
+// stagesPerInst is distinct stages ÷ rows, summed over the minibatches of
+// one shuffled pass over xs. Rows share a stage when they share the
+// encoder's memoized token ids and DAG matrices, as Forward groups them.
+func stagesPerInst(xs []*core.Encoded, batchSize int) float64 {
+	type stage struct {
+		toks *int
+		aHat *tensor.Tensor
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(len(xs))
+	distinct := 0
+	for start := 0; start < len(perm); start += batchSize {
+		seen := map[stage]bool{}
+		for _, i := range perm[start:min(start+batchSize, len(perm))] {
+			seen[stage{&xs[i].TokenIDs[0], xs[i].AHat}] = true
+		}
+		distinct += len(seen)
+	}
+	return float64(distinct) / float64(len(xs))
 }
 
 // BenchmarkTowerGEMM measures tensor.MatMulInto at the three shapes one

@@ -32,7 +32,6 @@ func main() {
 	configs := flag.Int("configs", 8, "sampled configurations per (app,size,cluster) in training")
 	candidates := flag.Int("candidates", 20, "candidates per gold ranking case")
 	workers := flag.Int("workers", 0, "candidate-scoring goroutines (0 = GOMAXPROCS, 1 = serial)")
-	fitWorkers := flag.Int("fit-workers", 0, "data-parallel training replicas (0 = serial, bit-identical to historical runs)")
 	flag.Parse()
 
 	core.SetScoreWorkers(*workers)
@@ -41,7 +40,6 @@ func main() {
 	opts.Seed = *seed
 	opts.ConfigsPerInstance = *configs
 	opts.GoldCandidates = *candidates
-	opts.NECS.FitWorkers = *fitWorkers
 	suite := experiments.NewSuite(opts)
 
 	runners := map[string]func() string{

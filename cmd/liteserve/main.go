@@ -68,7 +68,6 @@ func main() {
 	chaosPanicEvery := flag.Int("chaos-panic-every", 0, "CHAOS: panic inside every Nth retrain (drives the update-loop supervisor's restart path; 0 = off)")
 	sourceSampleN := flag.Int("source-sample", 256, "source-domain instances mixed into each update (0 with -model)")
 	workers := flag.Int("workers", 0, "candidate-scoring goroutines (0 = GOMAXPROCS, 1 = serial)")
-	fitWorkers := flag.Int("fit-workers", 0, "data-parallel training replicas for boot-train and adaptive updates (0 = serial)")
 	follower := flag.Bool("follower", false, "fleet follower mode: no local retraining, the model advances only via POST /admin/flip (implies -admin)")
 	admin := flag.Bool("admin", false, "expose POST /v1/admin/flip (fleet-coordinated hot-swap)")
 	sessionDir := flag.String("session-dir", "", "tuning-session WAL+snapshot directory (default <wal-dir>/sessions when -wal-dir is set; empty without it = in-memory sessions)")
@@ -79,7 +78,7 @@ func main() {
 	// recommendations already fan out.
 	core.SetScoreWorkers(*workers)
 
-	tuner, source, err := loadOrTrain(*snapshotPath, *modelPath, *configs, *trainSizes, *seed, *sourceSampleN, *fitWorkers)
+	tuner, source, err := loadOrTrain(*snapshotPath, *modelPath, *configs, *trainSizes, *seed, *sourceSampleN)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -103,7 +102,6 @@ func main() {
 		ChaosCorruptEveryN:  *chaosCorruptEvery,
 		ChaosPanicEveryN:    *chaosPanicEvery,
 		Seed:                *seed,
-		FitWorkers:          *fitWorkers,
 		Follower:            *follower,
 		EnableAdmin:         *admin,
 		SessionDir:          *sessionDir,
@@ -161,7 +159,7 @@ func main() {
 // -snapshot file (the adapted state a previous process persisted before it
 // died) wins over -model (the offline baseline), which wins over training a
 // fresh model at boot with reduced collection settings.
-func loadOrTrain(snapshotPath, modelPath string, configs, trainSizes int, seed int64, sourceN, fitWorkers int) (*core.Tuner, []*core.Encoded, error) {
+func loadOrTrain(snapshotPath, modelPath string, configs, trainSizes int, seed int64, sourceN int) (*core.Tuner, []*core.Encoded, error) {
 	if snapshotPath != "" {
 		if f, err := os.Open(snapshotPath); err == nil {
 			defer f.Close()
@@ -208,7 +206,6 @@ func loadOrTrain(snapshotPath, modelPath string, configs, trainSizes int, seed i
 	opts.Collect.ConfigsPerInstance = configs
 	opts.Collect.Sizes = sizes
 	opts.Seed = seed
-	opts.NECS.FitWorkers = fitWorkers
 	fmt.Printf("liteserve: training at boot (%d apps, %d sizes, %d configs per instance)…\n",
 		len(workload.All()), trainSizes, configs)
 	start := time.Now()

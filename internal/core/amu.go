@@ -16,12 +16,6 @@ type AMUConfig struct {
 	Lambda float64
 	// DiscHidden is the discriminator MLP hidden width.
 	DiscHidden int
-	// Workers selects data-parallel fine-tuning, exactly like
-	// NECSConfig.FitWorkers: 0 keeps the historical serial loop, 1 routes
-	// through the parallel engine bit-identically, K > 1 shards each
-	// K-batch group across K (model, discriminator) replicas and steps on
-	// averaged gradients — statistically equivalent, not bit-identical.
-	Workers int
 }
 
 // DefaultAMUConfig returns the settings used by the experiments.
@@ -69,14 +63,13 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 // implemented with a gradient-reversal layer: one backward pass trains the
 // discriminator to separate domains while pushing NECS toward
 // domain-invariant hidden representations, and the prediction loss on
-// DS ∪ DT keeps the estimator accurate. Returns the final epoch's mean
+// DS ∪ DT keeps the estimator accurate. Each minibatch is one graph and
+// one backward pass (see amuLoss). Returns the final epoch's mean
 // prediction loss.
 //
-// cfg.Workers >= 1 runs the mini-batch loop data-parallel across replica
-// (model, discriminator) pairs with averaged gradients (Workers = 1 is
-// bit-identical to serial). The function mutates m's weights in place and
-// must not run concurrently with readers of the same model — serving
-// layers fine-tune a clone and hot-swap (see internal/serve).
+// The function mutates m's weights in place and must not run concurrently
+// with readers of the same model — serving layers fine-tune a clone and
+// hot-swap (see internal/serve).
 func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
 	m.ResetStageReps()
 	defer m.ResetStageReps()
@@ -92,9 +85,6 @@ func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng 
 	}
 
 	disc := NewDiscriminator(m, cfg, rng)
-	if cfg.Workers >= 1 {
-		return amuDataParallel(m, disc, data, cfg, rng)
-	}
 	params := append(m.Params(), disc.Params()...)
 	opt := nn.NewAdam(params, cfg.LR)
 
@@ -104,15 +94,13 @@ func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng 
 		var epochLoss float64
 		var count float64
 		for start := 0; start < len(data); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(data) {
-				end = len(data)
-			}
+			batch := data[start:min(start+cfg.BatchSize, len(data))]
 			opt.ZeroGrad()
-			for _, s := range data[start:end] {
-				lv, w := amuSampleStep(m, disc, s, cfg, end-start)
-				epochLoss += lv * w
-				count += w
+			loss, lp := amuLoss(m, disc, batch, cfg.Lambda)
+			nn.Backward(loss)
+			epochLoss += lp.Scalar() * float64(len(batch))
+			for _, s := range batch {
+				count += s.x.Weight
 			}
 			nn.ClipGrads(params, 5)
 			opt.Step()
@@ -131,96 +119,24 @@ type domainSample struct {
 	domain float64
 }
 
-// amuSampleStep runs one instance's forward/backward of the minimax
-// objective against the given model and discriminator, accumulating
-// gradients in place. It returns the prediction-loss value and the
-// instance weight for the epoch-loss bookkeeping.
-func amuSampleStep(m *NECS, disc *Discriminator, s domainSample, cfg AMUConfig, batchLen int) (lv, w float64) {
-	out, hidden := m.Forward(s.x)
-	// L_p: prediction loss on both domains.
-	lp := nn.MSELoss(out, s.x.Y)
-	// L_D: discriminator BCE over reversed hidden features.
-	rev := make([]*nn.Node, len(hidden))
-	for i, h := range hidden {
-		rev[i] = nn.GradReverse(h, cfg.Lambda)
+// amuLoss builds one minibatch's Equation 8 objective as one graph: NECS
+// over the batch (Forward), the discriminator over the same rows behind
+// one gradient reversal of the concatenated hidden layers, and both
+// losses weighted wᵢ/|batch|. It returns L_p + L_D, to backpropagate, and
+// L_p alone for the epoch-loss bookkeeping.
+func amuLoss(m *NECS, disc *Discriminator, batch []domainSample, lambda float64) (loss, lp *nn.Node) {
+	xs := make([]*Encoded, len(batch))
+	ys := make([]float64, len(batch))
+	domains := make([]float64, len(batch))
+	ws := make([]float64, len(batch))
+	for i, s := range batch {
+		xs[i], ys[i], domains[i] = s.x, s.x.Y, s.domain
+		ws[i] = s.x.Weight / float64(len(batch))
 	}
-	ld := nn.BCELoss(disc.Forward(rev), s.domain)
-	loss := nn.Scale(nn.Add(lp, ld), s.x.Weight/float64(batchLen))
-	nn.Backward(loss)
-	return lp.Scalar(), s.x.Weight
-}
-
-// amuDataParallel is the Workers >= 1 fine-tuning path: the same batch
-// schedule as the serial loop, with each K-batch group sharded across K
-// replica (model, discriminator) pairs and the averaged gradients applied
-// to the primary pair. Mirrors fitDataParallel's structure; AMU has no
-// NaN-batch skip in the serial loop, so every shard contributes.
-func amuDataParallel(m *NECS, disc *Discriminator, data []domainSample, cfg AMUConfig, rng *rand.Rand) float64 {
-	k := cfg.Workers
-	params := append(m.Params(), disc.Params()...)
-	opt := nn.NewAdam(params, cfg.LR)
-
-	type replica struct {
-		m      *NECS
-		disc   *Discriminator
-		params []*nn.Node
-	}
-	replicas := make([]replica, k)
-	replicaParams := make([][]*nn.Node, k)
-	replicas[0] = replica{m: m, disc: disc, params: params}
-	replicaParams[0] = params
-	for r := 1; r < k; r++ {
-		rm := m.Clone()
-		rd := NewDiscriminator(rm, cfg, rand.New(rand.NewSource(0)))
-		replicas[r] = replica{m: rm, disc: rd, params: append(rm.Params(), rd.Params()...)}
-		replicaParams[r] = replicas[r].params
-	}
-
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-		var batches [][]domainSample
-		for start := 0; start < len(data); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(data) {
-				end = len(data)
-			}
-			batches = append(batches, data[start:end])
-		}
-		var epochLoss, count float64
-		for g := 0; g < len(batches); g += k {
-			group := batches[g:min(g+k, len(batches))]
-			for r := 1; r < len(group); r++ {
-				syncParams(replicaParams[r], params)
-			}
-			results := make([][]instLoss, len(group))
-			ParallelDo(len(group), func(r int) {
-				rep := replicas[r]
-				nn.ZeroGrads(rep.params)
-				recs := make([]instLoss, 0, len(group[r]))
-				for _, s := range group[r] {
-					lv, w := amuSampleStep(rep.m, rep.disc, s, cfg, len(group[r]))
-					recs = append(recs, instLoss{dl: lv * w, w: w})
-				}
-				results[r] = recs
-			})
-			contrib := make([]int, len(group))
-			for r := range results {
-				for _, rec := range results[r] {
-					epochLoss += rec.dl
-					count += rec.w
-				}
-				contrib[r] = r
-			}
-			averageGradsInto(params, replicaParams, contrib)
-			nn.ClipGrads(params, 5)
-			opt.Step()
-		}
-		if count > 0 {
-			lastLoss = epochLoss / count
-		}
-	}
-	return lastLoss
+	out, hidden := m.Forward(xs...)
+	lp = nn.WeightedMSE(out, ys, ws)
+	ld := nn.WeightedBCE(disc.mlp.Forward(nn.GradReverse(nn.Concat(hidden...), lambda)), domains, ws)
+	return nn.Add(lp, ld), lp
 }
 
 // DomainAccuracy measures how well a freshly trained discriminator can

@@ -50,15 +50,6 @@ type NECSConfig struct {
 	// collapse onto an arbitrary known column.
 	DisableOOV bool
 
-	// FitWorkers selects data-parallel training: Fit shards each group of
-	// K consecutive mini-batches across K model replicas and applies the
-	// averaged gradients to the primary. 0 keeps the historical serial
-	// loop; 1 routes through the parallel engine with a single replica,
-	// which is bit-identical to serial (see TestFitParallelK1Golden);
-	// K > 1 is statistically equivalent but not bit-identical (one
-	// optimizer step per K batches instead of per batch).
-	FitWorkers int
-
 	// CensoredWeight multiplies the training weight of FailCap-censored
 	// instances (runs that failed or exceeded the two-hour cap, whose
 	// label is the cap rather than a true measurement). 0 or 1 leaves them at
@@ -315,13 +306,40 @@ func (m *NECS) Params() []*nn.Node {
 	return ps
 }
 
-// Forward computes the prediction node for one encoded instance, returning
-// the output and the tower's hidden activations (used by Adaptive Model
-// Update's discriminator).
-func (m *NECS) Forward(x *Encoded) (*nn.Node, []*nn.Node) {
-	hCode := m.Code.Forward(x.TokenIDs)
-	hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
-	in := nn.Concat(nn.NewConst(tensor.FromRow(x.Dense)), hCode, hDAG)
+// Forward runs NECS over a minibatch as one autograd graph and returns the
+// m×1 prediction node plus the tower's hidden activations (used by Adaptive
+// Model Update's discriminator); row i of each is xs[i]. Instances of the
+// same stage share the encoder's memoized token ids and DAG matrices, so
+// each distinct stage's CNN and GCN run once and their h_code ‖ h_DAG is
+// gathered to every row of that stage, whose backward pass scatter-adds
+// the rows' gradients before the encoders see them. The tower then runs
+// over all rows as one GEMM per layer (DESIGN.md §12.8).
+func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
+	type stageKey struct {
+		toks        *int
+		aHat, nodes *tensor.Tensor
+	}
+	slot := make(map[stageKey]int, len(xs))
+	var reps []*nn.Node
+	rowStage := make([]int, len(xs))
+	dense := tensor.New(len(xs), len(xs[0].Dense))
+	for i, x := range xs {
+		k := stageKey{aHat: x.AHat, nodes: x.NodeFeats}
+		if len(x.TokenIDs) > 0 {
+			k.toks = &x.TokenIDs[0]
+		}
+		s, ok := slot[k]
+		if !ok {
+			s = len(reps)
+			slot[k] = s
+			hCode := m.Code.Forward(x.TokenIDs)
+			hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
+			reps = append(reps, nn.Concat(hCode, hDAG))
+		}
+		rowStage[i] = s
+		copy(dense.RowView(i), x.Dense)
+	}
+	in := nn.Concat(nn.NewConst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
 	return m.Tower.ForwardHidden(in)
 }
 
@@ -432,37 +450,27 @@ func gradsFinite(params []*nn.Node) bool {
 // Fit trains the model with Adam on the weighted squared error of
 // Equation 4. It reports the mean training loss of the final epoch.
 //
-// Training is poisoning-resistant: a batch whose loss or gradients are
-// non-finite (a NaN label, a diverged forward pass) is skipped instead of
-// stepped, and the weights roll back to the best finite epoch snapshot
-// whenever an epoch ends non-finite — a single poisoned sample can never
-// destroy the model. On clean data the arithmetic is unchanged.
+// Each minibatch is one graph (Forward over the whole batch, one
+// row-loss op) and one backward pass, so every distinct stage in the batch
+// is encoded once however many instances share it (DESIGN.md §12.8).
 //
-// With Cfg.FitWorkers = K >= 1 the mini-batch loop runs data-parallel:
-// K replicas each process one batch of every K-batch group concurrently
-// and the averaged gradients step the primary (see fitpar.go). K = 1 is
-// bit-identical to the serial loop; K > 1 is statistically equivalent.
-// Fit itself must not be called concurrently with anything that reads or
+// Training is poisoning-resistant: a batch whose loss or gradients are
+// non-finite (a NaN label, a diverged forward pass) is skipped whole —
+// no step, and none of its rows counts toward the epoch loss — and the
+// weights roll back to the best finite epoch snapshot whenever an epoch
+// ends non-finite, so a single poisoned sample can never destroy the
+// model. Fit must not be called concurrently with anything that reads or
 // writes this model's weights.
 func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 	m.ResetStageReps()
 	defer m.ResetStageReps()
-	if m.Cfg.FitWorkers >= 1 {
-		return m.fitDataParallel(data, rng, m.Cfg.FitWorkers)
-	}
-	return m.fitSerial(data, rng)
-}
-
-// fitSerial is the historical single-goroutine training loop, kept
-// verbatim as the FitWorkers = 0 path and as the golden reference the
-// K = 1 parallel path is tested against.
-func (m *NECS) fitSerial(data []*Encoded, rng *rand.Rand) float64 {
 	params := m.Params()
 	opt := nn.NewAdam(params, m.Cfg.LR)
 	idx := make([]int, len(data))
 	for i := range idx {
 		idx[i] = i
 	}
+	batch := make([]*Encoded, 0, m.Cfg.BatchSize)
 	var lastLoss float64
 	bestLoss := math.Inf(1)
 	var bestSnap [][]float64
@@ -477,35 +485,23 @@ func (m *NECS) fitSerial(data []*Encoded, rng *rand.Rand) float64 {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var epochLoss, epochWeight float64
 		for start := 0; start < len(idx); start += m.Cfg.BatchSize {
-			end := start + m.Cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
+			batch = batch[:0]
+			for _, i := range idx[start:min(start+m.Cfg.BatchSize, len(idx))] {
+				batch = append(batch, data[i])
 			}
 			opt.ZeroGrad()
-			var batchWeight float64
-			for _, i := range idx[start:end] {
-				batchWeight += m.trainWeight(data[i])
-			}
-			if batchWeight <= 0 {
+			loss, batchWeight := m.batchLoss(batch)
+			if loss == nil {
 				continue // every instance censored away
 			}
-			batchOK := true
-			for _, i := range idx[start:end] {
-				x := data[i]
-				w := m.trainWeight(x)
-				out, _ := m.Forward(x)
-				loss := nn.Scale(nn.MSELoss(out, x.Y), w/batchWeight)
-				lv := loss.Scalar()
-				if math.IsNaN(lv) || math.IsInf(lv, 0) {
-					batchOK = false
-					break
-				}
-				nn.Backward(loss)
-				epochLoss += lv * batchWeight
-				epochWeight += w
+			lv := loss.Scalar()
+			if math.IsNaN(lv) || math.IsInf(lv, 0) {
+				continue // poisoned batch: no step, keep the weights
 			}
-			if !batchOK || !gradsFinite(params) {
-				// Poisoned batch: drop its gradients, keep the weights.
+			epochLoss += lv * batchWeight
+			epochWeight += batchWeight
+			nn.Backward(loss)
+			if !gradsFinite(params) {
 				opt.ZeroGrad()
 				continue
 			}
@@ -531,6 +527,27 @@ func (m *NECS) fitSerial(data []*Encoded, rng *rand.Rand) float64 {
 		lastLoss = bestLoss
 	}
 	return lastLoss
+}
+
+// batchLoss builds one minibatch's Equation 4 objective,
+// Σᵢ (wᵢ/W)·(ŷᵢ − yᵢ)² with W = Σᵢ wᵢ over the censoring-adjusted weights,
+// and returns it with W. The loss is nil when W ≤ 0.
+func (m *NECS) batchLoss(batch []*Encoded) (*nn.Node, float64) {
+	ys := make([]float64, len(batch))
+	ws := make([]float64, len(batch))
+	var total float64
+	for i, x := range batch {
+		ys[i], ws[i] = x.Y, m.trainWeight(x)
+		total += ws[i]
+	}
+	if total <= 0 {
+		return nil, 0
+	}
+	for i := range ws {
+		ws[i] /= total
+	}
+	out, _ := m.Forward(batch...)
+	return nn.WeightedMSE(out, ys, ws), total
 }
 
 // PredictApp estimates the total execution time (seconds) of an application

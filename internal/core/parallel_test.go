@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -182,135 +181,16 @@ func TestAppScorerMatchesPredictApp(t *testing.T) {
 	}
 }
 
-// --- data-parallel training ----------------------------------------------
-
-func trainTwin(t *testing.T, fitWorkers int) (*NECS, float64) {
-	t.Helper()
-	apps := []*workload.App{workload.ByName("WordCount"), workload.ByName("Terasort")}
-	ds := smallDataset(t, apps, 3, 21)
-	cfg := fastConfig()
-	cfg.Epochs = 5
-	cfg.FitWorkers = fitWorkers
-	rng := rand.New(rand.NewSource(21))
-	enc := NewEncoder(ds.Instances, cfg)
-	model := NewNECS(enc, cfg, rng)
-	loss := model.Fit(EncodeAll(enc, ds.Instances), rng)
-	return model, loss
-}
-
-func assertParamsEqual(t *testing.T, a, b *NECS, context string) {
-	t.Helper()
-	pa, pb := a.Params(), b.Params()
-	if len(pa) != len(pb) {
-		t.Fatalf("%s: %d vs %d params", context, len(pa), len(pb))
-	}
-	for i := range pa {
-		for d := range pa[i].Value.Data {
-			if pa[i].Value.Data[d] != pb[i].Value.Data[d] {
-				t.Fatalf("%s: param %d element %d: %v != %v",
-					context, i, d, pa[i].Value.Data[d], pb[i].Value.Data[d])
-			}
-		}
-	}
-}
-
-// TestFitParallelK1Golden proves the Fit refactor changes no numbers: the
-// parallel engine at K=1 must reproduce the serial path bit for bit —
-// identical final loss and identical weights.
-func TestFitParallelK1Golden(t *testing.T) {
-	defer SetScoreWorkers(0)
-	SetScoreWorkers(4) // make sure the pool being active doesn't leak in
-	serial, serialLoss := trainTwin(t, 0)
-	par, parLoss := trainTwin(t, 1)
-	if serialLoss != parLoss {
-		t.Fatalf("K=1 loss %v != serial loss %v", parLoss, serialLoss)
-	}
-	assertParamsEqual(t, serial, par, "K=1 vs serial")
-}
-
-// TestFitParallelK3Learns checks the statistically-equivalent regime: K=3
-// must still converge to a usable model (finite loss, finite weights, loss
-// in the same ballpark as serial).
-func TestFitParallelK3Learns(t *testing.T) {
-	defer SetScoreWorkers(0)
-	SetScoreWorkers(3)
-	_, serialLoss := trainTwin(t, 0)
-	model, loss := trainTwin(t, 3)
-	if math.IsNaN(loss) || math.IsInf(loss, 0) {
-		t.Fatalf("K=3 loss not finite: %v", loss)
-	}
-	if !model.paramsFinite() {
-		t.Fatal("K=3 weights went non-finite")
-	}
-	if loss > 4*serialLoss+1 {
-		t.Fatalf("K=3 loss %v far above serial %v", loss, serialLoss)
-	}
-}
-
-// TestAMUWorkers1Golden: AdaptiveModelUpdate through the parallel engine at
-// Workers=1 is bit-identical to the serial fine-tuning loop.
-func TestAMUWorkers1Golden(t *testing.T) {
-	defer SetScoreWorkers(0)
-	SetScoreWorkers(4)
-	base, _ := trainTwin(t, 0)
-	enc := base.Encoder
-
-	apps := []*workload.App{workload.ByName("PageRank")}
-	ds := smallDataset(t, apps, 2, 31)
-	encoded := EncodeAll(enc, ds.Instances)
-	mid := len(encoded) / 2
-	source, target := encoded[:mid], encoded[mid:]
-
-	cfg := DefaultAMUConfig()
-	cfg.Epochs = 2
-
-	serial := base.Clone()
-	cfgSerial := cfg
-	cfgSerial.Workers = 0
-	lossSerial := AdaptiveModelUpdate(serial, source, target, cfgSerial, rand.New(rand.NewSource(41)))
-
-	par := base.Clone()
-	cfgPar := cfg
-	cfgPar.Workers = 1
-	lossPar := AdaptiveModelUpdate(par, source, target, cfgPar, rand.New(rand.NewSource(41)))
-
-	if lossSerial != lossPar {
-		t.Fatalf("AMU Workers=1 loss %v != serial %v", lossPar, lossSerial)
-	}
-	assertParamsEqual(t, serial, par, "AMU Workers=1 vs serial")
-}
-
-// TestAMUWorkersParallelStable: Workers=2 fine-tuning stays finite.
-func TestAMUWorkersParallelStable(t *testing.T) {
-	defer SetScoreWorkers(0)
-	SetScoreWorkers(2)
-	base, _ := trainTwin(t, 0)
-	apps := []*workload.App{workload.ByName("PageRank")}
-	ds := smallDataset(t, apps, 2, 31)
-	encoded := EncodeAll(base.Encoder, ds.Instances)
-	mid := len(encoded) / 2
-
-	cfg := DefaultAMUConfig()
-	cfg.Epochs = 2
-	cfg.Workers = 2
-	m := base.Clone()
-	loss := AdaptiveModelUpdate(m, encoded[:mid], encoded[mid:], cfg, rand.New(rand.NewSource(43)))
-	if math.IsNaN(loss) || math.IsInf(loss, 0) || !m.paramsFinite() {
-		t.Fatalf("Workers=2 AMU unstable: loss=%v finite=%v", loss, m.paramsFinite())
-	}
-}
-
 // --- race coverage under the pool -----------------------------------------
 
 // TestPoolConcurrentRecommendAndUpdateRace overlaps pooled recommendations,
-// a pool resize, and a data-parallel adaptive update. Run with -race.
+// a pool resize, and an adaptive update. Run with -race.
 func TestPoolConcurrentRecommendAndUpdateRace(t *testing.T) {
 	defer SetScoreWorkers(0)
 	SetScoreWorkers(4)
 	tuner, ds := concurrencyTuner(t)
 	tuner.UpdateBatch = 3
 	tuner.AMU.Epochs = 1
-	tuner.AMU.Workers = 2
 	app := workload.ByName("WordCount")
 	env := sparksim.ClusterC
 	data := app.Spec.MakeData(app.Sizes.Train[0])
@@ -342,7 +222,7 @@ func TestPoolConcurrentRecommendAndUpdateRace(t *testing.T) {
 	}
 	wg.Wait()
 	if !updated {
-		t.Fatal("expected a data-parallel adaptive update to trigger")
+		t.Fatal("expected an adaptive update to trigger")
 	}
 	if !tuner.Model.paramsFinite() {
 		t.Fatal("weights went non-finite")

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,5 +155,59 @@ func TestLoadTunerRejectsBadInput(t *testing.T) {
 	}
 	if _, err := LoadTuner(strings.NewReader("garbage"), 1); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// A tuner snapshot written before the data-parallel training option was
+// retired still loads: its model config carries the retired key, which
+// encoding/json ignores. testdata/necs_config_parent.json is that config
+// exactly as the earlier code serialized it (default architecture, one
+// epoch); the test splices it into a current snapshot of the same
+// architecture and loads the result.
+func TestLoadTunerIgnoresRetiredConfigKey(t *testing.T) {
+	parentCfg, err := os.ReadFile("testdata/necs_config_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(parentCfg, []byte(`Workers":1`)) {
+		t.Fatal("the fixture lost the retired key; the test proves nothing")
+	}
+	opts := DefaultTrainOptions()
+	opts.NECS.Epochs = 1
+	opts.Collect.ConfigsPerInstance = 1
+	opts.Collect.Sizes = []int{0}
+	opts.Collect.Clusters = []sparksim.Environment{sparksim.ClusterC}
+	tuner, _ := Train([]*workload.App{workload.ByName("WordCount")}, opts)
+
+	var buf bytes.Buffer
+	if err := tuner.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf map[string]json.RawMessage
+	var mf map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(tf["model"], &mf); err != nil {
+		t.Fatal(err)
+	}
+	mf["config"] = bytes.TrimSpace(parentCfg)
+	if tf["model"], err = json.Marshal(mf); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := json.Marshal(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadTuner(bytes.NewReader(snapshot), 1)
+	if err != nil {
+		t.Fatalf("snapshot with the retired config key: %v", err)
+	}
+	if !reflect.DeepEqual(loaded.Model.Cfg, tuner.Model.Cfg) {
+		t.Fatalf("loaded config %+v, saved %+v", loaded.Model.Cfg, tuner.Model.Cfg)
+	}
+	if weightChecksum(loaded.Model) != weightChecksum(tuner.Model) {
+		t.Fatal("weights changed across the round trip")
 	}
 }

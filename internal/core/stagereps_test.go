@@ -83,18 +83,9 @@ func TestStageRepsDroppedByEveryMutator(t *testing.T) {
 			m.Cfg.Epochs = 1
 			m.Fit(f.source, rand.New(rand.NewSource(3)))
 		},
-		"FitDataParallel": func(m *NECS) {
-			m.Cfg.Epochs, m.Cfg.FitWorkers = 1, 2
-			m.Fit(f.source, rand.New(rand.NewSource(3)))
-		},
 		"AdaptiveModelUpdate": func(m *NECS) {
 			cfg := DefaultAMUConfig()
 			cfg.Epochs = 1
-			AdaptiveModelUpdate(m, f.source, target, cfg, rand.New(rand.NewSource(4)))
-		},
-		"AdaptiveModelUpdateParallel": func(m *NECS) {
-			cfg := DefaultAMUConfig()
-			cfg.Epochs, cfg.Workers = 1, 2
 			AdaptiveModelUpdate(m, f.source, target, cfg, rand.New(rand.NewSource(4)))
 		},
 		"BestEpochRollback": func(m *NECS) {

@@ -268,5 +268,28 @@ func TestConcatColsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := NewParam(tensor.Randn(2, 2, 1, rng), "a")
 	b := NewParam(tensor.Randn(2, 3, 1, rng), "b")
-	checkGrad(t, []*Node{a, b}, func() *Node { return Sum(Square(ConcatCols([]*Node{a, b}))) })
+	checkGrad(t, []*Node{a, b}, func() *Node { return Sum(Square(Concat(a, b))) })
+}
+
+func TestGatherRowsGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	a := NewParam(tensor.Randn(3, 2, 1, rng), "a")
+	checkGrad(t, []*Node{a}, func() *Node { return Sum(Square(GatherRows(a, []int{2, 0, 2, 2}))) })
+}
+
+// The weighted row losses are per-row sums: their value is Σ wᵢ·loss(row i)
+// and their gradient matches finite differences, a zero weight included.
+func TestWeightedRowLossGrads(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	x := NewParam(tensor.Randn(4, 1, 1, rng), "x")
+	ys, labels, ws := []float64{1, -2, 0.5, 3}, []float64{1, 0, 0, 1}, []float64{0.5, 0, 2, 1.25}
+	var want float64
+	for i, w := range ws {
+		want += w * MSELoss(PickRow(x, i), ys[i]).Scalar()
+	}
+	if got := WeightedMSE(x, ys, ws).Scalar(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("WeightedMSE = %v, Σ wᵢ·MSELoss = %v", got, want)
+	}
+	checkGrad(t, []*Node{x}, func() *Node { return WeightedMSE(x, ys, ws) })
+	checkGrad(t, []*Node{x}, func() *Node { return WeightedBCE(Sigmoid(x), labels, ws) })
 }

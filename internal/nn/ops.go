@@ -28,23 +28,22 @@ func MatMul(a, b *Node) *Node {
 			}
 		}
 		if b.requiresGrad {
-			if a.Value.Rows == 1 {
-				// A 1×n activation (every per-sample forward): ∂b is the
-				// outer product aᵀ·g, one rounded product per element and
-				// one add.
-				gb, gd := b.ensureGrad().Data, g.Data
-				for i, av := range a.Value.Data {
+			// ∂b = aᵀ·g, added into the gradient in place: element (i, j)
+			// gains a[r][i]·g[r][j] for r ascending, one rounded product and
+			// one add each, so a batch of rows accumulates exactly as that
+			// many one-row backward passes would.
+			gb, n := b.ensureGrad().Data, g.Cols
+			for r := 0; r < g.Rows; r++ {
+				grow := g.RowView(r)
+				for i, av := range a.Value.RowView(r) {
 					if av == 0 {
 						continue
 					}
-					grow := gb[i*len(gd):][:len(gd)]
-					for j, gv := range gd {
-						grow[j] += float64(av * gv)
+					brow := gb[i*n:][:n]
+					for j, gv := range grow {
+						brow[j] += float64(av * gv)
 					}
 				}
-			} else {
-				// aᵀ·g sums over a's rows before it joins the gradient.
-				b.accumGrad(tensor.MatMulTransA(a.Value, g))
 			}
 		}
 	}
@@ -112,14 +111,13 @@ func AddRowBroadcast(m, b *Node) *Node {
 			m.accumGrad(g)
 		}
 		if b.requiresGrad {
-			gb := tensor.New(1, g.Cols)
+			// Row by row into the gradient, as one-row passes would add.
+			gb := b.ensureGrad().Data
 			for i := 0; i < g.Rows; i++ {
-				row := g.RowView(i)
-				for j, gv := range row {
-					gb.Data[j] += gv
+				for j, gv := range g.RowView(i) {
+					gb[j] += gv
 				}
 			}
-			b.accumGrad(gb)
 		}
 	}
 	return newNode(v, back, m, b)
@@ -205,13 +203,11 @@ func Tanh(a *Node) *Node {
 	return newNode(v, back, a)
 }
 
-// Concat concatenates 1×n row-vector nodes into a single 1×Σn row vector.
+// Concat joins nodes with equal row counts side by side: m×n₁, m×n₂, …
+// become one m×Σn node whose row i is row i of every part, in order.
 func Concat(parts ...*Node) *Node {
 	vals := make([]*tensor.Tensor, len(parts))
 	for i, p := range parts {
-		if p.Value.Rows != 1 {
-			panic("nn: Concat expects 1×n row vectors")
-		}
 		vals[i] = p.Value
 	}
 	v := tensor.Concat(vals...)
@@ -220,9 +216,13 @@ func Concat(parts ...*Node) *Node {
 		for _, p := range parts {
 			w := p.Value.Cols
 			if p.requiresGrad {
-				gp := tensor.New(1, w)
-				copy(gp.Data, g.Data[off:off+w])
-				p.accumGrad(gp)
+				gp := p.ensureGrad()
+				for i := 0; i < g.Rows; i++ {
+					dst := gp.RowView(i)
+					for j, x := range g.RowView(i)[off : off+w] {
+						dst[j] += x
+					}
+				}
 			}
 			off += w
 		}
@@ -417,25 +417,37 @@ func StackRows(rows []*Node) *Node {
 			if !r.requiresGrad {
 				continue
 			}
-			gr := tensor.New(1, n)
-			copy(gr.Data, g.RowView(i))
-			r.accumGrad(gr)
+			gr := r.ensureGrad().Data
+			for j, x := range g.RowView(i) {
+				gr[j] += x
+			}
 		}
 	}
 	return newNode(v, back, rows...)
 }
 
-// PickRow extracts row i of a matrix node as a 1×n node.
-func PickRow(a *Node, i int) *Node {
-	v := tensor.New(1, a.Value.Cols)
-	copy(v.Data, a.Value.RowView(i))
+// GatherRows returns the len(idx)×n node whose row i is row idx[i] of a;
+// an index may repeat. The backward pass scatter-adds each row's gradient
+// into the row it was gathered from, in ascending i.
+func GatherRows(a *Node, idx []int) *Node {
+	v := tensor.New(len(idx), a.Value.Cols)
+	for i, r := range idx {
+		copy(v.RowView(i), a.Value.RowView(r))
+	}
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(a.Value.Rows, a.Value.Cols)
-		copy(gi.RowView(i), g.Data)
-		a.accumGrad(gi)
+		ga := a.ensureGrad()
+		for i, r := range idx {
+			dst := ga.RowView(r)
+			for j, x := range g.RowView(i) {
+				dst[j] += x
+			}
+		}
 	}
 	return newNode(v, back, a)
 }
+
+// PickRow extracts row i of a matrix node as a 1×n node.
+func PickRow(a *Node, i int) *Node { return GatherRows(a, []int{i}) }

@@ -26,10 +26,10 @@ func TestSlicePanicsOnBadBounds(t *testing.T) {
 func TestConcatPanicsOnMatrix(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-row-vector input")
+			t.Fatal("expected panic for a matrix beside a row vector")
 		}
 	}()
-	Concat(NewConst(tensor.New(2, 2)))
+	Concat(NewConst(tensor.New(1, 2)), NewConst(tensor.New(2, 2)))
 }
 
 func TestEmbeddingLookupAllPadding(t *testing.T) {

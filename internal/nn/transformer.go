@@ -100,7 +100,7 @@ func (t *TransformerEncoder) Forward(ids []int) *Node {
 		att := SoftmaxRows(Scale(MatMulB(q, k), scale))
 		headOuts = append(headOuts, MatMul(att, v))
 	}
-	concat := ConcatCols(headOuts)
+	concat := Concat(headOuts...)
 	attOut := t.Wo.Forward(concat)
 	x = t.LN1.Forward(Add(x, attOut))
 	ff := t.FF2.Forward(ReLU(t.FF1.Forward(x)))
@@ -134,41 +134,6 @@ func MatMulB(a, b *Node) *Node {
 		}
 	}
 	return newNode(v, back, a, b)
-}
-
-// ConcatCols concatenates matrices with equal row counts along columns.
-func ConcatCols(parts []*Node) *Node {
-	rows := parts[0].Value.Rows
-	total := 0
-	for _, p := range parts {
-		if p.Value.Rows != rows {
-			panic("nn: ConcatCols row mismatch")
-		}
-		total += p.Value.Cols
-	}
-	v := tensor.New(rows, total)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(v.RowView(i)[off:off+p.Value.Cols], p.Value.RowView(i))
-		}
-		off += p.Value.Cols
-	}
-	back := func(g *tensor.Tensor) {
-		off := 0
-		for _, p := range parts {
-			w := p.Value.Cols
-			if p.requiresGrad {
-				gp := tensor.New(rows, w)
-				for i := 0; i < rows; i++ {
-					copy(gp.RowView(i), g.RowView(i)[off:off+w])
-				}
-				p.accumGrad(gp)
-			}
-			off += w
-		}
-	}
-	return newNode(v, back, parts...)
 }
 
 // LayerNorm normalizes each row to zero mean and unit variance, then applies

@@ -47,14 +47,13 @@ func TestPoolGaugesExposed(t *testing.T) {
 }
 
 // TestServeParallelScoringRace overlaps pooled batch scoring with
-// data-parallel adaptive updates and a hot-swap. Run with -race: concurrent
-// recommendations fan their candidates across the same pool the retrains
-// run their FitWorkers=2 replicas on.
+// adaptive updates and a hot-swap. Run with -race: concurrent
+// recommendations fan their candidates across the scoring pool while the
+// update loop retrains a clone beside them.
 func TestServeParallelScoringRace(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
 	s := newTestServer(t, Options{
 		ScoreWorkers:  4,
-		FitWorkers:    2,
 		DisableCache:  true,
 		UpdateBatch:   2,
 		FeedbackQueue: 8,
@@ -107,7 +106,7 @@ func TestServeParallelScoringRace(t *testing.T) {
 	deadline := time.Now().Add(120 * time.Second)
 	for s.Snapshot().Gen < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("no data-parallel retrain landed")
+			t.Fatal("no retrain landed")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -92,13 +92,6 @@ type Options struct {
 	// are deterministic at any width.
 	ScoreWorkers int
 
-	// FitWorkers is the number of data-parallel replicas each adaptive
-	// model update trains with (core.AMUConfig.Workers). 0 keeps the
-	// serial update; 1 is bit-identical to serial through the parallel
-	// engine; K > 1 is statistically equivalent and ~K× faster on ≥ K
-	// cores.
-	FitWorkers int
-
 	// SnapshotPath, when set, persists every published snapshot's tuner
 	// there (write-to-temp + fsync + rename + dir fsync), so a restarted
 	// server can reload the adapted model with core.LoadTuner. Persist

@@ -258,9 +258,6 @@ func (s *Server) retrain(batch []pendingRun) {
 
 	cur := s.snap.Load()
 	clone := cur.Tuner.CloneForUpdate(s.opts.Seed + int64(cur.Gen) + 1)
-	// Data-parallel fine-tuning: the update runs off the hot path on a
-	// clone, so extra replicas cost memory, not serving latency.
-	clone.AMU.Workers = s.opts.FitWorkers
 
 	var target []*core.Encoded
 	for i := range batch {

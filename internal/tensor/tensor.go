@@ -354,19 +354,25 @@ func (t *Tensor) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Concat concatenates row vectors (all 1×n_i) into a single 1×Σn row vector.
+// Concat joins tensors with equal row counts side by side: row i of the
+// rows×Σcols result is row i of every part, in order.
 func Concat(parts ...*Tensor) *Tensor {
-	total := 0
+	rows, total := 1, 0
+	if len(parts) > 0 {
+		rows = parts[0].Rows
+	}
 	for _, p := range parts {
-		if p.Rows != 1 {
-			panic("tensor: Concat expects 1×n row vectors")
+		if p.Rows != rows {
+			panic(fmt.Sprintf("tensor: Concat row mismatch %d vs %d", p.Rows, rows))
 		}
 		total += p.Cols
 	}
-	out := New(1, total)
+	out := New(rows, total)
 	off := 0
 	for _, p := range parts {
-		copy(out.Data[off:off+p.Cols], p.Data)
+		for i := 0; i < rows; i++ {
+			copy(out.RowView(i)[off:], p.RowView(i))
+		}
 		off += p.Cols
 	}
 	return out

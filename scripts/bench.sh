@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Run the parallel-engine benchmarks (bench_parallel_test.go) and emit
-# BENCH_parallel.json: machine shape, per-benchmark ns/op, and the
-# serial-vs-parallel speedups for recommendation scoring and NECS training.
+# Run the parallel-engine and training-step benchmarks
+# (bench_parallel_test.go) and emit BENCH_parallel.json: GOMAXPROCS as the
+# test binary saw it (the -N suffix go test gives benchmark names),
+# per-benchmark ns/op, allocs/op and stages/inst where reported, and the
+# serial-vs-pooled speedup for recommendation scoring.
 #
 # Usage:
 #   ./scripts/bench.sh              # default -benchtime 3x
@@ -19,17 +21,19 @@ trap 'rm -f "$raw"' EXIT
 echo "bench: running BenchmarkRecommend + BenchmarkFit + BenchmarkAMU + BenchmarkTowerGEMM (-benchtime $BENCHTIME)…" >&2
 go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime "$BENCHTIME" . | tee "$raw" >&2
 
-cores="$(go env GOMAXPROCS 2>/dev/null || true)"
-if [[ -z "$cores" || "$cores" == "0" ]]; then
-    cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-fi
-
-awk -v cores="$cores" -v benchtime="$BENCHTIME" '
-/^Benchmark(Recommend|RecommendColdReps|Fit|TowerGEMM)\/|^BenchmarkAMU/ {
-    # BenchmarkRecommend/workers=4-8   12   345 ns/op ...
-    name = $1; sub(/-[0-9]+$/, "", name)
+awk -v benchtime="$BENCHTIME" '
+$1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(Fit|AMU)(-[0-9]+)?$/ {
+    # BenchmarkRecommend/workers=4-8   12   345 ns/op ...: go test appends
+    # -GOMAXPROCS to every name unless it is 1.
+    name = $1
+    if (cores == "") cores = match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) : 1
+    sub(/-[0-9]+$/, "", name)
     iters[name] = $2
-    for (i = 3; i < NF; i++) if ($(i + 1) == "ns/op") nsop[name] = $i
+    for (i = 3; i < NF; i++) {
+        if ($(i + 1) == "ns/op") nsop[name] = $i
+        if ($(i + 1) == "allocs/op") allocs[name] = $i
+        if ($(i + 1) == "stages/inst") stages[name] = $i
+    }
     order[n++] = name
 }
 END {
@@ -39,27 +43,23 @@ END {
     printf "  \"benchmarks\": {\n"
     for (i = 0; i < n; i++) {
         name = order[i]
-        printf "    \"%s\": {\"ns_per_op\": %.0f, \"iterations\": %d}%s\n", \
-            name, nsop[name], iters[name], (i < n - 1 ? "," : "")
+        extra = ""
+        if (name in allocs) extra = extra sprintf(", \"allocs_per_op\": %d", allocs[name])
+        if (name in stages) extra = extra sprintf(", \"stages_per_inst\": %s", stages[name])
+        printf "    \"%s\": {\"ns_per_op\": %.0f, \"iterations\": %d%s}%s\n", \
+            name, nsop[name], iters[name], extra, (i < n - 1 ? "," : "")
     }
     printf "  },\n"
     rs = nsop["BenchmarkRecommend/workers=1"]
     best_r = ""; best_rv = 0
-    fs = nsop["BenchmarkFit/replicas=0"]
-    best_f = ""; best_fv = 0
     for (i = 0; i < n; i++) {
         name = order[i]
         if (name ~ /^BenchmarkRecommend\// && name != "BenchmarkRecommend/workers=1" && nsop[name] > 0) {
             v = rs / nsop[name]
             if (v > best_rv) { best_rv = v; best_r = name }
         }
-        if (name ~ /^BenchmarkFit\// && name != "BenchmarkFit/replicas=0" && nsop[name] > 0) {
-            v = fs / nsop[name]
-            if (v > best_fv) { best_fv = v; best_f = name }
-        }
     }
-    printf "  \"recommend_speedup\": {\"baseline\": \"BenchmarkRecommend/workers=1\", \"best\": \"%s\", \"x\": %.2f},\n", best_r, best_rv
-    printf "  \"fit_speedup\": {\"baseline\": \"BenchmarkFit/replicas=0\", \"best\": \"%s\", \"x\": %.2f}\n", best_f, best_fv
+    printf "  \"recommend_speedup\": {\"baseline\": \"BenchmarkRecommend/workers=1\", \"best\": \"%s\", \"x\": %.2f}\n", best_r, best_rv
     printf "}\n"
 }' "$raw" > "$OUT"
 
