@@ -2,10 +2,10 @@ package core
 
 // This file implements the scoring worker pool: a process-wide, bounded
 // set of helper goroutines that candidate scoring (and any other
-// embarrassingly parallel work, e.g. the data-parallel training
-// replicas) is spread across. Candidates are independent and the
-// model is read-only during scoring, so the only coordination the pool
-// needs is a bound on how many goroutines run at once.
+// embarrassingly parallel work) is spread across. Candidates are
+// independent and the model is read-only during scoring, so the only
+// coordination the pool needs is a bound on how many goroutines run at
+// once.
 //
 // Design:
 //

@@ -43,10 +43,15 @@ func shutdownServer(t *testing.T, s *Server) {
 
 // crashServer abandons a server the way SIGKILL would: no final retrain, no
 // WAL close, no fsync beyond what already happened. The stop channel is only
-// closed at test end so the leaked goroutines unwind.
+// closed at test end so the leaked goroutines unwind, and the cleanup waits
+// for them: the update loop folds what it holds on stop and persists it
+// through the package-level snapshotFS, which a later test may swap.
 func crashServer(t *testing.T, s *Server) {
 	t.Helper()
-	t.Cleanup(func() { s.stopOnce.Do(func() { close(s.stopCh) }) })
+	t.Cleanup(func() {
+		s.stopOnce.Do(func() { close(s.stopCh) })
+		s.wg.Wait()
+	})
 }
 
 func feedbackN(t *testing.T, s *Server, n int) {
