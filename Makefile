@@ -27,14 +27,17 @@ lint:
 # the concurrent read/hot-swap paths be clean under the race detector. The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
+# The grep keeps every rename and directory fsync inside internal/wal, so a
+# durable file can only be written through wal.WriteFileAtomic (DESIGN.md §9).
 # The fidelity gate last: the paper tables must not drift silently.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
+	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/...
+	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/...
 	./scripts/fidelity.sh
 
 # fidelity re-runs litebench's Table VI and Table IX and diffs them, timing

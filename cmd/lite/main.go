@@ -20,6 +20,7 @@ import (
 
 	"lite/internal/core"
 	"lite/internal/sparksim"
+	"lite/internal/wal"
 	"lite/internal/workload"
 )
 
@@ -83,13 +84,7 @@ func cmdTrain(args []string) {
 			st.RepeatRuns, st.Retries, st.RetrySeconds, st.Censored)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := tuner.Save(f); err != nil {
+	if err := wal.WriteFileAtomic(wal.OSFS{}, *out, tuner.Save); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

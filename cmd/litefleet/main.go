@@ -35,6 +35,7 @@ import (
 
 	"lite/internal/core"
 	"lite/internal/fleet"
+	"lite/internal/wal"
 	"lite/internal/workload"
 )
 
@@ -190,15 +191,7 @@ func ensureModel(modelPath, dir string, configs, trainSizes int, seed int64) (st
 	fmt.Printf("litefleet: trained on %d runs in %v\n", len(ds.Runs), time.Since(start).Round(time.Millisecond))
 
 	path := filepath.Join(dir, "boot-model.json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := tuner.Save(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
+	if err := wal.WriteFileAtomic(wal.OSFS{}, path, tuner.Save); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lite/internal/core"
+	"lite/internal/wal"
 )
 
 // TestPoolGaugesExposed: the server registers scoring-pool gauges that show
@@ -159,7 +160,7 @@ func TestStageRepCacheExposed(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "next.json")
-	if err := saveTunerAtomic(s.Snapshot().Tuner, path); err != nil {
+	if err := wal.WriteFileAtomic(wal.OSFS{}, path, s.Snapshot().Tuner.Save); err != nil {
 		t.Fatal(err)
 	}
 	if gen, err := s.FlipTo(path, 1); err != nil || gen != 1 {

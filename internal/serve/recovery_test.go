@@ -45,7 +45,7 @@ func shutdownServer(t *testing.T, s *Server) {
 // WAL close, no fsync beyond what already happened. The stop channel is only
 // closed at test end so the leaked goroutines unwind, and the cleanup waits
 // for them: the update loop folds what it holds on stop and persists it
-// through the package-level snapshotFS, which a later test may swap.
+// into the test's temp directory, whose removal must wait for that write.
 func crashServer(t *testing.T, s *Server) {
 	t.Helper()
 	t.Cleanup(func() {

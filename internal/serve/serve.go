@@ -93,18 +93,12 @@ type Options struct {
 	ScoreWorkers int
 
 	// SnapshotPath, when set, persists every published snapshot's tuner
-	// there (write-to-temp + fsync + rename + dir fsync), so a restarted
-	// server can reload the adapted model with core.LoadTuner. Persist
-	// failures are retried with exponential backoff (PersistRetries /
-	// PersistRetryBackoff), and the seconds since the last successful
-	// persist are exported as the lite_snapshot_age_seconds gauge.
+	// there (wal.WriteFileAtomic), so a restarted server can reload the
+	// adapted model with core.LoadTuner. A failed persist is retried up to
+	// three times with exponential backoff, and the seconds since the last
+	// successful persist are exported as the lite_snapshot_age_seconds
+	// gauge.
 	SnapshotPath string
-
-	// PersistRetries is how many times one snapshot persist is retried
-	// after the first failure (default 3); PersistRetryBackoff is the
-	// first retry's delay, doubling per attempt (default 50ms).
-	PersistRetries      int
-	PersistRetryBackoff time.Duration
 
 	// WALDir, when set, enables the feedback write-ahead log: accepted
 	// /feedback is appended (length+CRC32-framed) before it is enqueued,
@@ -112,12 +106,16 @@ type Options struct {
 	// replayed into the update loop on the next Start after a crash.
 	// Records fold out of the log once the snapshot absorbing them is
 	// durable, so WALDir is designed to be paired with SnapshotPath.
+	// Rejected feedback batches are appended to <WALDir>/quarantine.jsonl
+	// (else <SnapshotPath>.quarantine.jsonl; no quarantine without either).
 	WALDir          string
 	WALSyncEvery    int           // default 8 appends per fsync; 1 = sync every ack
 	WALSyncInterval time.Duration // default 50ms; <0 disables the interval syncer
-	WALSegmentBytes int64         // segment rotation bound, default 4 MiB
-	// WALFS overrides the WAL's filesystem (fault-injection tests).
-	WALFS wal.FS
+
+	// FS is the filesystem every durable file goes through: the feedback
+	// WAL, the session store, the model snapshot and the quarantine sidecar
+	// (fault-injection tests). Default wal.OSFS.
+	FS wal.FS
 
 	// Validation configures the hot-swap gate (see ValidationOptions): a
 	// retrained candidate that regresses held-out ranking quality is
@@ -131,21 +129,13 @@ type Options struct {
 	RetrainBackoffMin time.Duration
 	RetrainBackoffMax time.Duration
 
-	// QuarantinePath overrides where rejected feedback batches are
-	// appended (JSON lines). Default: <WALDir>/quarantine.jsonl, else
-	// <SnapshotPath>.quarantine.jsonl, else quarantine is disabled.
-	QuarantinePath string
-
 	// SessionDir persists tuning sessions (/v1/tuning/sessions) through
 	// their own WAL + snapshot in that directory, so open sessions survive
 	// a crash-restart. Default: <WALDir>/sessions when WALDir is set, else
-	// sessions are in-memory only. SessionSnapshotEvery folds the session
-	// WAL into its snapshot after that many mutation events (default 64);
-	// SessionDefaultBound is the safety bound applied when a create
-	// request does not set one (default 1.5).
-	SessionDir           string
-	SessionSnapshotEvery int
-	SessionDefaultBound  float64
+	// sessions are in-memory only. SessionDefaultBound is the safety bound
+	// applied when a create request does not set one (default 1.5).
+	SessionDir          string
+	SessionDefaultBound float64
 
 	// Follower runs the server as a fleet follower (DESIGN.md §10): the
 	// adaptive-update loop is not started, accepted feedback is WAL-logged
@@ -203,11 +193,8 @@ func (o Options) withDefaults() Options {
 	if o.Follower {
 		o.EnableAdmin = true
 	}
-	if o.PersistRetries <= 0 {
-		o.PersistRetries = 3
-	}
-	if o.PersistRetryBackoff <= 0 {
-		o.PersistRetryBackoff = 50 * time.Millisecond
+	if o.FS == nil {
+		o.FS = wal.OSFS{}
 	}
 	if o.RetrainBackoffMin <= 0 {
 		o.RetrainBackoffMin = time.Second
@@ -418,11 +405,10 @@ func (s *Server) Start() error {
 	}
 	if s.opts.WALDir != "" {
 		w, recs, stats, err := wal.Open(wal.Options{
-			Dir:             s.opts.WALDir,
-			SegmentMaxBytes: s.opts.WALSegmentBytes,
-			SyncEvery:       s.opts.WALSyncEvery,
-			SyncInterval:    s.opts.WALSyncInterval,
-			FS:              s.opts.WALFS,
+			Dir:          s.opts.WALDir,
+			SyncEvery:    s.opts.WALSyncEvery,
+			SyncInterval: s.opts.WALSyncInterval,
+			FS:           s.opts.FS,
 		})
 		if err != nil {
 			s.started.Store(false)
@@ -495,7 +481,7 @@ func (s *Server) FlipTo(path string, gen uint64) (uint64, error) {
 	if cur := s.snap.Load(); gen <= cur.Gen {
 		return cur.Gen, nil
 	}
-	f, err := os.Open(path)
+	f, err := s.opts.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return s.snap.Load().Gen, fmt.Errorf("serve: flip: opening snapshot: %w", err)
 	}

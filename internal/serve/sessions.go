@@ -37,14 +37,13 @@ func (s *Server) openSessions() error {
 		dir = filepath.Join(s.opts.WALDir, "sessions")
 	}
 	st, err := session.Open(session.Options{
-		Dir:           dir,
-		FS:            s.opts.WALFS,
-		SyncEvery:     s.opts.WALSyncEvery,
-		SyncInterval:  s.opts.WALSyncInterval,
-		SnapshotEvery: s.opts.SessionSnapshotEvery,
-		DefaultBound:  s.opts.SessionDefaultBound,
-		Seed:          s.opts.Seed,
-		Now:           s.opts.Now,
+		Dir:          dir,
+		FS:           s.opts.FS,
+		SyncEvery:    s.opts.WALSyncEvery,
+		SyncInterval: s.opts.WALSyncInterval,
+		DefaultBound: s.opts.SessionDefaultBound,
+		Seed:         s.opts.Seed,
+		Now:          s.opts.Now,
 	})
 	if err != nil {
 		return err

@@ -382,23 +382,15 @@ func (s *Server) quarantine(batch []pendingRun, liveGen uint64, reason string) {
 	if err != nil {
 		return
 	}
-	f, err := snapshotFS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.reg.Counter("lite_quarantine_write_errors_total").Inc()
-		return
-	}
-	_, werr := f.Write(append(line, '\n'))
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr != nil || serr != nil || cerr != nil {
+	// Durable before rejectSwap folds the batch out of the WAL: the first
+	// entry also fsyncs the directory that now holds the new file.
+	if err := wal.AppendFile(s.opts.FS, path, append(line, '\n')); err != nil {
 		s.reg.Counter("lite_quarantine_write_errors_total").Inc()
 	}
 }
 
 func (s *Server) quarantinePath() string {
 	switch {
-	case s.opts.QuarantinePath != "":
-		return s.opts.QuarantinePath
 	case s.opts.WALDir != "":
 		return filepath.Join(s.opts.WALDir, "quarantine.jsonl")
 	case s.opts.SnapshotPath != "":
@@ -406,6 +398,14 @@ func (s *Server) quarantinePath() string {
 	}
 	return ""
 }
+
+// persistRetries is how many times one snapshot persist is retried after
+// the first failure; persistRetryBackoff is the first retry's delay,
+// doubling per attempt.
+const (
+	persistRetries      = 3
+	persistRetryBackoff = 50 * time.Millisecond
+)
 
 // persistSnapshot writes the tuner to Options.SnapshotPath with bounded
 // retries and exponential backoff, so one transient disk hiccup does not
@@ -417,19 +417,19 @@ func (s *Server) persistSnapshot(t *core.Tuner) bool {
 		return true
 	}
 	var err error
-	for attempt := 0; attempt <= s.opts.PersistRetries; attempt++ {
+	for attempt := 0; attempt <= persistRetries; attempt++ {
 		if attempt > 0 {
 			s.reg.Counter("lite_snapshot_persist_retries_total").Inc()
-			time.Sleep(expBackoff(s.opts.PersistRetryBackoff, s.opts.RetrainBackoffMax, attempt))
+			time.Sleep(expBackoff(persistRetryBackoff, s.opts.RetrainBackoffMax, attempt))
 		}
-		if err = saveTunerAtomic(t, s.opts.SnapshotPath); err == nil {
+		if err = wal.WriteFileAtomic(s.opts.FS, s.opts.SnapshotPath, t.Save); err == nil {
 			s.lastPersistNanos.Store(s.opts.Now().UnixNano())
 			return true
 		}
 		s.reg.Counter("lite_snapshot_persist_errors_total").Inc()
 	}
 	fmt.Fprintf(os.Stderr, "serve: persisting snapshot (gave up after %d retries; feedback stays in the WAL for replay): %v\n",
-		s.opts.PersistRetries, err)
+		persistRetries, err)
 	return false
 }
 
@@ -475,47 +475,6 @@ func chaosCorrupt(t *core.Tuner) {
 	// Params() was written directly: the model's memoized stage
 	// representations no longer match its weights (DESIGN.md §12).
 	t.Model.ResetStageReps()
-}
-
-// snapshotFS seams the snapshot/quarantine file operations so persistence
-// fault tests can inject failing and short writes; production uses the real
-// filesystem.
-var snapshotFS wal.FS = wal.OSFS{}
-
-// saveTunerAtomic persists the tuner crash-safely: write to a temp file,
-// fsync it, rename over the target, fsync the parent directory. A crash at
-// any point leaves either the old snapshot or the new one — never a torn
-// or empty file — and the rename is not considered durable until the
-// directory entry itself is synced.
-func saveTunerAtomic(t *core.Tuner, path string) error {
-	dir := filepath.Dir(path)
-	tmp := path + ".tmp"
-	f, err := snapshotFS.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := t.Save(f); err != nil {
-		f.Close()
-		snapshotFS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		snapshotFS.Remove(tmp)
-		return fmt.Errorf("serve: fsync snapshot temp: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		snapshotFS.Remove(tmp)
-		return err
-	}
-	if err := snapshotFS.Rename(tmp, path); err != nil {
-		snapshotFS.Remove(tmp)
-		return err
-	}
-	if err := snapshotFS.SyncDir(dir); err != nil {
-		return fmt.Errorf("serve: fsync snapshot dir: %w", err)
-	}
-	return nil
 }
 
 // SimulateOnce executes one run with the given configuration on the named

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -401,9 +402,9 @@ func (st *Store) append(ev *event) error {
 	return nil
 }
 
-// snapshotLocked writes sessions.json atomically (tmp → fsync → rename →
-// dir fsync) and folds the WAL past everything it captured. Called with
-// st.mu held.
+// snapshotLocked writes sessions.json atomically (wal.WriteFileAtomic) and
+// then folds the WAL past everything it captured — only then: the cursor
+// never passes a snapshot that is not yet durable. Called with st.mu held.
 func (st *Store) snapshotLocked() error {
 	if st.opts.Dir == "" {
 		return nil
@@ -421,31 +422,11 @@ func (st *Store) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(st.opts.Dir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := st.opts.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err = wal.WriteFileAtomic(st.opts.FS, filepath.Join(st.opts.Dir, snapshotFile), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		st.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		st.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		st.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := st.opts.FS.Rename(tmp, path); err != nil {
-		st.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := st.opts.FS.SyncDir(st.opts.Dir); err != nil {
 		return err
 	}
 	if st.w != nil && st.lastSeq > 0 {

@@ -9,10 +9,11 @@ import (
 	"sync"
 )
 
-// FS is the slice of filesystem behaviour the WAL (and the snapshot
-// persister in internal/serve) depends on. Production code uses OSFS; tests
-// inject FaultFS to exercise torn writes, failed fsyncs and rename crashes
-// without touching a real disk fault.
+// FS is the slice of filesystem behaviour every durable file in the module
+// goes through: WAL segments and cursor, model snapshots, the session store
+// and the quarantine sidecar. Production code uses OSFS; tests inject
+// FaultFS to exercise torn writes, failed fsyncs and rename crashes without
+// touching a real disk fault.
 type FS interface {
 	// OpenFile opens name with the given flag/perm, like os.OpenFile.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
@@ -81,6 +82,68 @@ func (OSFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
+// WriteFileAtomic is the one way the module replaces a durable file: write
+// streams the content into path+".tmp", which is fsynced, closed and renamed
+// over path, and then the parent directory is fsynced so the rename itself
+// survives a crash. On any failure the temp file is removed, so path holds
+// the old file or the whole new one, never a torn one. The new content only
+// counts as durable once this returns nil: a fold cursor must not advance
+// past a snapshot before that.
+func WriteFileAtomic(fs FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: writing %s: %w", path, err)
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return fmt.Errorf("wal: writing %s: %w", path, err)
+	}
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("wal: fsync dir of %s: %w", path, err)
+	}
+	return nil
+}
+
+// AppendFile appends data to path and fsyncs it. When this call creates the
+// file it also fsyncs the parent directory: a file fsync alone does not
+// persist the new directory entry, so without it a crash could lose the
+// whole file. Appends to an existing file need no directory fsync.
+func AppendFile(fs FS, path string, data []byte) error {
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	created := err == nil
+	if os.IsExist(err) {
+		f, err = fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: opening %s: %w", path, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && created {
+		err = fs.SyncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		return fmt.Errorf("wal: appending to %s: %w", path, err)
+	}
+	return nil
+}
+
 // FaultFS wraps an FS and injects write-path failures on a countdown — the
 // in-process equivalent of yanking the disk mid-write. It is exported
 // because both the WAL's own tests and internal/serve's persistence fault
@@ -98,9 +161,10 @@ type FaultFS struct {
 	shortWriteAt int
 	writes       int
 	// failSync / failSyncDir / failRename flip the respective calls to
-	// ErrInjected after the countdown reaches zero.
-	failSync   bool
-	failRename bool
+	// ErrInjected.
+	failSync    bool
+	failSyncDir bool
+	failRename  bool
 }
 
 // ErrInjected marks every failure FaultFS fabricates.
@@ -136,6 +200,14 @@ func (f *FaultFS) FailSync(fail bool) {
 	f.mu.Unlock()
 }
 
+// FailSyncDir makes every subsequent SyncDir fail while file Syncs still
+// succeed.
+func (f *FaultFS) FailSyncDir(fail bool) {
+	f.mu.Lock()
+	f.failSyncDir = fail
+	f.mu.Unlock()
+}
+
 // FailRename makes every subsequent Rename fail.
 func (f *FaultFS) FailRename(fail bool) {
 	f.mu.Lock()
@@ -149,6 +221,7 @@ func (f *FaultFS) Heal() {
 	f.failWriteAfter = -1
 	f.shortWriteAt = 0
 	f.failSync = false
+	f.failSyncDir = false
 	f.failRename = false
 	f.mu.Unlock()
 }
@@ -185,7 +258,7 @@ func (f *FaultFS) MkdirAll(dir string, perm os.FileMode) error { return f.Inner.
 // SyncDir implements FS.
 func (f *FaultFS) SyncDir(dir string) error {
 	f.mu.Lock()
-	fail := f.failSync
+	fail := f.failSync || f.failSyncDir
 	f.mu.Unlock()
 	if fail {
 		return fmt.Errorf("syncdir %s: %w", filepath.Base(dir), ErrInjected)

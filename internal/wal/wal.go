@@ -469,34 +469,10 @@ func readCursor(fs FS, dir string) (uint64, error) {
 	return v, nil
 }
 
-// writeCursor persists the folded cursor atomically: temp file, write,
-// fsync, rename over FOLDED, fsync the directory.
+// writeCursor persists the folded cursor atomically over FOLDED.
 func writeCursor(fs FS, dir string, seq uint64) error {
-	tmp := filepath.Join(dir, cursorFile+".tmp")
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: creating cursor temp: %w", err)
-	}
-	if _, err := f.Write([]byte(strconv.FormatUint(seq, 10) + "\n")); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("wal: writing cursor: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("wal: fsync cursor: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("wal: closing cursor: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, cursorFile)); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("wal: publishing cursor: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: fsync dir after cursor: %w", err)
-	}
-	return nil
+	return WriteFileAtomic(fs, filepath.Join(dir, cursorFile), func(w io.Writer) error {
+		_, err := io.WriteString(w, strconv.FormatUint(seq, 10)+"\n")
+		return err
+	})
 }

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -308,6 +310,98 @@ func TestConcurrentAppendsAssignUniqueSeqs(t *testing.T) {
 	}
 	if stats.Segments < 2 {
 		t.Fatalf("expected multiple segments under 256-byte rotation, got %d", stats.Segments)
+	}
+}
+
+// TestWriteFileAtomicFaults is the fault suite for the one atomic writer.
+// Whichever step fails, the error carries the fault, no temp file is left
+// behind, and the target is never torn: it keeps its previous content (or
+// stays absent) — except when the directory fsync fails, which happens
+// after the rename, so the target then holds the whole new content.
+func TestWriteFileAtomicFaults(t *testing.T) {
+	errCallback := errors.New("callback failed")
+	old, next := []byte("old content\n"), []byte("new content, longer than the old\n")
+	writeNext := func(w io.Writer) error {
+		_, err := w.Write(next)
+		return err
+	}
+	cases := []struct {
+		name    string
+		arm     func(*FaultFS)
+		cbErr   error // returned by the write callback after it writes
+		want    error
+		renamed bool
+	}{
+		{name: "fsync fails", arm: func(f *FaultFS) { f.FailSync(true) }, want: ErrInjected},
+		{name: "short write at 1", arm: func(f *FaultFS) { f.ShortWriteAt(1) }, want: ErrInjected},
+		{name: "rename fails", arm: func(f *FaultFS) { f.FailRename(true) }, want: ErrInjected},
+		{name: "syncdir fails", arm: func(f *FaultFS) { f.FailSyncDir(true) }, want: ErrInjected, renamed: true},
+		{name: "callback error", arm: func(*FaultFS) {}, cbErr: errCallback, want: errCallback},
+	}
+	for _, tc := range cases {
+		for _, existed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/existed=%v", tc.name, existed), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "target")
+				if existed {
+					if err := os.WriteFile(path, old, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ffs := NewFaultFS(nil)
+				tc.arm(ffs)
+				err := WriteFileAtomic(ffs, path, func(w io.Writer) error {
+					if err := writeNext(w); err != nil {
+						return err
+					}
+					return tc.cbErr
+				})
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				got, rerr := os.ReadFile(path)
+				switch {
+				case tc.renamed:
+					if !bytes.Equal(got, next) {
+						t.Fatalf("target = %q (%v), want the whole new content", got, rerr)
+					}
+				case existed:
+					if !bytes.Equal(got, old) {
+						t.Fatalf("target = %q (%v), want its previous content", got, rerr)
+					}
+				case !os.IsNotExist(rerr):
+					t.Fatalf("target exists after a failed first write: %q", got)
+				}
+				if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+					t.Fatalf("temp file left behind (stat err %v)", err)
+				}
+
+				ffs.Heal()
+				if err := WriteFileAtomic(ffs, path, writeNext); err != nil {
+					t.Fatalf("write after heal: %v", err)
+				}
+				if got, _ := os.ReadFile(path); !bytes.Equal(got, next) {
+					t.Fatalf("target after heal = %q, want the new content", got)
+				}
+			})
+		}
+	}
+}
+
+// TestAppendFileSyncsDirOnlyOnCreate: the append that creates a file must
+// fsync its directory (and fails when it cannot); appends to the existing
+// file need no directory fsync.
+func TestAppendFileSyncsDirOnlyOnCreate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	ffs := NewFaultFS(nil)
+	ffs.FailSyncDir(true)
+	if err := AppendFile(ffs, path, []byte("a\n")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("creating append with failing dir fsync: err = %v, want ErrInjected", err)
+	}
+	if err := AppendFile(ffs, path, []byte("b\n")); err != nil {
+		t.Fatalf("append to existing file: %v", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "a\nb\n" {
+		t.Fatalf("file = %q, want both lines", got)
 	}
 }
 
