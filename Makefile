@@ -24,7 +24,8 @@ lint:
 
 # verify is the tier-1 gate plus the serving-stack race check: everything
 # must compile, every test pass, every exported symbol be documented, and
-# the concurrent read/hot-swap paths be clean under the race detector. The
+# the concurrent read/hot-swap paths — and the pooled gradient arenas of
+# nn.Backward — be clean under the race detector. The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
 # The grep keeps every rename and directory fsync inside internal/wal, so a
@@ -37,7 +38,7 @@ verify:
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/...
+	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/...
 	./scripts/fidelity.sh
 
 # fidelity re-runs litebench's Table VI and Table IX and diffs them, timing
@@ -73,7 +74,8 @@ bench-parallel:
 
 # bench-regression re-runs the single-core recommendation benchmark and
 # fails if it regressed >2x against the committed BENCH_parallel.json
-# baseline (see BENCHMARKS.md). Writes bench_regression.txt.
+# baseline, or if BenchmarkAMU / BenchmarkFit allocate >2% more per op
+# (see BENCHMARKS.md). Writes bench_regression.txt.
 bench-regression:
 	./scripts/bench_regression.sh
 

@@ -1,15 +1,17 @@
 // Benchmarks for the parallel scoring engine and the training step (see
 // DESIGN.md §7 and §12.8). These are what scripts/bench.sh runs to produce
 // BENCH_parallel.json: recommend latency at several pool widths, Fit and
-// AMU cost, and the tower GEMM shapes. A small dedicated fixture keeps them
-// fast enough for a CI smoke run (-benchtime=1x); the paper-scale
-// benchmarks live in bench_test.go. Run with:
+// AMU cost, the snapshot write after an update, and the tower GEMM shapes.
+// A small dedicated fixture keeps them fast enough for a CI smoke run
+// (-benchtime=1x); the paper-scale benchmarks live in bench_test.go. Run
+// with:
 //
-//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime 3x
+//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM' -benchtime 3x
 package lite
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -147,6 +149,25 @@ func BenchmarkAMU(b *testing.B) {
 		core.AdaptiveModelUpdate(m, source, target, cfg, rand.New(rand.NewSource(1)))
 	}
 	b.ReportMetric(stagesPerInst(batch, cfg.BatchSize), "stages/inst")
+}
+
+// BenchmarkTunerSave measures the snapshot write that follows every
+// accepted update: Save of a second-generation tuner (CloneForUpdate of the
+// fixture), whose ACG the first generation's save has already encoded, as
+// a server's generation 0 is persisted at start.
+func BenchmarkTunerSave(b *testing.B) {
+	tuner, _ := parBench()
+	if err := tuner.Save(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	gen := tuner.CloneForUpdate(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := gen.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // stagesPerInst is distinct stages ÷ rows, summed over the minibatches of

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"lite/internal/forest"
 	"lite/internal/instrument"
@@ -26,6 +27,10 @@ type CandidateGenerator struct {
 	// SigmaScale multiplies the span σ^d of every knob's search region
 	// (1 = the paper's setting; the ablation benches sweep it).
 	SigmaScale float64
+
+	// forestsJSON memoizes the encoded models (see encodedForests).
+	forestsMu   sync.Mutex
+	forestsJSON []byte
 }
 
 // acgFeatures builds the RFR input: log-scaled datasize, iteration count
@@ -195,24 +200,63 @@ func ForceFeasible(c sparksim.Config, env sparksim.Environment) sparksim.Config 
 
 // acgJSON is the serialized form of the candidate generator.
 type acgJSON struct {
-	Models     []*forest.Forest `json:"models"`
-	Sigma      []float64        `json:"sigma"`
-	AppIdx     map[string]int   `json:"app_idx"`
-	NumApps    int              `json:"num_apps"`
-	SigmaScale float64          `json:"sigma_scale"`
+	Models []*forest.Forest `json:"models"`
+	acgSpans
+}
+
+// acgSpans is everything in acgJSON but the forests: small, and encoded
+// on every MarshalJSON so a changed SigmaScale always shows.
+type acgSpans struct {
+	Sigma      []float64      `json:"sigma"`
+	AppIdx     map[string]int `json:"app_idx"`
+	NumApps    int            `json:"num_apps"`
+	SigmaScale float64        `json:"sigma_scale"`
 }
 
 // MarshalJSON serializes the ACG state (per-knob forests, spans, app map).
 func (g *CandidateGenerator) MarshalJSON() ([]byte, error) {
-	out := acgJSON{AppIdx: g.appIdx, NumApps: g.numApps, SigmaScale: g.SigmaScale}
-	for d := 0; d < sparksim.NumKnobs; d++ {
-		out.Models = append(out.Models, g.models[d])
-		out.Sigma = append(out.Sigma, g.sigma[d])
-	}
-	return json.Marshal(&out)
+	return g.appendJSON(nil)
 }
 
-// UnmarshalJSON restores the ACG state.
+// appendJSON appends MarshalJSON's encoding to buf: the bytes
+// json.Marshal(&acgJSON{…}) writes, with the forests taken from
+// encodedForests and the other fields spliced in after them.
+func (g *CandidateGenerator) appendJSON(buf []byte) ([]byte, error) {
+	models, err := g.encodedForests()
+	if err != nil {
+		return nil, err
+	}
+	spans, err := json.Marshal(&acgSpans{Sigma: g.sigma[:], AppIdx: g.appIdx, NumApps: g.numApps, SigmaScale: g.SigmaScale})
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, `{"models":`...)
+	buf = append(buf, models...)
+	buf = append(buf, ',')
+	return append(buf, spans[1:]...), nil
+}
+
+// encodedForests returns the JSON array of the per-knob forests, encoded
+// on first use. The forests never change after training, and every
+// generation a serving tuner publishes shares them by pointer, so each
+// snapshot would otherwise re-encode the same few hundred kilobytes.
+// Safe for concurrent use; readers of the models never touch the cache.
+func (g *CandidateGenerator) encodedForests() ([]byte, error) {
+	g.forestsMu.Lock()
+	defer g.forestsMu.Unlock()
+	if g.forestsJSON == nil {
+		b, err := json.Marshal(g.models[:])
+		if err != nil {
+			return nil, err
+		}
+		g.forestsJSON = b
+	}
+	return g.forestsJSON, nil
+}
+
+// UnmarshalJSON restores the ACG state. It rejects a state that would
+// panic at sampling time: a missing forest, an application index outside
+// [0, num_apps), or a split reading past the 2+num_apps feature row.
 func (g *CandidateGenerator) UnmarshalJSON(b []byte) error {
 	var in acgJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -222,6 +266,25 @@ func (g *CandidateGenerator) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("core: serialized ACG has %d models and %d sigmas, want %d",
 			len(in.Models), len(in.Sigma), sparksim.NumKnobs)
 	}
+	if in.NumApps < 0 {
+		return fmt.Errorf("core: serialized ACG has %d applications", in.NumApps)
+	}
+	for name, i := range in.AppIdx {
+		if i < 0 || i >= in.NumApps {
+			return fmt.Errorf("core: serialized ACG maps %q to index %d of %d applications", name, i, in.NumApps)
+		}
+	}
+	width := 2 + in.NumApps
+	for d, f := range in.Models {
+		if f == nil {
+			return fmt.Errorf("core: serialized ACG has no model for knob %d", d)
+		}
+		if mf := f.MaxFeature(); mf >= width {
+			return fmt.Errorf("core: serialized ACG model %d splits on feature %d of a %d-wide row", d, mf, width)
+		}
+	}
+	g.forestsMu.Lock()
+	defer g.forestsMu.Unlock()
 	for d := 0; d < sparksim.NumKnobs; d++ {
 		g.models[d] = in.Models[d]
 		g.sigma[d] = in.Sigma[d]
@@ -229,6 +292,7 @@ func (g *CandidateGenerator) UnmarshalJSON(b []byte) error {
 	g.appIdx = in.AppIdx
 	g.numApps = in.NumApps
 	g.SigmaScale = in.SigmaScale
+	g.forestsJSON = nil
 	return nil
 }
 

@@ -105,3 +105,32 @@ func TestCollectFeedbackConcurrentWithRecommend(t *testing.T) {
 		t.Fatal("model weights went non-finite during concurrent update")
 	}
 }
+
+// Two clones trained at once share the pooled gradient arenas of
+// nn.Backward (each call takes its own): both must end with the weights of
+// the same training run done alone. Run with -race.
+func TestConcurrentFitMatchesSerial(t *testing.T) {
+	tuner, ds := concurrencyTuner(t)
+	encoded := EncodeAll(tuner.Model.Encoder, ds.Instances)
+	fit := func() uint64 {
+		m := tuner.Model.Clone()
+		m.Fit(encoded, rand.New(rand.NewSource(7)))
+		return weightChecksum(m)
+	}
+	want := fit()
+	var got [2]uint64
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = fit()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("concurrent Fit %d: weight checksum %#016x, serial run %#016x", i, g, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 
 	"lite/internal/feature"
 )
@@ -28,7 +29,13 @@ const modelFormat = "lite-necs-v1"
 // Save serializes the model (weights + vocabularies + hyperparameters) as
 // JSON. The encoder's caches are not persisted; they rebuild lazily.
 func (m *NECS) Save(w io.Writer) error {
-	mf := modelFile{
+	return json.NewEncoder(w).Encode(m.file())
+}
+
+// file is the model's on-disk form. Its Params alias the live weights
+// rather than copying them, so it must be encoded before m trains again.
+func (m *NECS) file() *modelFile {
+	mf := &modelFile{
 		Format:  modelFormat,
 		Config:  m.Cfg,
 		Vocab:   m.Encoder.Vocab.Export(),
@@ -37,10 +44,9 @@ func (m *NECS) Save(w io.Writer) error {
 	}
 	for _, p := range m.Params() {
 		mf.Shapes = append(mf.Shapes, [2]int{p.Value.Rows, p.Value.Cols})
-		mf.Params = append(mf.Params, append([]float64(nil), p.Value.Data...))
+		mf.Params = append(mf.Params, p.Value.Data)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&mf)
+	return mf
 }
 
 // LoadNECS reconstructs a model previously written by Save.
@@ -87,23 +93,38 @@ type tunerFile struct {
 
 const tunerFormat = "lite-tuner-v1"
 
-// Save serializes the whole tuner (NECS + ACG) as JSON.
+// Save serializes the whole tuner (NECS + ACG) as JSON, in one Write.
+// The bytes are those of json.NewEncoder(w).Encode(&tunerFile{…}) with the
+// encoded model and ACG as its raw fields; the envelope is written here
+// directly so those ≈0.75 MB are not re-validated and re-compacted, and
+// the ACG's forests come from its encode-once cache (encodedForests).
 func (t *Tuner) Save(w io.Writer) error {
-	var model bytes.Buffer
-	if err := t.Model.Save(&model); err != nil {
-		return err
-	}
-	acg, err := json.Marshal(t.ACG)
+	model, err := json.Marshal(t.Model.file())
 	if err != nil {
 		return err
 	}
-	return json.NewEncoder(w).Encode(&tunerFile{
-		Format:        tunerFormat,
-		Model:         model.Bytes(),
-		ACG:           acg,
-		NumCandidates: t.NumCandidates,
-		UpdateBatch:   t.UpdateBatch,
-	})
+	size := len(model) + 1024 // the envelope and the ACG's small fields
+	if t.ACG != nil {
+		forests, err := t.ACG.encodedForests()
+		if err != nil {
+			return err
+		}
+		size += len(forests)
+	}
+	buf := append(make([]byte, 0, size), `{"format":"`+tunerFormat+`","model":`...)
+	buf = append(buf, model...)
+	buf = append(buf, `,"acg":`...)
+	if t.ACG == nil {
+		buf = append(buf, "null"...)
+	} else if buf, err = t.ACG.appendJSON(buf); err != nil {
+		return err
+	}
+	buf = append(buf, `,"num_candidates":`...)
+	buf = strconv.AppendInt(buf, int64(t.NumCandidates), 10)
+	buf = append(buf, `,"update_batch":`...)
+	buf = strconv.AppendInt(buf, int64(t.UpdateBatch), 10)
+	_, err = w.Write(append(buf, "}\n"...))
+	return err
 }
 
 // LoadTuner reconstructs a tuner previously written by Save. The returned

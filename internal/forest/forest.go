@@ -171,6 +171,23 @@ func (t *Tree) Predict(row []float64) float64 {
 	return n.value
 }
 
+// MaxFeature returns the largest feature index a split of the tree reads,
+// or −1 for a single leaf: Predict needs rows at least one wider.
+func (t *Tree) MaxFeature() int {
+	m := -1
+	stack := []*node{t.root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n.leaf {
+			continue
+		}
+		m = max(m, n.feature)
+		stack = append(stack, n.left, n.right)
+	}
+	return m
+}
+
 // Depth returns the maximum depth of the tree.
 func (t *Tree) Depth() int { return depthOf(t.root) }
 
@@ -237,6 +254,15 @@ func (f *Forest) Predict(row []float64) float64 {
 		s += t.Predict(row)
 	}
 	return s / float64(len(f.Trees))
+}
+
+// MaxFeature returns the largest Tree.MaxFeature over the forest.
+func (f *Forest) MaxFeature() int {
+	m := -1
+	for _, t := range f.Trees {
+		m = max(m, t.MaxFeature())
+	}
+	return m
 }
 
 // PredictStd returns the mean and standard deviation across trees, a

@@ -169,3 +169,43 @@ func TestTreeUnmarshalRejectsCorrupt(t *testing.T) {
 		t.Fatal("expected error for out-of-range children")
 	}
 }
+
+// flatten writes nodes in pre-order, so a split's children follow it and
+// every node but the root has exactly one parent; anything else would
+// make Predict loop or walk a shared subtree, and is rejected at decode.
+func TestTreeUnmarshalRejectsNonPreorder(t *testing.T) {
+	for name, js := range map[string]string{
+		"child is its parent":  `{"feature":[0,0,0],"thresh":[1,0,0],"left":[0,-1,-1],"right":[2,-1,-1],"value":[0,1,2],"leaf":[false,true,true]}`,
+		"child precedes split": `{"feature":[0,0,0],"thresh":[1,1,0],"left":[1,0,-1],"right":[2,2,-1],"value":[0,1,2],"leaf":[false,false,true]}`,
+		"shared child":         `{"feature":[0,0],"thresh":[1,0],"left":[1,-1],"right":[1,-1],"value":[0,1],"leaf":[false,true]}`,
+		"orphan node":          `{"feature":[0,0,0,0],"thresh":[1,0,0,0],"left":[1,-1,-1,-1],"right":[2,-1,-1,-1],"value":[0,1,2,3],"leaf":[false,true,true,true]}`,
+		"negative feature":     `{"feature":[-1,0,0],"thresh":[1,0,0],"left":[1,-1,-1],"right":[2,-1,-1],"value":[0,1,2],"leaf":[false,true,true]}`,
+	} {
+		var tr Tree
+		if err := json.Unmarshal([]byte(js), &tr); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	var f Forest
+	if err := json.Unmarshal([]byte(`[null]`), &f); err == nil {
+		t.Error("a forest holding a null tree decoded without error")
+	}
+}
+
+func TestMaxFeature(t *testing.T) {
+	var tr Tree
+	if err := json.Unmarshal([]byte(`{"feature":[2,0,5,0,0],"thresh":[1,0,1,0,0],"left":[1,-1,3,-1,-1],"right":[2,-1,4,-1,-1],"value":[0,1,2,3,4],"leaf":[false,true,false,true,true]}`), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.MaxFeature(); got != 5 {
+		t.Fatalf("MaxFeature = %d, want 5", got)
+	}
+	var leaf Tree
+	if err := json.Unmarshal([]byte(`{"feature":[0],"thresh":[0],"left":[-1],"right":[-1],"value":[3],"leaf":[true]}`), &leaf); err != nil {
+		t.Fatal(err)
+	}
+	f := Forest{Trees: []*Tree{&leaf, &tr}}
+	if leaf.MaxFeature() != -1 || f.MaxFeature() != 5 {
+		t.Fatalf("MaxFeature: leaf %d, forest %d; want -1 and 5", leaf.MaxFeature(), f.MaxFeature())
+	}
+}

@@ -134,6 +134,27 @@ func refMatMul(a, b *Node) *Node {
 	return newNode(v, back, a, b)
 }
 
+// refReLU is ReLU with its input gradient materialised before it is
+// added.
+func refReLU(a *Node) *Node {
+	v := tensor.Apply(a.Value, func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	})
+	back := func(g *tensor.Tensor) {
+		gi := tensor.New(g.Rows, g.Cols)
+		for i, x := range a.Value.Data {
+			if x > 0 {
+				gi.Data[i] = g.Data[i]
+			}
+		}
+		a.accumGrad(gi)
+	}
+	return newNode(v, back, a)
+}
+
 // sparsify zeroes each element with probability sparsity; a third of the
 // zeros are −0.
 func sparsify(t *tensor.Tensor, sparsity float64, rng *rand.Rand) *tensor.Tensor {
@@ -337,24 +358,93 @@ func TestConvAndEmbeddingBackwardMatchReferenceBitwise(t *testing.T) {
 
 func TestMatMulBackwardMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	// k is b.Rows, the width ∂a = g·bᵀ is computed four at a time: every
+	// tail length and more than one full group.
 	for _, m := range []int{1, 3} {
-		for _, k := range []int{1, 4, 7} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 			for _, n := range []int{1, 6} {
 				for _, sparsity := range []float64{0, 0.5, 1} {
 					name := fmt.Sprintf("%dx%dx%d/zeros=%v", m, k, n, sparsity)
 					a, refA := twin(sparsify(tensor.Randn(m, k, 1, rng), sparsity, rng), rng)
 					b, refB := twin(sparsify(tensor.Randn(k, n, 1, rng), 0.1, rng), rng)
 					w := tensor.Randn(m, n, 1, rng)
-					for pass := 0; pass < 2; pass++ {
-						Backward(weightedSum(MatMul(a, b), w))
-						Backward(weightedSum(refMatMul(refA, refB), w))
-					}
-					requireSameBits(t, name+": a grad", a.Grad.Data, refA.Grad.Data)
-					requireSameBits(t, name+": b grad", b.Grad.Data, refB.Grad.Data)
+					requireSameMatMulBackward(t, name, a, b, refA, refB, w)
 				}
 			}
 		}
 	}
+}
+
+// Zeros, −0, NaN and ±Inf in either operand: the four-wide ∂a loop must
+// produce the reference's bits for them too, NaN payloads included.
+func TestMatMulBackwardNonFiniteMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	spike := func(v *tensor.Tensor) *tensor.Tensor {
+		for i := range v.Data {
+			if rng.Intn(4) == 0 {
+				v.Data[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return v
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+		for _, side := range []string{"a", "b", "both"} {
+			name := fmt.Sprintf("2x%dx5/specials in %s", k, side)
+			av, bv := tensor.Randn(2, k, 1, rng), tensor.Randn(k, 5, 1, rng)
+			if side != "b" {
+				spike(av)
+			}
+			if side != "a" {
+				spike(bv)
+			}
+			a, refA := twin(av, rng)
+			b, refB := twin(bv, rng)
+			requireSameMatMulBackward(t, name, a, b, refA, refB, tensor.Randn(2, 5, 1, rng))
+		}
+	}
+}
+
+// ReLU's backward adds into the gradient in place; inputs and upstream
+// gradients holding ±0, NaN and ±Inf must give the reference's bits.
+func TestReLUBackwardMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, shape := range [][2]int{{1, 1}, {3, 7}, {16, 64}} {
+		x, w := tensor.Randn(shape[0], shape[1], 1, rng), tensor.Randn(shape[0], shape[1], 1, rng)
+		for _, v := range []*tensor.Tensor{x, w} {
+			for i := range v.Data {
+				if rng.Intn(4) == 0 {
+					v.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		a, refA := twin(x, rng)
+		for pass := 0; pass < 2; pass++ {
+			Backward(weightedSum(ReLU(a), w))
+			Backward(weightedSum(refReLU(refA), w))
+		}
+		requireSameBits(t, fmt.Sprintf("%dx%d: input grad", shape[0], shape[1]), a.Grad.Data, refA.Grad.Data)
+	}
+	// As an intermediate node, whose gradient starts at +0 in the arena.
+	x := NewParam(tensor.Randn(4, 5, 1, rng), "x")
+	refX := NewParam(x.Value.Clone(), "x")
+	w, m := tensor.Randn(4, 5, 1, rng), NewConst(tensor.Randn(4, 5, 1, rng))
+	Backward(weightedSum(ReLU(Mul(x, m)), w))
+	Backward(weightedSum(refReLU(Mul(refX, m)), w))
+	requireSameBits(t, "intermediate input grad", x.Grad.Data, refX.Grad.Data)
+}
+
+// requireSameMatMulBackward runs two backward passes through MatMul and
+// through refMatMul and compares both operands' gradients bit for bit.
+func requireSameMatMulBackward(t *testing.T, name string, a, b, refA, refB *Node, w *tensor.Tensor) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		Backward(weightedSum(MatMul(a, b), w))
+		Backward(weightedSum(refMatMul(refA, refB), w))
+	}
+	requireSameBits(t, name+": a grad", a.Grad.Data, refA.Grad.Data)
+	requireSameBits(t, name+": b grad", b.Grad.Data, refB.Grad.Data)
 }
 
 // The fused bias-add + ReLU pass of MLP.InferBatch must give the bits of

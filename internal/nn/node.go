@@ -9,11 +9,13 @@
 // The engine is tensor-valued: every Node holds a matrix, and the backward
 // pass propagates matrix-shaped gradients. Graphs are built dynamically per
 // forward pass and freed by the garbage collector; only parameter nodes
-// persist across steps.
+// persist across steps. The gradients of intermediate nodes live in one
+// pooled buffer that Backward lends them for the duration of that call.
 package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"lite/internal/tensor"
 )
@@ -28,6 +30,10 @@ type Node struct {
 	parents      []*Node
 	backFn       func(grad *tensor.Tensor)
 	name         string
+
+	// gradSlot is this node's gradient storage in the arena of the
+	// Backward call in progress; nil outside Backward and for leaves.
+	gradSlot *tensor.Tensor
 }
 
 // NewParam wraps t as a trainable parameter node.
@@ -58,10 +64,16 @@ func (n *Node) Scalar() float64 {
 	return n.Value.Data[0]
 }
 
-// ensureGrad lazily allocates the gradient buffer.
+// ensureGrad lazily provides the gradient buffer, zeroed: the node's arena
+// slot during Backward, a fresh tensor for a parameter.
 func (n *Node) ensureGrad() *tensor.Tensor {
 	if n.Grad == nil {
-		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+		if s := n.gradSlot; s != nil {
+			clear(s.Data)
+			n.Grad = s
+		} else {
+			n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+		}
 	}
 	return n.Grad
 }
@@ -97,6 +109,7 @@ func Backward(root *Node) {
 		panic("nn: Backward root must be scalar")
 	}
 	order := topoSort(root)
+	ar := lendGradSlots(order)
 	root.ensureGrad().Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
@@ -104,13 +117,59 @@ func Backward(root *Node) {
 			n.backFn(n.Grad)
 		}
 	}
-	// Free intermediate gradient buffers so repeated forward passes that
-	// share parameter nodes do not read stale gradients.
+	// Drop intermediate gradients so repeated forward passes that share
+	// parameter nodes do not read stale gradients, then hand the arena
+	// back: no node refers to it any more.
 	for _, n := range order {
 		if len(n.parents) > 0 {
-			n.Grad = nil
+			n.Grad, n.gradSlot = nil, nil
 		}
 	}
+	gradArenas.Put(ar)
+}
+
+// gradArena is the gradient storage of one Backward call: one buffer that
+// every intermediate node's gradient is a slice of, and one tensor header
+// per node. Arenas are pooled, so a training loop's steady state allocates
+// no intermediate gradients; an arena is only ever lent to one call.
+type gradArena struct {
+	data  []float64
+	heads []tensor.Tensor
+}
+
+var gradArenas = sync.Pool{New: func() any { return new(gradArena) }}
+
+// lendGradSlots takes an arena from the pool and gives every intermediate
+// node of order (one with parents) its slot. A slot is zeroed only when
+// ensureGrad first claims it, so a node that receives no gradient keeps a
+// nil Grad and Backward still skips its backFn.
+func lendGradSlots(order []*Node) *gradArena {
+	size, count := 0, 0
+	for _, n := range order {
+		if len(n.parents) > 0 {
+			size += n.Value.Size()
+			count++
+		}
+	}
+	ar := gradArenas.Get().(*gradArena)
+	if cap(ar.data) < size {
+		ar.data = make([]float64, size)
+	}
+	if cap(ar.heads) < count {
+		ar.heads = make([]tensor.Tensor, count)
+	}
+	data, heads := ar.data[:size], ar.heads[:count]
+	for _, n := range order {
+		if len(n.parents) == 0 {
+			continue
+		}
+		sz := n.Value.Size()
+		h := &heads[0]
+		*h = tensor.Tensor{Rows: n.Value.Rows, Cols: n.Value.Cols, Data: data[:sz:sz]}
+		n.gradSlot = h
+		data, heads = data[sz:], heads[1:]
+	}
+	return ar
 }
 
 // topoSort returns nodes in topological order (parents before children),

@@ -13,17 +13,38 @@ func MatMul(a, b *Node) *Node {
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
 			// ∂a = g·bᵀ: each element is one dot product, finished in a
-			// register and added to the gradient once.
+			// register and added to the gradient once. Four elements share
+			// each pass over g's row, each in its own j-ascending
+			// accumulator, so every element sums in the serial order.
 			ga, bv := a.ensureGrad().Data, b.Value
 			for i := 0; i < g.Rows; i++ {
 				grow := g.RowView(i)
-				for k := 0; k < bv.Rows; k++ {
+				arow := ga[i*bv.Rows:][:bv.Rows]
+				k := 0
+				for ; k+4 <= bv.Rows; k += 4 {
+					b0 := bv.RowView(k)[:len(grow)]
+					b1 := bv.RowView(k + 1)[:len(grow)]
+					b2 := bv.RowView(k + 2)[:len(grow)]
+					b3 := bv.RowView(k + 3)[:len(grow)]
+					var s0, s1, s2, s3 float64
+					for j, gv := range grow {
+						s0 += gv * b0[j]
+						s1 += gv * b1[j]
+						s2 += gv * b2[j]
+						s3 += gv * b3[j]
+					}
+					arow[k] += s0
+					arow[k+1] += s1
+					arow[k+2] += s2
+					arow[k+3] += s3
+				}
+				for ; k < bv.Rows; k++ {
 					brow := bv.RowView(k)[:len(grow)]
 					var s float64
 					for j, gv := range grow {
 						s += gv * brow[j]
 					}
-					ga[i*bv.Rows+k] += s
+					arow[k] += s
 				}
 			}
 		}
@@ -135,13 +156,15 @@ func ReLU(a *Node) *Node {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(g.Rows, g.Cols)
+		// Straight into the gradient. An element with x ≤ 0 would add +0,
+		// and a gradient that starts at +0 and is only added to never
+		// holds −0, so skipping it changes no bit.
+		ga := a.ensureGrad().Data
 		for i, x := range a.Value.Data {
 			if x > 0 {
-				gi.Data[i] = g.Data[i]
+				ga[i] += g.Data[i]
 			}
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }

@@ -112,20 +112,27 @@ func NewAdam(params []*Node, lr float64) *Adam {
 // Step applies one Adam update.
 func (a *Adam) Step() {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	// The hyperparameters are loaded once and every slice is re-sliced to
+	// the weights' length, so the loop body has no bounds checks. The
+	// update expression's evaluation order is part of the trained weights'
+	// bits (internal/core/bits_test.go): keep it term for term.
+	beta1, beta2, lr, eps, wd := a.Beta1, a.Beta2, a.LR, a.Eps, a.WeightDecay
+	bc1 := 1 - math.Pow(beta1, float64(a.t))
+	bc2 := 1 - math.Pow(beta2, float64(a.t))
 	for i, p := range a.Params {
 		if p.Grad == nil {
 			continue
 		}
-		m, v := a.m[i], a.v[i]
-		for j := range p.Value.Data {
-			g := p.Grad.Data[j]
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mHat := m.Data[j] / bc1
-			vHat := v.Data[j] / bc2
-			p.Value.Data[j] -= a.LR * (mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*p.Value.Data[j])
+		w := p.Value.Data
+		grad := p.Grad.Data[:len(w)]
+		m, v := a.m[i].Data[:len(w)], a.v[i].Data[:len(w)]
+		for j := range w {
+			g := grad[j]
+			m[j] = beta1*m[j] + (1-beta1)*g
+			v[j] = beta2*v[j] + (1-beta2)*g*g
+			mHat := m[j] / bc1
+			vHat := v[j] / bc2
+			w[j] -= lr * (mHat/(math.Sqrt(vHat)+eps) + wd*w[j])
 		}
 	}
 }

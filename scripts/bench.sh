@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Run the parallel-engine and training-step benchmarks
+# Run the parallel-engine, training-step and snapshot-write benchmarks
 # (bench_parallel_test.go) and emit BENCH_parallel.json: GOMAXPROCS as the
 # test binary saw it (the -N suffix go test gives benchmark names),
-# per-benchmark ns/op, allocs/op and stages/inst where reported, and the
-# serial-vs-pooled speedup for recommendation scoring.
+# per-benchmark ns/op, allocs/op, bytes/op and stages/inst where reported,
+# and the serial-vs-pooled speedup for recommendation scoring.
 #
 # Usage:
 #   ./scripts/bench.sh              # default -benchtime 3x
@@ -18,11 +18,11 @@ OUT="${OUT:-BENCH_parallel.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench: running BenchmarkRecommend + BenchmarkFit + BenchmarkAMU + BenchmarkTowerGEMM (-benchtime $BENCHTIME)…" >&2
-go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTowerGEMM' -benchtime "$BENCHTIME" . | tee "$raw" >&2
+echo "bench: running BenchmarkRecommend + BenchmarkFit + BenchmarkAMU + BenchmarkTunerSave + BenchmarkTowerGEMM (-benchtime $BENCHTIME)…" >&2
+go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM' -benchtime "$BENCHTIME" . | tee "$raw" >&2
 
 awk -v benchtime="$BENCHTIME" '
-$1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(Fit|AMU)(-[0-9]+)?$/ {
+$1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(Fit|AMU|TunerSave)(-[0-9]+)?$/ {
     # BenchmarkRecommend/workers=4-8   12   345 ns/op ...: go test appends
     # -GOMAXPROCS to every name unless it is 1.
     name = $1
@@ -32,6 +32,7 @@ $1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(F
     for (i = 3; i < NF; i++) {
         if ($(i + 1) == "ns/op") nsop[name] = $i
         if ($(i + 1) == "allocs/op") allocs[name] = $i
+        if ($(i + 1) == "B/op") bytes[name] = $i
         if ($(i + 1) == "stages/inst") stages[name] = $i
     }
     order[n++] = name
@@ -45,6 +46,7 @@ END {
         name = order[i]
         extra = ""
         if (name in allocs) extra = extra sprintf(", \"allocs_per_op\": %d", allocs[name])
+        if (name in bytes) extra = extra sprintf(", \"bytes_per_op\": %d", bytes[name])
         if (name in stages) extra = extra sprintf(", \"stages_per_inst\": %s", stages[name])
         printf "    \"%s\": {\"ns_per_op\": %.0f, \"iterations\": %d%s}%s\n", \
             name, nsop[name], iters[name], extra, (i < n - 1 ? "," : "")

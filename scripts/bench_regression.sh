@@ -12,6 +12,12 @@
 # sub-millisecond lookups on a ~10k-entry store, so an absolute budget is
 # the contract rather than a ratio against a committed baseline.
 #
+# And gates the training step's work, not its time: BenchmarkAMU and
+# BenchmarkFit allocs/op, run at GOMAXPROCS=1 like the committed baseline,
+# may exceed BENCH_parallel.json's allocs_per_op by at most 2%. Allocation
+# counts do not spread with the machine, so the bound can be that tight;
+# it catches a per-node or per-step buffer creeping back into training.
+#
 # Usage:
 #   ./scripts/bench_regression.sh                # default -benchtime 5x, ratio 2.0
 #   BENCHTIME=3x MAX_RATIO=3.0 MAX_LOOKUP_NS=2000000 ./scripts/bench_regression.sh
@@ -29,6 +35,8 @@ REPORT="${REPORT:-bench_regression.txt}"
 BENCH="BenchmarkRecommend/workers=1"
 LOOKUP_BENCH="BenchmarkRetrievalLookup"
 MAX_LOOKUP_NS="${MAX_LOOKUP_NS:-1000000}"
+ALLOC_BENCHES="BenchmarkAMU BenchmarkFit"
+MAX_ALLOC_RATIO=1.02
 
 baseline="$(awk -v key="\"$BENCH\"" '
     $0 ~ key { if (match($0, /"ns_per_op": *[0-9]+/))
@@ -71,6 +79,34 @@ fi
 lookup_verdict="$(awk -v m="$lookup_measured" -v lim="$MAX_LOOKUP_NS" '
     BEGIN { print (m > lim) ? "FAIL" : "ok" }')"
 
+echo "bench-regression: running ${ALLOC_BENCHES// / + } allocs/op (-benchtime $BENCHTIME -cpu 1)…" >&2
+alloc_raw="$(mktemp)"
+trap 'rm -f "$raw" "$lookup_raw" "$alloc_raw"' EXIT
+go test -run '^$' -bench "^(${ALLOC_BENCHES// /|})\$" -benchtime "$BENCHTIME" -cpu 1 . | tee "$alloc_raw" >&2
+
+alloc_report=""
+alloc_failed=""
+for name in $ALLOC_BENCHES; do
+    base_allocs="$(awk -v key="\"$name\"" '
+        $0 ~ key { if (match($0, /"allocs_per_op": *[0-9]+/))
+            print substr($0, RSTART + 16, RLENGTH - 16) }
+    ' "$BASELINE_FILE" | tr -d ' ')"
+    got_allocs="$(awk -v name="$name" '$1 == name {
+        for (i = 3; i < NF; i++) if ($(i + 1) == "allocs/op") { print $i; exit }
+    }' "$alloc_raw")"
+    if [[ -z "$base_allocs" || -z "$got_allocs" ]]; then
+        echo "bench-regression: no $name allocs/op (baseline '${base_allocs}', measured '${got_allocs}')" >&2
+        exit 2
+    fi
+    v="$(awk -v m="$got_allocs" -v b="$base_allocs" -v r="$MAX_ALLOC_RATIO" '
+        BEGIN { print (m > b * r) ? "FAIL" : "ok" }')"
+    alloc_report+="$(printf '%-12s %s allocs/op, baseline %s (limit %sx): %s' \
+        "$name" "$got_allocs" "$base_allocs" "$MAX_ALLOC_RATIO" "$v")"$'\n'
+    if [[ "$v" == "FAIL" ]]; then
+        alloc_failed+=" $name"
+    fi
+done
+
 {
     echo "benchmark:   $BENCH"
     echo "baseline:    $baseline ns/op ($BASELINE_FILE)"
@@ -82,6 +118,8 @@ lookup_verdict="$(awk -v m="$lookup_measured" -v lim="$MAX_LOOKUP_NS" '
     echo "measured:    $lookup_measured ns/op (-benchtime $BENCHTIME)"
     echo "budget:      $MAX_LOOKUP_NS ns/op (absolute)"
     echo "verdict:     $lookup_verdict"
+    echo
+    printf '%s' "$alloc_report"
 } | tee "$REPORT"
 
 if [[ "$verdict" == "FAIL" ]]; then
@@ -90,5 +128,9 @@ if [[ "$verdict" == "FAIL" ]]; then
 fi
 if [[ "$lookup_verdict" == "FAIL" ]]; then
     echo "bench-regression: $LOOKUP_BENCH ${lookup_measured} ns/op exceeds ${MAX_LOOKUP_NS} ns/op budget" >&2
+    exit 1
+fi
+if [[ -n "$alloc_failed" ]]; then
+    echo "bench-regression:${alloc_failed} allocs/op exceeds the committed baseline by more than ${MAX_ALLOC_RATIO}x" >&2
     exit 1
 fi
