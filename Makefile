@@ -30,7 +30,9 @@ lint:
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
 # The grep keeps every rename and directory fsync inside internal/wal, so a
 # durable file can only be written through wal.WriteFileAtomic (DESIGN.md §9).
-# The fidelity gate last: the paper tables must not drift silently.
+# Each fuzz target (testing.F) then runs for 10 s; -fuzzminimizetime keeps
+# the engine fuzzing instead of minimizing every new corpus entry for a
+# minute. The fidelity gate last: the paper tables must not drift silently.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -38,7 +40,9 @@ verify:
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/...
+	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
+	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/feature
 	./scripts/fidelity.sh
 
 # fidelity re-runs litebench's Table VI and Table IX and diffs them, timing
@@ -67,15 +71,16 @@ fleet-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 45m
 
-# bench-parallel runs the scoring, training, AMU and tower-GEMM benchmarks and
+# bench-parallel runs the scoring, training, AMU, tower-GEMM and hit-path benchmarks and
 # writes BENCH_parallel.json (see DESIGN.md §7 and README "Performance").
 bench-parallel:
 	./scripts/bench.sh
 
 # bench-regression re-runs the single-core recommendation benchmark and
 # fails if it regressed >2x against the committed BENCH_parallel.json
-# baseline, or if BenchmarkAMU / BenchmarkFit allocate >2% more per op
-# (see BENCHMARKS.md). Writes bench_regression.txt.
+# baseline, or if BenchmarkAMU / BenchmarkFit / BenchmarkHandlerHit /
+# BenchmarkRecommendHit allocate >2% more per op (see BENCHMARKS.md).
+# Writes bench_regression.txt.
 bench-regression:
 	./scripts/bench_regression.sh
 

@@ -1,26 +1,35 @@
-// Benchmarks for the parallel scoring engine and the training step (see
-// DESIGN.md §7 and §12.8). These are what scripts/bench.sh runs to produce
-// BENCH_parallel.json: recommend latency at several pool widths, Fit and
-// AMU cost, the snapshot write after an update, and the tower GEMM shapes.
-// A small dedicated fixture keeps them fast enough for a CI smoke run
-// (-benchtime=1x); the paper-scale benchmarks live in bench_test.go. Run
-// with:
+// Benchmarks for the parallel scoring engine, the training step and the
+// serving hit path (see DESIGN.md §7, §12.8 and §8). These are what
+// scripts/bench.sh runs to produce BENCH_parallel.json: recommend latency
+// at several pool widths, Fit and AMU cost, the snapshot write after an
+// update, the tower GEMM shapes, and the work of one cache hit through the
+// handler and through the client. A small dedicated fixture keeps them
+// fast enough for a CI smoke run (-benchtime=1x); the paper-scale
+// benchmarks live in bench_test.go. Run with:
 //
-//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM' -benchtime 3x
+//	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM|BenchmarkHandlerHit' -benchtime 3x
 package lite
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 
 	"lite/internal/core"
+	"lite/internal/serve"
 	"lite/internal/sparksim"
 	"lite/internal/tensor"
 	"lite/internal/workload"
+	"lite/pkg/api"
+	"lite/pkg/client"
 )
 
 var (
@@ -217,4 +226,80 @@ func BenchmarkTowerGEMM(b *testing.B) {
 			b.ReportMetric(float64(sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds(), "MAC/s")
 		})
 	}
+}
+
+// hitServer starts a server on the fixture tuner with default options and
+// returns it with a request whose answer is already cached.
+func hitServer(b *testing.B) (*serve.Server, api.RecommendRequest) {
+	tuner, _ := parBench()
+	s := serve.New(tuner.CloneForUpdate(1), serve.Options{})
+	if err := s.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Shutdown(nil) })
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 700, Cluster: "C"}
+	if _, err := s.Recommend(req); err != nil {
+		b.Fatal(err)
+	}
+	return s, req
+}
+
+// BenchmarkHandlerHit measures one cache hit through the server's HTTP
+// handler — routing, instrumentation, request decoding, the cache and the
+// response encoding — into a fresh httptest.ResponseRecorder, with no
+// network in between.
+func BenchmarkHandlerHit(b *testing.B) {
+	s, req := hitServer(b)
+	h := s.Handler()
+	body, _ := json.Marshal(req)
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v1/recommend", rd) // rewound per hit
+	hit := func() {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < warmHits; i++ {
+		hit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
+}
+
+// warmHits is how many hits run before the timer starts: enough for the
+// one-off work of a fresh server, handler and connection (series, pools,
+// buffers) to be done, so allocs/op does not depend on -benchtime.
+const warmHits = 10
+
+// BenchmarkRecommendHit measures one cache hit end to end through
+// pkg/client over a loopback keep-alive connection: request encoding, both
+// HTTP stacks, the handler, and response decoding. Allocations count both
+// sides, since they share the process.
+func BenchmarkRecommendHit(b *testing.B) {
+	s, req := hitServer(b)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	cl := client.New(srv.URL)
+	ctx := context.Background()
+	hit := func() {
+		resp, err := cl.Recommend(ctx, req)
+		if err != nil || !resp.Cached {
+			b.Fatalf("resp %+v, err %v", resp, err)
+		}
+	}
+	for i := 0; i < warmHits; i++ {
+		hit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
+	b.StopTimer() // before the deferred Close tears the connection down
 }

@@ -8,7 +8,6 @@ package feature
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"lite/internal/instrument"
 	"lite/internal/sparksim"
@@ -22,25 +21,27 @@ const OOVID = 0
 
 // Tokenize splits source code into tokens: identifiers and literals, with
 // punctuation discarded. Case is preserved because Spark API names
-// (sortByKey, treeAggregate) are the discriminative vocabulary.
+// (sortByKey, treeAggregate) are the discriminative vocabulary. A token is
+// a maximal run of ASCII letters, digits and underscores; every other
+// byte separates, which splits at every non-ASCII rune and every invalid
+// UTF-8 byte alike, since both consist of bytes ≥ 0x80 only. The tokens
+// are substrings of code.
 func Tokenize(code string) []string {
 	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
+	start := -1
+	for i := 0; i < len(code); i++ {
+		if c := code[i]; c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			toks = append(toks, code[start:i])
+			start = -1
 		}
 	}
-	for _, r := range code {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			cur.WriteRune(r)
-		default:
-			flush()
-		}
+	if start >= 0 {
+		toks = append(toks, code[start:])
 	}
-	flush()
 	return toks
 }
 

@@ -28,7 +28,6 @@ package retrieval
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -107,11 +106,14 @@ func EmbedApp(spec *sparksim.AppSpec) []float64 {
 	return Embed(toks, ops)
 }
 
-// hashSlot maps a string into [0, mod) with FNV-1a.
+// hashSlot maps a string into [0, mod) with 32-bit FNV-1a.
 func hashSlot(s string, mod int) int {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return int(h.Sum32() % uint32(mod))
+	h := uint32(2166136261) // FNV-1a offset basis
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return int(h % uint32(mod))
 }
 
 // EnvFingerprint identifies an environment for retrieval keying: the full

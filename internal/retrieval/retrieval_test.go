@@ -2,8 +2,10 @@ package retrieval
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -279,5 +281,19 @@ func TestConcurrentLookupDuringRebuild(t *testing.T) {
 	wg.Wait()
 	if got := s.Len(); got < len(seedEntries) {
 		t.Fatalf("Len = %d after concurrent adds, want ≥ %d", got, len(seedEntries))
+	}
+}
+
+// TestHashSlotMatchesFNV: the inlined hash is hash/fnv's 32-bit FNV-1a, so
+// every embedding keeps its slots.
+func TestHashSlotMatchesFNV(t *testing.T) {
+	for _, s := range []string{"", "a", "reduceByKey", "treeAggregate", "héllo\xff", strings.Repeat("xyz", 100)} {
+		h := fnv.New32a()
+		h.Write([]byte(s))
+		for _, mod := range []int{codeDim, opDim} {
+			if got, want := hashSlot(s, mod), int(h.Sum32()%uint32(mod)); got != want {
+				t.Fatalf("hashSlot(%q, %d) = %d, want %d", s, mod, got, want)
+			}
+		}
 	}
 }

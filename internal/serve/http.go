@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
 	"sync"
 	"time"
 
+	"lite/internal/metrics"
 	"lite/internal/session"
 	"lite/pkg/api"
 )
@@ -108,13 +110,33 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 
 func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 	hist := s.reg.Histogram(fmt.Sprintf("lite_http_request_seconds{endpoint=%q}", endpoint), nil)
+	codes := &codeCounters{reg: s.reg, endpoint: endpoint}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		hist.Observe(time.Since(start).Seconds())
-		s.reg.Counter(fmt.Sprintf("lite_http_requests_total{endpoint=%q,code=\"%d\"}", endpoint, rec.code)).Inc()
+		codes.counter(rec.code).Inc()
 	})
+}
+
+// codeCounters resolves one endpoint's lite_http_requests_total series by
+// status code. A series is created on the code's first response, so
+// /metrics lists only codes that occurred, and from then on is found
+// without formatting its name.
+type codeCounters struct {
+	reg      *metrics.Registry
+	endpoint string
+	byCode   sync.Map // int → *metrics.Counter
+}
+
+func (c *codeCounters) counter(code int) *metrics.Counter {
+	if ctr, ok := c.byCode.Load(code); ok {
+		return ctr.(*metrics.Counter)
+	}
+	ctr, _ := c.byCode.LoadOrStore(code,
+		c.reg.Counter(fmt.Sprintf("lite_http_requests_total{endpoint=%q,code=\"%d\"}", c.endpoint, code)))
+	return ctr.(*metrics.Counter)
 }
 
 // encodeErrLogOnce gates the stderr warning for response-encode failures:
@@ -130,11 +152,51 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.reg.Counter("lite_http_encode_errors_total").Inc()
-		encodeErrLogOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "serve: encoding response body: %v (counting further occurrences in lite_http_encode_errors_total)\n", err)
-		})
+		s.encodeFailed(err)
 	}
+}
+
+// bodyPool holds the buffers recommend responses are encoded into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps what goes back into bodyPool, so one response with
+// an enormous app name does not pin its buffer.
+const maxPooledBody = 64 << 10
+
+// jsonContentType is the Content-Type header value shared by every
+// recommend answer; header values are only read once set.
+var jsonContentType = []string{"application/json"}
+
+// writeRecommend writes a 200 recommend answer with the bytes, headers
+// and encode-error accounting of writeJSON, encoded by
+// api.AppendRecommendResponse into a pooled buffer: every cache hit ends
+// here, and reflection was a third of a hit's CPU.
+func (s *Server) writeRecommend(w http.ResponseWriter, resp *RecommendResponse) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	buf := bodyPool.Get().(*[]byte)
+	body, err := api.AppendRecommendResponse((*buf)[:0], resp)
+	if err != nil {
+		s.encodeFailed(err)
+	} else {
+		body = append(body, '\n')
+		if _, err := w.Write(body); err != nil {
+			s.encodeFailed(err)
+		}
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body[:0]
+		bodyPool.Put(buf)
+	}
+}
+
+// encodeFailed counts a response body that could not be encoded after its
+// status was committed, and logs the first one.
+func (s *Server) encodeFailed(err error) {
+	s.reg.Counter("lite_http_encode_errors_total").Inc()
+	encodeErrLogOnce.Do(func() {
+		fmt.Fprintf(os.Stderr, "serve: encoding response body: %v (counting further occurrences in lite_http_encode_errors_total)\n", err)
+	})
 }
 
 // writeAPIError writes the unified /v1 error envelope. A non-zero retryMS
@@ -205,14 +267,22 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, methods .
 	return false
 }
 
-// decodeBody enforces POST and decodes a bounded, strict JSON body into v.
+// decodeBody enforces POST and decodes a bounded, strict JSON body into v:
+// one JSON value with no unknown fields, followed by nothing but
+// whitespace.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeAPIError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return false
 	}
@@ -241,7 +311,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeRecommend(w, &resp)
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {

@@ -22,17 +22,16 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/json"
-	"hash/fnv"
 
 	"lite/internal/core"
 	"lite/internal/metrics"
@@ -607,11 +606,34 @@ func bucketSizeMB(b int) float64 { return math.Exp2(float64(b)) }
 // entries. It is the retrieval store's fingerprint, so cache keys and
 // retrieval entries agree on environment identity.
 func envFingerprint(env sparksim.Environment) string {
+	for i := range builtinFPs {
+		if builtinFPs[i].env == env {
+			return builtinFPs[i].fp
+		}
+	}
 	return retrieval.EnvFingerprint(env)
 }
 
+// builtinFPs caches the fingerprint of every built-in cluster, which is
+// what ClusterByName resolves every request to. The environment is kept
+// beside its fingerprint, so a match is on value, not on name.
+var builtinFPs = func() []clusterFP {
+	out := make([]clusterFP, len(sparksim.AllClusters))
+	for i, env := range sparksim.AllClusters {
+		out[i] = clusterFP{env, retrieval.EnvFingerprint(env)}
+	}
+	return out
+}()
+
+type clusterFP struct {
+	env sparksim.Environment
+	fp  string
+}
+
+// requestKey is the cache and routing key "app|b<size bucket>|<env
+// fingerprint>", built by concatenation because every request builds one.
 func requestKey(appName string, sizeMB float64, env sparksim.Environment) string {
-	return fmt.Sprintf("%s|b%d|%s", appName, sizeBucket(sizeMB), envFingerprint(env))
+	return appName + "|b" + strconv.Itoa(sizeBucket(sizeMB)) + "|" + envFingerprint(env)
 }
 
 // coldDefaultSizeMB is the datasize assumed for an unseen-app request that
@@ -784,8 +806,8 @@ func (s *Server) recommendCold(ctx context.Context, req RecommendRequest, env sp
 	if req.SizeMB <= 0 {
 		req.SizeMB = coldDefaultSizeMB
 	}
-	key := fmt.Sprintf("cold:%s|%x|b%d|%s",
-		req.App, featureHash(req.Features), sizeBucket(req.SizeMB), envFingerprint(env))
+	key := "cold:" + req.App + "|" + strconv.FormatUint(featureHash(req.Features), 16) +
+		"|b" + strconv.Itoa(sizeBucket(req.SizeMB)) + "|" + envFingerprint(env)
 	scoreSize := bucketSizeMB(sizeBucket(req.SizeMB))
 	return s.cached(ctx, key, req.SizeMB, func() (RecommendResponse, error) {
 		emb := retrieval.EmbedCode(req.Features.Code, req.Features.Ops)
@@ -793,15 +815,23 @@ func (s *Server) recommendCold(ctx context.Context, req RecommendRequest, env sp
 	})
 }
 
-// featureHash fingerprints a feature payload for cache keying.
+// featureHash fingerprints a feature payload for cache keying: 64-bit
+// FNV-1a over the code, then a zero byte and the label for each op.
 func featureHash(f *api.AppFeatures) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(f.Code))
-	for _, op := range f.Ops {
-		h.Write([]byte{0})
-		h.Write([]byte(op))
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	add := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
 	}
-	return h.Sum64()
+	add(f.Code)
+	for _, op := range f.Ops {
+		h *= prime64 // the zero separator: h ^= 0 is a no-op
+		add(op)
+	}
+	return h
 }
 
 // scoreCold answers an unseen-app request against the current snapshot via

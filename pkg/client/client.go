@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"lite/pkg/api"
@@ -115,6 +116,43 @@ type Meta struct {
 // doJSON runs one call: marshal in (nil = empty body), decode a 2xx into
 // out (nil = discard), turn a non-2xx into *APIError.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, meta *Meta) error {
+	return c.do(ctx, method, path, in, meta, func(body io.Reader) error {
+		if out == nil {
+			io.Copy(io.Discard, io.LimitReader(body, 1<<20))
+			return nil
+		}
+		return json.NewDecoder(body).Decode(out)
+	})
+}
+
+// bodyPool holds the buffers recommend responses are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps what goes back into bodyPool.
+const maxPooledBody = 64 << 10
+
+// recommend is doJSON for POST /v1/recommend: the answer is read whole and
+// decoded by api.DecodeRecommendResponse, which reads the server's own
+// bodies without reflection and any other JSON as json.Unmarshal would.
+func (c *Client) recommend(ctx context.Context, req api.RecommendRequest, resp *api.RecommendResponse, meta *Meta) error {
+	return c.do(ctx, http.MethodPost, api.Version+"/recommend", req, meta, func(body io.Reader) error {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledBody {
+				buf.Reset()
+				bodyPool.Put(buf)
+			}
+		}()
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		return api.DecodeRecommendResponse(buf.Bytes(), resp)
+	})
+}
+
+// do runs one call: marshal in (nil = empty body), hand a 2xx body to
+// decode, turn a non-2xx into *APIError.
+func (c *Client) do(ctx context.Context, method, path string, in any, meta *Meta, decode func(io.Reader) error) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -140,11 +178,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, m
 		meta.Status = res.StatusCode
 	}
 	if res.StatusCode >= 200 && res.StatusCode < 300 {
-		if out == nil {
-			io.Copy(io.Discard, io.LimitReader(res.Body, 1<<20))
-			return nil
-		}
-		if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+		if err := decode(res.Body); err != nil {
 			return fmt.Errorf("client: decoding %s response: %w", path, err)
 		}
 		return nil
@@ -165,7 +199,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, m
 // Recommend asks for a configuration (POST /v1/recommend).
 func (c *Client) Recommend(ctx context.Context, req api.RecommendRequest) (api.RecommendResponse, error) {
 	var resp api.RecommendResponse
-	err := c.doJSON(ctx, http.MethodPost, api.Version+"/recommend", req, &resp, nil)
+	err := c.recommend(ctx, req, &resp, nil)
 	return resp, err
 }
 
@@ -174,7 +208,7 @@ func (c *Client) Recommend(ctx context.Context, req api.RecommendRequest) (api.R
 func (c *Client) RecommendMeta(ctx context.Context, req api.RecommendRequest) (api.RecommendResponse, Meta, error) {
 	var resp api.RecommendResponse
 	var meta Meta
-	err := c.doJSON(ctx, http.MethodPost, api.Version+"/recommend", req, &resp, &meta)
+	err := c.recommend(ctx, req, &resp, &meta)
 	return resp, meta, err
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the parallel-engine, training-step and snapshot-write benchmarks
-# (bench_parallel_test.go) and emit BENCH_parallel.json: GOMAXPROCS as the
+# Run the parallel-engine, training-step, snapshot-write and serving-hit
+# benchmarks (bench_parallel_test.go) and emit BENCH_parallel.json: GOMAXPROCS as the
 # test binary saw it (the -N suffix go test gives benchmark names),
 # per-benchmark ns/op, allocs/op, bytes/op and stages/inst where reported,
 # and the serial-vs-pooled speedup for recommendation scoring.
@@ -18,11 +18,11 @@ OUT="${OUT:-BENCH_parallel.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench: running BenchmarkRecommend + BenchmarkFit + BenchmarkAMU + BenchmarkTunerSave + BenchmarkTowerGEMM (-benchtime $BENCHTIME)…" >&2
-go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM' -benchtime "$BENCHTIME" . | tee "$raw" >&2
+echo "bench: running BenchmarkRecommend (incl. RecommendHit) + BenchmarkFit + BenchmarkAMU + BenchmarkTunerSave + BenchmarkTowerGEMM + BenchmarkHandlerHit (-benchtime $BENCHTIME)…" >&2
+go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM|BenchmarkHandlerHit' -benchtime "$BENCHTIME" . | tee "$raw" >&2
 
 awk -v benchtime="$BENCHTIME" '
-$1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(Fit|AMU|TunerSave)(-[0-9]+)?$/ {
+$1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(Fit|AMU|TunerSave|HandlerHit|RecommendHit)(-[0-9]+)?$/ {
     # BenchmarkRecommend/workers=4-8   12   345 ns/op ...: go test appends
     # -GOMAXPROCS to every name unless it is 1.
     name = $1

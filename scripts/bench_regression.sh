@@ -12,11 +12,14 @@
 # sub-millisecond lookups on a ~10k-entry store, so an absolute budget is
 # the contract rather than a ratio against a committed baseline.
 #
-# And gates the training step's work, not its time: BenchmarkAMU and
-# BenchmarkFit allocs/op, run at GOMAXPROCS=1 like the committed baseline,
-# may exceed BENCH_parallel.json's allocs_per_op by at most 2%. Allocation
-# counts do not spread with the machine, so the bound can be that tight;
-# it catches a per-node or per-step buffer creeping back into training.
+# And gates work, not time: BenchmarkAMU and BenchmarkFit (the training
+# step) and BenchmarkHandlerHit and BenchmarkRecommendHit (one cache hit
+# through the handler, and through pkg/client over loopback) allocs/op,
+# run at GOMAXPROCS=1 like the committed baseline, may exceed
+# BENCH_parallel.json's allocs_per_op by at most 2%. Allocation counts do
+# not spread with the machine, so the bound can be that tight; it catches
+# a per-node or per-step buffer creeping back into training, and
+# reflection or a formatted string creeping back into the hit path.
 #
 # Usage:
 #   ./scripts/bench_regression.sh                # default -benchtime 5x, ratio 2.0
@@ -35,7 +38,7 @@ REPORT="${REPORT:-bench_regression.txt}"
 BENCH="BenchmarkRecommend/workers=1"
 LOOKUP_BENCH="BenchmarkRetrievalLookup"
 MAX_LOOKUP_NS="${MAX_LOOKUP_NS:-1000000}"
-ALLOC_BENCHES="BenchmarkAMU BenchmarkFit"
+ALLOC_BENCHES="BenchmarkAMU BenchmarkFit BenchmarkHandlerHit BenchmarkRecommendHit"
 MAX_ALLOC_RATIO=1.02
 
 baseline="$(awk -v key="\"$BENCH\"" '
@@ -100,7 +103,7 @@ for name in $ALLOC_BENCHES; do
     fi
     v="$(awk -v m="$got_allocs" -v b="$base_allocs" -v r="$MAX_ALLOC_RATIO" '
         BEGIN { print (m > b * r) ? "FAIL" : "ok" }')"
-    alloc_report+="$(printf '%-12s %s allocs/op, baseline %s (limit %sx): %s' \
+    alloc_report+="$(printf '%-21s %s allocs/op, baseline %s (limit %sx): %s' \
         "$name" "$got_allocs" "$base_allocs" "$MAX_ALLOC_RATIO" "$v")"$'\n'
     if [[ "$v" == "FAIL" ]]; then
         alloc_failed+=" $name"
