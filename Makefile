@@ -43,6 +43,7 @@ verify:
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/feature
+	$(GO) test -run '^$$' -fuzz '^FuzzV1RequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 	./scripts/fidelity.sh
 
 # fidelity re-runs litebench's Table VI and Table IX and diffs them, timing
@@ -50,8 +51,9 @@ verify:
 fidelity:
 	./scripts/fidelity.sh
 
-# serve-smoke boots liteserve on a random port, issues one /recommend and
-# one /feedback request, and asserts both return 200.
+# serve-smoke boots liteserve on a random port, issues one /v1/recommend
+# and one /v1/feedback request, asserts both return 200 and that the
+# unversioned /recommend is 404, then runs a tuning-session lifecycle.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

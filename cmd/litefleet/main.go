@@ -16,8 +16,10 @@
 //	litefleet -shards 3 -model lite-tuner.json -dir fleet-state/
 //	liteload -url http://127.0.0.1:8380        # drive the fleet
 //
-// Router endpoints: POST /recommend, POST /feedback (proxied by key),
-// GET /healthz (fleet + per-shard JSON), GET /metrics (lite_fleet_*).
+// Router endpoints (API.md): POST /v1/recommend, POST /v1/feedback
+// (proxied by key), GET /v1/healthz (fleet + per-shard JSON),
+// /v1/tuning/sessions[/...] (placed by key, list merged) and GET /metrics
+// (lite_fleet_*). Unversioned paths are a 404.
 package main
 
 import (

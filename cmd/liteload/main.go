@@ -1,15 +1,14 @@
-// Command liteload is the load generator for the LITE recommendation
-// service. By default it trains one model, then benchmarks the serving
-// stack twice over identical repeated-key traffic — once with the cache
-// disabled (baseline) and once enabled — and reports p50/p99 latency,
-// throughput and cache hit rate, demonstrating the win on repeated-key
-// traffic.
+// Command liteload is the load generator for a running LITE
+// recommendation service (liteserve or a litefleet router). It drives
+// repeated-key /v1/recommend traffic and reports p50/p99 latency,
+// throughput, cache hit rate and the restart window a crash leaves, or
+// drives tuning-session lifecycles instead. The in-process comparison of
+// serving configurations is the repo benchmark's job (go run ./benchmark).
 //
 // Usage:
 //
-//	liteload                          # in-process A/B benchmark
-//	liteload -n 2000 -c 32 -keys 6
 //	liteload -url http://127.0.0.1:8372   # drive a running liteserve
+//	liteload -url ... -n 2000 -c 32 -keys 6
 //	liteload -url http://127.0.0.1:8380   # drive a litefleet router: the
 //	                                      # report adds per-shard request
 //	                                      # share, p50/p99 and cache-hit skew
@@ -18,10 +17,10 @@
 //	                                      # report → close) instead of
 //	                                      # /v1/recommend traffic
 //
-// Remote mode speaks the typed /v1 client (pkg/client). A server rejection
-// outside the expected overload surface (shed, queue-full, deadline) is a
-// harness bug, not load: liteload fails fast with the server's error code
-// and message instead of burying it in the errors column.
+// It speaks the typed /v1 client (pkg/client). A server rejection outside
+// the expected overload surface (shed, queue-full, deadline) is a harness
+// bug, not load: liteload fails fast with the server's error code and
+// message instead of burying it in the errors column.
 package main
 
 import (
@@ -36,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"lite/internal/core"
 	"lite/internal/serve"
 	"lite/internal/workload"
 	"lite/pkg/api"
@@ -44,69 +42,27 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 400, "total recommend requests per pass")
+	n := flag.Int("n", 400, "total recommend requests")
 	c := flag.Int("c", 16, "concurrent workers")
 	keys := flag.Int("keys", 8, "distinct (app,size,cluster) keys in the traffic")
-	seed := flag.Int64("seed", 1, "random seed (traffic shape and training)")
-	configs := flag.Int("configs", 3, "training configurations per instance (in-process mode)")
-	url := flag.String("url", "", "drive a running liteserve instead of in-process servers")
+	seed := flag.Int64("seed", 1, "random seed (traffic shape)")
+	url := flag.String("url", "", "base URL of the liteserve or litefleet to drive (required)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = none); timed-out requests count in the deadline column")
-	maxInFlight := flag.Int("max-inflight", 0, "in-process passes: shed load beyond this many concurrent requests (0 = unbounded)")
-	sessions := flag.Bool("sessions", false, "remote mode: drive tuning-session lifecycles (one per key) instead of recommend traffic")
+	sessions := flag.Bool("sessions", false, "drive tuning-session lifecycles (one per key) instead of recommend traffic")
 	strategy := flag.String("strategy", "moderate", "session mode: exploration strategy (conservative|moderate|aggressive)")
 	trials := flag.Int("trials", 0, "session mode: trial budget per session (0 = strategy default)")
 	flag.Parse()
 
+	if *url == "" {
+		fmt.Fprintln(os.Stderr, "liteload: -url is required (a running liteserve or litefleet)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *sessions {
-		if *url == "" {
-			fmt.Fprintln(os.Stderr, "liteload: -sessions needs -url (a running liteserve or litefleet)")
-			os.Exit(1)
-		}
-		runSessions(*url, *keys, *trials, *strategy, *seed, *timeout)
+		runSessions(*url, *keys, *trials, *strategy, *timeout)
 		return
 	}
-
-	reqs := makeTraffic(*n, *keys, *seed)
-
-	if *url != "" {
-		res := runRemote(*url, reqs, *c, *timeout)
-		printReport([]pass{{name: "remote", res: res, n: *n}})
-		return
-	}
-
-	fmt.Fprintf(os.Stderr, "training model for the benchmark…\n")
-	tuner, source := trainQuick(*configs, *seed)
-
-	baseline := serve.New(tuner.CloneForUpdate(*seed), serve.Options{
-		DisableCache: true,
-		MaxInFlight:  *maxInFlight,
-		SourceSample: source,
-		Seed:         *seed,
-	})
-	baseline.Start()
-	fmt.Fprintf(os.Stderr, "pass 1/2: cache disabled (%d requests, %d workers)…\n", *n, *c)
-	resBase := runLocal(baseline, reqs, *c, *timeout)
-	shutdown(baseline)
-
-	full := serve.New(tuner.CloneForUpdate(*seed), serve.Options{
-		CacheTTL:     30 * time.Second,
-		MaxInFlight:  *maxInFlight,
-		SourceSample: source,
-		Seed:         *seed,
-	})
-	full.Start()
-	fmt.Fprintf(os.Stderr, "pass 2/2: cache enabled…\n")
-	resFull := runLocal(full, reqs, *c, *timeout)
-	shutdown(full)
-
-	printReport([]pass{
-		{name: "baseline (no cache)", res: resBase, n: *n},
-		{name: "cache", res: resFull, n: *n},
-	})
-	if resBase.errors == 0 && resFull.errors == 0 && resFull.wall < resBase.wall {
-		fmt.Printf("\nthroughput win on repeated-key traffic: %.1fx\n",
-			float64(resBase.wall)/float64(resFull.wall))
-	}
+	printReport(runRemote(*url, makeTraffic(*n, *keys, *seed), *c, *timeout), *n)
 }
 
 // makeTraffic builds a deterministic repeated-key workload: keys are
@@ -136,27 +92,13 @@ func makeTraffic(n, keys int, seed int64) []serve.RecommendRequest {
 	return out
 }
 
-func trainQuick(configs int, seed int64) (*core.Tuner, []*core.Encoded) {
-	opts := core.DefaultTrainOptions()
-	opts.Collect.ConfigsPerInstance = configs
-	opts.Collect.Sizes = []int{0, 1}
-	opts.Seed = seed
-	tuner, ds := core.Train(workload.All(), opts)
-	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
-	if len(encoded) > 256 {
-		encoded = encoded[:256]
-	}
-	return tuner, encoded
-}
-
 type runResult struct {
-	lats      []time.Duration
-	wall      time.Duration
-	errors    int
-	deadline  int
-	shed      int
-	cached    int
-	coalesced int
+	lats     []time.Duration
+	wall     time.Duration
+	errors   int
+	deadline int
+	shed     int
+	cached   int
 
 	// Recovery-aware accounting (remote mode): down counts requests that
 	// failed at the connection level — the server was dead or restarting —
@@ -219,60 +161,6 @@ func markUp(res *runResult) {
 	}
 }
 
-// countErr classifies one failed request (caller holds the mutex):
-// deadline/cancel and shed failures are the expected overload surface and
-// get their own columns; anything else is a hard error.
-func countErr(res *runResult, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		res.deadline++
-	case errors.Is(err, serve.ErrOverloaded):
-		res.shed++
-	default:
-		res.errors++
-	}
-}
-
-func runLocal(s *serve.Server, reqs []serve.RecommendRequest, workers int, timeout time.Duration) runResult {
-	var mu sync.Mutex
-	res := runResult{}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				ctx := context.Background()
-				cancel := context.CancelFunc(func() {})
-				if timeout > 0 {
-					ctx, cancel = context.WithTimeout(ctx, timeout)
-				}
-				t0 := time.Now()
-				resp, err := s.RecommendCtx(ctx, reqs[i])
-				lat := time.Since(t0)
-				cancel()
-				mu.Lock()
-				res.lats = append(res.lats, lat)
-				if err != nil {
-					countErr(&res, err)
-				} else {
-					record(&res, resp)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	res.wall = time.Since(start)
-	return res
-}
-
 func runRemote(url string, reqs []serve.RecommendRequest, workers int, timeout time.Duration) runResult {
 	var mu sync.Mutex
 	res := runResult{}
@@ -296,7 +184,9 @@ func runRemote(url string, reqs []serve.RecommendRequest, workers int, timeout t
 				var ae *client.APIError
 				switch {
 				case err == nil:
-					record(&res, resp)
+					if resp.Cached {
+						res.cached++
+					}
 					recordShard(&res, meta.Shard, lat, resp.Cached)
 					markUp(&res)
 				case errors.As(err, &ae):
@@ -348,11 +238,10 @@ func fatalf(format string, args ...any) {
 // budget is spent, then close — printing per-session baseline vs best and
 // the violation count. This is the session analogue of the recommend
 // traffic: it exercises the whole /v1/tuning/sessions surface end to end.
-func runSessions(url string, keys, trials int, strategy string, seed int64, timeout time.Duration) {
+func runSessions(url string, keys, trials int, strategy string, timeout time.Duration) {
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
-	_ = seed // traffic here is the deterministic key list itself
 	cl := client.New(url, client.WithTimeout(timeout))
 	ctx := context.Background()
 	combos := sessionCombos(keys)
@@ -446,47 +335,27 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// record folds one response into the result (caller holds the mutex).
-func record(res *runResult, resp serve.RecommendResponse) {
-	if resp.Cached {
-		res.cached++
-	}
-	if resp.Coalesced {
-		res.coalesced++
-	}
-}
-
-type pass struct {
-	name string
-	res  runResult
-	n    int
-}
-
-func printReport(passes []pass) {
+// printReport prints the run's summary row, then its per-shard breakdown.
+func printReport(r runResult, n int) {
 	fmt.Printf("\n%-30s %-8s %-7s %-9s %-5s %-6s %-9s %-10s %-10s %-12s %s\n",
 		"pass", "reqs", "errors", "deadline", "shed", "down", "ttfs", "p50", "p99", "throughput", "cache-hit")
-	for _, p := range passes {
-		r := p.res
-		sort.Slice(r.lats, func(a, b int) bool { return r.lats[a] < r.lats[b] })
-		served := len(r.lats)
-		hitRate := 0.0
-		if served > 0 {
-			hitRate = float64(r.cached) / float64(served)
-		}
-		ttfs := "-"
-		if r.ttfs > 0 {
-			ttfs = roundDur(r.ttfs).String()
-		}
-		fmt.Printf("%-30s %-8d %-7d %-9d %-5d %-6d %-9s %-10v %-10v %-12s %s\n",
-			p.name, p.n, r.errors, r.deadline, r.shed, r.down, ttfs,
-			roundDur(quantile(r.lats, 0.50)),
-			roundDur(quantile(r.lats, 0.99)),
-			fmt.Sprintf("%.0f/s", float64(served)/r.wall.Seconds()),
-			fmt.Sprintf("%.0f%%", hitRate*100))
+	sort.Slice(r.lats, func(a, b int) bool { return r.lats[a] < r.lats[b] })
+	served := len(r.lats)
+	hitRate := 0.0
+	if served > 0 {
+		hitRate = float64(r.cached) / float64(served)
 	}
-	for _, p := range passes {
-		printShardReport(p.res)
+	ttfs := "-"
+	if r.ttfs > 0 {
+		ttfs = roundDur(r.ttfs).String()
 	}
+	fmt.Printf("%-30s %-8d %-7d %-9d %-5d %-6d %-9s %-10v %-10v %-12s %s\n",
+		"remote", n, r.errors, r.deadline, r.shed, r.down, ttfs,
+		roundDur(quantile(r.lats, 0.50)),
+		roundDur(quantile(r.lats, 0.99)),
+		fmt.Sprintf("%.0f/s", float64(served)/r.wall.Seconds()),
+		fmt.Sprintf("%.0f%%", hitRate*100))
+	printShardReport(r)
 }
 
 // printShardReport breaks a fleet run down by answering shard: request
@@ -539,12 +408,4 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	}
 	i := int(q * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-func shutdown(s *serve.Server) {
-	done := make(chan struct{})
-	go func() { time.Sleep(30 * time.Second); close(done) }()
-	if err := s.Shutdown(done); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
 }

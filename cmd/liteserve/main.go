@@ -19,9 +19,8 @@
 //	GET  /metrics
 //	POST /v1/admin/flip (only with -admin / -follower: fleet hot-swap)
 //
-// The unversioned spellings (/recommend, /feedback, /healthz, /admin/flip)
-// remain as deprecated shims: same behaviour, plus a Deprecation header
-// and the lite_http_legacy_requests_total counter.
+// Only these paths are routed; any other path outside /v1, including the
+// unversioned /recommend, /feedback, /healthz and /admin/flip, is a 404.
 //
 // As a fleet shard (cmd/litefleet spawns these): -follower disables local
 // retraining so the model only moves via coordinated flips, and the

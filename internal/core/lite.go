@@ -208,13 +208,19 @@ func (t *Tuner) recommendFrom(ctx context.Context, app *sparksim.AppSpec, data s
 	for i, c := range cands {
 		scored[i] = ScoredConfig{Config: c, Predicted: preds[i]}
 	}
+	return rank(scored, start), nil
+}
+
+// rank orders a non-empty scored candidate set best-first and recommends
+// its head. The sort is stable, so ties keep candidate-index order.
+func rank(scored []ScoredConfig, start time.Time) Recommendation {
 	sort.SliceStable(scored, func(a, b int) bool { return scored[a].Predicted < scored[b].Predicted })
 	return Recommendation{
 		Config:           scored[0].Config,
 		PredictedSeconds: scored[0].Predicted,
 		Ranked:           scored,
 		Overhead:         time.Since(start),
-	}, nil
+	}
 }
 
 // Tier identifies which degradation level produced a safe recommendation.
@@ -291,35 +297,50 @@ func (t *Tuner) RecommendSafeCtx(ctx context.Context, app *sparksim.AppSpec, dat
 		sr.Notes = append(sr.Notes, "necs: "+note)
 	}
 
-	if cfg, note := t.tryRetrievalTierApp(app, data, env); note == "" {
-		sr.Config = cfg
-		sr.PredictedSeconds = math.NaN() // neighbour's seconds are not this app's
-		sr.Tier = TierRetrieval
-		sr.Overhead = time.Since(start)
-		return sr, nil
-	} else {
-		sr.Notes = append(sr.Notes, "retrieval: "+note)
-	}
+	return fallBack(sr, env, start,
+		fallbackTier{TierRetrieval, "retrieval", func() (sparksim.Config, string) {
+			return t.tryRetrievalTierApp(app, data, env)
+		}},
+		fallbackTier{TierACGRegion, "acg", func() (sparksim.Config, string) {
+			return t.tryACGTier(app, data, env)
+		}})
+}
 
-	if cfg, note := t.tryACGTier(app, data, env); note == "" {
-		sr.Config = cfg
-		sr.PredictedSeconds = math.NaN() // no trusted estimate at this tier
-		sr.Tier = TierACGRegion
-		sr.Overhead = time.Since(start)
-		return sr, nil
-	} else {
-		sr.Notes = append(sr.Notes, "acg: "+note)
-	}
+// fallbackTier is one estimator-free tier of a degradation chain: try
+// answers with a config, or with a note saying why it could not.
+type fallbackTier struct {
+	tier  Tier
+	label string // the tier's prefix in SafeRecommendation.Notes
+	try   func() (sparksim.Config, string)
+}
 
+// fallBack finishes a degradation chain below NECS, shared by the warm and
+// the cold chain: the first tier to answer wins, each one that cannot
+// records why in sr.Notes, and the feasible safe default ends every chain.
+// None of these tiers has a trusted estimate of this app's run, so
+// PredictedSeconds is NaN. Callers must hold t.mu (read).
+func fallBack(sr SafeRecommendation, env sparksim.Environment, start time.Time, tiers ...fallbackTier) (SafeRecommendation, error) {
+	for _, ft := range tiers {
+		cfg, note := ft.try()
+		if note == "" {
+			return settle(sr, cfg, ft.tier, start), nil
+		}
+		sr.Notes = append(sr.Notes, ft.label+": "+note)
+	}
 	cfg := ForceFeasible(sparksim.DefaultConfig(), env)
 	if !sparksim.Feasible(cfg, env) {
 		return sr, ErrNoFeasibleConfig
 	}
+	return settle(sr, cfg, TierSafeDefault, start), nil
+}
+
+// settle stamps sr with an estimator-free tier's answer.
+func settle(sr SafeRecommendation, cfg sparksim.Config, tier Tier, start time.Time) SafeRecommendation {
 	sr.Config = cfg
 	sr.PredictedSeconds = math.NaN()
-	sr.Tier = TierSafeDefault
+	sr.Tier = tier
 	sr.Overhead = time.Since(start)
-	return sr, nil
+	return sr
 }
 
 // tryNECSTier runs the full pipeline under a recover guard with
@@ -361,13 +382,7 @@ func (t *Tuner) tryNECSTier(ctx context.Context, app *sparksim.AppSpec, data spa
 	if len(scored) == 0 {
 		return rec, "no candidate survived feasibility and predicted-failure screening"
 	}
-	sort.SliceStable(scored, func(a, b int) bool { return scored[a].Predicted < scored[b].Predicted })
-	return Recommendation{
-		Config:           scored[0].Config,
-		PredictedSeconds: scored[0].Predicted,
-		Ranked:           scored,
-		Overhead:         time.Since(start),
-	}, ""
+	return rank(scored, start), ""
 }
 
 // tryACGTier returns the ACG region center forced feasible, guarded against
@@ -455,25 +470,9 @@ func (t *Tuner) RecommendColdCtx(ctx context.Context, emb []float64, sizeMB floa
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	if cfg, note := t.tryRetrievalTier(emb, sizeMB, env); note == "" {
-		sr.Config = cfg
-		sr.PredictedSeconds = math.NaN()
-		sr.Tier = TierRetrieval
-		sr.Overhead = time.Since(start)
-		return sr, nil
-	} else {
-		sr.Notes = append(sr.Notes, "retrieval: "+note)
-	}
-
-	cfg := ForceFeasible(sparksim.DefaultConfig(), env)
-	if !sparksim.Feasible(cfg, env) {
-		return sr, ErrNoFeasibleConfig
-	}
-	sr.Config = cfg
-	sr.PredictedSeconds = math.NaN()
-	sr.Tier = TierSafeDefault
-	sr.Overhead = time.Since(start)
-	return sr, nil
+	return fallBack(sr, env, start, fallbackTier{TierRetrieval, "retrieval", func() (sparksim.Config, string) {
+		return t.tryRetrievalTier(emb, sizeMB, env)
+	}})
 }
 
 // RetrievalAnchor returns the nearest historical neighbour's configuration

@@ -294,10 +294,9 @@ func (rt *Router) Stop() {
 //	                                          in the session ID
 //	GET    /metrics                         — router metrics (lite_fleet_*)
 //
-// plus the unversioned legacy routes as deprecation shims (Deprecation
-// header + lite_http_legacy_requests_total counter, same semantics).
-// Session results answered by a non-trainer shard have their Promotion
-// teed to the trainer: the trainer owns promotion fleet-wide.
+// Paths outside /v1 other than /metrics answer 404. Session results
+// answered by a non-trainer shard have their Promotion teed to the
+// trainer: the trainer owns promotion fleet-wide.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/recommend", func(w http.ResponseWriter, r *http.Request) {
@@ -318,33 +317,12 @@ func (rt *Router) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		rt.reg.WriteText(w)
 	})
-
-	// Legacy deprecation shims.
-	mux.Handle("/recommend", rt.legacy("recommend", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyBody(w, r, "/v1/recommend")
-	})))
-	mux.Handle("/feedback", rt.legacy("feedback", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyBody(w, r, "/v1/feedback")
-	})))
-	mux.Handle("/healthz", rt.legacy("healthz", http.HandlerFunc(rt.handleHealthz)))
 	return mux
 }
 
-// legacy wraps a handler as an unversioned deprecation shim: identical
-// behaviour plus the Deprecation header and the per-endpoint legacy
-// counter the fleet smoke asserts stays 0 for new tooling.
-func (rt *Router) legacy(endpoint string, next http.Handler) http.Handler {
-	ctr := rt.reg.Counter(fmt.Sprintf("lite_http_legacy_requests_total{endpoint=%q}", endpoint))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctr.Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", api.Version, r.URL.Path))
-		next.ServeHTTP(w, r)
-	})
-}
-
-// routingBody is the subset of a /recommend or /feedback body the router
-// needs to place the request; unknown fields are the shard's business.
+// routingBody is the subset of a /v1/recommend or /v1/feedback body the
+// router needs to place the request; unknown fields are the shard's
+// business.
 type routingBody struct {
 	App     string  `json:"app"`
 	SizeMB  float64 `json:"size_mb"`
@@ -382,6 +360,12 @@ func writeAPIError(w http.ResponseWriter, status int, code, msg string, retryMS 
 	writeJSON(w, status, api.ErrorResponse{Error: api.Error{Code: code, Message: msg, RetryAfterMS: retryMS}})
 }
 
+// methodNotAllowed writes the envelope 405 with the route's Allow header.
+func methodNotAllowed(w http.ResponseWriter, allow, msg string) {
+	w.Header().Set("Allow", allow)
+	writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, msg, 0)
+}
+
 // Tee modes for route: what to forward to the trainer shard after a
 // non-trainer shard answers 200.
 const (
@@ -399,9 +383,7 @@ const (
 // envelope-shaped failures.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"use POST with a JSON body", 0)
+		methodNotAllowed(w, http.MethodPost, "use POST with a JSON body")
 		return nil, false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -451,9 +433,7 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		rt.listSessions(w, r)
 	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed", 0)
+		methodNotAllowed(w, "GET, POST", "method "+r.Method+" not allowed")
 	}
 }
 
@@ -472,9 +452,7 @@ func (rt *Router) sessionKey(w http.ResponseWriter, r *http.Request) (string, bo
 // handleSessionItem proxies GET (read) and DELETE (close) for one session.
 func (rt *Router) handleSessionItem(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		w.Header().Set("Allow", "GET, DELETE")
-		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed", 0)
+		methodNotAllowed(w, "GET, DELETE", "method "+r.Method+" not allowed")
 		return
 	}
 	key, ok := rt.sessionKey(w, r)
@@ -487,9 +465,7 @@ func (rt *Router) handleSessionItem(w http.ResponseWriter, r *http.Request) {
 // handleSessionProposal proxies the next-proposal action.
 func (rt *Router) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"use POST", 0)
+		methodNotAllowed(w, http.MethodPost, "use POST")
 		return
 	}
 	key, ok := rt.sessionKey(w, r)
@@ -516,7 +492,8 @@ func (rt *Router) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 
 // listSessions fans a GET out to every live shard and merges the results:
 // each shard only knows the sessions its arc owns. Answers 200 with the
-// merged list when at least one shard responded, 503 otherwise.
+// merged list when at least one shard responded, 503 otherwise — also when
+// no shard is up, since an empty list would claim there are no sessions.
 func (rt *Router) listSessions(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	type target struct{ id, url string }
@@ -549,7 +526,7 @@ func (rt *Router) listSessions(w http.ResponseWriter, r *http.Request) {
 		answered++
 		merged = append(merged, list.Sessions...)
 	}
-	if answered == 0 && len(targets) > 0 {
+	if answered == 0 {
 		writeAPIError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 			"fleet: no shard answered the session list", 1000)
 		return
@@ -621,23 +598,14 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label
 func (rt *Router) relayWithPromotionTee(w http.ResponseWriter, resp *http.Response, id string) {
 	buf, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
-	if readErr == nil {
-		var rr api.ReportResultResponse
-		if json.Unmarshal(buf, &rr) == nil && rr.Promotion != nil {
-			if pb, err := json.Marshal(rr.Promotion); err == nil {
-				rt.tee(pb, "lite_fleet_session_promotions_teed_total")
-			}
+	var rr api.ReportResultResponse
+	if readErr == nil && json.Unmarshal(buf, &rr) == nil && rr.Promotion != nil {
+		if pb, err := json.Marshal(rr.Promotion); err == nil {
+			rt.tee(pb, "lite_fleet_session_promotions_teed_total")
 		}
 	}
-	rt.reg.Counter(fmt.Sprintf("lite_fleet_requests_total{shard=%q,code=\"%d\"}", id, resp.StatusCode)).Inc()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.Header().Set("X-Lite-Shard", id)
-	w.WriteHeader(resp.StatusCode)
-	if _, err := w.Write(buf); err != nil {
-		rt.reg.Counter("lite_fleet_relay_errors_total").Inc()
-	}
+	resp.Body = io.NopCloser(bytes.NewReader(buf))
+	rt.relay(w, resp, id)
 }
 
 // shardURL resolves a member id to its base URL ("" if it vanished).

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"lite/internal/core"
 	"lite/internal/serve"
 	"lite/internal/session"
 	"lite/pkg/api"
@@ -145,6 +147,52 @@ func TestRoutingKeyUnknownAppPlacement(t *testing.T) {
 	}
 }
 
+// TestUnversionedPathsAre404: a shard and the router route only /v1 and
+// /metrics, so each unversioned path of earlier releases answers 404.
+func TestUnversionedPathsAre404(t *testing.T) {
+	handlers := []struct {
+		name string
+		h    http.Handler
+	}{
+		{"serve", serve.New(&core.Tuner{}, serve.Options{EnableAdmin: true}).Handler()},
+		{"router", NewRouter(Options{}).Handler()},
+	}
+	body := `{"app":"WordCount","size_mb":512,"cluster":"C"}`
+	for _, tc := range handlers {
+		for _, path := range []string{"/recommend", "/feedback", "/healthz", "/admin/flip"} {
+			for _, method := range []string{http.MethodGet, http.MethodPost} {
+				rec := httptest.NewRecorder()
+				tc.h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+				if rec.Code != http.StatusNotFound {
+					t.Errorf("%s: %s %s = %d, want 404", tc.name, method, path, rec.Code)
+				}
+			}
+		}
+	}
+}
+
+// TestSessionListWithNoShardUp: with no shard up the fleet cannot know
+// which sessions exist, so the list answers 503 unavailable like
+// /v1/recommend does, not an empty 200.
+func TestSessionListWithNoShardUp(t *testing.T) {
+	h := NewRouter(Options{}).Handler()
+	for _, path := range []string{"/v1/tuning/sessions", "/v1/recommend"} {
+		method := http.MethodGet
+		if path == "/v1/recommend" {
+			method = http.MethodPost
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(`{"app":"WordCount","size_mb":512,"cluster":"C"}`)))
+		var env api.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s %s: body %q is not the envelope: %v", method, path, rec.Body, err)
+		}
+		if rec.Code != http.StatusServiceUnavailable || env.Error.Code != api.CodeUnavailable || env.Error.RetryAfterMS != 1000 {
+			t.Fatalf("%s %s = %d %+v, want 503 unavailable retry_after_ms 1000", method, path, rec.Code, env.Error)
+		}
+	}
+}
+
 // TestRouterConsistentPlacement: the same body always lands on the same
 // shard, and the key spread uses more than one shard.
 func TestRouterConsistentPlacement(t *testing.T) {
@@ -160,7 +208,7 @@ func TestRouterConsistentPlacement(t *testing.T) {
 	for _, body := range testBodies() {
 		var owner string
 		for rep := 0; rep < 5; rep++ {
-			resp := post(t, front.URL+"/recommend", body)
+			resp := post(t, front.URL+"/v1/recommend", body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d", resp.StatusCode)
@@ -214,7 +262,7 @@ func TestRouterFailoverUnderTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(front.URL+"/recommend", "application/json",
+				resp, err := http.Post(front.URL+"/v1/recommend", "application/json",
 					bytes.NewReader(bodies[(w+i)%len(bodies)]))
 				if err != nil {
 					failures.Add(1)
@@ -249,7 +297,7 @@ func TestRouterFailoverUnderTraffic(t *testing.T) {
 	// to successors and no request touches it.
 	preRecs := victim.recs.Load()
 	for _, body := range bodies {
-		resp := post(t, front.URL+"/recommend", body)
+		resp := post(t, front.URL+"/v1/recommend", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-window request failed: %d", resp.StatusCode)
@@ -349,7 +397,7 @@ func TestCoordinatorFlipsFleet(t *testing.T) {
 	defer front.Close()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(front.URL + "/healthz")
+		resp, err := http.Get(front.URL + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +439,7 @@ func TestFeedbackTee(t *testing.T) {
 	var body []byte
 	var owner string
 	for _, b := range testBodies() {
-		resp := post(t, front.URL+"/feedback", b)
+		resp := post(t, front.URL+"/v1/feedback", b)
 		resp.Body.Close()
 		if sh := resp.Header.Get("X-Lite-Shard"); sh != "shard0" {
 			body, owner = b, sh
@@ -404,7 +452,7 @@ func TestFeedbackTee(t *testing.T) {
 
 	trainerBefore := shards[0].feeds.Load()
 	for i := 0; i < 5; i++ {
-		resp := post(t, front.URL+"/feedback", body)
+		resp := post(t, front.URL+"/v1/feedback", body)
 		resp.Body.Close()
 		if got := resp.Header.Get("X-Lite-Shard"); got != owner {
 			t.Fatalf("feedback owner flapped %s -> %s", owner, got)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -91,9 +90,7 @@ func TestRecommendBodiesMatchEncodingJSON(t *testing.T) {
 	cs := newTestServer(t, Options{MaxInFlight: n, DisableCache: true})
 	envC, _ := ClusterByName("C")
 	key := requestKey(req.App, req.SizeMB, envC)
-	release := holdKey(t, cs, key, func() (RecommendResponse, error) {
-		return cs.score(context.Background(), workload.ByName(req.App), req, envC)
-	})
+	release := holdKey(t, cs, key, scoreOf(t, cs, req))
 	recs := make([]*httptest.ResponseRecorder, n)
 	var wg sync.WaitGroup
 	for i := range recs {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/workload"
 	"lite/pkg/api"
 )
 
@@ -34,6 +33,16 @@ func holdKey(t *testing.T, s *Server, key string, compute func() (RecommendRespo
 	release = func() { once.Do(func() { close(gate) }); <-done }
 	t.Cleanup(release)
 	return release
+}
+
+// scoreOf is the computation the serving path runs on a miss of req's key.
+func scoreOf(t *testing.T, s *Server, req RecommendRequest) func() (RecommendResponse, error) {
+	t.Helper()
+	r, err := resolve(req.App, req.SizeMB, req.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() (RecommendResponse, error) { return s.score(context.Background(), r, req.Features) }
 }
 
 // TestEndToEndShedAndCancel exercises the full admission-control story on a
@@ -69,7 +78,7 @@ func TestEndToEndShedAndCancel(t *testing.T) {
 	// Request 2 (different key) must be shed immediately: 503, Retry-After,
 	// and the shed counter moves.
 	body, _ := json.Marshal(RecommendRequest{App: "KMeans", SizeMB: 1024, Cluster: "C"})
-	res, err := http.Post(srv.URL+"/recommend", "application/json", bytes.NewReader(body))
+	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +201,7 @@ func TestDisabledCacheCoalescesSameKey(t *testing.T) {
 
 	// The leader is a real scoring pass, held at its start so the requests
 	// below are certain to arrive while it is in flight.
-	score := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), func() (RecommendResponse, error) {
-		return s.score(context.Background(), workload.ByName(req.App), req, envC)
-	})
+	score := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), scoreOf(t, s, req))
 
 	var wg sync.WaitGroup
 	resps := make([]RecommendResponse, n)
@@ -237,7 +244,7 @@ func TestEndToEndRequestTimeout(t *testing.T) {
 	defer srv.Close()
 
 	body, _ := json.Marshal(RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
-	res, err := http.Post(srv.URL+"/recommend", "application/json", bytes.NewReader(body))
+	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestFlipEndpoint(t *testing.T) {
 	// Without -admin the endpoint must not exist.
 	plain := newTestServer(t, Options{})
 	srv := httptest.NewServer(plain.Handler())
-	res, err := http.Post(srv.URL+"/admin/flip", "application/json",
+	res, err := http.Post(srv.URL+"/v1/admin/flip", "application/json",
 		strings.NewReader(`{"snapshot_path":"x","generation":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestFlipEndpoint(t *testing.T) {
 	srv = httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	res, err = http.Post(srv.URL+"/admin/flip", "application/json",
+	res, err = http.Post(srv.URL+"/v1/admin/flip", "application/json",
 		strings.NewReader(`{"snapshot_path":"","generation":0}`))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFlipEndpoint(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 7})
-	res, err = http.Post(srv.URL+"/admin/flip", "application/json", strings.NewReader(string(body)))
+	res, err = http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFollowerMode(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 3; i++ {
-		res, err := http.Post(srv.URL+"/feedback", "application/json",
+		res, err := http.Post(srv.URL+"/v1/feedback", "application/json",
 			strings.NewReader(`{"app":"WordCount","size_mb":512,"cluster":"C"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestFollowerMode(t *testing.T) {
 
 	snap := saveTestSnapshot(t)
 	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 2})
-	res, err := http.Post(srv.URL+"/admin/flip", "application/json", strings.NewReader(string(body)))
+	res, err := http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestHealthzRichFields(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	res, err := http.Get(srv.URL + "/healthz")
+	res, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"lite/internal/core"
 	"lite/internal/wal"
+	"lite/internal/workload"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -190,6 +191,62 @@ func TestServerSkipsTornWALTail(t *testing.T) {
 		return s.Snapshot().Gen >= 1
 	})
 	shutdownServer(t, s)
+}
+
+// TestWALReplayValidatesLikeTheHandler: a WAL record is replayed exactly
+// when /v1/feedback accepts its body (both build the item with
+// newFeedbackItem); the rest are skipped and counted, and a replayed item
+// carries the size the handler would have defaulted.
+func TestWALReplayValidatesLikeTheHandler(t *testing.T) {
+	tuner, source := testTuner(t)
+	walDir := t.TempDir()
+	bodies := []string{
+		`{"app":"WordCount","cluster":"C"}`,
+		`{"app":"kmeans","size_mb":256,"cluster":"b","config":{"spark.executor.cores":2}}`,
+		`{"app":"NoSuchApp","size_mb":256,"cluster":"C"}`,
+		`{"app":"WordCount","size_mb":256,"cluster":"Z"}`,
+		`{"app":"WordCount","cluster":"C","config":{"spark.no.such.knob":1}}`,
+		`not json`,
+	}
+	w, _, _, err := wal.Open(wal.Options{Dir: walDir, SyncEvery: 1, SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newTestServer(t, Options{Follower: true}) // validates and acks, never retrains
+	accepted := 0
+	for _, b := range bodies {
+		if _, err := w.Append([]byte(b)); err != nil {
+			t.Fatal(err)
+		}
+		var req FeedbackRequest
+		if json.Unmarshal([]byte(b), &req) == nil {
+			if _, err := live.Feedback(req); err == nil {
+				accepted++
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if accepted != 2 {
+		t.Fatalf("live handler accepted %d of the bodies, want 2", accepted)
+	}
+
+	// A follower keeps its recovered items queued instead of consuming them.
+	s := New(tuner.CloneForUpdate(1), Options{SourceSample: source, WALDir: walDir, Follower: true, WALSyncInterval: -1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s)
+	if len(s.recovered) != accepted {
+		t.Fatalf("replayed %d records, want the %d the handler accepts", len(s.recovered), accepted)
+	}
+	if got := s.Metrics().Counter("lite_wal_replay_skipped_total").Value(); got != uint64(len(bodies)-accepted) {
+		t.Fatalf("replay skipped %d records, want %d", got, len(bodies)-accepted)
+	}
+	if got, want := s.recovered[0].req.SizeMB, workload.ByName("WordCount").Sizes.Test; got != want {
+		t.Fatalf("replayed size = %v, want the defaulted %v", got, want)
+	}
 }
 
 // TestValidationGateRejectsPoisonedCandidate: a retrain whose candidate

@@ -20,7 +20,7 @@ import (
 )
 
 // testStore builds a retrieval store from one measured run per named app.
-func testStore(t *testing.T, apps ...string) *retrieval.Store {
+func testStore(t testing.TB, apps ...string) *retrieval.Store {
 	t.Helper()
 	env := sparksim.ClusterC
 	var runs []instrument.AppInstance

@@ -36,6 +36,7 @@ import (
 	"lite/internal/core"
 	"lite/internal/metrics"
 	"lite/internal/retrieval"
+	"lite/internal/session"
 	"lite/internal/sparksim"
 	"lite/internal/wal"
 	"lite/internal/workload"
@@ -418,11 +419,19 @@ func (s *Server) Start() error {
 		s.reg.Counter("lite_wal_recovered_records_total").Add(uint64(stats.Recovered))
 		skipped := 0
 		for _, rec := range recs {
-			item, ok := s.replayItem(rec)
-			if !ok {
+			// Replay re-validates each record exactly as the live handler
+			// did (newFeedbackItem), so the two cannot drift apart.
+			var req FeedbackRequest
+			err := json.Unmarshal(rec.Data, &req)
+			var item feedbackItem
+			if err == nil {
+				item, err = newFeedbackItem(req)
+			}
+			if err != nil {
 				skipped++
 				continue
 			}
+			item.seq = rec.Seq
 			s.recovered = append(s.recovered, item)
 		}
 		if skipped > 0 {
@@ -505,27 +514,6 @@ func (s *Server) FlipTo(path string, gen uint64) (uint64, error) {
 	s.reg.Counter("lite_flips_total").Inc()
 	s.reg.Gauge("lite_snapshot_generation").Set(float64(next.Gen))
 	return next.Gen, nil
-}
-
-// replayItem turns one recovered WAL record back into a queued feedback
-// item, re-running the same validation as the /feedback handler.
-func (s *Server) replayItem(rec wal.Record) (feedbackItem, bool) {
-	var req FeedbackRequest
-	if err := json.Unmarshal(rec.Data, &req); err != nil {
-		return feedbackItem{}, false
-	}
-	app, env, err := s.resolve(req.App, req.Cluster)
-	if err != nil {
-		return feedbackItem{}, false
-	}
-	if req.SizeMB <= 0 {
-		req.SizeMB = app.Sizes.Test
-	}
-	cfg, err := ConfigFromMap(req.Config)
-	if err != nil {
-		return feedbackItem{}, false
-	}
-	return feedbackItem{app: app, req: req, cfg: core.ForceFeasible(cfg, env), env: env, seq: rec.Seq}, true
 }
 
 // Shutdown stops the update loop, waiting for an in-flight retrain to
@@ -641,32 +629,69 @@ func requestKey(appName string, sizeMB float64, env sparksim.Environment) string
 // size, which an unregistered app does not have).
 const coldDefaultSizeMB = 1024
 
+// resolved is the resolve stage's answer for one request: the registered
+// application (nil when the workload registry does not know the name), the
+// cluster's environment, and the datasize with its default applied.
+type resolved struct {
+	app    *workload.App
+	name   string // the registry's spelling of the app, else the caller's
+	env    sparksim.Environment
+	sizeMB float64
+}
+
+// resolve is the one place a request's (app, size, cluster) fields are
+// looked up: the cluster must exist; a registered app's size defaults to
+// its test size, an unseen app's to coldDefaultSizeMB. Every endpoint, WAL
+// replay, the fleet router's key and SimulateOnce go through it, so none
+// of them can disagree on a default.
+func resolve(appName string, sizeMB float64, cluster string) (resolved, error) {
+	env, ok := ClusterByName(cluster)
+	if !ok {
+		return resolved{}, badRequest("unknown cluster %q", cluster)
+	}
+	r := resolved{app: workload.ByName(appName), name: appName, env: env, sizeMB: sizeMB}
+	if r.app != nil {
+		r.name = r.app.Spec.Name
+	}
+	if r.sizeMB <= 0 {
+		r.sizeMB = coldDefaultSizeMB
+		if r.app != nil {
+			r.sizeMB = r.app.Sizes.Test
+		}
+	}
+	return r, nil
+}
+
+// resolveRegistered is resolve for the endpoints that need the app's
+// instrumented specification (feedback, sessions, simulation): an app
+// absent from the registry is a client error there.
+func resolveRegistered(appName string, sizeMB float64, cluster string) (resolved, error) {
+	r, err := resolve(appName, sizeMB, cluster)
+	if err == nil && r.app == nil {
+		err = badRequest("unknown application %q", appName)
+	}
+	return r, err
+}
+
+// key is the resolved request's cache and routing key.
+func (r resolved) key() string { return requestKey(r.name, r.sizeMB, r.env) }
+
 // RoutingKey is the sharding key a fleet router hashes to place a request:
 // the same (app, datasize bucket, env fingerprint) string the cache keys
 // on, so routing by it keeps each shard's cache hot on its slice of the
-// keyspace. sizeMB <= 0 defaults to the app's test size, exactly as the
-// serving path does. An app absent from the workload
-// registry still gets a well-formed key over its raw (name, size bucket,
-// env) fields — unseen-app traffic served by the retrieval tier must land
+// keyspace. Sizes default exactly as the serving path defaults them. An
+// app absent from the workload registry still gets a well-formed key over
+// its raw name — unseen-app traffic served by the retrieval tier must land
 // on one consistent shard, not scatter its cache fleet-wide. An
 // unresolvable cluster returns an error; the router may still forward such
 // a request (the shard answers 400), it just cannot place it better than
 // arbitrarily.
 func RoutingKey(appName string, sizeMB float64, cluster string) (string, error) {
-	env, ok := ClusterByName(cluster)
-	if !ok {
-		return "", badRequest("unknown cluster %q", cluster)
+	r, err := resolve(appName, sizeMB, cluster)
+	if err != nil {
+		return "", err
 	}
-	if app := workload.ByName(appName); app != nil {
-		if sizeMB <= 0 {
-			sizeMB = app.Sizes.Test
-		}
-		return requestKey(app.Spec.Name, sizeMB, env), nil
-	}
-	if sizeMB <= 0 {
-		sizeMB = coldDefaultSizeMB
-	}
-	return requestKey(appName, sizeMB, env), nil
+	return r.key(), nil
 }
 
 // ClusterByName resolves a cluster name (case-insensitive) to its
@@ -678,18 +703,6 @@ func ClusterByName(name string) (sparksim.Environment, bool) {
 		}
 	}
 	return sparksim.Environment{}, false
-}
-
-func (s *Server) resolve(appName, cluster string) (*workload.App, sparksim.Environment, error) {
-	app := workload.ByName(appName)
-	if app == nil {
-		return nil, sparksim.Environment{}, badRequest("unknown application %q", appName)
-	}
-	env, ok := ClusterByName(cluster)
-	if !ok {
-		return nil, sparksim.Environment{}, badRequest("unknown cluster %q", cluster)
-	}
-	return app, env, nil
 }
 
 // Recommend serves one recommendation request through the cache and the
@@ -739,33 +752,24 @@ func (s *Server) recommend(ctx context.Context, req RecommendRequest) (Recommend
 		return RecommendResponse{}, err // dead on arrival
 	}
 
-	env, ok := ClusterByName(req.Cluster)
-	if !ok {
-		return RecommendResponse{}, badRequest("unknown cluster %q", req.Cluster)
+	r, err := resolve(req.App, req.SizeMB, req.Cluster)
+	if err != nil {
+		return RecommendResponse{}, err
 	}
-	app := workload.ByName(req.App)
-	if app == nil {
+	key := r.key()
+	if r.app == nil {
 		// Never-seen application: serve it from the retrieval cold-start
 		// tier when the request carries enough features to embed; reject
-		// with guidance otherwise.
-		if hasEmbeddableFeatures(req.Features) {
-			return s.recommendCold(ctx, req, env)
+		// with guidance otherwise. Two apps reusing a name with different
+		// code must not share an answer, so the key carries the features.
+		if !hasEmbeddableFeatures(req.Features) {
+			return RecommendResponse{}, badRequest(
+				"unknown application %q (send features.code and/or features.ops to serve it from the retrieval tier)", req.App)
 		}
-		return RecommendResponse{}, badRequest(
-			"unknown application %q (send features.code and/or features.ops to serve it from the retrieval tier)", req.App)
+		key = "cold:" + strconv.FormatUint(featureHash(req.Features), 16) + "|" + key
 	}
-	if req.SizeMB <= 0 {
-		req.SizeMB = app.Sizes.Test
-	}
-	key := requestKey(app.Spec.Name, req.SizeMB, env)
-
-	// Score at the bucket's canonical size, not the (leader's) exact size:
-	// every request sharing this key gets an answer computed for the same
-	// input.
-	scoreReq := req
-	scoreReq.SizeMB = bucketSizeMB(sizeBucket(req.SizeMB))
-	return s.cached(ctx, key, req.SizeMB, func() (RecommendResponse, error) {
-		return s.score(ctx, app, scoreReq, env)
+	return s.cached(ctx, key, r.sizeMB, func() (RecommendResponse, error) {
+		return s.score(ctx, r, req.Features)
 	})
 }
 
@@ -796,25 +800,6 @@ func hasEmbeddableFeatures(f *api.AppFeatures) bool {
 	return f != nil && (strings.TrimSpace(f.Code) != "" || len(f.Ops) > 0)
 }
 
-// recommendCold serves an application absent from the workload registry
-// through the retrieval tier: embed the request's features, look up the
-// nearest historical neighbour, adapt its best-known config. The path
-// shares the cache with warm requests, keyed by the feature content hash
-// as well as the app name — two apps reusing a name with different code
-// must not share an answer.
-func (s *Server) recommendCold(ctx context.Context, req RecommendRequest, env sparksim.Environment) (RecommendResponse, error) {
-	if req.SizeMB <= 0 {
-		req.SizeMB = coldDefaultSizeMB
-	}
-	key := "cold:" + req.App + "|" + strconv.FormatUint(featureHash(req.Features), 16) +
-		"|b" + strconv.Itoa(sizeBucket(req.SizeMB)) + "|" + envFingerprint(env)
-	scoreSize := bucketSizeMB(sizeBucket(req.SizeMB))
-	return s.cached(ctx, key, req.SizeMB, func() (RecommendResponse, error) {
-		emb := retrieval.EmbedCode(req.Features.Code, req.Features.Ops)
-		return s.scoreCold(ctx, req.App, emb, scoreSize, env)
-	})
-}
-
 // featureHash fingerprints a feature payload for cache keying: 64-bit
 // FNV-1a over the code, then a zero byte and the label for each op.
 func featureHash(f *api.AppFeatures) uint64 {
@@ -834,12 +819,25 @@ func featureHash(f *api.AppFeatures) uint64 {
 	return h
 }
 
-// scoreCold answers an unseen-app request against the current snapshot via
-// the retrieval → safe-default chain (there is no NECS tier for an app the
-// estimator has never instrumented).
-func (s *Server) scoreCold(ctx context.Context, appName string, emb []float64, sizeMB float64, env sparksim.Environment) (RecommendResponse, error) {
+// score answers a resolved request against the current snapshot at its
+// size bucket's canonical size, so every request sharing the cache key gets
+// an answer computed for the same input. A registered app runs the full
+// tier chain (NECS → retrieval → ACG region → safe default); an unseen one
+// is embedded from its features and runs retrieval → safe default, since
+// the estimator has no stage features for an app it never instrumented.
+// The snapshot pointer is loaded exactly once, so a hot-swap mid-request
+// can never mix two generations in one answer.
+func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeatures) (RecommendResponse, error) {
 	snap := s.snap.Load()
-	sr, err := snap.Tuner.RecommendColdCtx(ctx, emb, sizeMB, env)
+	sizeMB := bucketSizeMB(sizeBucket(r.sizeMB))
+	var sr core.SafeRecommendation
+	var err error
+	if r.app != nil {
+		sr, err = snap.Tuner.RecommendSafeCtx(ctx, r.app.Spec, r.app.Spec.MakeData(sizeMB), r.env)
+	} else {
+		emb := retrieval.EmbedCode(features.Code, features.Ops)
+		sr, err = snap.Tuner.RecommendColdCtx(ctx, emb, sizeMB, r.env)
+	}
 	if err != nil {
 		if isCtxErr(err) {
 			return RecommendResponse{}, err
@@ -847,57 +845,23 @@ func (s *Server) scoreCold(ctx context.Context, appName string, emb []float64, s
 		return RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
 	}
 	s.ctr.recsByTier[sr.Tier].Inc()
-	s.ctr.coldByTier[sr.Tier].Inc()
-	return RecommendResponse{
-		App:        appName,
-		SizeMB:     sizeMB,
-		Cluster:    env.Name,
-		Config:     configByName(sr.Config),
-		Tier:       string(sr.Tier),
-		Generation: snap.Gen,
-		BatchSize:  1,
-	}, nil
-}
-
-// score runs the actual model inference against the current snapshot. The
-// snapshot pointer is loaded exactly once, so a hot-swap mid-request can
-// never mix two generations in one answer.
-func (s *Server) score(ctx context.Context, app *workload.App, req RecommendRequest, env sparksim.Environment) (RecommendResponse, error) {
-	snap := s.snap.Load()
-	data := app.Spec.MakeData(req.SizeMB)
-	sr, err := snap.Tuner.RecommendSafeCtx(ctx, app.Spec, data, env)
-	if err != nil {
-		if isCtxErr(err) {
-			return RecommendResponse{}, err
-		}
-		return RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
+	if r.app == nil {
+		s.ctr.coldByTier[sr.Tier].Inc()
 	}
-	s.ctr.recsByTier[sr.Tier].Inc()
 	resp := RecommendResponse{
-		App:        app.Spec.Name,
-		SizeMB:     req.SizeMB,
-		Cluster:    env.Name,
-		Config:     configByName(sr.Config),
+		App:        r.name,
+		SizeMB:     sizeMB,
+		Cluster:    r.env.Name,
+		Config:     session.ConfigMap(sr.Config),
 		Tier:       string(sr.Tier),
 		Generation: snap.Gen,
 		BatchSize:  1,
 	}
-	if !isNaN(sr.PredictedSeconds) {
+	if !math.IsNaN(sr.PredictedSeconds) {
 		p := sr.PredictedSeconds
 		resp.PredictedSeconds = &p
 	}
 	return resp, nil
-}
-
-func isNaN(v float64) bool { return v != v }
-
-// configByName renders a Config as a knob-name → value map.
-func configByName(cfg sparksim.Config) map[string]float64 {
-	out := make(map[string]float64, sparksim.NumKnobs)
-	for i, k := range sparksim.Knobs {
-		out[k.Name] = cfg[i]
-	}
-	return out
 }
 
 // ConfigFromMap builds a Config from a knob-name → value map, starting

@@ -24,7 +24,7 @@ var (
 // testTuner trains one deliberately tiny tuner shared by the whole test
 // suite (training dominates test runtime; every test clones or snapshots
 // what it needs and never mutates the shared instance in place).
-func testTuner(t *testing.T) (*core.Tuner, []*core.Encoded) {
+func testTuner(t testing.TB) (*core.Tuner, []*core.Encoded) {
 	t.Helper()
 	testOnce.Do(func() {
 		apps := []*workload.App{workload.ByName("WordCount"), workload.ByName("KMeans")}
@@ -42,7 +42,7 @@ func testTuner(t *testing.T) (*core.Tuner, []*core.Encoded) {
 }
 
 // newTestServer builds a started server around a clone of the shared tuner.
-func newTestServer(t *testing.T, opts Options) *Server {
+func newTestServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	tuner, source := testTuner(t)
 	if opts.SourceSample == nil {
@@ -68,7 +68,7 @@ func TestRecommendEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	body, _ := json.Marshal(RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
-	res, err := http.Post(srv.URL+"/recommend", "application/json", bytes.NewReader(body))
+	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRecommendEndpoint(t *testing.T) {
 	}
 
 	// Same key again: must be a cache hit.
-	res2, err := http.Post(srv.URL+"/recommend", "application/json", bytes.NewReader(body))
+	res2, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRecommendBadRequests(t *testing.T) {
 		{"bad json", `{"app":`, http.StatusBadRequest},
 		{"unknown field", `{"app":"WordCount","cluster":"C","nope":1}`, http.StatusBadRequest},
 	} {
-		res, err := http.Post(srv.URL+"/recommend", "application/json", strings.NewReader(tc.body))
+		res, err := http.Post(srv.URL+"/v1/recommend", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +137,13 @@ func TestRecommendBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, res.StatusCode, tc.want)
 		}
 	}
-	res, err := http.Get(srv.URL + "/recommend")
+	res, err := http.Get(srv.URL + "/v1/recommend")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /recommend: status = %d, want 405", res.StatusCode)
+		t.Errorf("GET /v1/recommend: status = %d, want 405", res.StatusCode)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestFeedbackHealthzMetricsEndpoints(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	res, err := http.Post(srv.URL+"/feedback", "application/json",
+	res, err := http.Post(srv.URL+"/v1/feedback", "application/json",
 		strings.NewReader(`{"app":"WordCount","size_mb":512,"cluster":"C"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestFeedbackHealthzMetricsEndpoints(t *testing.T) {
 		t.Fatalf("feedback: status=%d queued=%v", res.StatusCode, fb.Queued)
 	}
 
-	res, err = http.Get(srv.URL + "/healthz")
+	res, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

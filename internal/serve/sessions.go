@@ -76,13 +76,9 @@ func SessionRoutingKey(id string) (string, error) {
 // subsystem's Scorer: candidate screening sees exactly what /v1/recommend
 // would predict, at the session's exact datasize.
 type snapshotScorer struct {
-	scorer interface {
-		Score(cfg sparksim.Config) float64
-	}
+	*core.AppScorer
 	env sparksim.Environment
 }
-
-func (sc snapshotScorer) Score(cfg sparksim.Config) float64 { return sc.scorer.Score(cfg) }
 
 func (sc snapshotScorer) Feasible(cfg sparksim.Config) bool {
 	return sparksim.Feasible(cfg, sc.env)
@@ -112,26 +108,23 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, st 
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	app, env, err := s.resolve(req.App, req.Cluster)
+	tgt, err := resolveRegistered(req.App, req.SizeMB, req.Cluster)
 	if err != nil {
 		s.writeError(w, err)
 		return
-	}
-	if req.SizeMB <= 0 {
-		req.SizeMB = app.Sizes.Test
 	}
 	// The baseline is the static safe recommendation at the session's
 	// exact size — the config the session must never regress past by more
 	// than the bound, and the anchor trial 0 measures.
 	snap := s.snap.Load()
-	data := app.Spec.MakeData(req.SizeMB)
-	sr, err := snap.Tuner.RecommendSafeCtx(ctx, app.Spec, data, env)
+	data := tgt.app.Spec.MakeData(tgt.sizeMB)
+	sr, err := snap.Tuner.RecommendSafeCtx(ctx, tgt.app.Spec, data, tgt.env)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	baseCfg, basePred := s.warmStartBaseline(snap, app, data, env, sr)
-	sess, err := st.Create(app.Spec.Name, req.SizeMB, env.Name,
+	baseCfg, basePred := s.warmStartBaseline(snap, tgt.app, data, tgt.env, sr)
+	sess, err := st.Create(tgt.name, tgt.sizeMB, tgt.env.Name,
 		session.Strategy(req.Strategy), req.MaxTrials, req.SafetyBound,
 		baseCfg, basePred)
 	if err != nil {
@@ -213,7 +206,7 @@ func (s *Server) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	app, env, err := s.resolve(meta.App, meta.Cluster)
+	tgt, err := resolveRegistered(meta.App, meta.SizeMB, meta.Cluster)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -221,8 +214,8 @@ func (s *Server) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 	// One snapshot load for the whole proposal: the generation reported
 	// back is exactly the model every candidate was screened against.
 	snap := s.snap.Load()
-	scorer := snap.Tuner.Model.NewAppScorer(app.Spec, app.Spec.MakeData(meta.SizeMB), env)
-	prop, err := st.NextProposal(id, snapshotScorer{scorer: scorer, env: env})
+	scorer := snap.Tuner.Model.NewAppScorer(tgt.app.Spec, tgt.app.Spec.MakeData(tgt.sizeMB), tgt.env)
+	prop, err := st.NextProposal(id, snapshotScorer{AppScorer: scorer, env: tgt.env})
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -215,68 +215,6 @@ func TestSessionErrorEnvelopes(t *testing.T) {
 	}
 }
 
-// TestLegacyShimEquivalence proves the unversioned routes are the same
-// handlers as /v1 — same answers — plus deprecation signals and the legacy
-// counter, which the /v1 routes must never touch.
-func TestLegacyShimEquivalence(t *testing.T) {
-	s, srv, _ := newSessionServer(t, Options{})
-
-	body := `{"app":"WordCount","size_mb":512,"cluster":"C"}`
-	post := func(path string) (*http.Response, RecommendResponse) {
-		t.Helper()
-		res, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Body.Close()
-		if res.StatusCode != 200 {
-			t.Fatalf("POST %s: status %d", path, res.StatusCode)
-		}
-		var out RecommendResponse
-		if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return res, out
-	}
-
-	legacyRes, legacyOut := post("/recommend")
-	v1Res, v1Out := post("/v1/recommend")
-
-	if legacyOut.Tier != v1Out.Tier || len(legacyOut.Config) != len(v1Out.Config) {
-		t.Fatalf("shim answer differs: legacy %+v vs v1 %+v", legacyOut, v1Out)
-	}
-	if legacyRes.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := legacyRes.Header.Get("Link"); !strings.Contains(link, "/v1/recommend") {
-		t.Fatalf("legacy Link = %q, want successor-version /v1/recommend", link)
-	}
-	if v1Res.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route answered with a Deprecation header")
-	}
-
-	if got := s.reg.Counter(`lite_http_legacy_requests_total{endpoint="recommend"}`).Value(); got != 1 {
-		t.Fatalf("legacy counter = %d after one legacy + one v1 call, want 1", got)
-	}
-
-	// Same equivalence for healthz, incl. error-path equivalence: both
-	// reject POST with the envelope.
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		res, err := http.Post(srv.URL+path, "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env api.ErrorResponse
-		if err := json.NewDecoder(res.Body).Decode(&env); err != nil {
-			t.Fatalf("POST %s: envelope decode: %v", path, err)
-		}
-		res.Body.Close()
-		if res.StatusCode != 405 || env.Error.Code != api.CodeMethodNotAllowed {
-			t.Fatalf("POST %s = (%d, %q), want (405, method_not_allowed)", path, res.StatusCode, env.Error.Code)
-		}
-	}
-}
-
 // TestSessionsConcurrent drives many sessions in parallel through the full
 // HTTP stack (run under -race). Invariants checked per session: budget
 // accounting is monotone and never exceeds MaxTrials, no trial violates the

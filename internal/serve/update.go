@@ -14,7 +14,6 @@ import (
 	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/wal"
-	"lite/internal/workload"
 	"lite/pkg/api"
 )
 
@@ -50,24 +49,15 @@ func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (Feedback
 	if err := ctx.Err(); err != nil {
 		return FeedbackResponse{}, err
 	}
-	app, env, err := s.resolve(req.App, req.Cluster)
+	item, err := newFeedbackItem(req)
 	if err != nil {
 		return FeedbackResponse{}, err
 	}
-	if req.SizeMB <= 0 {
-		req.SizeMB = app.Sizes.Test
-	}
-	cfg, err := ConfigFromMap(req.Config)
-	if err != nil {
-		return FeedbackResponse{}, err
-	}
-	cfg = core.ForceFeasible(cfg, env)
-	item := feedbackItem{app: app, req: req, cfg: cfg, env: env}
 	if s.wal != nil {
 		// Append before enqueue: once the WAL fsyncs, this feedback cannot
 		// be lost to a crash. An append failure degrades durability, never
 		// availability — the item still flows through the in-memory loop.
-		payload, merr := json.Marshal(req)
+		payload, merr := json.Marshal(item.req)
 		if merr == nil {
 			seq, werr := s.wal.Append(payload)
 			if werr != nil {
@@ -99,6 +89,23 @@ func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (Feedback
 		s.reg.Counter("lite_feedback_dropped_total").Inc()
 		return FeedbackResponse{}, ErrQueueFull
 	}
+}
+
+// newFeedbackItem validates one feedback request and builds its queue
+// item: the live handler and WAL replay both go through it, so a replayed
+// record is accepted exactly when the live request was. The item's req has
+// its size defaulted, which is what the WAL records.
+func newFeedbackItem(req FeedbackRequest) (feedbackItem, error) {
+	r, err := resolveRegistered(req.App, req.SizeMB, req.Cluster)
+	if err != nil {
+		return feedbackItem{}, err
+	}
+	req.SizeMB = r.sizeMB
+	cfg, err := ConfigFromMap(req.Config)
+	if err != nil {
+		return feedbackItem{}, err
+	}
+	return feedbackItem{app: r.app, req: req, cfg: core.ForceFeasible(cfg, r.env), env: r.env}, nil
 }
 
 // pendingRun is one executed feedback awaiting its retrain batch: the
@@ -481,16 +488,9 @@ func chaosCorrupt(t *core.Tuner) {
 // cluster — the "production execution" clients of the demo server use to
 // generate honest feedback (cmd/liteload, examples).
 func SimulateOnce(appName string, sizeMB float64, cluster string, cfg sparksim.Config) (sparksim.Result, error) {
-	app := workload.ByName(appName)
-	if app == nil {
-		return sparksim.Result{}, badRequest("unknown application %q", appName)
+	r, err := resolveRegistered(appName, sizeMB, cluster)
+	if err != nil {
+		return sparksim.Result{}, err
 	}
-	env, ok := ClusterByName(cluster)
-	if !ok {
-		return sparksim.Result{}, badRequest("unknown cluster %q", cluster)
-	}
-	if sizeMB <= 0 {
-		sizeMB = app.Sizes.Test
-	}
-	return sparksim.Simulate(app.Spec, app.Spec.MakeData(sizeMB), env, cfg), nil
+	return sparksim.Simulate(r.app.Spec, r.app.Spec.MakeData(r.sizeMB), r.env, cfg), nil
 }

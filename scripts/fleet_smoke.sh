@@ -5,8 +5,7 @@
 # retrained generation and the coordinator flips it fleet-wide, runs one
 # tuning-session lifecycle on a follower-owned key (create → proposals →
 # improving reports → close) and asserts the promotions are teed to the
-# trainer and flip a new generation fleet-wide with zero legacy-route hits,
-# then SIGKILLs one follower shard while liteload hammers the router and
+# trainer and flip a new generation fleet-wide, then SIGKILLs one follower shard while liteload hammers the router and
 # asserts:
 #
 #   (a) re-route: the dead shard's arc moves to ring successors — the load
@@ -53,9 +52,7 @@ metric() {
 scrape() { curl -s "$1/metrics" -o "$2" || fail "scraping $1/metrics"; }
 
 # healthz FIELD → python-free JSON field extraction via the fleet healthz
-# body; generations prints every shard's generation, one per line. Uses the
-# /v1 route: the legacy-counter assertion below counts every shim hit, and
-# health polling happens inside its window.
+# body; generations prints every shard's generation, one per line.
 fleet_health() { curl -s "$base/v1/healthz"; }
 up_count()     { fleet_health | sed -n 's/.*"up":\([0-9]*\),"shards".*/\1/p'; }
 generations()  { fleet_health | grep -o '"generation":[0-9]*' | cut -d: -f2; }
@@ -102,8 +99,8 @@ for i in $(seq 1 8); do
     app='{"app":"WordCount","size_mb":512,"cluster":"C"}'
     [[ $((i % 2)) == 0 ]] && app='{"app":"KMeans","size_mb":1024,"cluster":"B"}'
     code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-        -d "$app" "$base/feedback")"
-    [[ "$code" == "200" ]] || fail "POST /feedback returned $code"
+        -d "$app" "$base/v1/feedback")"
+    [[ "$code" == "200" ]] || fail "POST /v1/feedback returned $code"
 done
 
 flipped_gen=""
@@ -120,11 +117,6 @@ echo "fleet-smoke: fleet converged on generation $flipped_gen"
 
 ############################################################################
 echo "fleet-smoke: tuning session on a follower-owned key"
-# Everything from here on is /v1 tooling: the router's legacy-shim counter
-# must not move again until the (legacy, deliberately) final recovery curl.
-scrape "$base" "$workdir/sess-pre.metrics"
-legacy_before="$(awk '/^lite_http_legacy_requests_total/ {s+=$2} END {print s+0}' "$workdir/sess-pre.metrics")"
-
 sess_id=""
 sess_owner=""
 for combo in '{"app":"WordCount","size_mb":512,"cluster":"C","strategy":"moderate","max_trials":10}' \
@@ -215,12 +207,6 @@ ejections="$(metric "$workdir/post.metrics" lite_fleet_ejections_total)"
 rerouted="$(metric "$workdir/post.metrics" lite_fleet_rerouted_total)"
 [[ "$ejections" -ge 1 ]] || fail "dead shard was never ejected (ejections=$ejections)"
 
-# The session curls and the liteload run above are all /v1 tooling: the
-# legacy deprecation shims must not have been touched since the baseline.
-legacy_after="$(awk '/^lite_http_legacy_requests_total/ {s+=$2} END {print s+0}' "$workdir/post.metrics")"
-[[ "$legacy_after" == "$legacy_before" ]] \
-    || fail "new tooling hit legacy routes: lite_http_legacy_requests_total $legacy_before -> $legacy_after"
-
 ############################################################################
 echo "fleet-smoke: waiting for supervisor restart + re-admission + re-flip"
 recovered=""
@@ -245,8 +231,11 @@ ring_moves_after="$(metric "$workdir/final.metrics" lite_fleet_ring_moves_total)
     || fail "ring moves $ring_moves_before -> $ring_moves_after, want >= +2 (eject + re-admit)"
 
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d '{"app":"PageRank","size_mb":2048,"cluster":"A"}' "$base/v1/recommend")"
+[[ "$code" == "200" ]] || fail "POST /v1/recommend after recovery returned $code"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
     -d '{"app":"PageRank","size_mb":2048,"cluster":"A"}' "$base/recommend")"
-[[ "$code" == "200" ]] || fail "POST /recommend after recovery returned $code"
+[[ "$code" == "404" ]] || fail "router's unversioned POST /recommend returned $code, want 404"
 
 {
     echo ""
@@ -254,7 +243,6 @@ code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applica
     echo "  promotions from improving trials: $promotions"
     echo "  promotions teed to the trainer:   $teed"
     echo "  fleet flipped to generation:      $flipped_gen (promotion visible fleet-wide)"
-    echo "  legacy-route hits by /v1 tooling: $((legacy_after - legacy_before)) (want 0)"
     echo ""
     echo "3-shard fleet, shard1 SIGKILLed under load (1200 reqs, 8 workers):"
     echo "  hard errors during the kill:  ${errors:-?} (want 0 — arc re-routed to successors)"

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for liteserve: boot on a random port with a minimal
-# boot-trained model, issue one /recommend and one /feedback request
-# through the legacy deprecation shims (asserting both still answer 200
-# with the Deprecation header), then run a full /v1 tuning-session
-# lifecycle and one error-envelope check.
+# boot-trained model, issue one /v1/recommend and one /v1/feedback request
+# (asserting both answer 200, and that the unversioned /recommend is 404),
+# then run a full /v1 tuning-session lifecycle and one error-envelope check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,31 +46,35 @@ if [[ -z "$base" ]]; then
 fi
 echo "serve-smoke: server ready at $base"
 
-code="$(curl -s -D "$workdir/recommend.hdr" -o "$workdir/recommend.json" -w '%{http_code}' \
+code="$(curl -s -o /dev/null -w '%{http_code}' \
     -X POST -H 'Content-Type: application/json' \
     -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' \
     "$base/recommend")"
+if [[ "$code" != "404" ]]; then
+    echo "serve-smoke: unversioned POST /recommend returned $code, want 404" >&2
+    exit 1
+fi
+code="$(curl -s -o "$workdir/recommend.json" -w '%{http_code}' \
+    -X POST -H 'Content-Type: application/json' \
+    -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' \
+    "$base/v1/recommend")"
 if [[ "$code" != "200" ]]; then
-    echo "serve-smoke: POST /recommend returned $code" >&2
+    echo "serve-smoke: POST /v1/recommend returned $code" >&2
     cat "$workdir/recommend.json" >&2
     exit 1
 fi
-if ! grep -qi '^Deprecation: true' "$workdir/recommend.hdr"; then
-    echo "serve-smoke: legacy /recommend answered without a Deprecation header" >&2
-    exit 1
-fi
-echo "serve-smoke: /recommend 200 + Deprecation header ($(head -c 120 "$workdir/recommend.json")…)"
+echo "serve-smoke: /recommend 404, /v1/recommend 200 ($(head -c 120 "$workdir/recommend.json")…)"
 
 code="$(curl -s -o "$workdir/feedback.json" -w '%{http_code}' \
     -X POST -H 'Content-Type: application/json' \
     -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' \
-    "$base/feedback")"
+    "$base/v1/feedback")"
 if [[ "$code" != "200" ]]; then
-    echo "serve-smoke: POST /feedback returned $code" >&2
+    echo "serve-smoke: POST /v1/feedback returned $code" >&2
     cat "$workdir/feedback.json" >&2
     exit 1
 fi
-echo "serve-smoke: /feedback 200 ($(cat "$workdir/feedback.json"))"
+echo "serve-smoke: /v1/feedback 200 ($(cat "$workdir/feedback.json"))"
 
 # Full /v1 tuning-session lifecycle: create → baseline proposal → report →
 # second proposal (now carrying the abort_after_seconds guard-rail) →
