@@ -28,8 +28,10 @@ lint:
 # nn.Backward — be clean under the race detector. The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
-# The grep keeps every rename and directory fsync inside internal/wal, so a
+# The first grep keeps every rename and directory fsync inside internal/wal, so a
 # durable file can only be written through wal.WriteFileAtomic (DESIGN.md §9).
+# The second keeps a tuner-wide lock off the recommend path: a published
+# model is a value, never written in place (DESIGN.md §12.6).
 # Each fuzz target (testing.F) then runs for 10 s; -fuzzminimizetime keeps
 # the engine fuzzing instead of minimizing every new corpus entry for a
 # minute. The fidelity gate last: the paper tables must not drift silently.
@@ -39,6 +41,7 @@ verify:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
+	! grep -nE 'sync\.RWMutex|\.RLock\(' internal/core/lite.go
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api

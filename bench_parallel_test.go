@@ -90,10 +90,11 @@ func BenchmarkRecommend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommendColdReps is BenchmarkRecommend/workers=1 with the
-// stage-representation cache dropped before every recommendation, so each
-// one pays the CNN and GCN forward for every stage: the encoder hoist's
-// cost (DESIGN.md §12), which the warm benchmark no longer shows.
+// BenchmarkRecommendColdReps is BenchmarkRecommend/workers=1 on a fresh
+// generation every iteration (a CloneForUpdate, taken with the timer
+// stopped), so each recommendation is its generation's first and pays the
+// CNN and GCN forward for every stage: the encoder hoist's cost
+// (DESIGN.md §12), which the warm benchmark no longer shows.
 func BenchmarkRecommendColdReps(b *testing.B) {
 	tuner, _ := parBench()
 	app := workload.ByName("WordCount")
@@ -106,8 +107,10 @@ func BenchmarkRecommendColdReps(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tuner.Model.ResetStageReps()
-			rec := tuner.Recommend(app.Spec, data, env)
+			b.StopTimer()
+			gen := tuner.CloneForUpdate(1)
+			b.StartTimer()
+			rec := gen.Recommend(app.Spec, data, env)
 			if len(rec.Ranked) != 64 {
 				b.Fatalf("ranked %d candidates, want 64", len(rec.Ranked))
 			}

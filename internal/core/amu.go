@@ -67,12 +67,11 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 // one backward pass (see amuLoss). Returns the final epoch's mean
 // prediction loss.
 //
-// The function mutates m's weights in place and must not run concurrently
-// with readers of the same model — serving layers fine-tune a clone and
-// hot-swap (see internal/serve).
+// The function mutates m's weights in place, so it panics on a model that
+// has scored: serving layers fine-tune a clone and hot-swap (see
+// internal/serve).
 func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
-	m.ResetStageReps()
-	defer m.ResetStageReps()
+	m.mustNotHaveScored("AdaptiveModelUpdate")
 	data := make([]domainSample, 0, len(source)+len(target))
 	for _, x := range source {
 		data = append(data, domainSample{x, 1})

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lite/internal/instrument"
@@ -65,16 +66,56 @@ func TestRecommendConcurrentRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCollectFeedbackConcurrentWithRecommend overlaps the mutating feedback
-// path (including an in-place adaptive update) with concurrent readers.
-func TestCollectFeedbackConcurrentWithRecommend(t *testing.T) {
+// publishUpdates is the writer of the update-and-swap tests, the way
+// internal/serve retrains: each round clones the published tuner, trains
+// the clone on freshly executed feedback runs with Adaptive Model Update,
+// and publishes it. It fails the test unless no published model's weights
+// change once published and every published model stays finite.
+func publishUpdates(t *testing.T, live *atomic.Pointer[Tuner], source []*Encoded, app *workload.App, data sparksim.DataSpec, env sparksim.Environment, rounds, runs int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	type published struct {
+		m   *NECS
+		sum uint64
+	}
+	var gens []published
+	for r := 0; r < rounds; r++ {
+		cur := live.Load()
+		gens = append(gens, published{cur.Model, weightChecksum(cur.Model)})
+		next := cur.CloneForUpdate(seed + int64(r))
+		var target []*Encoded
+		for i := 0; i < runs; i++ {
+			cfg := ForceFeasible(sparksim.RandomConfig(rng), env)
+			target = append(target, next.EncodeRun(instrument.Run(app.Spec, data, env, cfg))...)
+		}
+		amu := next.AMU
+		amu.Epochs = 1
+		AdaptiveModelUpdate(next.Model, source, target, amu, rng)
+		if !next.Model.paramsFinite() {
+			t.Errorf("round %d: trained weights went non-finite", r)
+			return
+		}
+		live.Store(next)
+	}
+	for i, g := range gens {
+		if weightChecksum(g.m) != g.sum {
+			t.Errorf("generation %d: published weights changed after publication", i)
+		}
+	}
+}
+
+// TestUpdateSwapConcurrentWithRecommend overlaps readers of the published
+// tuner with a writer that trains clones on feedback and swaps them in.
+// Run with -race: a published model is read-only, so the two share no
+// mutable state but the candidate RNG.
+func TestUpdateSwapConcurrentWithRecommend(t *testing.T) {
 	tuner, ds := concurrencyTuner(t)
-	tuner.UpdateBatch = 4
-	tuner.AMU.Epochs = 1
 	app := workload.ByName("WordCount")
 	env := sparksim.ClusterC
 	data := app.Spec.MakeData(app.Sizes.Train[0])
 	source := EncodeAll(tuner.Model.Encoder, ds.Instances[:20])
+	var live atomic.Pointer[Tuner]
+	live.Store(tuner)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -82,27 +123,16 @@ func TestCollectFeedbackConcurrentWithRecommend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := tuner.RecommendSafe(app.Spec, data, env); err != nil {
+				if _, err := live.Load().RecommendSafe(app.Spec, data, env); err != nil {
 					t.Errorf("RecommendSafe: %v", err)
 				}
 			}
 		}()
 	}
-	rng := rand.New(rand.NewSource(9))
-	updated := false
-	for i := 0; i < 6; i++ {
-		cfg := ForceFeasible(sparksim.RandomConfig(rng), env)
-		run := instrument.Run(app.Spec, data, env, cfg)
-		if tuner.CollectFeedback(run, source) {
-			updated = true
-		}
-	}
+	publishUpdates(t, &live, source, app, data, env, 2, 3, 9)
 	wg.Wait()
-	if !updated {
-		t.Fatal("expected at least one adaptive update to trigger")
-	}
-	if !tuner.Model.paramsFinite() {
-		t.Fatal("model weights went non-finite during concurrent update")
+	if live.Load() == tuner {
+		t.Fatal("no update was published")
 	}
 }
 

@@ -332,38 +332,6 @@ func TestTunerEndToEnd(t *testing.T) {
 	_ = ds
 }
 
-func TestCollectFeedbackTriggersUpdate(t *testing.T) {
-	apps := []*workload.App{workload.ByName("WordCount")}
-	opts := DefaultTrainOptions()
-	opts.NECS = fastConfig()
-	opts.NECS.Epochs = 2
-	opts.Collect.ConfigsPerInstance = 3
-	opts.Collect.Clusters = []sparksim.Environment{sparksim.ClusterA}
-	opts.Collect.Sizes = []int{0}
-	tuner, ds := Train(apps, opts)
-	tuner.UpdateBatch = 4
-	tuner.AMU.Epochs = 1
-	source := EncodeAll(tuner.Model.Encoder, ds.Instances)
-
-	app := workload.ByName("WordCount")
-	data := app.Spec.MakeData(app.Sizes.Valid)
-	srcN := len(source)
-	if srcN > 20 {
-		srcN = 20
-	}
-	updated := false
-	for i := 0; i < 3; i++ {
-		run := instrument.Run(app.Spec, data, sparksim.ClusterA, sparksim.DefaultConfig())
-		updated = tuner.CollectFeedback(run, source[:srcN]) || updated
-	}
-	if !updated {
-		t.Fatal("feedback batch should have triggered an update")
-	}
-	if len(tuner.Feedback) >= tuner.UpdateBatch {
-		t.Fatal("feedback buffer should be drained below the batch size after update")
-	}
-}
-
 func TestColdStartInstrument(t *testing.T) {
 	app := workload.ByName("TriangleCount")
 	run, overhead := ColdStartInstrument(app, sparksim.ClusterC)

@@ -20,13 +20,12 @@ import (
 // estimator, the Adaptive Candidate Generation model, and the online
 // recommendation loop with Adaptive Model Update on collected feedback.
 //
-// Concurrency: the read paths (Recommend, RecommendFrom, RecommendSafe,
-// Model.PredictApp via them) may be called from any number of goroutines;
-// they share mu as readers and serialize only on the candidate RNG.
-// CollectFeedback takes mu exclusively, so an in-place adaptive update
-// blocks readers for its duration — a serving layer that cannot afford
-// that should retrain on CloneForUpdate and hot-swap the whole tuner
-// (see internal/serve).
+// A tuner's model is a value: the read paths (Recommend, RecommendFrom,
+// RecommendSafe, Model.PredictApp via them) may be called from any number
+// of goroutines and serialize only on the candidate RNG, and nothing
+// writes a published tuner's weights. Adaptive Model Update trains a
+// CloneForUpdate, which the caller then publishes in place of the old
+// tuner (see internal/serve).
 type Tuner struct {
 	Model *NECS
 	ACG   *CandidateGenerator
@@ -45,38 +44,25 @@ type Tuner struct {
 	// region of interest.
 	NumCandidates int
 
-	// Feedback accumulates target-domain instances for Adaptive Model
-	// Update; UpdateBatch triggers an update when this many new
-	// application feedbacks have been collected.
-	Feedback    []*Encoded
-	UpdateBatch int
-	AMU         AMUConfig
+	// AMU configures the Adaptive Model Update that trains this tuner's
+	// successor (a CloneForUpdate) on collected feedback.
+	AMU AMUConfig
 
 	rng *rand.Rand
-
-	// mu is held shared by the read paths and exclusively by
-	// CollectFeedback (which appends feedback and may mutate the model
-	// weights in place via AdaptiveModelUpdate).
-	mu sync.RWMutex
 	// rngMu guards rng: math/rand.Rand is not safe for concurrent use,
-	// even by otherwise read-only callers. Lock order: mu before rngMu.
+	// even by otherwise read-only callers.
 	rngMu sync.Mutex
 }
 
-// ensureRNG lazily installs a deterministic RNG on hand-assembled tuners.
-func (t *Tuner) ensureRNG() {
+// sampleFeasible draws candidates from the ACG region under the RNG lock.
+// A hand-assembled or deserialized tuner may lack an RNG; serving must not
+// crash over it, so the first draw installs a deterministic one.
+func (t *Tuner) sampleFeasible(appName string, data sparksim.DataSpec, env sparksim.Environment, n int) []sparksim.Config {
 	t.rngMu.Lock()
+	defer t.rngMu.Unlock()
 	if t.rng == nil {
 		t.rng = rand.New(rand.NewSource(1))
 	}
-	t.rngMu.Unlock()
-}
-
-// sampleFeasible draws candidates from the ACG region under the RNG lock.
-func (t *Tuner) sampleFeasible(appName string, data sparksim.DataSpec, env sparksim.Environment, n int) []sparksim.Config {
-	t.ensureRNG()
-	t.rngMu.Lock()
-	defer t.rngMu.Unlock()
 	return t.ACG.SampleFeasible(appName, data, env, n, t.rng)
 }
 
@@ -116,7 +102,6 @@ func TrainOn(ds *Dataset, opts TrainOptions) *Tuner {
 		Model:         model,
 		ACG:           NewCandidateGenerator(ds.Runs, rng),
 		NumCandidates: 64,
-		UpdateBatch:   10,
 		AMU:           DefaultAMUConfig(),
 		rng:           rng,
 	}
@@ -153,8 +138,6 @@ func (t *Tuner) Recommend(app *sparksim.AppSpec, data sparksim.DataSpec, env spa
 // burning pool workers mid-pass. A non-nil error is always ctx.Err().
 func (t *Tuner) RecommendCtx(ctx context.Context, app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment) (Recommendation, error) {
 	start := time.Now()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	cands := t.sampleFeasible(app.Name, data, env, t.NumCandidates)
 	return t.recommendFrom(ctx, app, data, env, cands, start)
 }
@@ -170,8 +153,6 @@ func (t *Tuner) RecommendFrom(app *sparksim.AppSpec, data sparksim.DataSpec, env
 // non-nil error is always ctx.Err().
 func (t *Tuner) RecommendFromCtx(ctx context.Context, app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment, cands []sparksim.Config) (Recommendation, error) {
 	start := time.Now()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.recommendFrom(ctx, app, data, env, cands, start)
 }
 
@@ -182,8 +163,8 @@ func (t *Tuner) RecommendFromCtx(ctx context.Context, app *sparksim.AppSpec, dat
 // deterministic for a given model and candidate order, independent of
 // goroutine scheduling and of the pool width. Cancelling ctx aborts the
 // pass between candidates and returns ctx.Err(); partially scored slots
-// are discarded. Callers must hold t.mu (read); start is when the caller
-// began the request, so Overhead covers sampling plus scoring.
+// are discarded. start is when the caller began the request, so Overhead
+// covers sampling plus scoring.
 func (t *Tuner) recommendFrom(ctx context.Context, app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment, cands []sparksim.Config, start time.Time) (Recommendation, error) {
 	if len(cands) == 0 {
 		// Degenerate candidate set: fall back to the safe default rather
@@ -277,12 +258,6 @@ func (t *Tuner) RecommendSafe(app *sparksim.AppSpec, data sparksim.DataSpec, env
 func (t *Tuner) RecommendSafeCtx(ctx context.Context, app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment) (SafeRecommendation, error) {
 	start := time.Now()
 	sr := SafeRecommendation{}
-	// A hand-assembled or deserialized tuner may lack an RNG; serving must
-	// not crash over it (ensureRNG is race-safe).
-	t.ensureRNG()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
 	if rec, note := t.tryNECSTier(ctx, app, data, env, start); note == "" {
 		sr.Recommendation = rec
 		sr.Tier = TierNECS
@@ -318,7 +293,7 @@ type fallbackTier struct {
 // the cold chain: the first tier to answer wins, each one that cannot
 // records why in sr.Notes, and the feasible safe default ends every chain.
 // None of these tiers has a trusted estimate of this app's run, so
-// PredictedSeconds is NaN. Callers must hold t.mu (read).
+// PredictedSeconds is NaN.
 func fallBack(sr SafeRecommendation, env sparksim.Environment, start time.Time, tiers ...fallbackTier) (SafeRecommendation, error) {
 	for _, ft := range tiers {
 		cfg, note := ft.try()
@@ -467,9 +442,6 @@ func (t *Tuner) RecommendColdCtx(ctx context.Context, emb []float64, sizeMB floa
 	if err := ctx.Err(); err != nil {
 		return sr, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
 	return fallBack(sr, env, start, fallbackTier{TierRetrieval, "retrieval", func() (sparksim.Config, string) {
 		return t.tryRetrievalTier(emb, sizeMB, env)
 	}})
@@ -484,31 +456,8 @@ func (t *Tuner) RetrievalAnchor(app *sparksim.AppSpec, data sparksim.DataSpec, e
 	return cfg, note == ""
 }
 
-// CollectFeedback records the outcome of executing a recommendation in the
-// "real production system" (online Step 4). When UpdateBatch feedbacks have
-// accumulated, it runs Adaptive Model Update against a sample of the source
-// domain and clears the feedback buffer. sourceSample should be drawn from
-// the training instances. Returns true if an update was performed.
-func (t *Tuner) CollectFeedback(run instrument.AppInstance, sourceSample []*Encoded) bool {
-	t.ensureRNG()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range run.Stages {
-		t.Feedback = append(t.Feedback, t.Model.Encoder.Encode(&run.Stages[i]))
-	}
-	if t.UpdateBatch <= 0 || len(t.Feedback) < t.UpdateBatch {
-		return false
-	}
-	t.rngMu.Lock()
-	AdaptiveModelUpdate(t.Model, sourceSample, t.Feedback, t.AMU, t.rng)
-	t.rngMu.Unlock()
-	t.Feedback = t.Feedback[:0]
-	return true
-}
-
 // EncodeRun encodes the stage instances of one executed run with the
-// tuner's encoder without touching the feedback buffer — the serving layer
-// queues feedback itself and folds it into a clone off the hot path.
+// tuner's encoder, as Adaptive Model Update's target-domain feedback.
 func (t *Tuner) EncodeRun(run instrument.AppInstance) []*Encoded {
 	out := make([]*Encoded, 0, len(run.Stages))
 	for i := range run.Stages {
@@ -518,21 +467,15 @@ func (t *Tuner) EncodeRun(run instrument.AppInstance) []*Encoded {
 }
 
 // CloneForUpdate returns a tuner that shares the read-only ACG and encoder
-// with the receiver but owns a deep copy of the NECS weights and of the
-// accumulated feedback, so a background trainer can fine-tune the clone
-// (AdaptiveModelUpdate mutates weights in place) while the original keeps
-// serving reads, then atomically publish the clone as the new serving
-// snapshot.
+// with the receiver but owns a deep copy of the NECS weights and an empty
+// stage-representation cache: the only tuner Adaptive Model Update may
+// train. The caller publishes it in place of the receiver once trained.
 func (t *Tuner) CloneForUpdate(seed int64) *Tuner {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return &Tuner{
 		Model:         t.Model.Clone(),
 		ACG:           t.ACG,
 		Retrieval:     t.Retrieval,
 		NumCandidates: t.NumCandidates,
-		Feedback:      append([]*Encoded(nil), t.Feedback...),
-		UpdateBatch:   t.UpdateBatch,
 		AMU:           t.AMU,
 		rng:           rand.New(rand.NewSource(seed)),
 	}

@@ -110,7 +110,7 @@ func LabelOf(seconds float64) float64 {
 }
 
 // SecondsOf inverts LabelOf. A NaN label yields NaN — callers that must be
-// NaN-safe (PredictSeconds) clamp the result.
+// NaN-safe (secondsChecked) clamp the result.
 func SecondsOf(label float64) float64 { return math.Expm1(label) }
 
 // Encoder caches per-stage encodings (token ids, DAG matrices) so repeated
@@ -194,11 +194,11 @@ func (e *Encoder) Encode(inst *instrument.StageInstance) *Encoded {
 	}
 }
 
-// NECS is the neural estimator of Figure 3. Prediction methods
-// (PredictSeconds, PredictApp, NewAppScorer) only read the weights and are
-// safe for concurrent use with each other; Fit and AdaptiveModelUpdate
-// mutate the weights in place and must not overlap with readers — serving
-// layers train on a Clone and hot-swap (see internal/serve).
+// NECS is the neural estimator of Figure 3. Prediction methods (Predict,
+// PredictApp, NewAppScorer) only read the weights and are safe for
+// concurrent use with each other. Fit and AdaptiveModelUpdate write the
+// weights in place, so they run only on a model that has never scored:
+// train a fresh NewNECS or Clone, then publish it (see internal/serve).
 type NECS struct {
 	Cfg     NECSConfig
 	Encoder *Encoder
@@ -207,9 +207,10 @@ type NECS struct {
 	DAG   *nn.GCNEncoder
 	Tower *nn.MLP
 
-	// reps memoizes each stage's h_code ‖ h_DAG under the current weights
+	// reps memoizes each stage's h_code ‖ h_DAG under the model's weights
 	// (stageRepKey → []float64, see stageRep); repHits and repMisses count
-	// its lookups over the model's lifetime, resets included.
+	// its lookups over the model's lifetime. The weights never change once
+	// a rep exists (mustNotHaveScored), so an entry is never stale.
 	reps               sync.Map
 	repHits, repMisses atomic.Uint64
 }
@@ -248,14 +249,14 @@ func (m *NECS) stageRep(toks []int, dag *dagEnc) []float64 {
 	return won.([]float64)
 }
 
-// ResetStageReps drops every memoized stage representation. Everything
-// that writes this model's weights in place calls it before the first
-// write and after the last: Fit, AdaptiveModelUpdate and the best-epoch
-// rollback do so themselves; code that writes Params() directly must too.
-// Clone and LoadNECS start empty.
-func (m *NECS) ResetStageReps() {
-	// sync.Map.Clear needs go1.23; the module builds with go1.22.
-	m.reps.Range(func(k, _ any) bool { m.reps.Delete(k); return true })
+// mustNotHaveScored is the model-lifetime rule behind the stage-rep
+// cache: weights are written only before the model's first stage rep, so
+// a trainer handed a model that has already scored panics instead of
+// leaving the cache stale.
+func (m *NECS) mustNotHaveScored(trainer string) {
+	if m.repMisses.Load() != 0 {
+		panic("core: " + trainer + " on a model that has already scored; train a Clone, then publish it")
+	}
 }
 
 // StageRepEntries reports how many stage representations are memoized.
@@ -266,8 +267,8 @@ func (m *NECS) StageRepEntries() int {
 }
 
 // StageRepStats reports how many of this model's stage-representation
-// lookups were served from the cache and how many ran the CNN and GCN
-// forward.
+// lookups, over its lifetime, were served from the cache and how many ran
+// the CNN and GCN forward.
 func (m *NECS) StageRepStats() (hits, misses uint64) {
 	return m.repHits.Load(), m.repMisses.Load()
 }
@@ -285,8 +286,9 @@ func NewNECS(enc *Encoder, cfg NECSConfig, rng *rand.Rand) *NECS {
 	}
 }
 
-// Clone returns a deep copy of the model (shared encoder, copied weights),
-// so experiments can fine-tune a snapshot without disturbing the original.
+// Clone returns a deep copy of the model (shared encoder, copied weights,
+// empty stage-rep cache), the model a trainer may fine-tune without
+// disturbing the original.
 func (m *NECS) Clone() *NECS {
 	// Reconstruct with a throwaway RNG, then overwrite every weight.
 	c := NewNECS(m.Encoder, m.Cfg, rand.New(rand.NewSource(0)))
@@ -354,29 +356,14 @@ func (m *NECS) Predict(x *Encoded) float64 {
 // sorts, ETR) never sees ±Inf or NaN.
 const maxPredictSeconds = 1e12
 
-// PredictSeconds returns the predicted stage time in seconds, clamped into
-// [0, maxPredictSeconds]. A NaN prediction (a corrupted or diverged model)
-// maps to the upper clamp: an un-rankable candidate is treated as the worst
-// possible one instead of poisoning every comparison it appears in.
-func (m *NECS) PredictSeconds(x *Encoded) float64 {
-	s, _ := m.PredictSecondsChecked(x)
-	return s
-}
-
-// PredictSecondsChecked is PredictSeconds plus a finiteness report: ok is
-// false when the raw (pre-clamp) prediction was NaN or ±Inf. The clamp
-// keeps ranking arithmetic safe, but it also makes a corrupted model look
-// healthy — every candidate pinned to the same ceiling; guards that must
-// distinguish "worst-ranked" from "cannot rank at all" (the serve layer's
-// hot-swap validation gate) check ok instead of the clamped value.
-func (m *NECS) PredictSecondsChecked(x *Encoded) (float64, bool) {
-	return secondsChecked(m.Predict(x))
-}
-
-// secondsChecked converts a raw log-space prediction into clamped seconds
-// plus the pre-clamp finiteness report. It is the single conversion both
-// the autograd path (PredictSecondsChecked) and the batched inference
-// kernel (batch.go) share, so the two cannot drift.
+// secondsChecked converts a raw log-space prediction into clamped seconds,
+// within [0, maxPredictSeconds], plus a finiteness report: ok is false when
+// the raw prediction was NaN or ±Inf. A NaN maps to the upper clamp, so an
+// un-rankable candidate ranks worst instead of poisoning every comparison;
+// guards that must tell "worst-ranked" from "cannot rank at all" (the
+// serve layer's hot-swap validation gate) check ok. It is the single
+// conversion of the batched inference kernel (batch.go) and of its
+// autograd golden reference, so the two cannot drift.
 func secondsChecked(raw float64) (float64, bool) {
 	s := SecondsOf(raw)
 	ok := !math.IsNaN(raw) && !math.IsInf(raw, 0) && !math.IsNaN(s) && !math.IsInf(s, 0)
@@ -413,11 +400,9 @@ func (m *NECS) snapshotParams() [][]float64 {
 
 // restoreParams writes a snapshot back into the model.
 func (m *NECS) restoreParams(snap [][]float64) {
-	m.ResetStageReps()
 	for i, p := range m.Params() {
 		copy(p.Value.Data, snap[i])
 	}
-	m.ResetStageReps()
 }
 
 // paramsFinite reports whether every weight is a finite number.
@@ -460,10 +445,9 @@ func gradsFinite(params []*nn.Node) bool {
 // weights roll back to the best finite epoch snapshot whenever an epoch
 // ends non-finite, so a single poisoned sample can never destroy the
 // model. Fit must not be called concurrently with anything that reads or
-// writes this model's weights.
+// writes this model's weights, and panics on a model that has scored.
 func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
-	m.ResetStageReps()
-	defer m.ResetStageReps()
+	m.mustNotHaveScored("NECS.Fit")
 	params := m.Params()
 	opt := nn.NewAdam(params, m.Cfg.LR)
 	idx := make([]int, len(data))

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
 )
@@ -183,18 +183,19 @@ func TestAppScorerMatchesPredictApp(t *testing.T) {
 
 // --- race coverage under the pool -----------------------------------------
 
-// TestPoolConcurrentRecommendAndUpdateRace overlaps pooled recommendations,
-// a pool resize, and an adaptive update. Run with -race.
+// TestPoolConcurrentRecommendAndUpdateRace overlaps pooled recommendations
+// on the published tuner, a pool resize, and adaptive updates trained on
+// clones and swapped in. Run with -race.
 func TestPoolConcurrentRecommendAndUpdateRace(t *testing.T) {
 	defer SetScoreWorkers(0)
 	SetScoreWorkers(4)
 	tuner, ds := concurrencyTuner(t)
-	tuner.UpdateBatch = 3
-	tuner.AMU.Epochs = 1
 	app := workload.ByName("WordCount")
 	env := sparksim.ClusterC
 	data := app.Spec.MakeData(app.Sizes.Train[0])
 	source := EncodeAll(tuner.Model.Encoder, ds.Instances[:16])
+	var live atomic.Pointer[Tuner]
+	live.Store(tuner)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -205,26 +206,15 @@ func TestPoolConcurrentRecommendAndUpdateRace(t *testing.T) {
 				if g == 0 && i == 1 {
 					SetScoreWorkers(2 + g%3) // resize mid-flight
 				}
-				if _, err := tuner.RecommendSafe(app.Spec, data, env); err != nil {
+				if _, err := live.Load().RecommendSafe(app.Spec, data, env); err != nil {
 					t.Errorf("RecommendSafe: %v", err)
 				}
 			}
 		}(g)
 	}
-	rng := rand.New(rand.NewSource(5))
-	updated := false
-	for i := 0; i < 4; i++ {
-		cfg := ForceFeasible(sparksim.RandomConfig(rng), env)
-		run := instrument.Run(app.Spec, data, env, cfg)
-		if tuner.CollectFeedback(run, source) {
-			updated = true
-		}
-	}
+	publishUpdates(t, &live, source, app, data, env, 2, 2, 5)
 	wg.Wait()
-	if !updated {
-		t.Fatal("expected an adaptive update to trigger")
-	}
-	if !tuner.Model.paramsFinite() {
-		t.Fatal("weights went non-finite")
+	if live.Load() == tuner {
+		t.Fatal("no update was published")
 	}
 }

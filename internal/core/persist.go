@@ -88,7 +88,6 @@ type tunerFile struct {
 	Model         json.RawMessage `json:"model"`
 	ACG           json.RawMessage `json:"acg"`
 	NumCandidates int             `json:"num_candidates"`
-	UpdateBatch   int             `json:"update_batch"`
 }
 
 const tunerFormat = "lite-tuner-v1"
@@ -121,14 +120,14 @@ func (t *Tuner) Save(w io.Writer) error {
 	}
 	buf = append(buf, `,"num_candidates":`...)
 	buf = strconv.AppendInt(buf, int64(t.NumCandidates), 10)
-	buf = append(buf, `,"update_batch":`...)
-	buf = strconv.AppendInt(buf, int64(t.UpdateBatch), 10)
 	_, err = w.Write(append(buf, "}\n"...))
 	return err
 }
 
 // LoadTuner reconstructs a tuner previously written by Save. The returned
 // tuner is ready to Recommend; its RNG is seeded with the given seed.
+// Snapshots from before the update_batch field was retired still load:
+// encoding/json ignores the unknown key.
 func LoadTuner(r io.Reader, seed int64) (*Tuner, error) {
 	var tf tunerFile
 	if err := json.NewDecoder(r).Decode(&tf); err != nil {
@@ -136,6 +135,9 @@ func LoadTuner(r io.Reader, seed int64) (*Tuner, error) {
 	}
 	if tf.Format != tunerFormat {
 		return nil, fmt.Errorf("core: unsupported tuner format %q", tf.Format)
+	}
+	if tf.NumCandidates < 1 {
+		return nil, fmt.Errorf("core: tuner num_candidates is %d, want at least 1", tf.NumCandidates)
 	}
 	model, err := LoadNECS(bytes.NewReader(tf.Model))
 	if err != nil {
@@ -149,7 +151,6 @@ func LoadTuner(r io.Reader, seed int64) (*Tuner, error) {
 		Model:         model,
 		ACG:           acg,
 		NumCandidates: tf.NumCandidates,
-		UpdateBatch:   tf.UpdateBatch,
 		AMU:           DefaultAMUConfig(),
 		rng:           rand.New(rand.NewSource(seed)),
 	}, nil

@@ -74,7 +74,6 @@ func refTunerSave(t *Tuner, w io.Writer) error {
 		Model:         model.Bytes(),
 		ACG:           acg,
 		NumCandidates: t.NumCandidates,
-		UpdateBatch:   t.UpdateBatch,
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -155,6 +156,46 @@ func TestLoadTunerRejectsBadInput(t *testing.T) {
 	}
 	if _, err := LoadTuner(strings.NewReader("garbage"), 1); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// TestLoadTunerValidatesNumCandidates: num_candidates sizes every
+// request's candidate draw, so LoadTuner rejects a value below 1 — a
+// negative one panics every Recommend, and zero sends every answer to a
+// fallback tier. A snapshot from before update_batch was retired (the same
+// bytes with that field after num_candidates) still loads.
+func TestLoadTunerValidatesNumCandidates(t *testing.T) {
+	tuner := persistFaultTuner(t)
+	var buf bytes.Buffer
+	if err := tuner.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.String()
+	field := fmt.Sprintf(`,"num_candidates":%d`, tuner.NumCandidates)
+	if n := strings.Count(snap, field); n != 1 {
+		t.Fatalf("snapshot holds %s %d times, want once", field, n)
+	}
+	cases := []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"negative", `,"num_candidates":-3`, false},
+		{"zero", `,"num_candidates":0`, false},
+		{"missing", ``, false},
+		{"with retired update_batch", field + `,"update_batch":10`, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			loaded, err := LoadTuner(strings.NewReader(strings.Replace(snap, field, c.tail, 1)), 1)
+			switch {
+			case !c.ok && err == nil:
+				t.Fatalf("loaded with num_candidates %d", loaded.NumCandidates)
+			case c.ok && err != nil:
+				t.Fatal(err)
+			case c.ok && loaded.NumCandidates != tuner.NumCandidates:
+				t.Fatalf("NumCandidates %d, saved %d", loaded.NumCandidates, tuner.NumCandidates)
+			}
+		})
 	}
 }
 

@@ -11,14 +11,13 @@ import (
 
 // poisonModel overwrites every weight with NaN — the worst corruption a
 // serialized or diverged model can present. It writes Params() directly,
-// so it owes the model a ResetStageReps.
+// so m must not have scored yet: poison a fresh Clone.
 func poisonModel(m *NECS) {
 	for _, p := range m.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
-	m.ResetStageReps()
 }
 
 // Fit must survive a batch whose label is NaN: the poisoned batch is
@@ -96,7 +95,9 @@ func TestRecommendSafeTierFallThrough(t *testing.T) {
 		t.Fatalf("tier-1 prediction not screened: %v", rec.PredictedSeconds)
 	}
 
-	// Corrupted estimator → every prediction screens out → tier 2.
+	// Corrupted estimator → every prediction screens out → tier 2. The
+	// scored model is never written: a poisoned clone takes its place.
+	tuner.Model = tuner.Model.Clone()
 	poisonModel(tuner.Model)
 	rec, err = tuner.RecommendSafe(app, data, env)
 	if err != nil {

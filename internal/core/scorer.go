@@ -14,7 +14,6 @@ package core
 // and its cost model.
 
 import (
-	"lite/internal/feature"
 	"lite/internal/sparksim"
 )
 
@@ -100,40 +99,4 @@ func (s *AppScorer) ScoreChecked(cfg sparksim.Config) (float64, bool) {
 	var ok [1]bool
 	s.ScoreBatch([]sparksim.Config{cfg}, pred[:], ok[:])
 	return pred[0], ok[0]
-}
-
-// scoreGraph is the historical per-candidate scoring path through the
-// autograd graph (one full CNN+GCN+tower forward per stage per call). It
-// is retained as the bitwise golden reference the batched inference kernel
-// is tested against, and is not used on any serving path.
-func (s *AppScorer) scoreGraph(cfg sparksim.Config) (float64, bool) {
-	// The candidate-dependent dense sections are shared by every stage of
-	// this candidate: compute them once, not once per stage.
-	knobs := cfg.Normalized()
-	derived := feature.DerivedResourceFeatures(cfg, s.data, s.env)
-	perStage := make(map[int]float64, len(s.stages))
-	ok := true
-	for _, st := range s.stages {
-		dense := make([]float64, 0, feature.DenseWidth)
-		dense = append(dense, knobs...)
-		dense = append(dense, s.shared...)
-		dense = append(dense, derived...)
-		sec, fin := s.model.PredictSecondsChecked(&Encoded{
-			StageIndex: st.index,
-			TokenIDs:   st.toks,
-			NodeFeats:  st.dag.nodes,
-			AHat:       st.dag.aHat,
-			Dense:      dense,
-			Weight:     1,
-		})
-		perStage[st.index] = sec
-		ok = ok && fin
-	}
-	// Sum in plan order, exactly as PredictApp always has, so the
-	// aggregate is bit-identical to the batched path.
-	var total float64
-	for _, si := range s.plan {
-		total += perStage[si]
-	}
-	return total, ok
 }

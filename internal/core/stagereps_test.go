@@ -1,16 +1,19 @@
 package core
 
 // Tests for the per-model stage-representation cache (NECS.stageRep,
-// DESIGN.md §12). The contract: a model's memoized h_code ‖ h_DAG always
-// matches its current weights, so a warmed model scores bitwise like a
-// fresh Clone of itself — after every in-place weight mutator, across
-// clones, and when many scorers fill a cold cache at once.
+// DESIGN.md §12.6). The contract: a model's weights are written only before
+// its first score, so its memoized h_code ‖ h_DAG always matches them and a
+// warmed model scores bitwise like a fresh Clone of itself — after every
+// trainer, across clones and hot-swaps, and when many scorers fill a cold
+// cache at once. Training a model that has scored panics.
 
 import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lite/internal/instrument"
@@ -58,9 +61,9 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// assertFresh fails unless the (warmed) model scores bitwise like a fresh
-// clone of its current weights, and differently from how it scored before
-// the mutation under test — a mutation that moved nothing proves nothing.
+// assertFresh fails unless the model scores bitwise like a fresh clone of
+// its current weights, and differently from how its parent scored before
+// the training under test — training that moved nothing proves nothing.
 func (f *repFixture) assertFresh(t *testing.T, m *NECS, before []float64) {
 	t.Helper()
 	got, want := f.scores(m), f.scores(m.Clone())
@@ -72,13 +75,11 @@ func (f *repFixture) assertFresh(t *testing.T, m *NECS, before []float64) {
 	}
 }
 
-// TestStageRepsDroppedByEveryMutator warms a model, runs one in-place
-// weight mutator, and requires the model to score like a fresh clone.
-func TestStageRepsDroppedByEveryMutator(t *testing.T) {
-	f := newRepFixture(t)
+// trainers are every writer of a model's weights, each run on an unscored
+// model.
+func (f *repFixture) trainers() map[string]func(m *NECS) {
 	target := f.tuner.EncodeRun(instrument.Run(f.app.Spec, f.data, f.env, sparksim.DefaultConfig()))
-
-	mutators := map[string]func(m *NECS){
+	return map[string]func(m *NECS){
 		"Fit": func(m *NECS) {
 			m.Cfg.Epochs = 1
 			m.Fit(f.source, rand.New(rand.NewSource(3)))
@@ -93,49 +94,81 @@ func TestStageRepsDroppedByEveryMutator(t *testing.T) {
 			m.restoreParams(other.snapshotParams())
 		},
 	}
-	for name, mutate := range mutators {
+}
+
+// TestStageRepsDroppedByEveryMutator trains an unscored clone with each
+// weight writer, then scores it: its first scores must match a fresh clone
+// of the trained weights.
+func TestStageRepsDroppedByEveryMutator(t *testing.T) {
+	f := newRepFixture(t)
+	before := f.scores(f.tuner.Model)
+	for name, train := range f.trainers() {
 		t.Run(name, func(t *testing.T) {
 			m := f.tuner.Model.Clone()
-			before := f.scores(m)
-			if m.StageRepEntries() == 0 {
-				t.Fatal("scoring did not warm the cache")
-			}
-			mutate(m)
+			train(m)
 			f.assertFresh(t, m, before)
 		})
 	}
 }
 
-// TestStageRepsAcrossCollectFeedback: the in-place update CollectFeedback
-// triggers under the tuner's write lock leaves no stale representation.
-func TestStageRepsAcrossCollectFeedback(t *testing.T) {
+// TestTrainingAScoredModelPanics: Fit and AdaptiveModelUpdate refuse a
+// model that has computed a stage representation, before writing a weight,
+// and name the rule.
+func TestTrainingAScoredModelPanics(t *testing.T) {
 	f := newRepFixture(t)
-	tuner := f.tuner.CloneForUpdate(7)
-	tuner.UpdateBatch = 2
-	tuner.AMU.Epochs = 1
-	before := f.scores(tuner.Model)
-	updated := false
-	for i := 0; i < 3 && !updated; i++ {
-		run := instrument.Run(f.app.Spec, f.data, f.env, sparksim.DefaultConfig())
-		updated = tuner.CollectFeedback(run, f.source)
+	trainers := f.trainers()
+	// BestEpochRollback runs only inside Fit, after Fit's own check.
+	for _, name := range []string{"Fit", "AdaptiveModelUpdate"} {
+		train := trainers[name]
+		t.Run(name, func(t *testing.T) {
+			m := f.tuner.Model.Clone()
+			f.scores(m)
+			sum := weightChecksum(m)
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "train a Clone") {
+					t.Fatalf("training a scored model: recovered %v, want a panic naming the rule", r)
+				}
+				if weightChecksum(m) != sum {
+					t.Fatal("the refused trainer wrote weights before panicking")
+				}
+			}()
+			train(m)
+		})
 	}
-	if !updated {
-		t.Fatal("feedback did not trigger an update")
-	}
-	f.assertFresh(t, tuner.Model, before)
+}
+
+// TestStageRepsAcrossUpdateSwap: a generation is scored while its
+// successor trains on a clone; the swapped-in successor scores, and
+// recommends, bit for bit like its own Clone().
+func TestStageRepsAcrossUpdateSwap(t *testing.T) {
+	f := newRepFixture(t)
+	var live atomic.Pointer[Tuner]
+	live.Store(f.tuner.CloneForUpdate(7))
+	before := f.scores(live.Load().Model)
+
+	next := live.Load().CloneForUpdate(8)
+	cfg := next.AMU
+	cfg.Epochs = 1
+	target := next.EncodeRun(instrument.Run(f.app.Spec, f.data, f.env, sparksim.DefaultConfig()))
+	AdaptiveModelUpdate(next.Model, f.source, target, cfg, rand.New(rand.NewSource(9)))
+	live.Store(next)
+
+	pub := live.Load()
+	f.assertFresh(t, pub.Model, before)
 	// The public read path agrees with a fresh clone too.
-	rec := tuner.RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
-	want := tuner.CloneForUpdate(7).RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
+	rec := pub.RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
+	want := pub.CloneForUpdate(7).RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
 	if math.Float64bits(rec.PredictedSeconds) != math.Float64bits(want.PredictedSeconds) || rec.Config != want.Config {
-		t.Fatalf("Recommend after in-place update: %v (%v s), fresh clone says %v (%v s)",
+		t.Fatalf("Recommend after the swap: %v (%v s), fresh clone says %v (%v s)",
 			rec.Config, rec.PredictedSeconds, want.Config, want.PredictedSeconds)
 	}
 }
 
 // TestStageRepsNotInheritedByCloneOrLoad: Clone, CloneForUpdate and
 // LoadTuner start with an empty cache, so a new generation never sees its
-// predecessor's representations, and retraining the copy leaves the
-// original's cache and scores alone.
+// predecessor's representations; a copy scores like the original, and
+// training another copy leaves the original's cache and scores alone.
 func TestStageRepsNotInheritedByCloneOrLoad(t *testing.T) {
 	f := newRepFixture(t)
 	parent := f.tuner.Model
@@ -149,49 +182,52 @@ func TestStageRepsNotInheritedByCloneOrLoad(t *testing.T) {
 	if err := f.tuner.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadTuner(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
+	copies := map[string]func(t *testing.T) *NECS{
+		"Clone":          func(*testing.T) *NECS { return parent.Clone() },
+		"CloneForUpdate": func(*testing.T) *NECS { return f.tuner.CloneForUpdate(1).Model },
+		"LoadTuner": func(t *testing.T) *NECS {
+			loaded, err := LoadTuner(bytes.NewReader(buf.Bytes()), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return loaded.Model
+		},
 	}
-	copies := map[string]*NECS{
-		"Clone":          parent.Clone(),
-		"CloneForUpdate": f.tuner.CloneForUpdate(1).Model,
-		"LoadTuner":      loaded.Model,
-	}
-	for name, c := range copies {
+	for name, copyOf := range copies {
 		t.Run(name, func(t *testing.T) {
+			c := copyOf(t)
 			if n := c.StageRepEntries(); n != 0 {
 				t.Fatalf("copy starts with %d memoized representations", n)
 			}
 			if got := f.scores(c); !bitsEqual(got, parentScores) {
 				t.Fatalf("copy of the same weights scores differently:\n got  %v\n want %v", got, parentScores)
 			}
-			c.Cfg.Epochs = 1
-			c.Fit(f.source, rand.New(rand.NewSource(11)))
-			f.assertFresh(t, c, parentScores)
+			trained := copyOf(t)
+			trained.Cfg.Epochs = 1
+			trained.Fit(f.source, rand.New(rand.NewSource(11)))
+			f.assertFresh(t, trained, parentScores)
 			if parent.StageRepEntries() != warmed || !bitsEqual(f.scores(parent), parentScores) {
-				t.Fatal("retraining a copy disturbed the original's cache or scores")
+				t.Fatal("training a copy disturbed the original's cache or scores")
 			}
 		})
 	}
 }
 
 // TestStageRepsAfterDirectWeightWrite: code that writes Params() itself
-// must call ResetStageReps (poisonModel does); the poisoned model then
-// reports every candidate as un-rankable, which is what the serve layer's
-// validation gate rejects on.
+// does so before the model's first score (poisonModel poisons an unscored
+// clone, as serve's chaosCorrupt does); the poisoned model then computes
+// its representations from the poisoned weights and reports every
+// candidate as un-rankable, which is what the serve layer's validation
+// gate rejects on.
 func TestStageRepsAfterDirectWeightWrite(t *testing.T) {
 	f := newRepFixture(t)
+	f.scores(f.tuner.Model)
 	m := f.tuner.Model.Clone()
-	f.scores(m)
 	poisonModel(m)
-	if n := m.StageRepEntries(); n != 0 {
-		t.Fatalf("%d representations survived a direct weight write", n)
-	}
 	scorer, fresh := m.NewAppScorer(f.app.Spec, f.data, f.env), m.Clone().NewAppScorer(f.app.Spec, f.data, f.env)
 	for si := range scorer.stages {
 		if !bitsEqual(scorer.stages[si].rep, fresh.stages[si].rep) {
-			t.Fatalf("stage %d still carries its pre-poison representation", scorer.stages[si].index)
+			t.Fatalf("stage %d carries a representation of other weights", scorer.stages[si].index)
 		}
 	}
 	if _, ok := scorer.ScoreChecked(f.cands[0]); ok {

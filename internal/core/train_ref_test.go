@@ -45,8 +45,6 @@ func refFitStep(m *NECS, batch []*Encoded, batchWeight float64) ([]float64, bool
 
 // refFit is Fit with one graph per instance.
 func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
-	m.ResetStageReps()
-	defer m.ResetStageReps()
 	params := m.Params()
 	opt := nn.NewAdam(params, m.Cfg.LR)
 	idx := make([]int, len(data))
@@ -131,8 +129,6 @@ func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float
 
 // refAMU is AdaptiveModelUpdate with one graph per instance.
 func refAMU(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
-	m.ResetStageReps()
-	defer m.ResetStageReps()
 	data := refDomainSamples(source, target)
 	disc := NewDiscriminator(m, cfg, rng)
 	params := append(m.Params(), disc.Params()...)

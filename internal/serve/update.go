@@ -472,16 +472,15 @@ func expBackoff(min, max time.Duration, n int) time.Duration {
 
 // chaosCorrupt poisons a candidate's weights with NaNs — the failpoint the
 // chaos harness uses to prove the validation gate rejects a model that a
-// bad feedback batch (or a training bug) has broken.
+// bad feedback batch (or a training bug) has broken. The candidate has not
+// scored yet, so it holds no stage representation to go stale
+// (DESIGN.md §12.6).
 func chaosCorrupt(t *core.Tuner) {
 	for _, p := range t.Model.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
-	// Params() was written directly: the model's memoized stage
-	// representations no longer match its weights (DESIGN.md §12).
-	t.Model.ResetStageReps()
 }
 
 // SimulateOnce executes one run with the given configuration on the named
