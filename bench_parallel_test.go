@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"lite/internal/core"
+	"lite/internal/feature"
 	"lite/internal/serve"
 	"lite/internal/sparksim"
 	"lite/internal/tensor"
@@ -87,6 +88,39 @@ func BenchmarkRecommend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecommendMissAllocs pins the allocations of one warm miss on the
+// benchmark fixture, through Recommend (BenchmarkRecommend/workers=1) and
+// through RecommendSafe (the serving path). The candidate's dense
+// features are written straight into the tower input and the prediction
+// slots are pooled, so what remains is per request — candidates, scorer,
+// arena headers, the ranking — and none of it grows with the candidates.
+func TestRecommendMissAllocs(t *testing.T) {
+	tuner, _ := parBench()
+	app := workload.ByName("WordCount")
+	data := app.Spec.MakeData(app.Sizes.Train[0])
+	env := sparksim.ClusterC
+	core.SetScoreWorkers(1)
+	defer core.SetScoreWorkers(0)
+	for _, tc := range []struct {
+		name string
+		miss func()
+	}{
+		{"Recommend", func() { tuner.Recommend(app.Spec, data, env) }},
+		{"RecommendSafe", func() {
+			if sr, err := tuner.RecommendSafe(app.Spec, data, env); err != nil || sr.Tier != core.TierNECS {
+				t.Fatalf("RecommendSafe: tier %q, err %v", sr.Tier, err)
+			}
+		}},
+	} {
+		tc.miss() // warm the stage-rep cache, the arena and the slot pools
+		if got := testing.AllocsPerRun(20, tc.miss); got > 40 {
+			t.Errorf("%s: %.0f allocs per miss, want ≤ 40", tc.name, got)
+		} else {
+			t.Logf("%s: %.0f allocs per miss", tc.name, got)
+		}
 	}
 }
 
@@ -205,19 +239,33 @@ func stagesPerInst(xs []*core.Encoded, batchSize int) float64 {
 // BenchmarkTowerGEMM measures tensor.MatMulInto at the three shapes one
 // 64-candidate recommendation puts through the tower's hidden layers
 // (rows = candidates × unique stages, here 257), with the second layer's
-// input half zeros as it is after a ReLU. It reports achieved MAC/s
-// counting every multiply-add of the dense product, skipped or not.
+// input half zeros as it is after a ReLU. Their random rows share no
+// prefix, so they measure what MatMulInto's shared-prefix lookahead costs
+// where it never fires. The /prefix case is layer 1 in the serving layout:
+// rows in runs of four that repeat their first feature.DenseWidth (34)
+// columns, as a candidate's stage rows do. MAC/s counts every
+// multiply-add of the dense product, skipped, shared or not.
 func BenchmarkTowerGEMM(b *testing.B) {
 	for _, sh := range []struct {
 		m, k, n int
 		zeros   float64
-	}{{257, 66, 64, 0}, {257, 64, 32, 0.5}, {257, 32, 16, 0}} {
-		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
+		prefix  int
+	}{{257, 66, 64, 0, 0}, {257, 64, 32, 0.5, 0}, {257, 32, 16, 0, 0}, {257, 66, 64, 0, feature.DenseWidth}} {
+		name := fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n)
+		if sh.prefix > 0 {
+			name += "/prefix"
+		}
+		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x := tensor.Randn(sh.m, sh.k, 1, rng)
 			for i := range x.Data {
 				if rng.Float64() < sh.zeros {
 					x.Data[i] = 0
+				}
+			}
+			for r := 0; r < sh.m; r++ {
+				if r%4 != 0 {
+					copy(x.RowView(r)[:sh.prefix], x.RowView(r-1))
 				}
 			}
 			w := tensor.Randn(sh.k, sh.n, 1, rng)

@@ -16,13 +16,18 @@ package core
 // output row independently (k ascending), row c·S+s is bitwise identical
 // to scoring candidate c's stage s alone — batching is a pure layout
 // transformation, which is what lets ScoreChecked route through a batch of
-// one and the golden test pin batch-vs-graph equality.
+// one and the golden test pin batch-vs-graph equality. The candidate's S
+// rows sit together and repeat dense_c, so layer 1 multiplies that prefix
+// once per candidate: MatMulInto shares the partial sums of rows that
+// repeat a prefix, with the same bits (DESIGN.md §12.7).
 //
 // Activations live in per-pass tensor arenas (nn.Arena) recycled through a
-// sync.Pool, so steady-state scoring allocates no tower intermediates.
-// Arena ownership: one goroutine per arena per pass; arena tensors never
-// escape this file — per-candidate seconds are plain float64s copied into
-// caller-owned slices.
+// sync.Pool, so steady-state scoring allocates no tower intermediates, and
+// nothing per candidate: derived features are written into the arena row
+// and the per-stage seconds are arena memory. Arena ownership: one
+// goroutine per arena per pass; arena tensors never escape this file —
+// per-candidate seconds are plain float64s copied into caller-owned
+// slices, which the tuner takes from predPool.
 
 import (
 	"context"
@@ -37,6 +42,28 @@ import (
 // taken per (goroutine, pass) and reset before reuse, so no two concurrent
 // passes ever share a slab.
 var arenaPool = sync.Pool{New: func() any { return new(nn.Arena) }}
+
+// predSlots are one pass's per-candidate prediction and finiteness slots,
+// recycled through predPool so that scoring a miss allocates neither.
+type predSlots struct {
+	preds []float64
+	oks   []bool
+}
+
+var predPool = sync.Pool{New: func() any { return new(predSlots) }}
+
+// getPredSlots returns slots for n candidates. The caller copies out what
+// it keeps and then returns them with predPool.Put; ScoreBatchCtx has
+// joined every worker by the time it returns or re-panics, so nothing
+// writes the slots after that.
+func getPredSlots(n int) *predSlots {
+	p := predPool.Get().(*predSlots)
+	if cap(p.preds) < n {
+		p.preds, p.oks = make([]float64, n), make([]bool, n)
+	}
+	p.preds, p.oks = p.preds[:n], p.oks[:n]
+	return p
+}
 
 // ScoreBatch scores every candidate in cfgs in one batched pass, writing
 // the clamped aggregate prediction for cfgs[i] into preds[i] and its
@@ -63,13 +90,11 @@ func (s *AppScorer) scoreBatch(ar *nn.Arena, cfgs []sparksim.Config, preds []flo
 	width := feature.DenseWidth + repW
 	x := ar.Alloc(len(cfgs)*nStages, width)
 	for ci, cfg := range cfgs {
-		knobs := cfg.Normalized()
-		derived := feature.DerivedResourceFeatures(cfg, s.data, s.env)
 		// Fill the candidate's first row: dense prefix + stage-0 rep …
 		row := x.RowView(ci * nStages)
-		off := copy(row, knobs)
+		off := copy(row, cfg.Normalized())
 		off += copy(row[off:], s.shared)
-		off += copy(row[off:], derived)
+		off += len(feature.DerivedResourceFeaturesInto(row[off:], cfg, s.data, s.env))
 		copy(row[off:], s.stages[0].rep)
 		// … then copy the dense prefix into the candidate's other rows and
 		// append each stage's own rep.
@@ -81,7 +106,7 @@ func (s *AppScorer) scoreBatch(ar *nn.Arena, cfgs []sparksim.Config, preds []flo
 	}
 	out := s.model.Tower.InferBatch(ar, x)
 	// Fold per-stage predictions into per-candidate plan-order totals.
-	secs := make([]float64, nStages)
+	secs := ar.Floats(nStages)
 	for ci := range cfgs {
 		ok := true
 		base := ci * nStages

@@ -181,13 +181,14 @@ func (t *Tuner) recommendFrom(ctx context.Context, app *sparksim.AppSpec, data s
 	// Scoring runs through the batched one-GEMM kernel (batch.go), chunked
 	// across the scoring pool.
 	scorer := t.Model.NewAppScorer(app, data, env)
-	preds := make([]float64, len(cands))
-	if err := scorer.ScoreBatchCtx(ctx, cands, preds, nil); err != nil {
+	slots := getPredSlots(len(cands))
+	defer predPool.Put(slots)
+	if err := scorer.ScoreBatchCtx(ctx, cands, slots.preds, nil); err != nil {
 		return Recommendation{}, err
 	}
 	scored := make([]ScoredConfig, len(cands))
 	for i, c := range cands {
-		scored[i] = ScoredConfig{Config: c, Predicted: preds[i]}
+		scored[i] = ScoredConfig{Config: c, Predicted: slots.preds[i]}
 	}
 	return rank(scored, start), nil
 }
@@ -336,8 +337,9 @@ func (t *Tuner) tryNECSTier(ctx context.Context, app *sparksim.AppSpec, data spa
 	// Batched scoring writes into index slots; a worker panic re-raises
 	// on this goroutine and is absorbed by the recover guard above, so
 	// the degradation chain behaves exactly as it did serially.
-	preds := make([]float64, len(cands))
-	oks := make([]bool, len(cands))
+	slots := getPredSlots(len(cands))
+	defer predPool.Put(slots)
+	preds, oks := slots.preds, slots.oks
 	if err := scorer.ScoreBatchCtx(ctx, cands, preds, oks); err != nil {
 		return rec, fmt.Sprintf("scoring aborted: %v", err)
 	}

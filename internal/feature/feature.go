@@ -217,6 +217,16 @@ func DenseFeatures(inst *instrument.StageInstance) []float64 {
 // DenseFeatures. All inputs are knob values, the data size and the cluster
 // spec — nothing observed from execution.
 func DerivedResourceFeatures(cfg sparksim.Config, data sparksim.DataSpec, env sparksim.Environment) []float64 {
+	return DerivedResourceFeaturesInto(make([]float64, DerivedWidth), cfg, data, env)
+}
+
+// DerivedWidth is the width of DerivedResourceFeatures' output.
+const DerivedWidth = 8
+
+// DerivedResourceFeaturesInto writes DerivedResourceFeatures' values into
+// dst[:DerivedWidth] and returns that slice, so the scoring kernel fills a
+// tower input row in place without allocating.
+func DerivedResourceFeaturesInto(dst []float64, cfg sparksim.Config, data sparksim.DataSpec, env sparksim.Environment) []float64 {
 	cfg = cfg.Clamp()
 	cores := cfg[sparksim.KnobExecutorCores]
 	memGB := cfg[sparksim.KnobExecutorMemory]
@@ -239,20 +249,20 @@ func DerivedResourceFeatures(cfg sparksim.Config, data sparksim.DataSpec, env sp
 	if perNode >= 1 {
 		feasible = 1
 	}
-	return []float64{
-		feasible,
-		slots / 256,
-		logScale(executors, 64),
-		logScale(execPerTask, 32*1024),
-		logScale(storage*executors/(data.SizeMB+1), 64),
-		logScale(parallelism/math.Max(slots, 1), 64),
-		logScale(mbPerPartition, 4096),
-		logScale(data.SizeMB/math.Max(slots, 1), 1<<20),
-	}
+	dst = dst[:DerivedWidth]
+	dst[0] = feasible
+	dst[1] = slots / 256
+	dst[2] = logScale(executors, 64)
+	dst[3] = logScale(execPerTask, 32*1024)
+	dst[4] = logScale(storage*executors/(data.SizeMB+1), 64)
+	dst[5] = logScale(parallelism/math.Max(slots, 1), 64)
+	dst[6] = logScale(mbPerPartition, 4096)
+	dst[7] = logScale(data.SizeMB/math.Max(slots, 1), 1<<20)
+	return dst
 }
 
 // DenseWidth is the width of DenseFeatures' output.
-const DenseWidth = sparksim.NumKnobs + 4 + 6 + 8
+const DenseWidth = sparksim.NumKnobs + 4 + 6 + DerivedWidth
 
 // StageStats returns the stage-level "Spark monitor UI" statistics used by
 // the S/SC baselines of Table VII (input MB, shuffle MB, task count),

@@ -16,7 +16,9 @@ type Params struct {
 	LearningRate float64
 	MaxDepth     int
 	MinLeaf      int
-	NumBins      int
+	// NumBins caps the histogram bins per feature; at most 256, so a bin
+	// index fits the byte Fit stores it in.
+	NumBins int
 	// FeatureFraction and RowFraction enable stochastic boosting.
 	FeatureFraction float64
 	RowFraction     float64
@@ -73,8 +75,12 @@ func Fit(x [][]float64, y []float64, params Params, rng *rand.Rand) *Model {
 	if params.NumRounds <= 0 {
 		params = DefaultParams()
 	}
+	if params.NumBins > 256 {
+		panic("gbm: NumBins above 256")
+	}
 	m := &Model{lr: params.LearningRate, params: params}
 	m.edges = computeBinEdges(x, params.NumBins)
+	g := newGrower(x, m.edges, params)
 
 	// Base prediction: mean target.
 	for _, v := range y {
@@ -92,7 +98,7 @@ func Fit(x [][]float64, y []float64, params Params, rng *rand.Rand) *Model {
 			residual[i] = y[i] - pred[i]
 		}
 		rows := sampleRows(len(y), params.RowFraction, rng)
-		t := growTree(x, residual, rows, m.edges, params, rng)
+		t := g.growTree(residual, rows, rng)
 		m.trees = append(m.trees, t)
 		for i := range y {
 			pred[i] += m.lr * t.predictBinned(x[i])
@@ -156,7 +162,40 @@ type growNode struct {
 	id    int
 }
 
-func growTree(x [][]float64, residual []float64, rows []int, edges [][]float64, params Params, rng *rand.Rand) *tree {
+// grower grows one Fit's trees. Every feature is binned once, up front:
+// bins[f*n+i] is binOf(x[i][f], edges[f]), column-major so a histogram
+// pass over one feature reads one contiguous column, and the two
+// histogram buffers are reused across features, nodes and rounds.
+//
+// A split sends row i left when its bin is ≤ bestBin, which is x ≤
+// edges[bestBin]: the edges of a feature rise strictly, so binOf(v) ≤ b
+// exactly when v ≤ edges[b], and a NaN value takes the last bin and goes
+// right either way. The trees are the ones a per-row binary search grows.
+type grower struct {
+	bins             []uint8
+	n                int
+	edges            [][]float64
+	params           Params
+	histSum, histCnt []float64
+}
+
+func newGrower(x [][]float64, edges [][]float64, params Params) *grower {
+	n := len(x)
+	g := &grower{bins: make([]uint8, n*len(edges)), n: n, edges: edges, params: params}
+	width := 1
+	for f, e := range edges {
+		col := g.bins[f*n : (f+1)*n]
+		for i, row := range x {
+			col[i] = uint8(binOf(row[f], e))
+		}
+		width = max(width, len(e)+1)
+	}
+	g.histSum, g.histCnt = make([]float64, width), make([]float64, width)
+	return g
+}
+
+func (g *grower) growTree(residual []float64, rows []int, rng *rand.Rand) *tree {
+	params := g.params
 	t := &tree{}
 	newNode := func() int {
 		t.feature = append(t.feature, -1)
@@ -170,7 +209,7 @@ func growTree(x [][]float64, residual []float64, rows []int, edges [][]float64, 
 	rootID := newNode()
 	queue := []growNode{{idx: rows, depth: 0, id: rootID}}
 
-	nf := len(x[0])
+	nf := len(g.edges)
 	nFeat := nf
 	if params.FeatureFraction < 1 {
 		nFeat = int(params.FeatureFraction * float64(nf))
@@ -197,15 +236,17 @@ func growTree(x [][]float64, residual []float64, rows []int, edges [][]float64, 
 		parentSum := sum
 		parentCnt := float64(len(cur.idx))
 		for _, f := range feats {
-			e := edges[f]
+			e := g.edges[f]
 			if len(e) == 0 {
 				continue
 			}
 			// Histogram of residual sums per bin.
-			histSum := make([]float64, len(e)+1)
-			histCnt := make([]float64, len(e)+1)
+			histSum, histCnt := g.histSum[:len(e)+1], g.histCnt[:len(e)+1]
+			clear(histSum)
+			clear(histCnt)
+			col := g.bins[f*g.n : (f+1)*g.n]
 			for _, i := range cur.idx {
-				b := binOf(x[i][f], e)
+				b := col[i]
 				histSum[b] += residual[i]
 				histCnt[b]++
 			}
@@ -228,10 +269,10 @@ func growTree(x [][]float64, residual []float64, rows []int, edges [][]float64, 
 		if bestFeat < 0 {
 			continue
 		}
-		thresh := edges[bestFeat][bestBin]
+		col, split := g.bins[bestFeat*g.n:(bestFeat+1)*g.n], uint8(bestBin)
 		var li, ri []int
 		for _, i := range cur.idx {
-			if x[i][bestFeat] <= thresh {
+			if col[i] <= split {
 				li = append(li, i)
 			} else {
 				ri = append(ri, i)
@@ -243,7 +284,7 @@ func growTree(x [][]float64, residual []float64, rows []int, edges [][]float64, 
 		lid, rid := newNode(), newNode()
 		t.leaf[cur.id] = false
 		t.feature[cur.id] = bestFeat
-		t.thresh[cur.id] = thresh
+		t.thresh[cur.id] = g.edges[bestFeat][bestBin]
 		t.left[cur.id] = lid
 		t.right[cur.id] = rid
 		queue = append(queue, growNode{idx: li, depth: cur.depth + 1, id: lid}, growNode{idx: ri, depth: cur.depth + 1, id: rid})

@@ -117,3 +117,24 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		t.Fatal("gbm not deterministic under fixed seed")
 	}
 }
+
+// BenchmarkGBMFit measures one Fit with the default parameters (120
+// rounds, 32 bins) on 1000 rows of 24 features, near the Table VII
+// baseline's training set.
+func BenchmarkGBMFit(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([][]float64, 1000)
+	y := make([]float64, len(x))
+	for i := range x {
+		x[i] = make([]float64, 24)
+		for f := range x[i] {
+			x[i][f] = rng.Float64()
+		}
+		y[i] = 4*x[i][0] - 2*x[i][1]*x[i][2] + rng.NormFloat64()*0.1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Fit(x, y, DefaultParams(), rand.New(rand.NewSource(1)))
+	}
+}

@@ -6,7 +6,10 @@ package nn
 // gradients, so the hot path below computes the same values with plain
 // tensor arithmetic — no graph nodes, no backward closures — and batches
 // the tower MLP so each layer is a single GEMM over all candidates
-// instead of one small matmul per candidate.
+// instead of one small matmul per candidate. Rows that repeat a prefix —
+// a candidate's stage rows repeat its dense features — share the prefix's
+// partial sums inside tensor.MatMulInto, so layer 1 multiplies it once per
+// candidate (DESIGN.md §12.7).
 //
 // Bitwise contract: every Infer* function must produce values bit-identical
 // to its graph counterpart (CNNEncoder.Forward, GCNEncoder.Forward,
@@ -45,7 +48,12 @@ type Arena struct {
 // Alloc returns an uninitialized rows×cols tensor backed by the arena.
 // The tensor is valid until the next Reset; see the aliasing rules above.
 func (a *Arena) Alloc(rows, cols int) *tensor.Tensor {
-	n := rows * cols
+	return tensor.FromSlice(rows, cols, a.Floats(rows*cols))
+}
+
+// Floats returns n uninitialized float64s backed by the arena, under the
+// same rules as Alloc but without a tensor header to allocate.
+func (a *Arena) Floats(n int) []float64 {
 	if a.off+n > len(a.slab) {
 		// Grow to at least double so a steady-state request shape settles
 		// into zero allocations. Tensors handed out before the growth keep
@@ -57,9 +65,9 @@ func (a *Arena) Alloc(rows, cols int) *tensor.Tensor {
 		a.slab = make([]float64, grow)
 		a.off = 0
 	}
-	t := tensor.FromSlice(rows, cols, a.slab[a.off:a.off+n])
+	f := a.slab[a.off : a.off+n : a.off+n]
 	a.off += n
-	return t
+	return f
 }
 
 // Reset recycles the arena for the next scoring pass. Every tensor handed

@@ -119,50 +119,174 @@ func MatMul(a, b *Tensor) *Tensor {
 //
 // Each output element accumulates its products k-ascending from zero with
 // one rounding per multiply and one per add — the order the batch-vs-graph
-// and width-invariance goldens rest on (DESIGN.md §12.7). The shared
-// dimension is walked four at a time with the output element carried in a
-// register across the four multiply-adds; a group is skipped only when all
-// four of a's values are zero. A zero inside a live group contributes
-// o + 0·b = o, so for finite operands the result is bit-identical to
-// skipping that term; when b holds NaN or ±Inf there, the output goes
-// non-finite instead of staying silently finite.
+// and width-invariance goldens rest on (DESIGN.md §12.7).
+//
+// Which products count is the rule of the loop this one replaced, which
+// walked k in groups of four and skipped a group only when all four of
+// a's values were zero. A zero inside a live group contributed o + 0·b:
+// NaN when b holds NaN or ±Inf there, so a non-finite weight surfaces in
+// the output instead of staying silently finite, and exactly o otherwise
+// (an accumulator that starts at +0 is never −0). So when every value of
+// b is finite every zero of a is skipped, and when one is not, a live
+// group's zeros are multiplied through; either way each output element
+// gets that loop's bits. The kept products are added four at a time with
+// the output element in a register. How they fall into blocks of four
+// cannot change a finite result, since every add rounds on its own; it
+// only decides which NaN an add of two NaNs returns.
+//
+// Rows that repeat a prefix share its partial sums. Let p be the number of
+// leading values rows i and i+1 have in common (compared bit for bit),
+// rounded down to a multiple of four; the run is rows i… whose first p
+// values are row i's. Columns [0,p) are accumulated once, into row i's
+// output, that partial is copied into the run's other rows, and each row
+// then finishes over [p,K), continuing from the products of the prefix
+// still queued for a block. p falls on a group boundary, so every
+// decision about a product is the one the row would meet alone, and every
+// block is too: each output element runs the operations of the row
+// multiplied alone, in the same order, and gets the same bits, NaN
+// payloads included. A candidate's stage rows in the NECS tower input
+// repeat its dense prefix (DESIGN.md §12.2); rows with nothing in common
+// cost one comparison each.
 func MatMulInto(out, a, b *Tensor) {
 	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
 		panic("tensor: matmul shape mismatch")
 	}
-	out.Zero()
 	n, kk := b.Cols, a.Cols
-	for i := 0; i < a.Rows; i++ {
+	keepZeros := !allFinite(b.Data)
+	out.Zero()
+	for i := 0; i < a.Rows; {
 		arow := a.Data[i*kk : (i+1)*kk]
-		orow := out.Data[i*n : (i+1)*n]
-		k := 0
-		for ; k+4 <= kk; k += 4 {
-			ag := arow[k : k+4]
-			a0, a1, a2, a3 := ag[0], ag[1], ag[2], ag[3]
+		// Rows [i, j) are the run: each repeats arow's first p values.
+		j, p := i+1, 0
+		if j < a.Rows {
+			p = sharedPrefix(arow, a.Data[j*kk:(j+1)*kk]) &^ 3
+		}
+		for p > 0 && j < a.Rows && sharedPrefix(arow[:p], a.Data[j*kk:j*kk+p]) == p {
+			j++
+		}
+		// shared holds the prefix's kept products not yet added when it
+		// ends; every row of the run continues from them.
+		var shared terms
+		if p > 0 {
+			orow := out.Data[i*n : (i+1)*n]
+			shared.accumulate(orow, arow[:p], b.Data, 0, keepZeros)
+			for r := i + 1; r < j; r++ {
+				copy(out.Data[r*n:(r+1)*n], orow)
+			}
+		}
+		for r := i; r < j; r++ {
+			q, orow := shared, out.Data[r*n:(r+1)*n]
+			q.accumulate(orow, a.Data[r*kk:(r+1)*kk], b.Data, p, keepZeros)
+			if q.t > 0 {
+				q.flush(orow, b.Data)
+			}
+		}
+		i = j
+	}
+}
+
+// allFinite reports whether no value of x is NaN or ±Inf.
+func allFinite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedPrefix returns how many leading values x and y have in common,
+// compared by their bits: −0 differs from +0, and a NaN matches only the
+// same NaN.
+func sharedPrefix(x, y []float64) int {
+	y = y[:len(x)]
+	for k, v := range x {
+		if math.Float64bits(v) != math.Float64bits(y[k]) {
+			return k
+		}
+	}
+	return len(x)
+}
+
+// terms queues the kept terms of one output row that are not yet added:
+// fewer than four after a full group, up to seven while one is split and
+// up to six after a partial last group.
+type terms struct {
+	ks [8]int
+	as [8]float64
+	t  int
+}
+
+// accumulate adds arow[k]·b[k,:] into orow for k from k0 (a multiple of
+// four) to len(arow), in ascending k after the terms already queued, for
+// every k MatMulInto's rule keeps: a's non-zero values, and with keepZeros
+// also the zeros of a full group of four that holds a non-zero value. Kept
+// terms are added four at a time; fewer than four stay queued for flush.
+// A full group whose four terms are all kept while none is queued goes
+// straight to the inner loop. The queue is what lets a row in a run
+// continue from the prefix's leftover terms exactly as it would alone.
+func (q *terms) accumulate(orow, arow, b []float64, k0 int, keepZeros bool) {
+	n, t := len(orow), q.t
+	g := k0
+	for ; g+4 <= len(arow); g += 4 {
+		grp := arow[g : g+4 : g+4]
+		a0, a1, a2, a3 := grp[0], grp[1], grp[2], grp[3]
+		var k [4]int
+		if t == 0 && (keepZeros || a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0) {
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			// Re-slice the four rows of b to orow's length so the inner
-			// loop carries no bounds checks.
-			b0 := b.Data[k*n:][:len(orow)]
-			b1 := b.Data[(k+1)*n:][:len(orow)]
-			b2 := b.Data[(k+2)*n:][:len(orow)]
-			b3 := b.Data[(k+3)*n:][:len(orow)]
-			for j, o := range orow {
-				orow[j] = (((o + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+			k = [4]int{g, g + 1, g + 2, g + 3}
+		} else {
+			// With keepZeros nothing is ever queued before the tail, so
+			// only a finite b's zeros are dropped here.
+			for c, v := range grp {
+				q.ks[t], q.as[t] = g+c, v
+				if v != 0 {
+					t++
+				}
 			}
-		}
-		for ; k < kk; k++ {
-			av := arow[k]
-			if av == 0 {
+			if t < 4 {
 				continue
 			}
-			brow := b.Data[k*n:][:len(orow)]
-			for j, o := range orow {
-				orow[j] = o + av*brow[j]
+			a0, a1, a2, a3 = q.as[0], q.as[1], q.as[2], q.as[3]
+			k = [4]int{q.ks[0], q.ks[1], q.ks[2], q.ks[3]}
+			t -= 4
+			for c := range t {
+				q.ks[c], q.as[c] = q.ks[4+c], q.as[4+c]
 			}
 		}
+		// Re-slice the four rows of b to orow's length so the inner
+		// loop carries no bounds checks.
+		b0 := b[k[0]*n:][:len(orow)]
+		b1 := b[k[1]*n:][:len(orow)]
+		b2 := b[k[2]*n:][:len(orow)]
+		b3 := b[k[3]*n:][:len(orow)]
+		for j, o := range orow {
+			orow[j] = (((o + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+		}
 	}
+	// The zeros of a partial last group are skipped whatever b holds, as
+	// the loop before the unroll skipped them.
+	for ; g < len(arow); g++ {
+		if v := arow[g]; v != 0 {
+			q.ks[t], q.as[t] = g, v
+			t++
+		}
+	}
+	q.t = t
+}
+
+// flush adds the queued terms into orow one at a time.
+func (q *terms) flush(orow, b []float64) {
+	n := len(orow)
+	for i, av := range q.as[:q.t] {
+		brow := b[q.ks[i]*n:][:len(orow)]
+		for j, o := range orow {
+			orow[j] = o + av*brow[j]
+		}
+	}
+	q.t = 0
 }
 
 // MatMulTransA computes aᵀ×b into a new tensor.
