@@ -45,6 +45,7 @@ verify:
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
+	$(GO) test -run '^$$' -fuzz '^FuzzRecommendRequestCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzV1RequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulIntoMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor

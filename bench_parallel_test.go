@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -320,6 +321,67 @@ func BenchmarkHandlerHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hit()
+	}
+}
+
+// BenchmarkHandlerUnseen measures one unseen-app request through the
+// server's HTTP handler: a 2 kB body whose code is KMeans' stage code with
+// its identifiers renamed and a line appended, read, decoded, embedded and
+// answered from the retrieval tier. The app name and one identifier carry
+// the iteration number, so every request is a cache miss, as on the
+// benchmark's unseen_app workload.
+func BenchmarkHandlerUnseen(b *testing.B) {
+	s, _ := hitServer(b)
+	h := s.Handler()
+	var code strings.Builder
+	var ops []string
+	for _, st := range workload.ByName("KMeans").Spec.Stages {
+		code.WriteString(strings.NewReplacer("points", "samples_1f", "centroids", "centers_2e").Replace(st.Code))
+		code.WriteString("\n")
+		ops = append(ops, st.Ops...)
+	}
+	for code.Len() < 1900 {
+		code.WriteString(`val aux = stage.mapPartitions(it => it.filter(keep)).map(x => (x, "tag"))` + "\n")
+	}
+	code.WriteString("val probe_000000000 = sc.longAccumulator\n")
+	body, err := json.Marshal(api.RecommendRequest{App: "Unseen_000000000", SizeMB: 2048, Cluster: "C",
+		Features: &api.AppFeatures{Code: code.String(), Ops: ops}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The two counters are rewritten in place each iteration.
+	var at []int
+	for i := 0; i+9 <= len(body); i++ {
+		if string(body[i:i+9]) == "000000000" {
+			at = append(at, i)
+			i += 8
+		}
+	}
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v1/recommend", rd)
+	n := 0
+	miss := func() {
+		n++
+		for _, i := range at {
+			for j, v := 8, n; j >= 0; j, v = j-1, v/10 {
+				body[i+j] = byte('0' + v%10)
+			}
+		}
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < warmHits; i++ {
+		miss()
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss()
 	}
 }
 

@@ -42,17 +42,3 @@ func TestTokenizeMatchesReferenceOnCorpus(t *testing.T) {
 		}
 	}
 }
-
-func FuzzTokenize(f *testing.F) {
-	for _, seed := range []string{
-		"", "val x = rdd.sortByKey(ascending = false)", "a_b1 2c", "héllo wörld", "x\xffy\xc3",
-		"\xc3a", "日本語tokens", "\xe2\x80\xa8sep", "_", "9lives", "tab\tnew\nline",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, code string) {
-		if got, want := Tokenize(code), tokenizeRef(code); !slices.Equal(got, want) {
-			t.Fatalf("Tokenize(%q) = %q, reference = %q", code, got, want)
-		}
-	})
-}

@@ -22,7 +22,7 @@
 // entries accumulate — concurrent Lookups keep reading the previous index.
 //
 // The package sits below internal/core in the import graph (it depends
-// only on sparksim, feature and instrument), so core can wire the store in
+// only on sparksim and instrument), so core can wire the store in
 // as the degradation tier between "necs" and "acg-region".
 package retrieval
 
@@ -32,7 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lite/internal/feature"
 	"lite/internal/instrument"
 	"lite/internal/sparksim"
 )
@@ -68,9 +67,65 @@ func Embed(codeTokens, ops []string) []float64 {
 	for _, t := range codeTokens {
 		v[hashSlot(t, codeDim)]++
 	}
+	addOps(v, ops)
+	normalize(v)
+	return v
+}
+
+// EmbedCode is Embed over raw source code, tokenized with the tokenizer the
+// NECS vocabulary uses (feature.Tokenize: identifiers and literals,
+// case-preserved). This is the entry point for wire requests that carry a
+// never-seen application's stage code; it counts the tokens in one pass
+// over the code without building them.
+func EmbedCode(code string, ops []string) []float64 {
+	v := make([]float64, Dim)
+	addCode(v, code)
+	addOps(v, ops)
+	normalize(v)
+	return v
+}
+
+// EmbedApp embeds a full application specification: the concatenation of
+// every stage's expanded code and every stage's DAG operations.
+func EmbedApp(spec *sparksim.AppSpec) []float64 {
+	v := make([]float64, Dim)
+	for i := range spec.Stages {
+		addCode(v, spec.Stages[i].Code)
+		addOps(v, spec.Stages[i].Ops)
+	}
+	normalize(v)
+	return v
+}
+
+// addCode counts code's tokens into v's code block. A token is a maximal
+// run of ASCII letters, digits and underscores, feature.Tokenize's rule;
+// its slot is hashSlot's FNV-1a, computed as the run is scanned. Counts are
+// whole numbers, so the order they are added in does not change a bit.
+func addCode(v []float64, code string) {
+	h, in := uint32(fnvOffset), false
+	for i := 0; i < len(code); i++ {
+		if c := code[i]; c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' {
+			h = (h ^ uint32(c)) * fnvPrime
+			in = true
+		} else if in {
+			v[h%codeDim]++
+			h, in = fnvOffset, false
+		}
+	}
+	if in {
+		v[h%codeDim]++
+	}
+}
+
+// addOps counts DAG operation labels into v's op block.
+func addOps(v []float64, ops []string) {
 	for _, op := range ops {
 		v[codeDim+hashSlot(op, opDim)] += opWeight
 	}
+}
+
+// normalize square-root damps v's counts and scales it to unit length.
+func normalize(v []float64) {
 	var norm float64
 	for i, x := range v {
 		x = math.Sqrt(x)
@@ -83,44 +138,55 @@ func Embed(codeTokens, ops []string) []float64 {
 			v[i] /= norm
 		}
 	}
-	return v
 }
 
-// EmbedCode is Embed over raw source code: the code is tokenized with the
-// same tokenizer the NECS vocabulary uses (identifiers and literals,
-// case-preserved). This is the entry point for wire requests that carry a
-// never-seen application's stage code.
-func EmbedCode(code string, ops []string) []float64 {
-	return Embed(feature.Tokenize(code), ops)
-}
-
-// EmbedApp embeds a full application specification: the concatenation of
-// every stage's expanded code and every stage's DAG operations.
-func EmbedApp(spec *sparksim.AppSpec) []float64 {
-	var toks, ops []string
-	for i := range spec.Stages {
-		st := &spec.Stages[i]
-		toks = append(toks, feature.Tokenize(st.Code)...)
-		ops = append(ops, st.Ops...)
-	}
-	return Embed(toks, ops)
-}
+// 32-bit FNV-1a.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
 
 // hashSlot maps a string into [0, mod) with 32-bit FNV-1a.
 func hashSlot(s string, mod int) int {
-	h := uint32(2166136261) // FNV-1a offset basis
+	h := uint32(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
-		h *= 16777619
+		h *= fnvPrime
 	}
 	return int(h % uint32(mod))
 }
 
-// EnvFingerprint identifies an environment for retrieval keying: the full
-// hardware profile plus every fault-profile knob. Fingerprinting the
-// actual fault parameters (not a bare "faults" flag) keeps entries
-// measured under different fault intensities from aliasing.
+// EnvFingerprint identifies an environment for retrieval keying and for
+// the serving cache's keys: the full hardware profile plus every
+// fault-profile knob. Fingerprinting the actual fault parameters (not a
+// bare "faults" flag) keeps entries measured under different fault
+// intensities from aliasing. A built-in cluster's fingerprint is
+// formatted once; it is matched by value, not by name.
 func EnvFingerprint(env sparksim.Environment) string {
+	for i := range builtinFPs {
+		if builtinFPs[i].env == env {
+			return builtinFPs[i].fp
+		}
+	}
+	return formatFingerprint(env)
+}
+
+// builtinFPs holds the fingerprint of every built-in cluster, which is
+// what every served request resolves to.
+var builtinFPs = func() []clusterFP {
+	out := make([]clusterFP, len(sparksim.AllClusters))
+	for i, env := range sparksim.AllClusters {
+		out[i] = clusterFP{env, formatFingerprint(env)}
+	}
+	return out
+}()
+
+type clusterFP struct {
+	env sparksim.Environment
+	fp  string
+}
+
+func formatFingerprint(env sparksim.Environment) string {
 	fp := fmt.Sprintf("%s|%dx%d|%.1fGHz|%.0fGB|%.0fMTs|%.0fGbps",
 		env.Name, env.Nodes, env.Cores, env.FreqGHz, env.MemGB, env.MemSpeedMTs, env.NetGbps)
 	if f := env.Faults; f.Active() {
@@ -279,7 +345,7 @@ func BuildFromRuns(runs []instrument.AppInstance) *Store {
 // static specification and live-feedback entries stay comparable to
 // spec-embedded queries.
 func embedStages(stages []instrument.StageInstance) []float64 {
-	var toks, ops []string
+	v := make([]float64, Dim)
 	seen := map[int]bool{}
 	for i := range stages {
 		st := &stages[i]
@@ -287,10 +353,11 @@ func embedStages(stages []instrument.StageInstance) []float64 {
 			continue
 		}
 		seen[st.StageIndex] = true
-		toks = append(toks, feature.Tokenize(st.Code)...)
-		ops = append(ops, st.Ops...)
+		addCode(v, st.Code)
+		addOps(v, st.Ops)
 	}
-	return Embed(toks, ops)
+	normalize(v)
+	return v
 }
 
 // AddRun folds one executed run into the store (the live promoted-feedback

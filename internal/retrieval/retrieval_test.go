@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"lite/internal/feature"
 	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
@@ -295,5 +296,54 @@ func TestHashSlotMatchesFNV(t *testing.T) {
 				t.Fatalf("hashSlot(%q, %d) = %d, want %d", s, mod, got, want)
 			}
 		}
+	}
+}
+
+// TestEnvFingerprintMemoMatchesFormat: a built-in cluster's remembered
+// fingerprint is the formatted one, and the memo matches an environment
+// by value — a renamed or faulty copy of a built-in gets its own.
+func TestEnvFingerprintMemoMatchesFormat(t *testing.T) {
+	for _, env := range sparksim.AllClusters {
+		if got, want := EnvFingerprint(env), formatFingerprint(env); got != want {
+			t.Fatalf("%s: EnvFingerprint = %q, formatted %q", env.Name, got, want)
+		}
+		renamed := env
+		renamed.Name += "2"
+		faulty := env.WithFaults(&sparksim.FaultProfile{TaskFailureProb: 0.05, MaxTaskFailures: 4, Seed: 7})
+		for _, other := range []sparksim.Environment{renamed, faulty} {
+			if got, want := EnvFingerprint(other), formatFingerprint(other); got != want || got == EnvFingerprint(env) {
+				t.Fatalf("EnvFingerprint(%+v) = %q, want %q", other, got, want)
+			}
+		}
+	}
+}
+
+// TestOnePassEmbeddersMatchTokens: EmbedCode, EmbedApp and embedStages
+// count tokens without building them, and give bit for bit the embedding
+// Embed gives over feature.Tokenize's tokens, on every registered
+// workload.
+func TestOnePassEmbeddersMatchTokens(t *testing.T) {
+	same := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: slot %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, app := range workload.All() {
+		var toks, ops []string
+		var stages []instrument.StageInstance
+		for i, st := range app.Spec.Stages {
+			toks = append(toks, feature.Tokenize(st.Code)...)
+			ops = append(ops, st.Ops...)
+			same(app.Spec.Name+" stage code", EmbedCode(st.Code, st.Ops), Embed(feature.Tokenize(st.Code), st.Ops))
+			// Each stage twice, as loop expansion repeats it.
+			stage := instrument.StageInstance{StageIndex: i, Code: st.Code, Ops: st.Ops}
+			stages = append(stages, stage, stage)
+		}
+		want := Embed(toks, ops)
+		same(app.Spec.Name+" EmbedApp", EmbedApp(app.Spec), want)
+		same(app.Spec.Name+" embedStages", embedStages(stages), want)
 	}
 }

@@ -155,6 +155,73 @@ func TestPostBodiesRejectTrailingData(t *testing.T) {
 	}
 }
 
+// TestBadBodiesAnswerAsBefore: request bodies off the reflection-free
+// recommend path — and bodies the other endpoints read — answer with the
+// status, code and message the streaming json.Decoder gave them. The
+// expected messages are that decoder's, recorded before bodies were read
+// whole. The one deliberate difference is the last row: a body over 1 MiB
+// is "request body too large" even when a complete value came first.
+func TestBadBodiesAnswerAsBefore(t *testing.T) {
+	h := newTestServer(t, Options{Retrieval: testStore(t, "WordCount", "KMeans")}).Handler()
+	const unknownApp = ` (send features.code and/or features.ops to serve it from the retrieval tier)`
+	big := strings.Repeat("a", 1<<20)
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+		message          string // the error message, or the answering app on a 200
+	}{
+		{"unknown field", "/v1/recommend", `{"app":"WordCount","size_mb":512,"cluster":"C","colour":"red"}`,
+			400, `bad request body: json: unknown field "colour"`},
+		{"unknown features field", "/v1/recommend", `{"app":"FreshApp","cluster":"C","features":{"code":"x","lang":"scala"}}`,
+			400, `bad request body: json: unknown field "lang"`},
+		{"upper-case key", "/v1/recommend", `{"APP":"WordCount","size_mb":512,"cluster":"C"}`, 200, "WordCount"},
+		{"duplicate key", "/v1/recommend", `{"app":"Nope","app":"WordCount","size_mb":512,"cluster":"C"}`, 200, "WordCount"},
+		{"features null", "/v1/recommend", `{"app":"FreshApp","cluster":"C","features":null}`,
+			400, `unknown application "FreshApp"` + unknownApp},
+		{"lone surrogate", "/v1/recommend", `{"app":"\ud800","cluster":"C"}`,
+			400, "unknown application \"\ufffd\"" + unknownApp},
+		{"invalid UTF-8", "/v1/recommend", "{\"app\":\"Word\xffCount\",\"cluster\":\"C\"}",
+			400, "unknown application \"Word\ufffdCount\"" + unknownApp},
+		{"number out of range", "/v1/recommend", `{"app":"WordCount","size_mb":1e400,"cluster":"C"}`,
+			400, "bad request body: json: cannot unmarshal number 1e400 into Go struct field RecommendRequest.size_mb of type float64"},
+		{"wrong type", "/v1/recommend", `{"app":"WordCount","cluster":"C","features":{"ops":"map"}}`,
+			400, "bad request body: json: cannot unmarshal string into Go struct field AppFeatures.features.ops of type []string"},
+		{"BOM", "/v1/recommend", "\xef\xbb\xbf{\"app\":\"WordCount\",\"cluster\":\"C\"}",
+			400, "bad request body: invalid character 'ï' looking for beginning of value"},
+		{"empty body", "/v1/recommend", ``, 400, "bad request body: EOF"},
+		{"trailing data", "/v1/recommend", `{"app":"WordCount","cluster":"C"} {}`,
+			400, "bad request body: unexpected data after the JSON value"},
+		{"over 1 MiB", "/v1/recommend", `{"app":"FreshApp","cluster":"C","features":{"code":"` + big + `"}}`,
+			400, "bad request body: http: request body too large"},
+		{"feedback unknown field", "/v1/feedback", `{"app":"WordCount","size_mb":512,"cluster":"C","colour":"red"}`,
+			400, `bad request body: json: unknown field "colour"`},
+		{"feedback trailing data", "/v1/feedback", `{"app":"WordCount","cluster":"C"}x`,
+			400, "bad request body: unexpected data after the JSON value"},
+		{"session number out of range", "/v1/tuning/sessions", `{"app":"WordCount","cluster":"C","max_trials":1e400}`,
+			400, "bad request body: json: cannot unmarshal number 1e400 into Go struct field CreateSessionRequest.max_trials of type int"},
+		{"over 1 MiB after a complete value", "/v1/recommend", `{"app":"WordCount","cluster":"C"}` + strings.Repeat(" ", 1<<20),
+			400, "bad request body: http: request body too large"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body)
+		}
+		if tc.status == http.StatusOK {
+			var resp RecommendResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.App != tc.message {
+				t.Fatalf("%s: %s, want an answer for %s", tc.name, rec.Body, tc.message)
+			}
+			continue
+		}
+		var env api.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != api.CodeInvalidArgument ||
+			env.Error.Message != tc.message {
+			t.Fatalf("%s: %s\nwant code %s, message %q", tc.name, rec.Body, api.CodeInvalidArgument, tc.message)
+		}
+	}
+}
+
 // TestKeysMatchFormattedKeys: the concatenated cache keys and the inlined
 // feature hash equal the fmt / hash/fnv formulation they replaced, for the
 // built-in clusters and for an environment with a fault profile.

@@ -30,7 +30,15 @@ type ttlCache struct {
 	minGen   uint64 // entries from generations below this are never cached
 	entries  map[string]cacheEntry
 	inflight map[string]*flightCall
+	// sweepAt is the entry count at which the next insert first deletes
+	// every expired entry: twice the count the last sweep left, and at
+	// least minSweep. Unseen-app payloads are each their own key, so
+	// without it a shard that never swaps would keep every one.
+	sweepAt int
 }
+
+// minSweep is the smallest cache that is swept for expired entries.
+const minSweep = 1024
 
 type cacheEntry struct {
 	resp    RecommendResponse
@@ -50,6 +58,7 @@ func newTTLCache(ttl time.Duration, now func() time.Time) *ttlCache {
 		now:      now,
 		entries:  map[string]cacheEntry{},
 		inflight: map[string]*flightCall{},
+		sweepAt:  minSweep,
 	}
 }
 
@@ -94,7 +103,11 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 				if call.resp.Tier != string(core.TierNECS) && ttl > degradedCacheTTL {
 					ttl = degradedCacheTTL
 				}
-				c.entries[key] = cacheEntry{resp: call.resp, expires: c.now().Add(ttl)}
+				now := c.now()
+				if len(c.entries) >= c.sweepAt {
+					c.sweep(now)
+				}
+				c.entries[key] = cacheEntry{resp: call.resp, expires: now.Add(ttl)}
 			}
 			c.mu.Unlock()
 			close(call.done)
@@ -118,6 +131,18 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 	}
 }
 
+// sweep deletes the entries expired at now and sets the next sweep's
+// size; the caller holds c.mu. Each sweep is paid for by the inserts that
+// doubled the map since the last one.
+func (c *ttlCache) sweep(now time.Time) {
+	for k, e := range c.entries {
+		if !now.Before(e.expires) {
+			delete(c.entries, k)
+		}
+	}
+	c.sweepAt = max(2*len(c.entries), minSweep)
+}
+
 // flush drops every cached entry and bars entries from generations older
 // than minGen from ever being inserted (called on model hot-swap with the
 // new snapshot's generation: a compute that straddled the swap must not
@@ -128,6 +153,7 @@ func (c *ttlCache) flush(minGen uint64) {
 		c.minGen = minGen
 	}
 	c.entries = map[string]cacheEntry{}
+	c.sweepAt = minSweep
 	c.mu.Unlock()
 }
 

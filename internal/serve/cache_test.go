@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,5 +131,32 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 	if c.len() != 0 {
 		t.Fatalf("cache holds %d entries after errors, want 0", c.len())
+	}
+}
+
+// TestCacheSweepsExpiredEntries: unique keys that each expire — unseen-app
+// payloads on a shard that never swaps — leave the cache bounded near
+// what is live, since inserts sweep the expired ones once the map doubles.
+func TestCacheSweepsExpiredEntries(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	c := newTTLCache(30*time.Second, func() time.Time { return clock })
+	fn := func() (RecommendResponse, error) { return RecommendResponse{Tier: "retrieval"}, nil }
+	const keys = 100_000
+	live := int(degradedCacheTTL / time.Millisecond) // keys inserted within one TTL
+	peak := 0
+	for i := 0; i < keys; i++ {
+		c.getOrDo(context.Background(), "k"+strconv.Itoa(i), fn)
+		peak = max(peak, c.len())
+		clock = clock.Add(time.Millisecond)
+	}
+	if bound := 2*live + 1; peak > bound {
+		t.Fatalf("%d unique keys, %d live at a time: the cache peaked at %d entries, want at most %d", keys, live, peak, bound)
+	}
+	if c.len() < live {
+		t.Fatalf("the cache holds %d entries, fewer than the %d live ones", c.len(), live)
+	}
+	// A live entry is never swept.
+	if _, hit, _, _ := c.getOrDo(context.Background(), "k"+strconv.Itoa(keys-1), fn); !hit {
+		t.Fatal("the newest entry was swept")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -129,7 +130,8 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// bodyPool holds the buffers recommend responses are encoded into.
+// bodyPool holds the buffers request bodies are read into and recommend
+// responses are encoded into.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody caps what goes back into bodyPool, so one response with
@@ -240,26 +242,59 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, methods .
 	return false
 }
 
-// decodeBody enforces POST and decodes a bounded, strict JSON body into v:
+// maxBody bounds every request body.
+const maxBody = 1 << 20
+
+// decodeBody enforces POST, reads the body once — at most maxBody bytes —
+// into a pooled buffer, and decodes it into v strictly (api.DecodeStrict):
 // one JSON value with no unknown fields, followed by nothing but
-// whitespace.
+// whitespace. A recommend request is read by api.DecodeRecommendRequest,
+// which accepts and rejects the same bodies with the same errors without
+// reflection. Decoded strings are copies, so the buffer is reused.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	buf := bodyPool.Get().(*[]byte)
+	data, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, (*buf)[:0])
 	if err == nil {
-		if _, next := dec.Token(); next != io.EOF {
-			err = errors.New("unexpected data after the JSON value")
+		if req, ok := v.(*RecommendRequest); ok {
+			err = api.DecodeRecommendRequest(data, req)
+		} else {
+			err = api.DecodeStrict(data, v)
 		}
+	}
+	if cap(data) <= maxPooledBody {
+		*buf = data[:0]
+		bodyPool.Put(buf)
 	}
 	if err != nil {
 		s.writeAPIError(w, http.StatusBadRequest, api.CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return false
 	}
 	return true
+}
+
+// readBody appends everything body yields to b, sized up front from the
+// declared length when there is one.
+func readBody(body io.Reader, length int64, b []byte) ([]byte, error) {
+	if length > 0 && length <= maxBody {
+		// One byte more, so the read that meets the end finds room.
+		b = slices.Grow(b, int(length)+1)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // requestContext derives the pipeline context for one HTTP request: the

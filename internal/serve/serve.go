@@ -588,40 +588,12 @@ func sizeBucket(sizeMB float64) int {
 // whichever caller happened to lead.
 func bucketSizeMB(b int) float64 { return math.Exp2(float64(b)) }
 
-// envFingerprint identifies an environment for cache keying: the hardware
-// profile plus the active fault profile's actual knobs — two clusters
-// injecting different fault intensities must never share cache or routing
-// entries. It is the retrieval store's fingerprint, so cache keys and
-// retrieval entries agree on environment identity.
-func envFingerprint(env sparksim.Environment) string {
-	for i := range builtinFPs {
-		if builtinFPs[i].env == env {
-			return builtinFPs[i].fp
-		}
-	}
-	return retrieval.EnvFingerprint(env)
-}
-
-// builtinFPs caches the fingerprint of every built-in cluster, which is
-// what ClusterByName resolves every request to. The environment is kept
-// beside its fingerprint, so a match is on value, not on name.
-var builtinFPs = func() []clusterFP {
-	out := make([]clusterFP, len(sparksim.AllClusters))
-	for i, env := range sparksim.AllClusters {
-		out[i] = clusterFP{env, retrieval.EnvFingerprint(env)}
-	}
-	return out
-}()
-
-type clusterFP struct {
-	env sparksim.Environment
-	fp  string
-}
-
 // requestKey is the cache and routing key "app|b<size bucket>|<env
 // fingerprint>", built by concatenation because every request builds one.
+// The fingerprint is the retrieval store's, so cache keys and retrieval
+// entries agree on environment identity.
 func requestKey(appName string, sizeMB float64, env sparksim.Environment) string {
-	return appName + "|b" + strconv.Itoa(sizeBucket(sizeMB)) + "|" + envFingerprint(env)
+	return appName + "|b" + strconv.Itoa(sizeBucket(sizeMB)) + "|" + retrieval.EnvFingerprint(env)
 }
 
 // coldDefaultSizeMB is the datasize assumed for an unseen-app request that

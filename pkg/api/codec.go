@@ -1,21 +1,26 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The /v1/recommend response is the one body every cache hit writes and
-// every client reads, so its wire format has a hand-written codec here
-// instead of a trip through encoding/json's reflection. The encoder's
-// bytes are exactly json.Marshal's; the decoder accepts exactly what
-// json.Unmarshal accepts and produces the same value, because anything off
-// its fast path is handed to json.Unmarshal.
+// The /v1/recommend request and response are the bodies every request
+// sends and reads, so their wire format has a hand-written codec here
+// instead of a trip through encoding/json's reflection. The encoders'
+// bytes are exactly json.Marshal's; each decoder accepts exactly what its
+// encoding/json counterpart accepts and produces the same value, because
+// anything off its fast path is handed to that counterpart.
 
 // AppendRecommendResponse appends the JSON encoding of r to dst and
 // returns the extended buffer. The bytes are identical to
@@ -135,6 +140,14 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe marks the ASCII bytes appendString copies as they are.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // appendString writes s as a JSON string the way encoding/json does with
 // HTML escaping on: <, > and & become \u003c, \u003e and \u0026, control
 // bytes without a short escape become \u00XX, each invalid UTF-8 byte
@@ -144,7 +157,7 @@ func appendString(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if htmlSafe[c] {
 				i++
 				continue
 			}
@@ -188,20 +201,94 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// AppendRecommendRequest appends the JSON encoding of r to dst and
+// returns the extended buffer. The bytes are identical to json.Marshal(r):
+// features omitted when nil, code and ops omitted when empty, floats and
+// strings as AppendRecommendResponse writes them. A NaN or infinite
+// size_mb is a *json.UnsupportedValueError; dst is then returned
+// unextended.
+func AppendRecommendRequest(dst []byte, r *RecommendRequest) ([]byte, error) {
+	b := append(dst, `{"app":`...)
+	b = appendString(b, r.App)
+	b = append(b, `,"size_mb":`...)
+	b, err := appendFloat(b, r.SizeMB)
+	if err != nil {
+		return dst, err
+	}
+	b = append(b, `,"cluster":`...)
+	b = appendString(b, r.Cluster)
+	if f := r.Features; f != nil {
+		b = append(b, `,"features":{`...)
+		if f.Code != "" {
+			b = append(b, `"code":`...)
+			b = appendString(b, f.Code)
+		}
+		if len(f.Ops) > 0 {
+			if f.Code != "" {
+				b = append(b, ',')
+			}
+			b = append(b, `"ops":[`...)
+			for i, op := range f.Ops {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendString(b, op)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// DecodeStrict decodes data into v the way every /v1 endpoint reads a
+// request body: exactly one JSON value, no field v's type lacks, and
+// nothing but whitespace after the value. The errors are json.Decoder's.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
+// DecodeRecommendRequest decodes a /v1/recommend request body into r with
+// DecodeStrict's semantics: the same inputs are accepted and rejected,
+// with the same errors, and an accepted input leaves r holding the same
+// value. The flat shape — keys exactly app, size_mb, cluster and
+// features{code, ops}, each at most once, valid UTF-8 strings without
+// surrogate escapes, and JSON numbers that fit a float64 — is decoded
+// without reflection, copying only the strings it keeps; any other input,
+// and any r whose features are already set, is handed to DecodeStrict.
+func DecodeRecommendRequest(data []byte, r *RecommendRequest) error {
+	if r.Features == nil {
+		d := reader{b: data}
+		out := *r
+		if d.request(&out) {
+			*r = out
+			return nil
+		}
+	}
+	return DecodeStrict(data, r)
+}
+
 // DecodeRecommendResponse decodes a /v1/recommend body into r with
 // json.Unmarshal's semantics: the same inputs are accepted and rejected,
 // and an accepted input leaves r holding the same value. The flat shape
 // the server writes — every key one of the exact lowercase field names,
-// each at most once, and strings without escapes — is decoded without
-// reflection, from one string copy of data; any other input, and any r
-// whose config or predicted_seconds is already set, is handed to
-// json.Unmarshal.
+// each at most once, and valid UTF-8 strings without surrogate escapes —
+// is decoded without reflection; any other input, and any r whose config
+// or predicted_seconds is already set, is handed to json.Unmarshal.
 func DecodeRecommendResponse(data []byte, r *RecommendResponse) error {
 	if r.Config == nil && r.PredictedSeconds == nil {
 		// Decode into a copy and commit only a complete decode: a
 		// fallback must start from the caller's untouched value, since
 		// json.Unmarshal writes nothing when the input is malformed.
-		d := respDecoder{s: string(data)}
+		d := reader{b: data}
 		out := *r
 		if d.response(&out) {
 			*r = out
@@ -211,15 +298,19 @@ func DecodeRecommendResponse(data []byte, r *RecommendResponse) error {
 	return json.Unmarshal(data, r)
 }
 
-// respDecoder is the reflection-free reader of DecodeRecommendResponse.
-// Every method reports false when the input leaves the fast path, which
-// is not necessarily an error: json.Unmarshal decides.
-type respDecoder struct {
-	s string
-	i int
+// reader is the reflection-free JSON reader behind DecodeRecommendRequest
+// and DecodeRecommendResponse. It reads the input bytes in place and
+// copies only the strings a decoder keeps, all into one buffer. Every
+// method reports false when the input leaves the fast path, which is not
+// necessarily an error: the fallback decoder decides.
+type reader struct {
+	b    []byte
+	i    int
+	keep strings.Builder
 }
 
-// Field bits, so a repeated key leaves the fast path.
+// Request and response field bits, so a repeated key leaves the fast
+// path.
 const (
 	fApp = 1 << iota
 	fSizeMB
@@ -232,77 +323,151 @@ const (
 	fCoalesced
 	fBatchSize
 	fOverheadMS
+	fFeatures
+	fCode
+	fOps
 )
 
-func (d *respDecoder) response(r *RecommendResponse) bool {
-	if !d.consume('{') {
-		return false
-	}
-	seen := 0
-	if d.consume('}') {
-		return d.end()
-	}
-	for {
-		key, ok := d.str()
-		if !ok || !d.consume(':') {
-			return false
-		}
-		var bit int
-		switch key {
+func (d *reader) request(r *RecommendRequest) bool {
+	return d.object(func(key []byte) (bit int, ok bool) {
+		switch string(key) {
 		case "app":
-			bit = fApp
 			r.App, ok = d.str()
+			return fApp, ok
 		case "size_mb":
-			bit = fSizeMB
 			r.SizeMB, ok = d.float()
+			return fSizeMB, ok
 		case "cluster":
-			bit = fCluster
 			r.Cluster, ok = d.str()
+			return fCluster, ok
+		case "features":
+			r.Features, ok = d.features()
+			return fFeatures, ok
+		}
+		return 0, false
+	}) && d.end()
+}
+
+// features reads the features object. An empty one is still a non-nil
+// *AppFeatures, as json.Decoder makes it.
+func (d *reader) features() (*AppFeatures, bool) {
+	f := new(AppFeatures)
+	ok := d.object(func(key []byte) (bit int, ok bool) {
+		switch string(key) {
+		case "code":
+			f.Code, ok = d.str()
+			return fCode, ok
+		case "ops":
+			f.Ops, ok = d.strs()
+			return fOps, ok
+		}
+		return 0, false
+	})
+	return f, ok
+}
+
+// strs reads an array of strings. An empty array is an empty, non-nil
+// slice, as json.Decoder makes it.
+func (d *reader) strs() ([]string, bool) {
+	if !d.consume('[') {
+		return nil, false
+	}
+	var stack [16]string
+	out := stack[:0]
+	if !d.consume(']') {
+		for {
+			s, ok := d.str()
+			if !ok {
+				return nil, false
+			}
+			out = append(out, s)
+			if d.consume(']') {
+				break
+			}
+			if !d.consume(',') {
+				return nil, false
+			}
+		}
+	}
+	return append(make([]string, 0, len(out)), out...), true
+}
+
+func (d *reader) response(r *RecommendResponse) bool {
+	return d.object(func(key []byte) (bit int, ok bool) {
+		switch string(key) {
+		case "app":
+			r.App, ok = d.str()
+			return fApp, ok
+		case "size_mb":
+			r.SizeMB, ok = d.float()
+			return fSizeMB, ok
+		case "cluster":
+			r.Cluster, ok = d.str()
+			return fCluster, ok
 		case "config":
-			bit = fConfig
 			r.Config, ok = d.config()
+			return fConfig, ok
 		case "predicted_seconds":
-			bit = fPredicted
 			var p float64
 			if p, ok = d.float(); ok {
 				r.PredictedSeconds = &p
 			}
+			return fPredicted, ok
 		case "tier":
-			bit = fTier
 			r.Tier, ok = d.str()
+			return fTier, ok
 		case "generation":
-			bit = fGeneration
-			var lit string
+			var lit []byte
 			if lit, ok = d.number(); ok {
 				var err error
-				r.Generation, err = strconv.ParseUint(lit, 10, 64)
+				r.Generation, err = strconv.ParseUint(string(lit), 10, 64)
 				ok = err == nil
 			}
+			return fGeneration, ok
 		case "cached":
-			bit = fCached
 			r.Cached, ok = d.boolean()
+			return fCached, ok
 		case "coalesced":
-			bit = fCoalesced
 			r.Coalesced, ok = d.boolean()
+			return fCoalesced, ok
 		case "batch_size":
-			bit = fBatchSize
-			var lit string
+			var lit []byte
 			if lit, ok = d.number(); ok {
-				n, err := strconv.ParseInt(lit, 10, strconv.IntSize)
+				n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 				r.BatchSize, ok = int(n), err == nil
 			}
+			return fBatchSize, ok
 		case "overhead_ms":
-			bit = fOverheadMS
 			r.OverheadMS, ok = d.float()
-		default:
+			return fOverheadMS, ok
+		}
+		return 0, false
+	}) && d.end()
+}
+
+// object reads one object. For each key, field reads the value and returns
+// the key's bit, or 0 for a key it does not know; an unknown or repeated
+// key leaves the fast path.
+func (d *reader) object(field func(key []byte) (bit int, ok bool)) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	seen := 0
+	for {
+		key, ok := d.key()
+		if !ok || !d.consume(':') {
 			return false
 		}
-		if !ok || seen&bit != 0 {
+		bit, ok := field(key)
+		if !ok || bit == 0 || seen&bit != 0 {
 			return false
 		}
 		seen |= bit
 		if d.consume('}') {
-			return d.end()
+			return true
 		}
 		if !d.consume(',') {
 			return false
@@ -312,7 +477,7 @@ func (d *respDecoder) response(r *RecommendResponse) bool {
 
 // config reads a knob object, or null as a nil map. The pairs are
 // collected first so the map is made at its final size.
-func (d *respDecoder) config() (map[string]float64, bool) {
+func (d *reader) config() (map[string]float64, bool) {
 	if d.literal("null") {
 		return nil, true
 	}
@@ -351,9 +516,9 @@ func (d *respDecoder) config() (map[string]float64, bool) {
 	return m, true
 }
 
-func (d *respDecoder) skipSpace() {
-	for d.i < len(d.s) {
-		switch d.s[d.i] {
+func (d *reader) skipSpace() {
+	for d.i < len(d.b) {
+		switch d.b[d.i] {
 		case ' ', '\t', '\n', '\r':
 			d.i++
 		default:
@@ -363,9 +528,9 @@ func (d *respDecoder) skipSpace() {
 }
 
 // consume skips whitespace and then c, if c is next.
-func (d *respDecoder) consume(c byte) bool {
+func (d *reader) consume(c byte) bool {
 	d.skipSpace()
-	if d.i < len(d.s) && d.s[d.i] == c {
+	if d.i < len(d.b) && d.b[d.i] == c {
 		d.i++
 		return true
 	}
@@ -373,22 +538,22 @@ func (d *respDecoder) consume(c byte) bool {
 }
 
 // end reports whether only whitespace follows the top-level value.
-func (d *respDecoder) end() bool {
+func (d *reader) end() bool {
 	d.skipSpace()
-	return d.i == len(d.s)
+	return d.i == len(d.b)
 }
 
 // literal skips whitespace and then lit, if lit is next.
-func (d *respDecoder) literal(lit string) bool {
+func (d *reader) literal(lit string) bool {
 	d.skipSpace()
-	if len(d.s)-d.i >= len(lit) && d.s[d.i:d.i+len(lit)] == lit {
+	if len(d.b)-d.i >= len(lit) && string(d.b[d.i:d.i+len(lit)]) == lit {
 		d.i += len(lit)
 		return true
 	}
 	return false
 }
 
-func (d *respDecoder) boolean() (bool, bool) {
+func (d *reader) boolean() (bool, bool) {
 	switch {
 	case d.literal("true"):
 		return true, true
@@ -398,45 +563,148 @@ func (d *respDecoder) boolean() (bool, bool) {
 	return false, false
 }
 
-// str reads a string that needs no unescaping: no backslash, no control
-// byte and valid UTF-8, so its value is its bytes, shared with the input.
-func (d *respDecoder) str() (string, bool) {
+// key reads an object key in place, without copying it. A key with an
+// escape or a control byte leaves the fast path: no field name needs one.
+func (d *reader) key() ([]byte, bool) {
+	if !d.consume('"') {
+		return nil, false
+	}
+	start := d.i
+	for ; d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			return d.b[start : d.i-1], true
+		case c == '\\' || c < ' ':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// plain marks the bytes a string copies as they are: printable ASCII other
+// than the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str reads a string and returns its value, copied into the keep buffer.
+// The escapes \" \\ \/ \b \f \n \r \t and \uXXXX are decoded; a control
+// byte, invalid UTF-8, a surrogate escape (which json.Decoder pairs or
+// replaces) or any other escape leaves the fast path.
+func (d *reader) str() (string, bool) {
 	if !d.consume('"') {
 		return "", false
 	}
-	start := d.i
-	ascii := true
-	for ; d.i < len(d.s); d.i++ {
-		switch c := d.s[d.i]; {
-		case c == '"':
-			v := d.s[start:d.i]
-			d.i++
-			return v, ascii || utf8.ValidString(v)
-		case c == '\\' || c < ' ':
+	if d.keep.Cap() == 0 {
+		// Every kept string is at most as long as its quoted form, so what
+		// is left of the input bounds them all: one allocation.
+		d.keep.Grow(len(d.b) - d.i)
+	}
+	start := d.keep.Len()
+	b, i := d.b, d.i
+	run := i
+	for {
+		for i < len(b) && plain[b[i]] {
+			i++
+		}
+		if i == len(b) {
 			return "", false
-		case c >= utf8.RuneSelf:
-			ascii = false
+		}
+		switch c := b[i]; {
+		case c == '"':
+			d.keep.Write(b[run:i])
+			d.i = i + 1
+			return d.keep.String()[start:], true
+		case c == '\\':
+			d.keep.Write(b[run:i])
+			d.i = i
+			if !d.escape() {
+				return "", false
+			}
+			i = d.i
+			run = i
+		case c < ' ':
+			return "", false
+		default:
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return "", false
+			}
+			i += size
 		}
 	}
-	return "", false
+}
+
+// escape decodes the escape sequence at d.i into the keep buffer.
+func (d *reader) escape() bool {
+	if d.i+1 >= len(d.b) {
+		return false
+	}
+	c := d.b[d.i+1]
+	d.i += 2
+	switch c {
+	case '"', '\\', '/':
+	case 'b':
+		c = '\b'
+	case 'f':
+		c = '\f'
+	case 'n':
+		c = '\n'
+	case 'r':
+		c = '\r'
+	case 't':
+		c = '\t'
+	case 'u':
+		if len(d.b)-d.i < 4 {
+			return false
+		}
+		var r rune
+		for _, h := range d.b[d.i : d.i+4] {
+			switch {
+			case h >= '0' && h <= '9':
+				h -= '0'
+			case h >= 'a' && h <= 'f':
+				h -= 'a' - 10
+			case h >= 'A' && h <= 'F':
+				h -= 'A' - 10
+			default:
+				return false
+			}
+			r = r<<4 | rune(h)
+		}
+		if utf16.IsSurrogate(r) {
+			return false
+		}
+		d.i += 4
+		d.keep.WriteRune(r)
+		return true
+	default:
+		return false
+	}
+	d.keep.WriteByte(c)
+	return true
 }
 
 // float reads a number as json.Unmarshal reads one into a float64.
-func (d *respDecoder) float() (float64, bool) {
+func (d *reader) float() (float64, bool) {
 	lit, ok := d.number()
 	if !ok {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(lit, 64)
+	f, err := strconv.ParseFloat(string(lit), 64)
 	return f, err == nil
 }
 
 // number reads one literal of JSON's number grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which is narrower than
 // what strconv parses.
-func (d *respDecoder) number() (string, bool) {
+func (d *reader) number() ([]byte, bool) {
 	d.skipSpace()
-	s, start := d.s, d.i
+	s, start := d.b, d.i
 	i := start
 	if i < len(s) && s[i] == '-' {
 		i++
@@ -447,12 +715,12 @@ func (d *respDecoder) number() (string, bool) {
 	case i < len(s) && s[i] >= '1' && s[i] <= '9':
 		i = digits(s, i)
 	default:
-		return "", false
+		return nil, false
 	}
 	if i < len(s) && s[i] == '.' {
 		j := digits(s, i+1)
 		if j == i+1 {
-			return "", false
+			return nil, false
 		}
 		i = j
 	}
@@ -463,7 +731,7 @@ func (d *respDecoder) number() (string, bool) {
 		}
 		j := digits(s, i)
 		if j == i {
-			return "", false
+			return nil, false
 		}
 		i = j
 	}
@@ -472,7 +740,7 @@ func (d *respDecoder) number() (string, bool) {
 }
 
 // digits returns the index of the first non-digit at or after i.
-func digits(s string, i int) int {
+func digits(s []byte, i int) int {
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		i++
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -122,48 +123,91 @@ func TestAppendRecommendResponseMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestCodecCoversEveryField: the hand-written encoder writes one key per
-// RecommendResponse field, in declaration order, and the decoder reads
-// each of them on its fast path. A field added to the struct fails here
-// until both halves know it, even when its zero value would be omitted.
-func TestCodecCoversEveryField(t *testing.T) {
+// jsonTags lists a struct type's JSON key names in declaration order.
+func jsonTags(v any) []string {
 	var tags []string
-	rt := reflect.TypeOf(RecommendResponse{})
+	rt := reflect.TypeOf(v)
 	for i := 0; i < rt.NumField(); i++ {
 		tags = append(tags, strings.Split(rt.Field(i).Tag.Get("json"), ",")[0])
 	}
+	return tags
+}
+
+// keysAt lists, in order, the keys of the objects nested depth levels
+// deep in body (depth 1 is the top-level object).
+func keysAt(t *testing.T, body []byte, depth int) []string {
+	t.Helper()
+	type frame struct{ obj, wantKey bool }
+	var stack []frame
+	var keys []string
+	valueDone := func() {
+		if n := len(stack); n > 0 && stack[n-1].obj {
+			stack[n-1].wantKey = true
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return keys
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(stack); n > 0 && stack[n-1].wantKey && tok != json.Delim('}') {
+			if n == depth {
+				keys = append(keys, tok.(string))
+			}
+			stack[n-1].wantKey = false
+			continue
+		}
+		switch tok {
+		case json.Delim('{'):
+			stack = append(stack, frame{obj: true, wantKey: true})
+		case json.Delim('['):
+			stack = append(stack, frame{})
+		case json.Delim('}'), json.Delim(']'):
+			stack = stack[:len(stack)-1]
+			valueDone()
+		default:
+			valueDone()
+		}
+	}
+}
+
+// TestCodecCoversEveryField: the hand-written encoders write one key per
+// field of RecommendResponse, RecommendRequest and AppFeatures, in
+// declaration order, and the decoders read each of them on their fast
+// path. A field added to a struct fails here until both halves know it,
+// even when its zero value would be omitted.
+func TestCodecCoversEveryField(t *testing.T) {
 	r := sampleResponse()
 	body, err := AppendRecommendResponse(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	var keys []string
-	for depth := 0; ; {
-		tok, err := dec.Token()
-		if err != nil {
-			break
-		}
-		switch tok {
-		case json.Delim('{'):
-			depth++
-		case json.Delim('}'):
-			depth--
-		default:
-			if k, ok := tok.(string); ok && depth == 1 {
-				keys = append(keys, k)
-				if v, _ := dec.Token(); v == json.Delim('{') { // config
-					depth++
-				}
-			}
-		}
-	}
-	if !slices.Equal(keys, tags) {
-		t.Fatalf("encoder writes keys %q, struct has %q", keys, tags)
+	if keys, tags := keysAt(t, body, 1), jsonTags(RecommendResponse{}); !slices.Equal(keys, tags) {
+		t.Fatalf("response encoder writes keys %q, struct has %q", keys, tags)
 	}
 	var out RecommendResponse
-	if d := (respDecoder{s: string(body)}); !d.response(&out) || !sameResponse(&out, &r) {
-		t.Fatalf("fast path did not read the full body back: %+v", out)
+	if d := (reader{b: body}); !d.response(&out) || !sameResponse(&out, &r) {
+		t.Fatalf("fast path did not read the full response back: %+v", out)
+	}
+
+	req := sampleRequest()
+	body, err = AppendRecommendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, tags := keysAt(t, body, 1), jsonTags(RecommendRequest{}); !slices.Equal(keys, tags) {
+		t.Fatalf("request encoder writes keys %q, struct has %q", keys, tags)
+	}
+	if keys, tags := keysAt(t, body, 2), jsonTags(AppFeatures{}); !slices.Equal(keys, tags) {
+		t.Fatalf("request encoder writes features keys %q, struct has %q", keys, tags)
+	}
+	var in RecommendRequest
+	if d := (reader{b: body}); !d.request(&in) || !sameRequest(&in, &req) {
+		t.Fatalf("fast path did not read the full request back: %+v", in)
 	}
 }
 

@@ -116,43 +116,6 @@ type Meta struct {
 // doJSON runs one call: marshal in (nil = empty body), decode a 2xx into
 // out (nil = discard), turn a non-2xx into *APIError.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, meta *Meta) error {
-	return c.do(ctx, method, path, in, meta, func(body io.Reader) error {
-		if out == nil {
-			io.Copy(io.Discard, io.LimitReader(body, 1<<20))
-			return nil
-		}
-		return json.NewDecoder(body).Decode(out)
-	})
-}
-
-// bodyPool holds the buffers recommend responses are read into.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody caps what goes back into bodyPool.
-const maxPooledBody = 64 << 10
-
-// recommend is doJSON for POST /v1/recommend: the answer is read whole and
-// decoded by api.DecodeRecommendResponse, which reads the server's own
-// bodies without reflection and any other JSON as json.Unmarshal would.
-func (c *Client) recommend(ctx context.Context, req api.RecommendRequest, resp *api.RecommendResponse, meta *Meta) error {
-	return c.do(ctx, http.MethodPost, api.Version+"/recommend", req, meta, func(body io.Reader) error {
-		buf := bodyPool.Get().(*bytes.Buffer)
-		defer func() {
-			if buf.Cap() <= maxPooledBody {
-				buf.Reset()
-				bodyPool.Put(buf)
-			}
-		}()
-		if _, err := buf.ReadFrom(body); err != nil {
-			return err
-		}
-		return api.DecodeRecommendResponse(buf.Bytes(), resp)
-	})
-}
-
-// do runs one call: marshal in (nil = empty body), hand a 2xx body to
-// decode, turn a non-2xx into *APIError.
-func (c *Client) do(ctx context.Context, method, path string, in any, meta *Meta, decode func(io.Reader) error) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -168,6 +131,79 @@ func (c *Client) do(ctx context.Context, method, path string, in any, meta *Meta
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	return c.do(req, path, meta, func(body io.Reader) error {
+		if out == nil {
+			io.Copy(io.Discard, io.LimitReader(body, 1<<20))
+			return nil
+		}
+		return json.NewDecoder(body).Decode(out)
+	})
+}
+
+// bodyPool holds the buffers recommend responses are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps what goes back into bodyPool.
+const maxPooledBody = 64 << 10
+
+// jsonContentType is the Content-Type header value of every recommend
+// request; header values are only read once set.
+var jsonContentType = []string{"application/json"}
+
+// recommend is doJSON for POST /v1/recommend, without reflection either
+// way: the request is written by api.AppendRecommendRequest into a buffer
+// sized for it, and the answer is read whole and decoded by
+// api.DecodeRecommendResponse, which reads the server's own bodies
+// without reflection and any other JSON as json.Unmarshal would.
+//
+// The request buffer is not pooled: the transport may still read a body
+// after Do returns, so a pooled one would need a body type whose Close
+// returns it, and the transport flushes the headers of a body type it
+// does not know as in-memory in a write of their own — two writes per
+// request, and a server read that may find only the headers.
+func (c *Client) recommend(ctx context.Context, in api.RecommendRequest, resp *api.RecommendResponse, meta *Meta) error {
+	path := api.Version + "/recommend"
+	data, err := api.AppendRecommendRequest(make([]byte, 0, requestSize(&in)), &in)
+	if err != nil {
+		return fmt.Errorf("client: encoding %s request: %w", path, err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("client: building %s request: %w", path, err)
+	}
+	req.Header["Content-Type"] = jsonContentType
+	return c.do(req, path, meta, func(body io.Reader) error {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledBody {
+				buf.Reset()
+				bodyPool.Put(buf)
+			}
+		}()
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		return api.DecodeRecommendResponse(buf.Bytes(), resp)
+	})
+}
+
+// requestSize is a size for the buffer r is encoded into: its strings as
+// they are plus room for the keys, so only a body with many escapes grows
+// it.
+func requestSize(r *api.RecommendRequest) int {
+	n := 96 + len(r.App) + len(r.Cluster)
+	if f := r.Features; f != nil {
+		n += len(f.Code) + len(f.Code)/32
+		for _, op := range f.Ops {
+			n += len(op) + 3
+		}
+	}
+	return n
+}
+
+// do runs one built request: hand a 2xx body to decode, turn a non-2xx
+// into *APIError.
+func (c *Client) do(req *http.Request, path string, meta *Meta, decode func(io.Reader) error) error {
 	res, err := c.hc.Do(req)
 	if err != nil {
 		return err // transport failure: surface the raw error for classification
