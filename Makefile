@@ -48,6 +48,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendRequestCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzV1RequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutingKey$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulIntoMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
 	./scripts/fidelity.sh
 

@@ -70,7 +70,6 @@ func main() {
 	follower := flag.Bool("follower", false, "fleet follower mode: no local retraining, the model advances only via POST /admin/flip (implies -admin)")
 	admin := flag.Bool("admin", false, "expose POST /v1/admin/flip (fleet-coordinated hot-swap)")
 	sessionDir := flag.String("session-dir", "", "tuning-session WAL+snapshot directory (default <wal-dir>/sessions when -wal-dir is set; empty without it = in-memory sessions)")
-	sessionBound := flag.Float64("session-bound", 0, "default session safety bound: a trial is a violation when it runs worse than bound x the measured baseline (0 = built-in 1.5)")
 	flag.Parse()
 
 	// Resize the scoring pool before boot-training so the first model's
@@ -98,13 +97,12 @@ func main() {
 			Enable: !*noValidation,
 			Cases:  *validationCases,
 		},
-		ChaosCorruptEveryN:  *chaosCorruptEvery,
-		ChaosPanicEveryN:    *chaosPanicEvery,
-		Seed:                *seed,
-		Follower:            *follower,
-		EnableAdmin:         *admin,
-		SessionDir:          *sessionDir,
-		SessionDefaultBound: *sessionBound,
+		ChaosCorruptEveryN: *chaosCorruptEvery,
+		ChaosPanicEveryN:   *chaosPanicEvery,
+		Seed:               *seed,
+		Follower:           *follower,
+		EnableAdmin:        *admin,
+		SessionDir:         *sessionDir,
 	})
 	if err := s.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "liteserve:", err)

@@ -139,24 +139,10 @@ func (g *CandidateGenerator) Region(appName string, data sparksim.DataSpec) (lo,
 	return lo, hi
 }
 
-// Sample draws n candidate configurations uniformly from the region of
-// interest (paper: "we randomly sample a small number of candidates in the
-// search space").
-func (g *CandidateGenerator) Sample(appName string, data sparksim.DataSpec, n int, rng *rand.Rand) []sparksim.Config {
-	lo, hi := g.Region(appName, data)
-	out := make([]sparksim.Config, n)
-	for i := 0; i < n; i++ {
-		var c sparksim.Config
-		for d := 0; d < sparksim.NumKnobs; d++ {
-			c[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
-		}
-		out[i] = c.Clamp()
-	}
-	return out
-}
-
-// SampleFeasible is Sample restricted to configurations that pass the
-// environment's static allocation check (what the cluster manager rejects
+// SampleFeasible draws n candidate configurations uniformly from the
+// region of interest (paper: "we randomly sample a small number of
+// candidates in the search space"), restricted to configurations that pass
+// the environment's static allocation check (what the cluster manager rejects
 // at submit time anyway); it retries rejected draws a bounded number of
 // times and falls back to clamping executor memory/cores into capacity.
 func (g *CandidateGenerator) SampleFeasible(appName string, data sparksim.DataSpec, env sparksim.Environment, n int, rng *rand.Rand) []sparksim.Config {

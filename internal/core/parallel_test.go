@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -43,7 +44,7 @@ func TestParallelDoCoversEveryIndexOnce(t *testing.T) {
 		SetScoreWorkers(workers)
 		const n = 257
 		hits := make([]int, n)
-		ParallelDo(n, func(i int) { hits[i]++ })
+		ParallelDoCtx(context.Background(), n, func(i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
@@ -56,8 +57,8 @@ func TestParallelDoCountsItems(t *testing.T) {
 	defer SetScoreWorkers(0)
 	SetScoreWorkers(3)
 	before := ScorePoolStats().Items
-	ParallelDo(10, func(int) {})
-	ParallelDo(7, func(int) {})
+	ParallelDoCtx(context.Background(), 10, func(int) {})
+	ParallelDoCtx(context.Background(), 7, func(int) {})
 	if got := ScorePoolStats().Items - before; got != 17 {
 		t.Fatalf("Items advanced by %d, want 17", got)
 	}
@@ -71,8 +72,8 @@ func TestParallelDoNestedDoesNotDeadlock(t *testing.T) {
 	SetScoreWorkers(2)
 	var mu sync.Mutex
 	total := 0
-	ParallelDo(4, func(int) {
-		ParallelDo(8, func(int) {
+	ParallelDoCtx(context.Background(), 4, func(int) {
+		ParallelDoCtx(context.Background(), 8, func(int) {
 			mu.Lock()
 			total++
 			mu.Unlock()
@@ -93,7 +94,7 @@ func TestParallelDoPropagatesPanic(t *testing.T) {
 			t.Fatal("panic from worker was swallowed")
 		}
 	}()
-	ParallelDo(16, func(i int) {
+	ParallelDoCtx(context.Background(), 16, func(i int) {
 		if i == 7 {
 			panic("boom")
 		}

@@ -12,11 +12,11 @@ package core
 //   - One global pool sized to GOMAXPROCS by default (SetScoreWorkers
 //     overrides it). The bound is process-wide, not per-call: sixteen
 //     concurrent recommendations do not spawn 16×GOMAXPROCS goroutines.
-//   - ParallelDo never blocks waiting for a worker. The calling goroutine
+//   - ParallelDoCtx never blocks waiting for a worker. The calling goroutine
 //     always works through items itself and only *recruits* helpers when
 //     free slots exist; under saturation a call simply degrades to serial
 //     execution on the caller. No queuing, no deadlock — a helper that
-//     itself calls ParallelDo (nested fan-out) just finds fewer slots.
+//     itself calls ParallelDoCtx (nested fan-out) just finds fewer slots.
 //   - Determinism: fn(i) receives the item index, so callers write results
 //     into pre-sized slices by index. Which goroutine scores an item never
 //     affects where the result lands.
@@ -43,7 +43,7 @@ type scorePool struct {
 	slots chan struct{}
 	// busy counts currently running helper goroutines.
 	busy atomic.Int64
-	// items counts every item ever dispatched through ParallelDo.
+	// items counts every item ever dispatched through ParallelDoCtx.
 	items atomic.Uint64
 }
 
@@ -52,7 +52,7 @@ var activePool atomic.Pointer[scorePool]
 func init() { SetScoreWorkers(0) }
 
 // SetScoreWorkers resizes the global scoring pool to n-way parallelism
-// (one caller plus n-1 helper goroutines per ParallelDo, bounded across
+// (one caller plus n-1 helper goroutines per ParallelDoCtx, bounded across
 // the whole process). n <= 0 restores the default, GOMAXPROCS. n == 1
 // forces serial scoring. Safe to call at any time, including while
 // scoring is in flight: running work finishes under the old bound.
@@ -85,7 +85,7 @@ type PoolStats struct {
 	// 0 when the pool is serial.
 	Utilization float64
 	// Items is the cumulative number of work items dispatched through
-	// ParallelDo since the pool was (re)configured.
+	// ParallelDoCtx since the pool was (re)configured.
 	Items uint64
 }
 
@@ -104,23 +104,20 @@ func ScorePoolStats() PoolStats {
 	return s
 }
 
-// ParallelDo runs fn(i) for every i in [0, n), fanning the items across
+// ParallelDoCtx runs fn(i) for every i in [0, n), fanning the items across
 // the calling goroutine plus up to ScoreWorkers()-1 recruited helpers.
 // It returns when every item has been processed. fn must be safe to call
 // from multiple goroutines; results should be written into index i of a
 // caller-owned slice, which keeps output ordering deterministic no matter
 // how items are scheduled. If fn panics, the first panic value is
 // re-raised on the calling goroutine after the remaining workers drain.
-func ParallelDo(n int, fn func(int)) {
-	parallelDo(nil, n, fn)
-}
-
-// ParallelDoCtx is ParallelDo with cooperative cancellation: every worker
-// (the caller included) checks ctx between items, so an abandoned fan-out
-// stops recruiting pool capacity as soon as its context is cancelled.
-// It returns ctx.Err() when the run was cut short — items already started
-// finish (fn is never interrupted mid-call), remaining items are skipped
-// and the caller must treat its result slots as unwritten.
+//
+// Cancellation is cooperative: every worker (the caller included) checks
+// ctx between items, so an abandoned fan-out stops recruiting pool
+// capacity as soon as its context is cancelled. It returns ctx.Err() when
+// the run was cut short — items already started finish (fn is never
+// interrupted mid-call), remaining items are skipped and the caller must
+// treat its result slots as unwritten.
 func ParallelDoCtx(ctx context.Context, n int, fn func(int)) error {
 	if err := ctx.Err(); err != nil {
 		return err

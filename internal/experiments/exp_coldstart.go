@@ -321,9 +321,6 @@ type Figure10Result struct {
 	HR   []float64
 	NDCG []float64
 	Runs int
-	// BestWarm / AvgWarm are the Table VII reference lines.
-	BestWarm RankingScore
-	AvgWarm  RankingScore
 }
 
 // Figure10 sweeps the never-seen fraction. ns lists the n values; runs the
@@ -376,28 +373,6 @@ func Figure10(s *Suite, ns []int, runs int) *Figure10Result {
 	return res
 }
 
-// SetWarmReferences fills the Table VII reference lines from a computed
-// Table VII result (best and average warm competitor on cluster C).
-func (r *Figure10Result) SetWarmReferences(t7 *Table7Result) {
-	var best RankingScore
-	var sumHR, sumNDCG float64
-	var n float64
-	for _, m := range t7.Rows {
-		if m == "NECS" {
-			continue
-		}
-		sc := t7.Scores[m]["C"]
-		if sc.NDCG > best.NDCG {
-			best = sc
-		}
-		sumHR += sc.HR
-		sumNDCG += sc.NDCG
-		n++
-	}
-	r.BestWarm = best
-	r.AvgWarm = RankingScore{HR: sumHR / n, NDCG: sumNDCG / n}
-}
-
 // Format renders the sweep.
 func (r *Figure10Result) Format() string {
 	t := NewTable(fmt.Sprintf("Figure 10: ranking vs fraction of never-seen applications (%d runs/point)", r.Runs),
@@ -405,12 +380,7 @@ func (r *Figure10Result) Format() string {
 	for i := range r.X {
 		t.AddRow(fmt.Sprintf("%.2f", r.X[i]), fmt.Sprintf("%.4f", r.HR[i]), fmt.Sprintf("%.4f", r.NDCG[i]))
 	}
-	out := t.String()
-	if r.BestWarm.NDCG > 0 {
-		out += fmt.Sprintf("reference (warm competitors, cluster C): best HR=%.4f NDCG=%.4f, avg HR=%.4f NDCG=%.4f\n",
-			r.BestWarm.HR, r.BestWarm.NDCG, r.AvgWarm.HR, r.AvgWarm.NDCG)
-	}
-	return out
+	return t.String()
 }
 
 // ---------------------------------------------------------------------------

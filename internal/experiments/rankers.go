@@ -344,8 +344,3 @@ func (r *NeuralRanker) Scores(gc *GoldCase) []float64 {
 
 // NECS exposes the trained model (nil for non-NECS variants).
 func (r *NeuralRanker) NECS() *core.NECS { return r.necs }
-
-// EvalScoresForTest exposes evalScores for external probes and examples.
-func EvalScoresForTest(scores, actual []float64, k int) RankingScore {
-	return evalScores(scores, actual, k)
-}

@@ -25,7 +25,7 @@ import (
 // visible only inside one flip window.
 func (rt *Router) flipLoop() {
 	defer rt.wg.Done()
-	ticker := time.NewTicker(rt.opts.FlipInterval)
+	ticker := time.NewTicker(rt.opts.ProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {

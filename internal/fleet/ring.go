@@ -126,18 +126,6 @@ func (r *Ring) Len() int {
 	return len(r.member)
 }
 
-// Members returns the member ids, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.member))
-	for id := range r.member {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns the member owning key; ok is false on an empty ring.
 func (r *Ring) Lookup(key string) (string, bool) {
 	ids := r.Successors(key, 1)

@@ -22,9 +22,6 @@ import (
 // below, no trainer (feedback is only hashed, never teed, and no flip
 // coordination runs).
 type Options struct {
-	// Vnodes per shard on the hash ring (default DefaultVnodes).
-	Vnodes int
-
 	// ProbeInterval is how often every shard's /healthz is probed (default
 	// 250ms); ProbeTimeout bounds one probe (default 1s) — a shard slower
 	// than this is as bad as a dead one and counts a failure.
@@ -34,30 +31,19 @@ type Options struct {
 	// FailAfter consecutive failed probes (or proxy transport errors) eject
 	// a shard from the ring (default 2). RecoverAfter consecutive good
 	// probes re-admit it (default 2), but never before its readmit backoff
-	// has elapsed: each ejection doubles the wait from ReadmitBackoffMin up
-	// to ReadmitBackoffMax (defaults 500ms and 30s), so a flapping shard
-	// cannot churn the ring.
-	FailAfter         int
-	RecoverAfter      int
-	ReadmitBackoffMin time.Duration
-	ReadmitBackoffMax time.Duration
-
-	// MaxAttempts bounds how many ring successors one request walks before
-	// giving up with 503 (default 3: the owner plus two successors).
-	MaxAttempts int
+	// has elapsed: each ejection doubles the wait from 500ms up to 30s, so
+	// a flapping shard cannot churn the ring.
+	FailAfter    int
+	RecoverAfter int
 
 	// TrainerID designates the shard that runs the adaptive-update loop.
 	// Feedback whose key hashes elsewhere is teed to it asynchronously, and
-	// the flip coordinator watches its generation, fanning each new one out
-	// to every other shard via POST /admin/flip with TrainerSnapshot.
+	// the flip coordinator watches its generation every ProbeInterval,
+	// fanning each new one out to every other shard via POST /admin/flip
+	// with TrainerSnapshot.
 	TrainerID       string
 	TrainerSnapshot string
-	// FlipInterval is the coordinator's cadence (default ProbeInterval).
-	FlipInterval time.Duration
 
-	// Registry receives the router's lite_fleet_* metrics (default: a fresh
-	// registry, exposed on the router's /metrics).
-	Registry *metrics.Registry
 	// Client overrides the proxy/probe HTTP client (tests).
 	Client *http.Client
 	// Now overrides the clock (tests).
@@ -67,9 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
 	}
@@ -81,21 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RecoverAfter <= 0 {
 		o.RecoverAfter = 2
-	}
-	if o.ReadmitBackoffMin <= 0 {
-		o.ReadmitBackoffMin = 500 * time.Millisecond
-	}
-	if o.ReadmitBackoffMax <= 0 {
-		o.ReadmitBackoffMax = 30 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.FlipInterval <= 0 {
-		o.FlipInterval = o.ProbeInterval
-	}
-	if o.Registry == nil {
-		o.Registry = metrics.NewRegistry()
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -110,6 +78,14 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+const (
+	// readmitBackoffMax caps a flapping shard's readmit backoff.
+	readmitBackoffMax = 30 * time.Second
+	// maxAttempts bounds how many ring successors one request walks before
+	// giving up with 503: the owner plus two successors.
+	maxAttempts = 3
+)
 
 // shard is the router's view of one serving instance. All fields are
 // guarded by Router.mu except id, which never changes.
@@ -140,6 +116,9 @@ type Router struct {
 	reg    *metrics.Registry
 	ring   *Ring
 	client *http.Client
+	// readmitBackoffMin is a shard's readmit wait after its first ejection;
+	// each further ejection doubles it.
+	readmitBackoffMin time.Duration
 
 	mu       sync.Mutex
 	shards   map[string]*shard
@@ -156,13 +135,14 @@ type Router struct {
 func NewRouter(opts Options) *Router {
 	opts = opts.withDefaults()
 	rt := &Router{
-		opts:   opts,
-		reg:    opts.Registry,
-		ring:   NewRing(opts.Vnodes),
-		client: opts.Client,
-		shards: map[string]*shard{},
-		teeCh:  make(chan []byte, 256),
-		stopCh: make(chan struct{}),
+		opts:              opts,
+		reg:               metrics.NewRegistry(),
+		ring:              NewRing(DefaultVnodes),
+		client:            opts.Client,
+		readmitBackoffMin: 500 * time.Millisecond,
+		shards:            map[string]*shard{},
+		teeCh:             make(chan []byte, 256),
+		stopCh:            make(chan struct{}),
 	}
 	rt.reg.GaugeFunc("lite_fleet_shards", func() float64 {
 		rt.mu.Lock()
@@ -227,9 +207,9 @@ func (rt *Router) ejectLocked(sh *shard, reason string) {
 	sh.up = false
 	sh.consecOK = 0
 	sh.ejections++
-	backoff := rt.opts.ReadmitBackoffMin << (sh.ejections - 1)
-	if backoff > rt.opts.ReadmitBackoffMax || backoff <= 0 {
-		backoff = rt.opts.ReadmitBackoffMax
+	backoff := rt.readmitBackoffMin << (sh.ejections - 1)
+	if backoff > readmitBackoffMax || backoff <= 0 {
+		backoff = readmitBackoffMax
 	}
 	sh.readmitAfter = rt.opts.Now().Add(backoff)
 	if rt.ring.Remove(sh.id) {
@@ -549,7 +529,7 @@ func (rt *Router) listSessions(w http.ResponseWriter, r *http.Request) {
 // bounded metric name for the path (session paths would otherwise explode
 // cardinality with the ID).
 func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label, key string, body []byte, tee int) {
-	order := rt.ring.Successors(key, rt.opts.MaxAttempts)
+	order := rt.ring.Successors(key, maxAttempts)
 	if len(order) == 0 {
 		rt.reg.Counter("lite_fleet_no_shard_total").Inc()
 		writeAPIError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "fleet: no live shards", 1000)

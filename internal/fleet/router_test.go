@@ -234,12 +234,12 @@ func TestRouterConsistentPlacement(t *testing.T) {
 func TestRouterFailoverUnderTraffic(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
 	rt := NewRouter(Options{
-		ProbeInterval:     10 * time.Millisecond,
-		ProbeTimeout:      200 * time.Millisecond,
-		FailAfter:         2,
-		RecoverAfter:      2,
-		ReadmitBackoffMin: 10 * time.Millisecond,
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		FailAfter:     2,
+		RecoverAfter:  2,
 	})
+	rt.readmitBackoffMin = 10 * time.Millisecond
 	for _, f := range shards {
 		rt.AddShard(f.id, f.srv.URL)
 	}
@@ -318,12 +318,12 @@ func TestRouterFailoverUnderTraffic(t *testing.T) {
 func TestRouterEjectAndReadmit(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
 	rt := NewRouter(Options{
-		ProbeInterval:     10 * time.Millisecond,
-		ProbeTimeout:      200 * time.Millisecond,
-		FailAfter:         2,
-		RecoverAfter:      2,
-		ReadmitBackoffMin: 20 * time.Millisecond,
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		FailAfter:     2,
+		RecoverAfter:  2,
 	})
+	rt.readmitBackoffMin = 20 * time.Millisecond
 	for _, f := range shards {
 		rt.AddShard(f.id, f.srv.URL)
 	}

@@ -34,16 +34,6 @@ type SupervisorOptions struct {
 	ValidationCases int
 	// Seed is forwarded to every shard.
 	Seed int64
-	// ExtraArgs are appended to every shard's command line.
-	ExtraArgs []string
-
-	// SpawnTimeout bounds the wait for a shard's "listening addr=" line
-	// (default 3m — covers a cold shard that falls back to boot-training).
-	SpawnTimeout time.Duration
-	// RestartBackoffMin/Max bound the exponential restart backoff after a
-	// shard process dies (defaults 500ms and 15s).
-	RestartBackoffMin time.Duration
-	RestartBackoffMax time.Duration
 
 	// Logf is the supervisor's event log (default stdout — the parseable
 	// `litefleet: shard id=... pid=... addr=...` lines land here).
@@ -54,15 +44,6 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-	if o.SpawnTimeout <= 0 {
-		o.SpawnTimeout = 3 * time.Minute
-	}
-	if o.RestartBackoffMin <= 0 {
-		o.RestartBackoffMin = 500 * time.Millisecond
-	}
-	if o.RestartBackoffMax <= 0 {
-		o.RestartBackoffMax = 15 * time.Second
-	}
 	if o.Logf == nil {
 		o.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stdout, format+"\n", args...)
@@ -70,6 +51,16 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	}
 	return o
 }
+
+const (
+	// spawnTimeout bounds the wait for a shard's "listening addr=" line; it
+	// covers a cold shard that falls back to boot-training.
+	spawnTimeout = 3 * time.Minute
+	// restartBackoffMin/Max bound the exponential restart backoff after a
+	// shard process dies.
+	restartBackoffMin = 500 * time.Millisecond
+	restartBackoffMax = 15 * time.Second
+)
 
 // Supervisor spawns N liteserve shard processes on ephemeral ports,
 // registers each with the router once its bound address is known, marks a
@@ -188,9 +179,9 @@ func (s *Supervisor) runShard(i int) {
 			failures = 0 // it ran for a while: treat the next death as fresh
 		}
 		failures++
-		backoff := s.opts.RestartBackoffMin << (failures - 1)
-		if backoff > s.opts.RestartBackoffMax || backoff <= 0 {
-			backoff = s.opts.RestartBackoffMax
+		backoff := restartBackoffMin << (failures - 1)
+		if backoff > restartBackoffMax || backoff <= 0 {
+			backoff = restartBackoffMax
 		}
 		select {
 		case <-s.stopCh:
@@ -233,10 +224,9 @@ func (s *Supervisor) shardArgs(i int) []string {
 		} else if s.opts.ValidationCases > 0 {
 			args = append(args, "-validation-cases", fmt.Sprint(s.opts.ValidationCases))
 		}
-	} else {
-		args = append(args, "-follower")
+		return args
 	}
-	return append(args, s.opts.ExtraArgs...)
+	return append(args, "-follower")
 }
 
 // spawn starts shard i and returns its bound address, parsed from the
@@ -287,7 +277,7 @@ func (s *Supervisor) spawn(i int) (string, *exec.Cmd, error) {
 		return "", cmd, fmt.Errorf("shard %s exited before reporting its address", id)
 	case <-s.stopCh:
 		return "", cmd, fmt.Errorf("supervisor stopping")
-	case <-time.After(s.opts.SpawnTimeout):
-		return "", cmd, fmt.Errorf("shard %s did not report an address within %v", id, s.opts.SpawnTimeout)
+	case <-time.After(spawnTimeout):
+		return "", cmd, fmt.Errorf("shard %s did not report an address within %v", id, spawnTimeout)
 	}
 }

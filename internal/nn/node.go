@@ -46,13 +46,6 @@ func NewConst(t *tensor.Tensor) *Node {
 	return &Node{Value: t}
 }
 
-// NewInput is an alias of NewConst for readability at call sites that feed
-// model inputs.
-func NewInput(t *tensor.Tensor) *Node { return NewConst(t) }
-
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Name returns the diagnostic name assigned at construction, if any.
 func (n *Node) Name() string { return n.name }
 

@@ -445,19 +445,22 @@ func (s *Store) publishInsertLocked(cur *index, e *Entry) {
 }
 
 // rebuildLocked compacts the entry set to the current best per key,
-// reclusters it, and atomically publishes the new index.
+// reclusters it, and atomically publishes the new index. The compacted set
+// keeps insertion order: k-means seeds are picked by position, so the same
+// inserts give the same index, and the same answers, in every process.
 func (s *Store) rebuildLocked() {
 	compact := make([]*Entry, 0, len(s.best))
-	for _, i := range s.best {
-		compact = append(compact, s.entries[i])
+	best := make(map[string]int, len(s.best))
+	for i, e := range s.entries {
+		if k := e.key(); s.best[k] == i {
+			best[k] = len(compact)
+			compact = append(compact, e)
+		}
 	}
 	// Re-anchor the canonical state on the compacted set so entries does
 	// not grow without bound across rebuild cycles.
 	s.entries = compact
-	s.best = make(map[string]int, len(compact))
-	for i, e := range compact {
-		s.best[e.key()] = i
-	}
+	s.best = best
 	s.sinceRebuild = 0
 	s.idx.Store(buildIndex(compact))
 }

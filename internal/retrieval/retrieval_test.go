@@ -347,3 +347,33 @@ func TestOnePassEmbeddersMatchTokens(t *testing.T) {
 		same(app.Spec.Name+" embedStages", embedStages(stages), want)
 	}
 }
+
+// TestIndexIsDeterministic: the same inserts build the same index — entry
+// order, centroids and cluster lists — so a lookup answers the same in
+// every process, superseded entries included.
+func TestIndexIsDeterministic(t *testing.T) {
+	var entries []Entry
+	for f := 0; f < 12; f++ {
+		for v := 0; v < 8; v++ {
+			fam := fmt.Sprintf("fam%d", f)
+			entries = append(entries, testEntry(fam, v, float64(int(64)<<(v%4)), "env0", float64(100+v)))
+			// A faster rerun of one key supersedes the first entry.
+			entries = append(entries, testEntry(fam, v, float64(int(64)<<(v%4)), "env0", float64(50+v)))
+		}
+	}
+	want := FromEntries(entries).idx.Load()
+	for i := 0; i < 5; i++ {
+		got := FromEntries(entries).idx.Load()
+		if len(got.entries) != len(want.entries) {
+			t.Fatalf("build %d: %d entries, want %d", i, len(got.entries), len(want.entries))
+		}
+		for j := range got.entries {
+			if got.entries[j].key() != want.entries[j].key() || got.entries[j].Seconds != want.entries[j].Seconds {
+				t.Fatalf("build %d: entry %d is %s, want %s", i, j, got.entries[j].key(), want.entries[j].key())
+			}
+		}
+		if fmt.Sprint(got.centroids, got.clusters) != fmt.Sprint(want.centroids, want.clusters) {
+			t.Fatalf("build %d: clusters differ", i)
+		}
+	}
+}

@@ -172,7 +172,7 @@ func TestQuarantineDirFsyncedBeforeFold(t *testing.T) {
 		WALDir:       walDir,
 		WALSyncEvery: 1, WALSyncInterval: -1,
 		UpdateBatch:        2,
-		Validation:         ValidationOptions{Enable: true, Cases: 2, Candidates: 4},
+		Validation:         ValidationOptions{Enable: true, Cases: 2},
 		ChaosCorruptEveryN: 1,
 		RetrainBackoffMin:  time.Millisecond,
 		RetrainBackoffMax:  4 * time.Millisecond,

@@ -17,11 +17,8 @@ import (
 // up in /metrics exposition with live values.
 func TestPoolGaugesExposed(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
-	s := newTestServer(t, Options{ScoreWorkers: 3})
-
-	if got := core.ScoreWorkers(); got != 3 {
-		t.Fatalf("Options.ScoreWorkers not applied: pool width %d", got)
-	}
+	core.SetScoreWorkers(3)
+	s := newTestServer(t, Options{})
 	if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
@@ -53,12 +50,8 @@ func TestPoolGaugesExposed(t *testing.T) {
 // update loop retrains a clone beside them.
 func TestServeParallelScoringRace(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
-	s := newTestServer(t, Options{
-		ScoreWorkers:  4,
-		DisableCache:  true,
-		UpdateBatch:   2,
-		FeedbackQueue: 8,
-	})
+	core.SetScoreWorkers(4)
+	s := newTestServer(t, Options{DisableCache: true, UpdateBatch: 2})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -17,11 +17,9 @@ import (
 func TestConcurrentServingOverlapsHotSwap(t *testing.T) {
 	s := newTestServer(t, Options{
 		// Cache off so every request exercises the model under swap; tiny
-		// update batch so retrains actually happen during the traffic; a
-		// small queue bounds the shutdown drain under the race detector.
-		DisableCache:  true,
-		UpdateBatch:   2,
-		FeedbackQueue: 8,
+		// update batch so retrains actually happen during the traffic.
+		DisableCache: true,
+		UpdateBatch:  2,
 	})
 	envC, _ := ClusterByName("C")
 

@@ -232,20 +232,64 @@ func TestWALReplayValidatesLikeTheHandler(t *testing.T) {
 		t.Fatalf("live handler accepted %d of the bodies, want 2", accepted)
 	}
 
-	// A follower keeps its recovered items queued instead of consuming them.
-	s := New(tuner.CloneForUpdate(1), Options{SourceSample: source, WALDir: walDir, Follower: true, WALSyncInterval: -1})
-	if err := s.Start(); err != nil {
+	w, recs, _, err := wal.Open(wal.Options{Dir: walDir, SyncInterval: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdownServer(t, s)
-	if len(s.recovered) != accepted {
-		t.Fatalf("replayed %d records, want the %d the handler accepts", len(s.recovered), accepted)
+	defer w.Close()
+	s := New(tuner.CloneForUpdate(1), Options{SourceSample: source})
+	items := s.replayable(recs)
+	if len(items) != accepted {
+		t.Fatalf("replayed %d records, want the %d the handler accepts", len(items), accepted)
 	}
 	if got := s.Metrics().Counter("lite_wal_replay_skipped_total").Value(); got != uint64(len(bodies)-accepted) {
 		t.Fatalf("replay skipped %d records, want %d", got, len(bodies)-accepted)
 	}
-	if got, want := s.recovered[0].req.SizeMB, workload.ByName("WordCount").Sizes.Test; got != want {
+	if got, want := items[0].req.SizeMB, workload.ByName("WordCount").Sizes.Test; got != want {
 		t.Fatalf("replayed size = %v, want the defaulted %v", got, want)
+	}
+}
+
+// TestFollowerKeepsNoRecoveredFeedback: a follower never retrains, so it
+// counts the unfolded WAL records it boots over but holds none of them in
+// memory, and leaves every one on disk for the fleet trainer.
+func TestFollowerKeepsNoRecoveredFeedback(t *testing.T) {
+	const n = 5
+	tuner, source := testTuner(t)
+	walDir := t.TempDir()
+	w, _, _, err := wal.Open(wal.Options{Dir: walDir, SyncEvery: 1, SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := json.Marshal(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(tuner.CloneForUpdate(1), Options{SourceSample: source, WALDir: walDir, Follower: true, WALSyncInterval: -1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if s.recovered != nil {
+		t.Fatalf("follower retains %d recovered records, want none", len(s.recovered))
+	}
+	if got := s.Metrics().Counter("lite_wal_recovered_records_total").Value(); got != n {
+		t.Fatalf("recovered records = %d, want %d", got, n)
+	}
+	shutdownServer(t, s)
+
+	w, recs, _, err := wal.Open(wal.Options{Dir: walDir, SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if len(recs) != n {
+		t.Fatalf("%d records left on disk after the follower ran, want %d", len(recs), n)
 	}
 }
 
@@ -263,7 +307,7 @@ func TestValidationGateRejectsPoisonedCandidate(t *testing.T) {
 		SnapshotPath: filepath.Join(dir, "model.json"),
 		WALSyncEvery: 1, WALSyncInterval: -1,
 		UpdateBatch:        2,
-		Validation:         ValidationOptions{Enable: true, Cases: 2, Candidates: 4},
+		Validation:         ValidationOptions{Enable: true, Cases: 2},
 		ChaosCorruptEveryN: 1,
 		RetrainBackoffMin:  time.Millisecond,
 		RetrainBackoffMax:  4 * time.Millisecond,
@@ -365,7 +409,7 @@ func TestValidationGateAcceptsHealthySwap(t *testing.T) {
 	s := newTestServer(t, Options{
 		UpdateBatch: 2,
 		Validation: ValidationOptions{
-			Enable: true, Cases: 2, Candidates: 4,
+			Enable: true, Cases: 2,
 			// Mechanics under test, not model quality: any finite candidate
 			// passes.
 			NDCGSlack: 1, RegretSlack: regretCap,

@@ -74,23 +74,13 @@ type Options struct {
 	RequestTimeout time.Duration
 
 	// UpdateBatch is how many feedback runs trigger one adaptive model
-	// update (default 8). FeedbackQueue bounds the pending-feedback queue
-	// (default 256); a full queue rejects new feedback rather than block
-	// the handler.
-	UpdateBatch   int
-	FeedbackQueue int
+	// update (default 8).
+	UpdateBatch int
 
 	// SourceSample is a sample of source-domain (offline training)
 	// instances mixed into every adaptive update so the model does not
 	// drift off the training distribution. Optional.
 	SourceSample []*core.Encoded
-
-	// ScoreWorkers resizes the process-wide candidate-scoring pool
-	// (core.SetScoreWorkers) at construction: recommendations fan their
-	// 64-candidate NECS scoring across this many goroutines. 0 leaves the
-	// pool at its default, GOMAXPROCS; 1 forces serial scoring. Rankings
-	// are deterministic at any width.
-	ScoreWorkers int
 
 	// SnapshotPath, when set, persists every published snapshot's tuner
 	// there (wal.WriteFileAtomic), so a restarted server can reload the
@@ -132,10 +122,8 @@ type Options struct {
 	// SessionDir persists tuning sessions (/v1/tuning/sessions) through
 	// their own WAL + snapshot in that directory, so open sessions survive
 	// a crash-restart. Default: <WALDir>/sessions when WALDir is set, else
-	// sessions are in-memory only. SessionDefaultBound is the safety bound
-	// applied when a create request does not set one (default 1.5).
-	SessionDir          string
-	SessionDefaultBound float64
+	// sessions are in-memory only.
+	SessionDir string
 
 	// Follower runs the server as a fleet follower (DESIGN.md §10): the
 	// adaptive-update loop is not started, accepted feedback is WAL-logged
@@ -180,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UpdateBatch <= 0 {
 		o.UpdateBatch = 8
-	}
-	if o.FeedbackQueue <= 0 {
-		o.FeedbackQueue = 256
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -296,6 +281,10 @@ func newRequestCounters(reg *metrics.Registry) requestCounters {
 	return c
 }
 
+// feedbackQueueLen bounds the pending-feedback queue: a full queue rejects
+// new feedback (ErrQueueFull) rather than block the handler.
+const feedbackQueueLen = 256
+
 type feedbackItem struct {
 	app *workload.App
 	req FeedbackRequest
@@ -311,13 +300,10 @@ type feedbackItem struct {
 // The returned server's exported methods are all safe for concurrent use.
 func New(tuner *core.Tuner, opts Options) *Server {
 	opts = opts.withDefaults()
-	if opts.ScoreWorkers > 0 {
-		core.SetScoreWorkers(opts.ScoreWorkers)
-	}
 	s := &Server{
 		opts:       opts,
 		reg:        metrics.NewRegistry(),
-		feedbackCh: make(chan feedbackItem, opts.FeedbackQueue),
+		feedbackCh: make(chan feedbackItem, feedbackQueueLen),
 		stopCh:     make(chan struct{}),
 	}
 	s.ctr = newRequestCounters(s.reg)
@@ -395,8 +381,9 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // Start launches the background adaptive-update loop.
 // When Options.WALDir is set it first recovers the feedback WAL — torn and
 // corrupt tails are skipped and counted, unfolded records are queued for
-// replay ahead of new traffic — and when Options.Validation.Enable is set
-// it freezes the held-out validation set the hot-swap gate scores against.
+// replay ahead of new traffic (a follower only counts them) — and when
+// Options.Validation.Enable is set it freezes the held-out validation set
+// the hot-swap gate scores against.
 // A non-nil error means the durability layer could not be brought up; the
 // server has not started.
 func (s *Server) Start() error {
@@ -417,28 +404,10 @@ func (s *Server) Start() error {
 		s.wal = w
 		s.reg.Counter("lite_wal_corrupt_records_total").Add(uint64(stats.CorruptTails))
 		s.reg.Counter("lite_wal_recovered_records_total").Add(uint64(stats.Recovered))
-		skipped := 0
-		for _, rec := range recs {
-			// Replay re-validates each record exactly as the live handler
-			// did (newFeedbackItem), so the two cannot drift apart.
-			var req FeedbackRequest
-			err := json.Unmarshal(rec.Data, &req)
-			var item feedbackItem
-			if err == nil {
-				item, err = newFeedbackItem(req)
-			}
-			if err != nil {
-				skipped++
-				continue
-			}
-			item.seq = rec.Seq
-			s.recovered = append(s.recovered, item)
-		}
-		if skipped > 0 {
-			// A record that no longer resolves (app/cluster renamed across
-			// an upgrade, garbage payload behind a valid CRC) is dropped
-			// visibly, not fatally.
-			s.reg.Counter("lite_wal_replay_skipped_total").Add(uint64(skipped))
+		// A follower never retrains, so it keeps none of them: the records
+		// stay unfolded on disk, where the fleet trainer owns them.
+		if !s.opts.Follower {
+			s.recovered = s.replayable(recs)
 		}
 		s.reg.GaugeFunc("lite_wal_last_seq", func() float64 { return float64(s.wal.Stats().LastSeq) })
 		s.reg.GaugeFunc("lite_wal_synced_seq", func() float64 { return float64(s.wal.Stats().SyncedSeq) })
@@ -447,7 +416,7 @@ func (s *Server) Start() error {
 		s.reg.GaugeFunc("lite_wal_fsyncs", func() float64 { return float64(s.wal.Stats().Fsyncs) })
 	}
 	if s.opts.Validation.Enable {
-		s.validator = newValidator(s.snap.Load().Tuner, s.opts.Validation.withDefaults(s.opts.Seed))
+		s.validator = newValidator(s.snap.Load().Tuner, s.opts.Validation.withDefaults(), s.opts.Seed+101)
 	}
 	if s.opts.SnapshotPath != "" {
 		s.reg.GaugeFunc("lite_snapshot_age_seconds", func() float64 {
@@ -467,13 +436,39 @@ func (s *Server) Start() error {
 	}
 	if s.opts.Follower {
 		// A follower never retrains: its model advances only through FlipTo.
-		// WAL-recovered feedback (accepted before a crash, never folded here)
-		// is intentionally left unfolded — the fleet trainer owns training.
 		return nil
 	}
 	s.wg.Add(1)
 	go s.superviseUpdateLoop()
 	return nil
+}
+
+// replayable turns recovered WAL records into queue items. Replay
+// re-validates each record exactly as the live handler did
+// (newFeedbackItem), so the two cannot drift apart; a record that no longer
+// resolves (app/cluster renamed across an upgrade, garbage payload behind a
+// valid CRC) is dropped visibly, not fatally.
+func (s *Server) replayable(recs []wal.Record) []feedbackItem {
+	var items []feedbackItem
+	skipped := 0
+	for _, rec := range recs {
+		var req FeedbackRequest
+		err := json.Unmarshal(rec.Data, &req)
+		var item feedbackItem
+		if err == nil {
+			item, err = newFeedbackItem(req)
+		}
+		if err != nil {
+			skipped++
+			continue
+		}
+		item.seq = rec.Seq
+		items = append(items, item)
+	}
+	if skipped > 0 {
+		s.reg.Counter("lite_wal_replay_skipped_total").Add(uint64(skipped))
+	}
+	return items
 }
 
 // FlipTo loads a published tuner snapshot from path and publishes it as

@@ -197,9 +197,9 @@ func TestFeedbackHealthzMetricsEndpoints(t *testing.T) {
 func TestFeedbackQueueFull(t *testing.T) {
 	tuner, source := testTuner(t)
 	// Unstarted server: the queue fills because nothing drains it.
-	s := New(tuner.CloneForUpdate(2), Options{FeedbackQueue: 2, SourceSample: source})
+	s := New(tuner.CloneForUpdate(2), Options{SourceSample: source})
 	req := FeedbackRequest{App: "WordCount", SizeMB: 128, Cluster: "C"}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < feedbackQueueLen; i++ {
 		if _, err := s.Feedback(req); err != nil {
 			t.Fatalf("feedback %d: %v", i, err)
 		}

@@ -41,7 +41,6 @@ func (s *Server) openSessions() error {
 		FS:           s.opts.FS,
 		SyncEvery:    s.opts.WALSyncEvery,
 		SyncInterval: s.opts.WALSyncInterval,
-		DefaultBound: s.opts.SessionDefaultBound,
 		Seed:         s.opts.Seed,
 		Now:          s.opts.Now,
 	})

@@ -27,31 +27,20 @@ type ValidationOptions struct {
 	// Enable turns the gate on.
 	Enable bool
 	// Cases is how many (app, datasize, env) validation tuples to hold out
-	// (default 6).
+	// (default 6). Each holds valCandidates configs, ranked by NDCG@valTopK;
+	// the set is sampled from the server's Seed+101.
 	Cases int
-	// Candidates is the fixed candidate-set size per case (default 8).
-	Candidates int
-	// TopK is the NDCG@K cutoff (default 3).
-	TopK int
 	// NDCGSlack is how much mean NDCG@K the candidate may lose versus the
 	// live model before the swap is rejected (default 0.05).
 	NDCGSlack float64
 	// RegretSlack is how much mean top-1 regret the candidate may add
 	// versus the live model before the swap is rejected (default 0.25).
 	RegretSlack float64
-	// Seed drives validation-set sampling (default Options.Seed+101).
-	Seed int64
 }
 
-func (o ValidationOptions) withDefaults(seed int64) ValidationOptions {
+func (o ValidationOptions) withDefaults() ValidationOptions {
 	if o.Cases <= 0 {
 		o.Cases = 6
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 8
-	}
-	if o.TopK <= 0 {
-		o.TopK = 3
 	}
 	if o.NDCGSlack <= 0 {
 		o.NDCGSlack = 0.05
@@ -59,11 +48,15 @@ func (o ValidationOptions) withDefaults(seed int64) ValidationOptions {
 	if o.RegretSlack <= 0 {
 		o.RegretSlack = 0.25
 	}
-	if o.Seed == 0 {
-		o.Seed = seed + 101
-	}
 	return o
 }
+
+// valCandidates is the fixed candidate-set size per validation case and
+// valTopK the NDCG@K cutoff.
+const (
+	valCandidates = 8
+	valTopK       = 3
+)
 
 // regretCap bounds one case's top-1 regret so a single catastrophic pick
 // (picking a FailCap config where the best finishes in seconds) saturates
@@ -95,7 +88,6 @@ type valScore struct {
 
 type validator struct {
 	cases []valCase
-	k     int
 	opts  ValidationOptions
 }
 
@@ -104,10 +96,10 @@ type validator struct {
 // to feasible random configs), ground truth from one simulator execution
 // per candidate. The set is frozen for the server's lifetime so scores are
 // comparable across generations.
-func newValidator(t *core.Tuner, opts ValidationOptions) *validator {
-	rng := rand.New(rand.NewSource(opts.Seed))
+func newValidator(t *core.Tuner, opts ValidationOptions, seed int64) *validator {
+	rng := rand.New(rand.NewSource(seed))
 	apps := workload.All()
-	v := &validator{k: opts.TopK, opts: opts}
+	v := &validator{opts: opts}
 	for i := 0; len(v.cases) < opts.Cases; i++ {
 		app := apps[i%len(apps)]
 		env := sparksim.AllClusters[i%len(sparksim.AllClusters)]
@@ -116,7 +108,7 @@ func newValidator(t *core.Tuner, opts ValidationOptions) *validator {
 			sizeMB = app.Sizes.Train[len(app.Sizes.Train)-1]
 		}
 		data := app.Spec.MakeData(sizeMB)
-		cands := sampleValidationCands(t, app, data, env, opts.Candidates, rng)
+		cands := sampleValidationCands(t, app, data, env, valCandidates, rng)
 		truth := make([]float64, len(cands))
 		for j, c := range cands {
 			truth[j] = sparksim.Simulate(app.Spec, data, env, c).Seconds
@@ -177,7 +169,7 @@ func (v *validator) score(t *core.Tuner) (s valScore) {
 			}
 		}
 		rank := metrics.RankByScore(preds)
-		s.NDCG += metrics.NDCGAtK(rank, c.gold, v.k)
+		s.NDCG += metrics.NDCGAtK(rank, c.gold, valTopK)
 		best := c.truth[c.gold[0]]
 		picked := c.truth[rank[0]]
 		if best > 0 {
@@ -199,7 +191,7 @@ func (v *validator) judge(cand, live valScore) (reason string) {
 	case cand.NonFinite > 0:
 		return fmt.Sprintf("candidate scored %d validation predictions non-finite", cand.NonFinite)
 	case cand.NDCG < live.NDCG-v.opts.NDCGSlack:
-		return fmt.Sprintf("NDCG@%d regressed %.3f -> %.3f (slack %.3f)", v.k, live.NDCG, cand.NDCG, v.opts.NDCGSlack)
+		return fmt.Sprintf("NDCG@%d regressed %.3f -> %.3f (slack %.3f)", valTopK, live.NDCG, cand.NDCG, v.opts.NDCGSlack)
 	case cand.Regret > live.Regret+v.opts.RegretSlack:
 		return fmt.Sprintf("top-1 regret regressed %.3f -> %.3f (slack %.3f)", live.Regret, cand.Regret, v.opts.RegretSlack)
 	}

@@ -486,10 +486,11 @@ func TestCrashReplay(t *testing.T) {
 		clock = clock.Add(time.Second)
 		return clock
 	}
-	st, err := Open(Options{Dir: dir, FS: fs, Seed: 7, Now: now, SnapshotEvery: 1 << 20})
+	st, err := Open(Options{Dir: dir, FS: fs, Seed: 7, Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.snapshotEvery = 1 << 20
 	base := sparksim.DefaultConfig()
 	sc := stubScorer{}
 

@@ -32,12 +32,6 @@ type Options struct {
 	// (defaults follow wal.Options).
 	SyncEvery    int
 	SyncInterval time.Duration
-	// SnapshotEvery folds the WAL into sessions.json after this many
-	// events (default 64).
-	SnapshotEvery int
-	// DefaultBound is the safety bound applied when a create request does
-	// not set one (default DefaultSafetyBound).
-	DefaultBound float64
 	// Seed makes proposal randomness and ID nonces deterministic; 0 uses
 	// a time-derived seed.
 	Seed int64
@@ -50,12 +44,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = wal.OSFS{}
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 64
-	}
-	if o.DefaultBound <= 1 {
-		o.DefaultBound = DefaultSafetyBound
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
@@ -85,6 +73,9 @@ type Store struct {
 	w         *wal.WAL
 	unsnapped int
 	lastSeq   uint64
+	// snapshotEvery folds the WAL into sessions.json after this many
+	// events.
+	snapshotEvery int
 
 	// RecoveredSessions / RecoveredEvents report what Open replayed, for
 	// boot logs and tests.
@@ -270,9 +261,10 @@ type storeSnapshot struct {
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	st := &Store{
-		opts:     opts,
-		sessions: make(map[string]*Session),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
+		opts:          opts,
+		sessions:      make(map[string]*Session),
+		rng:           rand.New(rand.NewSource(opts.Seed)),
+		snapshotEvery: 64,
 	}
 	if opts.Dir == "" {
 		return st, nil
@@ -393,7 +385,7 @@ func (st *Store) append(ev *event) error {
 	}
 	st.lastSeq = seq
 	st.unsnapped++
-	if st.unsnapped >= st.opts.SnapshotEvery {
+	if st.unsnapped >= st.snapshotEvery {
 		if err := st.snapshotLocked(); err != nil {
 			// The WAL still has everything; fold again later.
 			st.opts.Logf("session: snapshot failed (wal retains events): %v", err)
@@ -456,7 +448,7 @@ func (st *Store) Create(app string, sizeMB float64, cluster string, strategy Str
 		maxTrials = params.MaxTrials
 	}
 	if bound == 0 {
-		bound = st.opts.DefaultBound
+		bound = DefaultSafetyBound
 	}
 	if bound <= 1 {
 		return api.Session{}, fmt.Errorf("%w: safety_bound must be > 1 (got %g)", errInvalid, bound)

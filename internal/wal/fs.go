@@ -153,9 +153,6 @@ type FaultFS struct {
 	Inner FS
 
 	mu sync.Mutex
-	// failWriteAfter: after this many successful Write calls, every Write
-	// fails with ErrInjected. <0 disables.
-	failWriteAfter int
 	// shortWriteAt: the Nth Write call (1-based) persists only half its
 	// payload and then reports ErrInjected — a torn record. 0 disables.
 	shortWriteAt int
@@ -175,14 +172,7 @@ func NewFaultFS(inner FS) *FaultFS {
 	if inner == nil {
 		inner = OSFS{}
 	}
-	return &FaultFS{Inner: inner, failWriteAfter: -1}
-}
-
-// FailWritesAfter arms write failure after n more successful writes.
-func (f *FaultFS) FailWritesAfter(n int) {
-	f.mu.Lock()
-	f.failWriteAfter = n
-	f.mu.Unlock()
+	return &FaultFS{Inner: inner}
 }
 
 // ShortWriteAt arms a torn (half-persisted, then failed) write on the Nth
@@ -218,7 +208,6 @@ func (f *FaultFS) FailRename(fail bool) {
 // Heal disarms every fault.
 func (f *FaultFS) Heal() {
 	f.mu.Lock()
-	f.failWriteAfter = -1
 	f.shortWriteAt = 0
 	f.failSync = false
 	f.failSyncDir = false
@@ -277,21 +266,10 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	f.fs.writes++
 	short := f.fs.shortWriteAt > 0 && f.fs.writes == f.fs.shortWriteAt
-	var fail bool
-	if f.fs.failWriteAfter >= 0 {
-		if f.fs.failWriteAfter == 0 {
-			fail = true
-		} else {
-			f.fs.failWriteAfter--
-		}
-	}
 	f.fs.mu.Unlock()
 	if short {
 		n, _ := f.inner.Write(p[:len(p)/2])
 		return n, fmt.Errorf("short write: %w", ErrInjected)
-	}
-	if fail {
-		return 0, fmt.Errorf("write: %w", ErrInjected)
 	}
 	return f.inner.Write(p)
 }

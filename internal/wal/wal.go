@@ -56,9 +56,6 @@ const (
 type Options struct {
 	// Dir holds the segments and the folded cursor; created if missing.
 	Dir string
-	// SegmentMaxBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
-	SegmentMaxBytes int64
 	// SyncEvery fsyncs after this many appends (default 8; 1 = every
 	// append is durable before it is acknowledged).
 	SyncEvery int
@@ -71,9 +68,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentMaxBytes <= 0 {
-		o.SegmentMaxBytes = 4 << 20
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 8
 	}
@@ -116,6 +110,9 @@ type segment struct {
 type WAL struct {
 	opts Options
 	fs   FS
+	// segmentMaxBytes rotates the active segment once it exceeds this size
+	// (4 MiB).
+	segmentMaxBytes int64
 
 	mu         sync.Mutex
 	active     File
@@ -163,7 +160,7 @@ func Open(opts Options) (*WAL, []Record, RecoveryStats, error) {
 	}
 	sort.Strings(segs) // fixed-width hex names sort in seq order
 
-	w := &WAL{opts: opts, fs: fs, folded: folded, nextSeq: folded + 1, done: make(chan struct{})}
+	w := &WAL{opts: opts, fs: fs, folded: folded, nextSeq: folded + 1, segmentMaxBytes: 4 << 20, done: make(chan struct{})}
 	var recovered []Record
 	for _, name := range segs {
 		stats.Segments++
@@ -251,7 +248,7 @@ func (w *WAL) Append(data []byte) (uint64, error) {
 	if w.isClosed {
 		return 0, errors.New("wal: closed")
 	}
-	if w.active == nil || w.rotate || w.activeSize >= w.opts.SegmentMaxBytes {
+	if w.active == nil || w.rotate || w.activeSize >= w.segmentMaxBytes {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}

@@ -134,7 +134,8 @@ func TestBitFlipInvalidatesRecord(t *testing.T) {
 func TestMarkFoldedSkipsReplayAndTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record rotates into its own file.
-	w, _, _ := open(t, dir, func(o *Options) { o.SegmentMaxBytes = 1 })
+	w, _, _ := open(t, dir)
+	w.segmentMaxBytes = 1
 	appendAll(t, w, "r1", "r2", "r3")
 	if err := w.MarkFolded(2); err != nil {
 		t.Fatal(err)
@@ -274,10 +275,8 @@ func TestCorruptCursorReplaysEverything(t *testing.T) {
 
 func TestConcurrentAppendsAssignUniqueSeqs(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := open(t, dir, func(o *Options) {
-		o.SyncEvery = 16
-		o.SegmentMaxBytes = 256 // force rotations under load
-	})
+	w, _, _ := open(t, dir, func(o *Options) { o.SyncEvery = 16 })
+	w.segmentMaxBytes = 256 // force rotations under load
 	const n = 200
 	var wg sync.WaitGroup
 	seqs := make([]uint64, n)
