@@ -178,6 +178,8 @@ func BenchmarkFit(b *testing.B) {
 // BenchmarkAMU measures one Adaptive Model Update — the retrain behind
 // every feedback batch — on a clone of the fixture model: 64 source and 16
 // target instances (the fixture's encoded set, cycled), default epochs.
+// stages/update is how many distinct stages the update runs the frozen CNN
+// and GCN encoders over, once each, before its tower-only epochs.
 func BenchmarkAMU(b *testing.B) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -195,7 +197,7 @@ func BenchmarkAMU(b *testing.B) {
 		b.StartTimer()
 		core.AdaptiveModelUpdate(m, source, target, cfg, rand.New(rand.NewSource(1)))
 	}
-	b.ReportMetric(stagesPerInst(batch, cfg.BatchSize), "stages/inst")
+	b.ReportMetric(float64(distinctStages(batch)), "stages/update")
 }
 
 // BenchmarkTunerSave measures the snapshot write that follows every
@@ -218,23 +220,33 @@ func BenchmarkTunerSave(b *testing.B) {
 }
 
 // stagesPerInst is distinct stages ÷ rows, summed over the minibatches of
-// one shuffled pass over xs. Rows share a stage when they share the
-// encoder's memoized token ids and DAG matrices, as Forward groups them.
+// one shuffled pass over xs.
 func stagesPerInst(xs []*core.Encoded, batchSize int) float64 {
+	perm := rand.New(rand.NewSource(1)).Perm(len(xs))
+	distinct := 0
+	for start := 0; start < len(perm); start += batchSize {
+		var batch []*core.Encoded
+		for _, i := range perm[start:min(start+batchSize, len(perm))] {
+			batch = append(batch, xs[i])
+		}
+		distinct += distinctStages(batch)
+	}
+	return float64(distinct) / float64(len(xs))
+}
+
+// distinctStages counts the stages of xs. Rows share a stage when they
+// share the encoder's memoized token ids and DAG matrices, as Forward and
+// AdaptiveModelUpdate group them.
+func distinctStages(xs []*core.Encoded) int {
 	type stage struct {
 		toks *int
 		aHat *tensor.Tensor
 	}
-	perm := rand.New(rand.NewSource(1)).Perm(len(xs))
-	distinct := 0
-	for start := 0; start < len(perm); start += batchSize {
-		seen := map[stage]bool{}
-		for _, i := range perm[start:min(start+batchSize, len(perm))] {
-			seen[stage{&xs[i].TokenIDs[0], xs[i].AHat}] = true
-		}
-		distinct += len(seen)
+	seen := map[stage]bool{}
+	for _, x := range xs {
+		seen[stage{&x.TokenIDs[0], x.AHat}] = true
 	}
-	return float64(distinct) / float64(len(xs))
+	return len(seen)
 }
 
 // BenchmarkTowerGEMM measures tensor.MatMulInto at the three shapes one

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"lite/internal/nn"
+	"lite/internal/tensor"
 )
 
 // AMUConfig controls Adaptive Model Update (paper §IV-B).
@@ -61,30 +62,31 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 //	min_Θ max_Ω  L_p + L_D
 //
 // implemented with a gradient-reversal layer: one backward pass trains the
-// discriminator to separate domains while pushing NECS toward
+// discriminator to separate domains while pushing the tower toward
 // domain-invariant hidden representations, and the prediction loss on
-// DS ∪ DT keeps the estimator accurate. Each minibatch is one graph and
-// one backward pass (see amuLoss). Returns the final epoch's mean
+// DS ∪ DT keeps the estimator accurate. Returns the final epoch's mean
 // prediction loss.
+//
+// Θ is the tower alone; the CNN and GCN encoders stay frozen. The two
+// domains differ in data size and resources, which enter only through the
+// dense features the tower reads; a stage's code tokens and DAG, the
+// encoders' only inputs, are the same at every size. So each distinct
+// stage's h_code ‖ h_DAG is encoded once per update (frozenInputs) and
+// every minibatch is one tower-and-discriminator graph over constant
+// [dense ‖ rep] rows (see amuLoss).
 //
 // The function mutates m's weights in place, so it panics on a model that
 // has scored: serving layers fine-tune a clone and hot-swap (see
 // internal/serve).
 func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
 	m.mustNotHaveScored("AdaptiveModelUpdate")
-	data := make([]domainSample, 0, len(source)+len(target))
-	for _, x := range source {
-		data = append(data, domainSample{x, 1})
-	}
-	for _, x := range target {
-		data = append(data, domainSample{x, 0})
-	}
-	if len(data) == 0 {
+	if len(source)+len(target) == 0 {
 		return 0
 	}
+	data := amuSamples(m, source, target)
 
 	disc := NewDiscriminator(m, cfg, rng)
-	params := append(m.Params(), disc.Params()...)
+	params := append(m.Tower.Params(), disc.Params()...)
 	opt := nn.NewAdam(params, cfg.LR)
 
 	var lastLoss float64
@@ -95,7 +97,7 @@ func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng 
 		for start := 0; start < len(data); start += cfg.BatchSize {
 			batch := data[start:min(start+cfg.BatchSize, len(data))]
 			opt.ZeroGrad()
-			loss, lp := amuLoss(m, disc, batch, cfg.Lambda)
+			loss, lp := amuLoss(m.Tower, disc, batch, cfg.Lambda)
 			nn.Backward(loss)
 			epochLoss += lp.Scalar() * float64(len(batch))
 			for _, s := range batch {
@@ -112,27 +114,68 @@ func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng 
 }
 
 // domainSample pairs an encoded instance with its domain label
-// (1 = source, 0 = target).
+// (1 = source, 0 = target) and its constant tower input.
 type domainSample struct {
 	x      *Encoded
 	domain float64
+	// in is x's [dense ‖ h_code ‖ h_DAG] under the frozen encoders.
+	in []float64
 }
 
-// amuLoss builds one minibatch's Equation 8 objective as one graph: NECS
-// over the batch (Forward), the discriminator over the same rows behind
-// one gradient reversal of the concatenated hidden layers, and both
-// losses weighted wᵢ/|batch|. It returns L_p + L_D, to backpropagate, and
-// L_p alone for the epoch-loss bookkeeping.
-func amuLoss(m *NECS, disc *Discriminator, batch []domainSample, lambda float64) (loss, lp *nn.Node) {
-	xs := make([]*Encoded, len(batch))
+// amuSamples labels source ∪ target by domain and attaches each instance's
+// tower input (frozenInputs).
+func amuSamples(m *NECS, source, target []*Encoded) []domainSample {
+	xs := append(append(make([]*Encoded, 0, len(source)+len(target)), source...), target...)
+	ins := m.frozenInputs(xs)
+	data := make([]domainSample, len(xs))
+	for i, x := range xs {
+		data[i] = domainSample{x: x, in: ins.RowView(i)}
+		if i < len(source) {
+			data[i].domain = 1
+		}
+	}
+	return data
+}
+
+// frozenInputs returns the tower input of every row of xs as one matrix,
+// row i = xs[i].Dense ‖ h_code ‖ h_DAG, running the CNN and GCN once per
+// distinct stage. It reads the weights through the graph-free Infer
+// kernels (bitwise equal to the Forward values) and bypasses the stage-rep
+// cache, which would mark a model under training as having scored.
+func (m *NECS) frozenInputs(xs []*Encoded) *tensor.Tensor {
+	rowStage, stages := stageSlots(xs)
+	reps := make([][]float64, len(stages))
+	for s, x := range stages {
+		hCode := m.Code.Infer(x.TokenIDs)
+		hDAG := m.DAG.Infer(x.AHat, x.NodeFeats)
+		reps[s] = append(hCode.Data, hDAG.Data...)
+	}
+	dw := len(xs[0].Dense)
+	in := tensor.New(len(xs), dw+len(reps[0]))
+	for i, x := range xs {
+		row := in.RowView(i)
+		copy(row, x.Dense)
+		copy(row[dw:], reps[rowStage[i]])
+	}
+	return in
+}
+
+// amuLoss builds one minibatch's Equation 8 objective as one graph: the
+// tower over the batch's constant inputs, the discriminator over the same
+// rows behind one gradient reversal of the concatenated hidden layers,
+// and both losses weighted wᵢ/|batch|. It returns L_p + L_D, to
+// backpropagate, and L_p alone for the epoch-loss bookkeeping.
+func amuLoss(tower *nn.MLP, disc *Discriminator, batch []domainSample, lambda float64) (loss, lp *nn.Node) {
+	in := tensor.New(len(batch), len(batch[0].in))
 	ys := make([]float64, len(batch))
 	domains := make([]float64, len(batch))
 	ws := make([]float64, len(batch))
 	for i, s := range batch {
-		xs[i], ys[i], domains[i] = s.x, s.x.Y, s.domain
+		copy(in.RowView(i), s.in)
+		ys[i], domains[i] = s.x.Y, s.domain
 		ws[i] = s.x.Weight / float64(len(batch))
 	}
-	out, hidden := m.Forward(xs...)
+	out, hidden := tower.ForwardHidden(nn.NewConst(in))
 	lp = nn.WeightedMSE(out, ys, ws)
 	ld := nn.WeightedBCE(disc.mlp.Forward(nn.GradReverse(nn.Concat(hidden...), lambda)), domains, ws)
 	return nn.Add(lp, ld), lp

@@ -19,13 +19,18 @@ import (
 	"lite/internal/workload"
 )
 
-// Recorded with minibatched training (DESIGN.md §12.8) applied to
-// 33ed2e118822a85b745ef648aefe0a65599f3d07, go1.24, linux/amd64. The Go
-// compiler fuses multiply-add on arm64, ppc64le and s390x, so the
-// constants hold for amd64 only.
+// bitsFit was recorded with minibatched training (DESIGN.md §12.8)
+// applied to 33ed2e118822a85b745ef648aefe0a65599f3d07, go1.24,
+// linux/amd64. bitsAMU was re-recorded, same toolchain, with Adaptive
+// Model Update's encoders frozen applied to
+// ed20b5a7485c02ab55d491716a2de2ba35a457f7: the update trains the tower
+// and the discriminator over constant encoder outputs (Θ = tower,
+// DESIGN.md §12.8), so its arithmetic changed on purpose while Fit's did
+// not. The Go compiler fuses multiply-add on arm64, ppc64le and s390x, so
+// the constants hold for amd64 only.
 const (
 	bitsFit = 0x485b4930fa52fc01
-	bitsAMU = 0x72a67de872ed41d8
+	bitsAMU = 0x91a16a2e2731e100
 )
 
 // weightChecksum is FNV-64a over the IEEE-754 bits of every parameter

@@ -258,6 +258,28 @@ func TestAdaptiveModelUpdateImprovesTargetFit(t *testing.T) {
 	}
 }
 
+// Adaptive Model Update trains the tower and leaves the CNN and GCN
+// encoders bit-identical: the domains differ only in the dense features.
+func TestAMUFreezesEncoder(t *testing.T) {
+	m, data := refFixture(t)
+	m.Fit(data, rand.New(rand.NewSource(83)))
+	before := m.snapshotParams()
+	AdaptiveModelUpdate(m, data[:len(data)/2], data[len(data)/2:], DefaultAMUConfig(), rand.New(rand.NewSource(89)))
+	encoders := len(m.Code.Params()) + len(m.DAG.Params()) // Params() lists them first
+	towerMoved := false
+	for i, p := range m.Params() {
+		for j, v := range p.Value.Data {
+			if i < encoders && math.Float64bits(v) != math.Float64bits(before[i][j]) {
+				t.Fatalf("encoder parameter %s[%d] moved: %v -> %v", p.Name(), j, before[i][j], v)
+			}
+			towerMoved = towerMoved || (i >= encoders && v != before[i][j])
+		}
+	}
+	if !towerMoved {
+		t.Fatal("no tower weight changed")
+	}
+}
+
 func meanSquaredError(m *NECS, data []*Encoded) float64 {
 	var s float64
 	for _, x := range data {

@@ -317,14 +317,33 @@ func (m *NECS) Params() []*nn.Node {
 // the rows' gradients before the encoders see them. The tower then runs
 // over all rows as one GEMM per layer (DESIGN.md §12.8).
 func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
+	rowStage, stages := stageSlots(xs)
+	reps := make([]*nn.Node, len(stages))
+	for s, x := range stages {
+		hCode := m.Code.Forward(x.TokenIDs)
+		hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
+		reps[s] = nn.Concat(hCode, hDAG)
+	}
+	dense := tensor.New(len(xs), len(xs[0].Dense))
+	for i, x := range xs {
+		copy(dense.RowView(i), x.Dense)
+	}
+	in := nn.Concat(nn.NewConst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
+	return m.Tower.ForwardHidden(in)
+}
+
+// stageSlots numbers the distinct stages of xs in order of first
+// appearance: rowStage[i] is xs[i]'s slot and stages[s] the first row of
+// slot s. Rows are one stage when they share the encoder's memoized token
+// ids and DAG matrices (Encoder.stageStatic), so their h_code ‖ h_DAG is
+// one computation.
+func stageSlots(xs []*Encoded) (rowStage []int, stages []*Encoded) {
 	type stageKey struct {
 		toks        *int
 		aHat, nodes *tensor.Tensor
 	}
 	slot := make(map[stageKey]int, len(xs))
-	var reps []*nn.Node
-	rowStage := make([]int, len(xs))
-	dense := tensor.New(len(xs), len(xs[0].Dense))
+	rowStage = make([]int, len(xs))
 	for i, x := range xs {
 		k := stageKey{aHat: x.AHat, nodes: x.NodeFeats}
 		if len(x.TokenIDs) > 0 {
@@ -332,17 +351,13 @@ func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
 		}
 		s, ok := slot[k]
 		if !ok {
-			s = len(reps)
+			s = len(stages)
 			slot[k] = s
-			hCode := m.Code.Forward(x.TokenIDs)
-			hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
-			reps = append(reps, nn.Concat(hCode, hDAG))
+			stages = append(stages, x)
 		}
 		rowStage[i] = s
-		copy(dense.RowView(i), x.Dense)
 	}
-	in := nn.Concat(nn.NewConst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
-	return m.Tower.ForwardHidden(in)
+	return rowStage, stages
 }
 
 // Predict returns the predicted stage label (log space).

@@ -1,10 +1,11 @@
 package core
 
 // Minibatched training (DESIGN.md §12.8) must compute the model the
-// per-instance loops computed, up to floating-point re-association. Those
+// per-instance loops compute, up to floating-point re-association. Those
 // loops — one autograd graph and one backward pass per instance — are kept
-// here as the reference: Fit and AdaptiveModelUpdate as they stood before
-// the training step became one graph per minibatch.
+// here as the reference: Fit as it stood before the training step became
+// one graph per minibatch, and AdaptiveModelUpdate's tower-and-
+// discriminator objective over the frozen encoders' outputs.
 
 import (
 	"math"
@@ -108,12 +109,16 @@ func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
 }
 
 // refAMUStep accumulates one minibatch's Equation 8 gradients instance by
-// instance: a gradient reversal per hidden layer, the discriminator over
-// their concatenation, L_p + L_D scaled by wᵢ/|batch|. It returns the
-// epoch-loss increments Σ wᵢ·L_p,ᵢ and Σ wᵢ.
+// instance over the frozen encoders: the tower over the instance's
+// constant dense ‖ h_code ‖ h_DAG row, a gradient reversal per hidden
+// layer, the discriminator over their concatenation, L_p + L_D scaled by
+// wᵢ/|batch|. It returns the epoch-loss increments Σ wᵢ·L_p,ᵢ and Σ wᵢ.
 func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float64) (loss, weight float64) {
 	for _, s := range batch {
-		out, hidden := refForward(m, s.x)
+		hCode := m.Code.Forward(s.x.TokenIDs).Value
+		hDAG := m.DAG.Forward(nn.NewConst(s.x.AHat), nn.NewConst(s.x.NodeFeats)).Value
+		in := tensor.Concat(tensor.FromRow(s.x.Dense), hCode, hDAG)
+		out, hidden := m.Tower.ForwardHidden(nn.NewConst(in))
 		lp := nn.MSELoss(out, s.x.Y)
 		rev := make([]*nn.Node, len(hidden))
 		for i, h := range hidden {
@@ -127,11 +132,12 @@ func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float
 	return loss, weight
 }
 
-// refAMU is AdaptiveModelUpdate with one graph per instance.
+// refAMU is AdaptiveModelUpdate with one graph per instance, training the
+// tower and the discriminator.
 func refAMU(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
 	data := refDomainSamples(source, target)
 	disc := NewDiscriminator(m, cfg, rng)
-	params := append(m.Params(), disc.Params()...)
+	params := append(m.Tower.Params(), disc.Params()...)
 	opt := nn.NewAdam(params, cfg.LR)
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -152,13 +158,15 @@ func refAMU(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) f
 	return lastLoss
 }
 
+// refDomainSamples labels source ∪ target by domain. It leaves the tower
+// input unset: refAMUStep computes its own.
 func refDomainSamples(source, target []*Encoded) []domainSample {
 	var data []domainSample
 	for _, x := range source {
-		data = append(data, domainSample{x, 1})
+		data = append(data, domainSample{x: x, domain: 1})
 	}
 	for _, x := range target {
-		data = append(data, domainSample{x, 0})
+		data = append(data, domainSample{x: x, domain: 0})
 	}
 	return data
 }
@@ -280,13 +288,13 @@ func TestBatchedAMUGradientsMatchPerInstance(t *testing.T) {
 	m.Fit(data, rand.New(rand.NewSource(53)))
 	cfg := DefaultAMUConfig()
 	disc := NewDiscriminator(m, cfg, rand.New(rand.NewSource(59)))
-	params := append(m.Params(), disc.Params()...)
-	samples := refDomainSamples(data[:len(data)/2], data[len(data)/2:])
+	params := append(m.Tower.Params(), disc.Params()...)
+	samples := amuSamples(m, data[:len(data)/2], data[len(data)/2:])
 	rand.New(rand.NewSource(61)).Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 	nn.ZeroGrads(params)
 	for start := 0; start+cfg.BatchSize <= 4*cfg.BatchSize; start += cfg.BatchSize {
 		batch := samples[start : start+cfg.BatchSize]
-		loss, _ := amuLoss(m, disc, batch, cfg.Lambda)
+		loss, _ := amuLoss(m.Tower, disc, batch, cfg.Lambda)
 		nn.Backward(loss)
 		got := takeGrads(params)
 		refAMUStep(m, disc, batch, cfg.Lambda)

@@ -197,18 +197,26 @@ func formatFingerprint(env sparksim.Environment) string {
 	return fp
 }
 
+// maxSizeBucket is the bucket of math.MaxFloat64, the cap for +Inf.
+const maxSizeBucket = 1024
+
 // SizeBucket quantizes a datasize into its power-of-two megabyte bucket,
-// the same quantization the serving cache uses: entries measured at 900 MB
-// and 1000 MB share a bucket, 1 GB and 100 GB do not.
+// ⌈log₂ sizeMB⌉ and 0 for sizes up to 1 MB, the same quantization the
+// serving cache uses: entries measured at 900 MB and 1000 MB share a
+// bucket, 1 GB and 100 GB do not. It is computed from the binary exponent,
+// so +Inf maps to maxSizeBucket and NaN to 0.
 func SizeBucket(sizeMB float64) int {
-	if sizeMB <= 1 {
+	switch {
+	case !(sizeMB > 1):
 		return 0
+	case math.IsInf(sizeMB, 1):
+		return maxSizeBucket
 	}
-	b := 0
-	for v := sizeMB; v > 1; v /= 2 {
-		b++
+	frac, exp := math.Frexp(sizeMB) // sizeMB = frac·2^exp, frac ∈ [½, 1)
+	if frac == 0.5 {
+		return exp - 1
 	}
-	return b
+	return exp
 }
 
 // Entry is one historical tuple. Embedding must be produced by Embed (or

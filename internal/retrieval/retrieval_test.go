@@ -230,6 +230,41 @@ func TestSizeBucketPowersOfTwo(t *testing.T) {
 	}
 }
 
+// halvingBucket is SizeBucket as a loop: halve until the size is at most
+// 1 MB, counting the halvings. It never ends on +Inf.
+func halvingBucket(sizeMB float64) int {
+	if sizeMB <= 1 {
+		return 0
+	}
+	b := 0
+	for v := sizeMB; v > 1; v /= 2 {
+		b++
+	}
+	return b
+}
+
+// The closed form agrees with the halving loop on every power of two a
+// float64 holds and on both of its neighbours, and caps +Inf at the bucket
+// of the largest finite size.
+func TestSizeBucketMatchesHalvingLoop(t *testing.T) {
+	sizes := []float64{math.Inf(-1), -1, 0, math.SmallestNonzeroFloat64, 0.5, 1.5, 1000, 1e308, math.MaxFloat64}
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		sizes = append(sizes, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+	}
+	for _, size := range sizes {
+		if got, want := SizeBucket(size), halvingBucket(size); got != want {
+			t.Fatalf("SizeBucket(%g) = %d, the halving loop gives %d", size, got, want)
+		}
+	}
+	if got := SizeBucket(math.Inf(1)); got != halvingBucket(math.MaxFloat64) || got != 1024 {
+		t.Fatalf("SizeBucket(+Inf) = %d, want 1024, the bucket of MaxFloat64", got)
+	}
+	if got := SizeBucket(math.NaN()); got != 0 {
+		t.Fatalf("SizeBucket(NaN) = %d, want 0", got)
+	}
+}
+
 // TestConcurrentLookupDuringRebuild hammers lock-free Lookups while Adds
 // force copy-on-write inserts and full recluster hot-swaps. Run under
 // -race this is the index hot-swap safety test.

@@ -235,7 +235,7 @@ func TestKeysMatchFormattedKeys(t *testing.T) {
 	}
 	for _, env := range envs {
 		for _, size := range []float64{0, 1, 700, 1 << 20} {
-			want := fmt.Sprintf("%s|b%d|%s", "WordCount", sizeBucket(size), retrieval.EnvFingerprint(env))
+			want := fmt.Sprintf("%s|b%d|%s", "WordCount", retrieval.SizeBucket(size), retrieval.EnvFingerprint(env))
 			if got := requestKey("WordCount", size, env); got != want {
 				t.Fatalf("requestKey = %q, want %q", got, want)
 			}

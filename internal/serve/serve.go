@@ -562,20 +562,6 @@ func badRequest(format string, args ...any) error {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// sizeBucket quantizes a datasize into its cache bucket: one bucket per
-// power of two of megabytes, so 900 MB and 1000 MB share an entry but
-// 1 GB and 100 GB do not.
-func sizeBucket(sizeMB float64) int {
-	if sizeMB <= 1 {
-		return 0
-	}
-	b := 0
-	for v := sizeMB; v > 1; v /= 2 {
-		b++
-	}
-	return b
-}
-
 // bucketSizeMB is the canonical size every request in bucket b is scored
 // at: the bucket's inclusive upper bound (2^b MB). Scoring at one
 // representative size per bucket means a response shared through the cache
@@ -588,7 +574,7 @@ func bucketSizeMB(b int) float64 { return math.Exp2(float64(b)) }
 // The fingerprint is the retrieval store's, so cache keys and retrieval
 // entries agree on environment identity.
 func requestKey(appName string, sizeMB float64, env sparksim.Environment) string {
-	return appName + "|b" + strconv.Itoa(sizeBucket(sizeMB)) + "|" + retrieval.EnvFingerprint(env)
+	return appName + "|b" + strconv.Itoa(retrieval.SizeBucket(sizeMB)) + "|" + retrieval.EnvFingerprint(env)
 }
 
 // coldDefaultSizeMB is the datasize assumed for an unseen-app request that
@@ -607,7 +593,8 @@ type resolved struct {
 }
 
 // resolve is the one place a request's (app, size, cluster) fields are
-// looked up: the cluster must exist; a registered app's size defaults to
+// looked up: the cluster must exist and the size be finite (NaN or ±Inf
+// is a client error); a registered app's size defaults to
 // its test size, an unseen app's to coldDefaultSizeMB. Every endpoint, WAL
 // replay, the fleet router's key and SimulateOnce go through it, so none
 // of them can disagree on a default.
@@ -615,6 +602,9 @@ func resolve(appName string, sizeMB float64, cluster string) (resolved, error) {
 	env, ok := ClusterByName(cluster)
 	if !ok {
 		return resolved{}, badRequest("unknown cluster %q", cluster)
+	}
+	if math.IsNaN(sizeMB) || math.IsInf(sizeMB, 0) {
+		return resolved{}, badRequest("size_mb must be a finite number, got %g", sizeMB)
 	}
 	r := resolved{app: workload.ByName(appName), name: appName, env: env, sizeMB: sizeMB}
 	if r.app != nil {
@@ -796,7 +786,7 @@ func featureHash(f *api.AppFeatures) uint64 {
 // can never mix two generations in one answer.
 func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeatures) (RecommendResponse, error) {
 	snap := s.snap.Load()
-	sizeMB := bucketSizeMB(sizeBucket(r.sizeMB))
+	sizeMB := bucketSizeMB(retrieval.SizeBucket(r.sizeMB))
 	var sr core.SafeRecommendation
 	var err error
 	if r.app != nil {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"lite/internal/core"
+	"lite/internal/retrieval"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
 )
@@ -243,16 +246,16 @@ func TestBucketSharersGetConsistentAnswers(t *testing.T) {
 }
 
 func TestSizeBucketAndKeys(t *testing.T) {
-	if sizeBucket(900) != sizeBucket(1000) {
+	if retrieval.SizeBucket(900) != retrieval.SizeBucket(1000) {
 		t.Fatal("900 MB and 1000 MB should share a bucket")
 	}
-	if got := bucketSizeMB(sizeBucket(600)); got != 1024 {
+	if got := bucketSizeMB(retrieval.SizeBucket(600)); got != 1024 {
 		t.Fatalf("canonical size for the 600 MB bucket = %g, want 1024", got)
 	}
-	if got := bucketSizeMB(sizeBucket(512)); got != 512 {
+	if got := bucketSizeMB(retrieval.SizeBucket(512)); got != 512 {
 		t.Fatalf("powers of two are their own canonical size: got %g for 512", got)
 	}
-	if sizeBucket(1024) == sizeBucket(100*1024) {
+	if retrieval.SizeBucket(1024) == retrieval.SizeBucket(100*1024) {
 		t.Fatal("1 GB and 100 GB must not share a bucket")
 	}
 	envC, _ := ClusterByName("C")
@@ -263,5 +266,26 @@ func TestSizeBucketAndKeys(t *testing.T) {
 	faulty := envC.WithFaults(sparksim.ScaledFaults(1, 3))
 	if requestKey("X", 512, envC) == requestKey("X", 512, faulty) {
 		t.Fatal("faulty and clean environments must not share cache keys")
+	}
+}
+
+// A NaN or infinite size is a client error, answered at once: the size
+// bucket of +Inf used to be a halving loop that never ended.
+func TestRoutingKeyRejectsNonFiniteSizePromptly(t *testing.T) {
+	for _, size := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RoutingKey("WordCount", size, "C")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var reqErr *RequestError
+			if !errors.As(err, &reqErr) {
+				t.Fatalf("RoutingKey(size %g): error %v, want a *RequestError (400)", size, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("RoutingKey(size %g) did not return within 5 s", size)
+		}
 	}
 }

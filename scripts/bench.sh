@@ -2,8 +2,8 @@
 # Run the parallel-engine, training-step, snapshot-write and serving-hit
 # benchmarks (bench_parallel_test.go) and emit BENCH_parallel.json: GOMAXPROCS as the
 # test binary saw it (the -N suffix go test gives benchmark names),
-# per-benchmark ns/op, allocs/op, bytes/op and stages/inst where reported,
-# and the serial-vs-pooled speedup for recommendation scoring.
+# per-benchmark ns/op, allocs/op, bytes/op and stages/inst or stages/update
+# where reported, and the serial-vs-pooled speedup for recommendation scoring.
 #
 # Usage:
 #   ./scripts/bench.sh              # default -benchtime 3x
@@ -34,6 +34,7 @@ $1 ~ /^Benchmark(Recommend|RecommendColdReps|TowerGEMM)\// || $1 ~ /^Benchmark(F
         if ($(i + 1) == "allocs/op") allocs[name] = $i
         if ($(i + 1) == "B/op") bytes[name] = $i
         if ($(i + 1) == "stages/inst") stages[name] = $i
+        if ($(i + 1) == "stages/update") updStages[name] = $i
     }
     order[n++] = name
 }
@@ -48,6 +49,7 @@ END {
         if (name in allocs) extra = extra sprintf(", \"allocs_per_op\": %d", allocs[name])
         if (name in bytes) extra = extra sprintf(", \"bytes_per_op\": %d", bytes[name])
         if (name in stages) extra = extra sprintf(", \"stages_per_inst\": %s", stages[name])
+        if (name in updStages) extra = extra sprintf(", \"stages_per_update\": %s", updStages[name])
         printf "    \"%s\": {\"ns_per_op\": %.0f, \"iterations\": %d%s}%s\n", \
             name, nsop[name], iters[name], extra, (i < n - 1 ? "," : "")
     }
