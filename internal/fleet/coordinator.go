@@ -2,13 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"lite/internal/serve"
-	"time"
 )
 
 // flipLoop is the fleet's hot-swap coordinator (publish-then-flip,
@@ -29,7 +30,7 @@ func (rt *Router) flipLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-rt.stopCh:
+		case <-rt.stopCtx.Done():
 			return
 		case <-ticker.C:
 			rt.coordinate()
@@ -90,13 +91,17 @@ func (rt *Router) coordinate() {
 }
 
 // flipShard asks one shard to load the trainer's published snapshot as
-// generation gen and returns the shard's resulting generation.
+// generation gen and returns the shard's resulting generation. The POST
+// gives up after rt.flipTimeout, or as soon as Stop is called: a shard
+// that never answers is retried on a later pass, not waited for.
 func (rt *Router) flipShard(url string, gen uint64) (uint64, error) {
 	body, err := json.Marshal(serve.FlipRequest{SnapshotPath: rt.opts.TrainerSnapshot, Generation: gen})
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/admin/flip", bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(rt.stopCtx, rt.flipTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/admin/flip", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

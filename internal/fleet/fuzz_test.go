@@ -10,8 +10,9 @@ import (
 // FuzzRoutingKey feeds arbitrary request bodies to the router's placement
 // read. It must never panic and must place one body on one key every
 // time; and a body the shards would accept as a /v1/recommend request
-// with a known cluster must land on exactly the key the serving layer
-// caches it under, so routing keeps each shard's cache hot on its slice.
+// with a known cluster and a size within serve.MaxSizeMB must land on
+// exactly the key the serving layer caches it under, so routing keeps each
+// shard's cache hot on its slice.
 func FuzzRoutingKey(f *testing.F) {
 	for _, seed := range []string{
 		`{"app":"WordCount","size_mb":512,"cluster":"C"}`,
@@ -36,7 +37,7 @@ func FuzzRoutingKey(f *testing.F) {
 		if api.DecodeStrict(body, &req) != nil {
 			return
 		}
-		if _, ok := serve.ClusterByName(req.Cluster); !ok {
+		if _, ok := serve.ClusterByName(req.Cluster); !ok || req.SizeMB > serve.MaxSizeMB {
 			return
 		}
 		want, err := serve.RoutingKey(req.App, req.SizeMB, req.Cluster)

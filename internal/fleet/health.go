@@ -30,7 +30,7 @@ func (rt *Router) healthLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-rt.stopCh:
+		case <-rt.stopCtx.Done():
 			return
 		case <-ticker.C:
 			rt.probeAll()

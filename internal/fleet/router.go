@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,8 +20,8 @@ import (
 )
 
 // Options configures the fleet router. The zero value is usable: defaults
-// below, no trainer (feedback is only hashed, never teed, and no flip
-// coordination runs).
+// below, no trainer (feedback is hashed onto the ring like a recommend
+// request, and no flip coordination runs).
 type Options struct {
 	// ProbeInterval is how often every shard's /healthz is probed (default
 	// 250ms); ProbeTimeout bounds one probe (default 1s) — a shard slower
@@ -37,7 +38,7 @@ type Options struct {
 	RecoverAfter int
 
 	// TrainerID designates the shard that runs the adaptive-update loop.
-	// Feedback whose key hashes elsewhere is teed to it asynchronously, and
+	// Every /v1/feedback and every session promotion goes to it alone, and
 	// the flip coordinator watches its generation every ProbeInterval,
 	// fanning each new one out to every other shard via POST /admin/flip
 	// with TrainerSnapshot.
@@ -85,6 +86,10 @@ const (
 	// maxAttempts bounds how many ring successors one request walks before
 	// giving up with 503: the owner plus two successors.
 	maxAttempts = 3
+	// flipTimeout bounds one POST /v1/admin/flip, and promotionTimeout
+	// the post of one session promotion to the trainer.
+	flipTimeout      = 10 * time.Second
+	promotionTimeout = 5 * time.Second
 )
 
 // shard is the router's view of one serving instance. All fields are
@@ -107,10 +112,11 @@ type shard struct {
 	lastErr     string
 }
 
-// Router is the fleet's front door: it consistent-hashes /recommend and
-// /feedback bodies onto live shards, retries ring successors when the
-// owner is unreachable, health-checks the fleet in the background, and
-// coordinates fleet-wide model flips. Safe for concurrent use.
+// Router is the fleet's front door: it consistent-hashes /recommend bodies
+// onto live shards, retries ring successors when the owner is unreachable,
+// sends feedback to the trainer, health-checks the fleet in the
+// background, and coordinates fleet-wide model flips. Safe for concurrent
+// use.
 type Router struct {
 	opts   Options
 	reg    *metrics.Registry
@@ -119,30 +125,34 @@ type Router struct {
 	// readmitBackoffMin is a shard's readmit wait after its first ejection;
 	// each further ejection doubles it.
 	readmitBackoffMin time.Duration
+	flipTimeout       time.Duration
 
 	mu       sync.Mutex
 	shards   map[string]*shard
 	fleetGen uint64 // highest generation the coordinator has fanned out
 
-	teeCh    chan []byte
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
-	started  atomic.Bool
+	// stopCtx is cancelled by Stop: the background loops return and an
+	// in-flight flip POST is abandoned.
+	stopCtx context.Context
+	stop    context.CancelFunc
+	wg      sync.WaitGroup
+	started atomic.Bool
 }
 
 // NewRouter builds a router; add shards with AddShard, then Start it.
 func NewRouter(opts Options) *Router {
 	opts = opts.withDefaults()
+	stopCtx, stop := context.WithCancel(context.Background())
 	rt := &Router{
 		opts:              opts,
 		reg:               metrics.NewRegistry(),
 		ring:              NewRing(DefaultVnodes),
 		client:            opts.Client,
 		readmitBackoffMin: 500 * time.Millisecond,
+		flipTimeout:       flipTimeout,
 		shards:            map[string]*shard{},
-		teeCh:             make(chan []byte, 256),
-		stopCh:            make(chan struct{}),
+		stopCtx:           stopCtx,
+		stop:              stop,
 	}
 	rt.reg.GaugeFunc("lite_fleet_shards", func() float64 {
 		rt.mu.Lock()
@@ -241,8 +251,8 @@ func (rt *Router) reportTransportError(id string, err error) {
 	}
 }
 
-// Start launches the health checker, the flip coordinator (when a trainer
-// is designated) and the feedback tee worker.
+// Start launches the health checker and, when a trainer is designated,
+// the flip coordinator.
 func (rt *Router) Start() {
 	if rt.started.Swap(true) {
 		return
@@ -253,20 +263,20 @@ func (rt *Router) Start() {
 		rt.wg.Add(1)
 		go rt.flipLoop()
 	}
-	rt.wg.Add(1)
-	go rt.teeLoop()
 }
 
 // Stop halts the background loops and waits for them.
 func (rt *Router) Stop() {
-	rt.stopOnce.Do(func() { close(rt.stopCh) })
+	rt.stop()
 	rt.wg.Wait()
 }
 
 // Handler returns the router's HTTP surface, mirroring the shard API
 // (API.md):
 //
-//	POST   /v1/recommend, /v1/feedback      — consistent-hash proxy
+//	POST   /v1/recommend                    — consistent-hash proxy
+//	POST   /v1/feedback                     — to the trainer (hashed
+//	                                          when there is none)
 //	GET    /v1/healthz                      — fleet + per-shard health JSON
 //	POST   /v1/tuning/sessions              — placed by the body's key
 //	GET    /v1/tuning/sessions              — fan-out list, merged
@@ -274,8 +284,8 @@ func (rt *Router) Stop() {
 //	                                          in the session ID
 //	GET    /metrics                         — router metrics (lite_fleet_*)
 //
-// Paths outside /v1 other than /metrics answer 404. Session results
-// answered by a non-trainer shard have their Promotion teed to the
+// Paths outside /v1 other than /metrics answer 404. A session result
+// answered by a non-trainer shard has its Promotion posted to the
 // trainer: the trainer owns promotion fleet-wide.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -346,19 +356,6 @@ func methodNotAllowed(w http.ResponseWriter, allow, msg string) {
 	writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, msg, 0)
 }
 
-// Tee modes for route: what to forward to the trainer shard after a
-// non-trainer shard answers 200.
-const (
-	teeNone = iota
-	// teeFeedback re-posts the request body (a FeedbackRequest) — the
-	// follower ack'd it locally but only the trainer learns from it.
-	teeFeedback
-	// teePromotion decodes the shard's ReportResultResponse and, when it
-	// carries a Promotion, posts that feedback body to the trainer: a
-	// session win discovered on a follower still reaches the model.
-	teePromotion
-)
-
 // readBody requires POST and reads the (bounded) request body with
 // envelope-shaped failures.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -375,18 +372,20 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// proxyBody routes a POST whose JSON body carries the sharding fields
-// (/v1/recommend, /v1/feedback).
+// proxyBody routes a POST whose JSON body carries the sharding fields. A
+// feedback run goes to the trainer alone, the one shard that learns from
+// it, even while the trainer is unreachable (the client gets 503 and
+// retries); without a trainer it is placed by its key like a recommend.
 func (rt *Router) proxyBody(w http.ResponseWriter, r *http.Request, endpoint string) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	tee := teeNone
-	if endpoint == "/v1/feedback" {
-		tee = teeFeedback
+	order := []string{rt.opts.TrainerID}
+	if endpoint != "/v1/feedback" || rt.opts.TrainerID == "" {
+		order = rt.ring.Successors(routingKey(body), maxAttempts)
 	}
-	rt.route(w, r, endpoint, endpoint, routingKey(body), body, tee)
+	rt.route(w, r, endpoint, endpoint, order, body)
 }
 
 // handleSessions is the collection route: POST creates (placed by the
@@ -409,7 +408,7 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 				"size_mb must be set when creating a session through a fleet router (shard placement is derived from it)", 0)
 			return
 		}
-		rt.route(w, r, "/v1/tuning/sessions", "/v1/tuning/sessions", routingKey(body), body, teeNone)
+		rt.route(w, r, "/v1/tuning/sessions", "/v1/tuning/sessions", rt.ring.Successors(routingKey(body), maxAttempts), body)
 	case http.MethodGet:
 		rt.listSessions(w, r)
 	default:
@@ -417,16 +416,16 @@ func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionKey places a session sub-resource request: the (app, datasize,
-// cluster) triple is embedded in the ID, so the owning shard is computed
-// locally with no lookup.
-func (rt *Router) sessionKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+// sessionOrder places a session sub-resource request: the (app, datasize,
+// cluster) triple is embedded in the ID, so the owning shard and its
+// successors are computed locally with no lookup.
+func (rt *Router) sessionOrder(w http.ResponseWriter, r *http.Request) ([]string, bool) {
 	key, err := serve.SessionRoutingKey(r.PathValue("id"))
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeInvalidArgument, err.Error(), 0)
-		return "", false
+		return nil, false
 	}
-	return key, true
+	return rt.ring.Successors(key, maxAttempts), true
 }
 
 // handleSessionItem proxies GET (read) and DELETE (close) for one session.
@@ -435,11 +434,11 @@ func (rt *Router) handleSessionItem(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, "GET, DELETE", "method "+r.Method+" not allowed")
 		return
 	}
-	key, ok := rt.sessionKey(w, r)
+	order, ok := rt.sessionOrder(w, r)
 	if !ok {
 		return
 	}
-	rt.route(w, r, r.URL.Path, "/v1/tuning/sessions/{id}", key, nil, teeNone)
+	rt.route(w, r, r.URL.Path, "/v1/tuning/sessions/{id}", order, nil)
 }
 
 // handleSessionProposal proxies the next-proposal action.
@@ -448,26 +447,33 @@ func (rt *Router) handleSessionProposal(w http.ResponseWriter, r *http.Request) 
 		methodNotAllowed(w, http.MethodPost, "use POST")
 		return
 	}
-	key, ok := rt.sessionKey(w, r)
+	order, ok := rt.sessionOrder(w, r)
 	if !ok {
 		return
 	}
-	rt.route(w, r, r.URL.Path, "/v1/tuning/sessions/{id}/proposal", key, nil, teeNone)
+	rt.route(w, r, r.URL.Path, "/v1/tuning/sessions/{id}/proposal", order, nil)
 }
 
 // handleSessionResult proxies a trial result report. When a follower
-// answers with a promotion, the router tees that feedback to the trainer
-// (teePromotion): promotion is fleet-wide, not per-shard.
+// answers with a promotion, the router posts that feedback to the trainer
+// before it relays the answer: promotion is fleet-wide, not per-shard.
 func (rt *Router) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	key, ok := rt.sessionKey(w, r)
+	order, ok := rt.sessionOrder(w, r)
 	if !ok {
 		return
 	}
-	rt.route(w, r, r.URL.Path, "/v1/tuning/sessions/{id}/result", key, body, teePromotion)
+	resp, id := rt.forwardFirst(w, r, order, r.URL.Path, "/v1/tuning/sessions/{id}/result", body)
+	if resp == nil {
+		return
+	}
+	if rt.opts.TrainerID != "" && id != rt.opts.TrainerID && resp.StatusCode == http.StatusOK {
+		rt.promote(r, resp)
+	}
+	rt.relay(w, resp, id)
 }
 
 // listSessions fans a GET out to every live shard and merges the results:
@@ -521,19 +527,26 @@ func (rt *Router) listSessions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.SessionListResponse{Sessions: merged})
 }
 
-// route sends one request to its key's owner shard, walking ring
-// successors on transport failures — so a freshly dead shard's arc is
-// served by its successors even before the health checker ejects it.
-// Shard HTTP responses (including 4xx/5xx the shard chose to send) are
-// relayed as-is; only connection-level failures re-route. label is the
-// bounded metric name for the path (session paths would otherwise explode
-// cardinality with the ID).
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label, key string, body []byte, tee int) {
-	order := rt.ring.Successors(key, maxAttempts)
+// route forwards one request with forwardFirst and relays the answer.
+// label is the bounded metric name for the path (session paths would
+// otherwise explode cardinality with the ID).
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label string, order []string, body []byte) {
+	if resp, id := rt.forwardFirst(w, r, order, shardPath, label, body); resp != nil {
+		rt.relay(w, resp, id)
+	}
+}
+
+// forwardFirst tries the shards of order (a key's ring owner and
+// successors, or the trainer alone) until one answers, and returns its
+// response, 4xx/5xx included, and id. Only transport failures move on, so
+// a freshly dead shard's arc is served before the health checker ejects
+// it. When no shard answers it writes the 503 (504 when the client's
+// budget ran out) itself and returns a nil response.
+func (rt *Router) forwardFirst(w http.ResponseWriter, r *http.Request, order []string, shardPath, label string, body []byte) (*http.Response, string) {
 	if len(order) == 0 {
 		rt.reg.Counter("lite_fleet_no_shard_total").Inc()
 		writeAPIError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "fleet: no live shards", 1000)
-		return
+		return nil, ""
 	}
 	var lastErr error
 	for i, id := range order {
@@ -541,13 +554,13 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label
 		if url == "" {
 			continue
 		}
-		resp, err := rt.forward(r, url, shardPath, label, body)
+		resp, err := rt.forward(r.Context(), r.Method, url, shardPath, label, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client's budget ran out mid-walk; no shard is at fault.
 				writeAPIError(w, http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
 					r.Context().Err().Error(), 0)
-				return
+				return nil, ""
 			}
 			rt.reportTransportError(id, err)
 			rt.reg.Counter(fmt.Sprintf("lite_fleet_proxy_errors_total{shard=%q}", id)).Inc()
@@ -557,35 +570,40 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, shardPath, label
 		if i > 0 {
 			rt.reg.Counter("lite_fleet_rerouted_total").Inc()
 		}
-		fromFollower := rt.opts.TrainerID != "" && id != rt.opts.TrainerID
-		if tee == teeFeedback && fromFollower && resp.StatusCode == http.StatusOK {
-			rt.tee(body, "lite_fleet_feedback_teed_total")
-		}
-		if tee == teePromotion && fromFollower && resp.StatusCode == http.StatusOK {
-			rt.relayWithPromotionTee(w, resp, id)
-			return
-		}
-		rt.relay(w, resp, id)
-		return
+		return resp, id
 	}
 	writeAPIError(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 		fmt.Sprintf("fleet: no reachable shard for key (last error: %v)", lastErr), 1000)
+	return nil, ""
 }
 
-// relayWithPromotionTee buffers a follower's session-result response,
-// tees any Promotion it carries to the trainer as feedback, then relays
-// the buffered body unchanged.
-func (rt *Router) relayWithPromotionTee(w http.ResponseWriter, resp *http.Response, id string) {
+// promote buffers a follower's session-result response (relayed unchanged
+// from resp.Body afterwards) and posts any Promotion it carries to the
+// trainer, waiting for the answer: the win is in the trainer's queue, or
+// counted lost, before the client hears of it. A client that hangs up
+// does not cancel the post; promotionTimeout bounds it.
+func (rt *Router) promote(r *http.Request, resp *http.Response) {
 	buf, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(buf))
 	var rr api.ReportResultResponse
-	if readErr == nil && json.Unmarshal(buf, &rr) == nil && rr.Promotion != nil {
-		if pb, err := json.Marshal(rr.Promotion); err == nil {
-			rt.tee(pb, "lite_fleet_session_promotions_teed_total")
+	if readErr != nil || json.Unmarshal(buf, &rr) != nil || rr.Promotion == nil {
+		return
+	}
+	pb, _ := json.Marshal(rr.Promotion) // a bad body is a 400 there, counted lost
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), promotionTimeout)
+	defer cancel()
+	counter := "lite_fleet_session_promotions_lost_total"
+	if url := rt.shardURL(rt.opts.TrainerID); url != "" {
+		if tr, err := rt.forward(ctx, http.MethodPost, url, "/v1/feedback", "/v1/feedback", pb); err == nil {
+			if tr.StatusCode == http.StatusOK {
+				counter = "lite_fleet_session_promotions_forwarded_total"
+			}
+			io.Copy(io.Discard, tr.Body)
+			tr.Body.Close()
 		}
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(buf))
-	rt.relay(w, resp, id)
+	rt.reg.Counter(counter).Inc()
 }
 
 // shardURL resolves a member id to its base URL ("" if it vanished).
@@ -598,15 +616,14 @@ func (rt *Router) shardURL(id string) string {
 	return ""
 }
 
-// forward sends one request (the client's method, an optional JSON body)
-// to one shard under the client's context and observes the proxy latency
-// histogram under the bounded label.
-func (rt *Router) forward(r *http.Request, url, shardPath, label string, body []byte) (*http.Response, error) {
+// forward sends one request (an optional JSON body) to one shard under ctx
+// and observes the proxy latency histogram under the bounded label.
+func (rt *Router) forward(ctx context.Context, method, url, shardPath, label string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url+shardPath, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url+shardPath, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -635,50 +652,6 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, id string) {
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		rt.reg.Counter("lite_fleet_relay_errors_total").Inc()
-	}
-}
-
-// tee enqueues a feedback body for async delivery to the trainer shard,
-// incrementing counter on success. Feedback is a training signal, not a
-// synchronous dependency: a full tee queue drops (counted) rather than
-// slowing the serving path.
-func (rt *Router) tee(body []byte, counter string) {
-	select {
-	case rt.teeCh <- body:
-		rt.reg.Counter(counter).Inc()
-	default:
-		rt.reg.Counter("lite_fleet_feedback_tee_dropped_total").Inc()
-	}
-}
-
-// teeLoop delivers teed feedback to the trainer.
-func (rt *Router) teeLoop() {
-	defer rt.wg.Done()
-	for {
-		select {
-		case <-rt.stopCh:
-			return
-		case body := <-rt.teeCh:
-			url := rt.shardURL(rt.opts.TrainerID)
-			if url == "" {
-				continue
-			}
-			req, err := http.NewRequest(http.MethodPost, url+"/v1/feedback", bytes.NewReader(body))
-			if err != nil {
-				continue
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				rt.reg.Counter("lite_fleet_feedback_tee_errors_total").Inc()
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				rt.reg.Counter("lite_fleet_feedback_tee_errors_total").Inc()
-			}
-		}
 	}
 }
 

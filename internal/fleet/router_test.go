@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,6 +32,10 @@ type fakeShard struct {
 	feeds      atomic.Int64
 	sessionOps atomic.Int64
 	lastFlip   atomic.Value // serve.FlipRequest
+	// wedged makes /v1/admin/flip accept the request and never answer it
+	// (until the caller gives up); flipsHeld counts those left hanging.
+	wedged    atomic.Bool
+	flipsHeld atomic.Int64
 }
 
 func newFakeShard(t *testing.T, id string) *fakeShard {
@@ -54,6 +59,14 @@ func newFakeShard(t *testing.T, id string) *fakeShard {
 		json.NewEncoder(w).Encode(map[string]any{"queued": true})
 	})
 	mux.HandleFunc("/v1/admin/flip", func(w http.ResponseWriter, r *http.Request) {
+		if f.wedged.Load() {
+			// Read the body first: the server notices a client that hangs
+			// up (and cancels r.Context) only once the body is consumed.
+			io.Copy(io.Discard, r.Body)
+			f.flipsHeld.Add(1)
+			<-r.Context().Done()
+			return
+		}
 		var req serve.FlipRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.lastFlip.Store(req)
@@ -61,7 +74,7 @@ func newFakeShard(t *testing.T, id string) *fakeShard {
 		json.NewEncoder(w).Encode(serve.FlipResponse{Generation: req.Generation})
 	})
 	// Session endpoints: enough of the /v1/tuning/sessions contract for the
-	// router's placement, fan-out list and promotion-tee paths.
+	// router's placement, fan-out list and promotion paths.
 	mux.HandleFunc("POST /v1/tuning/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req api.CreateSessionRequest
 		json.NewDecoder(r.Body).Decode(&req)
@@ -418,64 +431,133 @@ func TestCoordinatorFlipsFleet(t *testing.T) {
 	}
 }
 
-// TestFeedbackTee: feedback whose key hashes to a non-trainer shard is
-// acked by that owner and teed asynchronously to the trainer, so the
-// trainer's update loop sees the full feedback stream.
-func TestFeedbackTee(t *testing.T) {
+// TestFlipSurvivesAWedgedShard: a shard that accepts /v1/admin/flip and
+// never answers costs the flip pass one flip deadline, not the fleet: the
+// other follower still reaches the trainer's generation, and Stop returns
+// at once even with a flip to the wedged shard in flight.
+func TestFlipSurvivesAWedgedShard(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
+	shards[1].wedged.Store(true)
 	rt := NewRouter(Options{
-		ProbeInterval: 10 * time.Millisecond,
-		TrainerID:     "shard0",
+		ProbeInterval:   10 * time.Millisecond,
+		TrainerID:       "shard0",
+		TrainerSnapshot: "/fleet/shard0/snapshot.json",
 	})
+	rt.flipTimeout = 100 * time.Millisecond
 	for _, f := range shards {
 		rt.AddShard(f.id, f.srv.URL)
 	}
 	rt.Start()
 	defer rt.Stop()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	shards[0].gen.Store(3)
 
-	// Find a body owned by a non-trainer shard.
-	var body []byte
-	var owner string
-	for _, b := range testBodies() {
-		resp := post(t, front.URL+"/v1/feedback", b)
-		resp.Body.Close()
-		if sh := resp.Header.Get("X-Lite-Shard"); sh != "shard0" {
-			body, owner = b, sh
-			break
-		}
-	}
-	if body == nil {
-		t.Fatal("no test key hashed off the trainer")
-	}
-
-	trainerBefore := shards[0].feeds.Load()
-	for i := 0; i < 5; i++ {
-		resp := post(t, front.URL+"/v1/feedback", body)
-		resp.Body.Close()
-		if got := resp.Header.Get("X-Lite-Shard"); got != owner {
-			t.Fatalf("feedback owner flapped %s -> %s", owner, got)
-		}
-	}
 	deadline := time.Now().Add(5 * time.Second)
-	for shards[0].feeds.Load() < trainerBefore+5 {
+	for shards[2].gen.Load() != 3 || shards[1].flipsHeld.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("trainer received %d teed feedbacks, want %d",
-				shards[0].feeds.Load()-trainerBefore, 5)
+			t.Fatalf("shard2 at generation %d, %d flips held by the wedged shard; want 3 and >= 2",
+				shards[2].gen.Load(), shards[1].flipsHeld.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := rt.Metrics().Counter("lite_fleet_feedback_teed_total").Value(); got < 5 {
-		t.Fatalf("teed counter = %d, want >= 5", got)
+	if got := rt.Metrics().Counter("lite_fleet_flip_errors_total").Value(); got < 1 {
+		t.Fatalf("flip errors = %d, want >= 1 (the wedged shard's flips time out)", got)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		rt.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop did not return within 2 s of a flip to a wedged shard")
+	}
+}
+
+// TestFeedbackGoesToTheTrainer: with a trainer designated, every feedback
+// is answered by the trainer, synchronously — its count is exact when the
+// last response returns — and no follower ever receives one, although the
+// keys hash across the whole ring.
+func TestFeedbackGoesToTheTrainer(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
+	rt := NewRouter(Options{TrainerID: "shard0"})
+	for _, f := range shards {
+		rt.AddShard(f.id, f.srv.URL)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	bodies := testBodies()
+	offTrainer := 0
+	for _, b := range bodies {
+		if rt.ring.Successors(routingKey(b), 1)[0] != "shard0" {
+			offTrainer++
+		}
+	}
+	if offTrainer == 0 {
+		t.Fatal("every test key hashes to the trainer; the test would prove nothing")
+	}
+	for i, b := range bodies {
+		resp := post(t, front.URL+"/v1/feedback", b)
+		var ack api.FeedbackResponse
+		json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !ack.Queued {
+			t.Fatalf("feedback %d: status %d queued=%v, want 200 queued", i, resp.StatusCode, ack.Queued)
+		}
+		if sh := resp.Header.Get("X-Lite-Shard"); sh != "shard0" {
+			t.Fatalf("feedback %d answered by %s, want the trainer shard0", i, sh)
+		}
+		if got := shards[0].feeds.Load(); got != int64(i+1) {
+			t.Fatalf("trainer holds %d feedbacks after %d answers", got, i+1)
+		}
+	}
+	for _, f := range shards[1:] {
+		if got := f.feeds.Load(); got != 0 {
+			t.Fatalf("follower %s received %d feedbacks, want 0", f.id, got)
+		}
+	}
+}
+
+// TestFeedbackWithTrainerDown: while the trainer cannot be reached,
+// feedback answers 503 unavailable with Retry-After, so the client
+// retries, and the router never hands the run to a follower instead.
+func TestFeedbackWithTrainerDown(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
+	rt := NewRouter(Options{TrainerID: "shard0"})
+	for _, f := range shards {
+		rt.AddShard(f.id, f.srv.URL)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	shards[0].srv.Close()
+
+	for _, b := range testBodies() {
+		resp := post(t, front.URL+"/v1/feedback", b)
+		var env api.ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != api.CodeUnavailable {
+			t.Fatalf("feedback with the trainer down = %d %+v (%v), want 503 unavailable", resp.StatusCode, env.Error, err)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("503 without Retry-After")
+		}
+	}
+	for _, f := range shards {
+		if got := f.feeds.Load(); got != 0 {
+			t.Fatalf("shard %s received %d feedbacks, want 0", f.id, got)
+		}
 	}
 }
 
 // TestSessionRoutingAndPromotionTee: session sub-resource requests are
 // placed by the routing key embedded in the session ID — always on the
 // shard that created the session — and a promotion in a follower's result
-// response is teed to the trainer's feedback endpoint. The fleet-wide GET
-// merges every shard's list in CreatedAt order.
+// response is at the trainer's feedback endpoint before the result
+// response returns. The fleet-wide GET merges every shard's list in
+// CreatedAt order.
 func TestSessionRoutingAndPromotionTee(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1"), newFakeShard(t, "shard2")}
 	rt := NewRouter(Options{
@@ -491,7 +573,7 @@ func TestSessionRoutingAndPromotionTee(t *testing.T) {
 	defer front.Close()
 
 	// Create sessions until one lands on a follower (the interesting case:
-	// its promotions need the tee to reach the trainer).
+	// its promotions must be carried to the trainer).
 	var sessID, owner string
 	for _, b := range testBodies() {
 		resp := post(t, front.URL+"/v1/tuning/sessions", b)
@@ -530,6 +612,16 @@ func TestSessionRoutingAndPromotionTee(t *testing.T) {
 		if sh := resp.Header.Get("X-Lite-Shard"); sh != owner {
 			t.Fatalf("sub-resource %q routed to %s, owner is %s", sub, sh, owner)
 		}
+		if sub == "/result" {
+			// The follower's result carried a Promotion; the router posted
+			// it to the trainer before relaying the result.
+			if got := shards[0].feeds.Load(); got != 1 {
+				t.Fatalf("trainer holds %d feedbacks when the result returns, want the 1 promotion", got)
+			}
+			if got := rt.Metrics().Counter("lite_fleet_session_promotions_forwarded_total").Value(); got != 1 {
+				t.Fatalf("promotions forwarded = %d, want 1", got)
+			}
+		}
 	}
 
 	// A malformed ID cannot be routed and must fail with the envelope, not
@@ -550,19 +642,6 @@ func TestSessionRoutingAndPromotionTee(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidArgument {
 		t.Fatalf("sizeless create = (%d, %q), want (400, invalid_argument)", resp.StatusCode, env.Error.Code)
-	}
-
-	// The follower's result carried a Promotion; the router tees it to the
-	// trainer's /v1/feedback asynchronously.
-	deadline := time.Now().Add(5 * time.Second)
-	for shards[0].feeds.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("promotion never teed to the trainer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := rt.Metrics().Counter("lite_fleet_session_promotions_teed_total").Value(); got < 1 {
-		t.Fatalf("promotion tee counter = %d, want >= 1", got)
 	}
 
 	// Fleet-wide list: one merged answer with every shard's sessions in

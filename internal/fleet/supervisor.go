@@ -67,7 +67,7 @@ const (
 // shard down the moment its process exits, and restarts it with
 // exponential backoff — the router re-admits it when it is listening
 // again. TrainerID / TrainerSnapshot report the designated trainer shard
-// for the router's tee and flip coordination.
+// for the router's feedback routing and flip coordination.
 type Supervisor struct {
 	opts   SupervisorOptions
 	router *Router

@@ -264,20 +264,3 @@ func (f *Forest) MaxFeature() int {
 	}
 	return m
 }
-
-// PredictStd returns the mean and standard deviation across trees, a
-// cheap uncertainty estimate.
-func (f *Forest) PredictStd(row []float64) (mu, std float64) {
-	preds := make([]float64, len(f.Trees))
-	for i, t := range f.Trees {
-		preds[i] = t.Predict(row)
-		mu += preds[i]
-	}
-	mu /= float64(len(preds))
-	for _, p := range preds {
-		d := p - mu
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(preds)))
-	return mu, std
-}

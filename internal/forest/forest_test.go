@@ -106,26 +106,6 @@ func TestForestBetterThanSingleTreeOnNoisyData(t *testing.T) {
 	}
 }
 
-func TestPredictStdReflectsUncertainty(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// Data only in [0,0.5]; predictions far from data should disagree more.
-	x := make([][]float64, 200)
-	y := make([]float64, 200)
-	for i := range x {
-		x[i] = []float64{rng.Float64() * 0.5, rng.Float64(), rng.Float64()}
-		y[i] = 5 * x[i][0]
-	}
-	f := FitForest(x, y, ForestParams{NumTrees: 30, Tree: TreeParams{MaxDepth: 8}}, rng)
-	_, stdIn := f.PredictStd([]float64{0.25, 0.5, 0.5})
-	mu, _ := f.PredictStd([]float64{0.25, 0.5, 0.5})
-	if math.Abs(mu-1.25) > 0.5 {
-		t.Fatalf("in-distribution mean = %v, want ≈1.25", mu)
-	}
-	if stdIn < 0 {
-		t.Fatalf("negative std")
-	}
-}
-
 func TestForestDeterministicGivenSeed(t *testing.T) {
 	x, y := makeData(100, func(v []float64) float64 { return v[0] }, rand.New(rand.NewSource(7)))
 	f1 := FitForest(x, y, ForestParams{NumTrees: 10}, rand.New(rand.NewSource(42)))

@@ -71,7 +71,6 @@ func TestActivationGrads(t *testing.T) {
 	}{
 		{"sigmoid", Sigmoid},
 		{"tanh", Tanh},
-		{"leakyrelu", func(n *Node) *Node { return LeakyReLU(n, 0.1) }},
 		{"square", Square},
 	}
 	for _, c := range cases {
@@ -197,9 +196,6 @@ func TestCNNEncoderGradAndShapes(t *testing.T) {
 	out := enc.Forward(ids)
 	if out.Value.Rows != 1 || out.Value.Cols != 5 {
 		t.Fatalf("CNN encoder output shape %dx%d, want 1x5", out.Value.Rows, out.Value.Cols)
-	}
-	if enc.MinLen() != 3 {
-		t.Fatalf("MinLen = %d, want 3", enc.MinLen())
 	}
 	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(ids))) })
 }

@@ -131,19 +131,6 @@ func NewCNNEncoder(vocab, embDim int, kernels []int, filtersPer, outDim int, rng
 	return enc
 }
 
-// MinLen returns the minimum token-sequence length the encoder accepts
-// (the largest kernel width); shorter sequences must be padded by the
-// caller, mirroring the paper's zero-padding of short stage codes.
-func (c *CNNEncoder) MinLen() int {
-	max := 0
-	for _, k := range c.kernels {
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
-
 // Forward encodes a token-id sequence into the 1×OutDim code representation
 // h_code (Equation 1). ids may contain −1 entries for padding.
 func (c *CNNEncoder) Forward(ids []int) *Node {

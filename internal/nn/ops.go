@@ -169,31 +169,6 @@ func ReLU(a *Node) *Node {
 	return newNode(v, back, a)
 }
 
-// LeakyReLU applies max(αx, x) elementwise.
-func LeakyReLU(a *Node, alpha float64) *Node {
-	v := tensor.Apply(a.Value, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return alpha * x
-	})
-	back := func(g *tensor.Tensor) {
-		if !a.requiresGrad {
-			return
-		}
-		gi := tensor.New(g.Rows, g.Cols)
-		for i, x := range a.Value.Data {
-			if x > 0 {
-				gi.Data[i] = g.Data[i]
-			} else {
-				gi.Data[i] = alpha * g.Data[i]
-			}
-		}
-		a.accumGrad(gi)
-	}
-	return newNode(v, back, a)
-}
-
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(a *Node) *Node {
 	v := tensor.Apply(a.Value, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })

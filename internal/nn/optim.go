@@ -47,41 +47,6 @@ func ClipGrads(params []*Node, c float64) {
 	}
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	Params   []*Node
-	LR       float64
-	Momentum float64
-	vel      []*tensor.Tensor
-}
-
-// NewSGD constructs the optimizer.
-func NewSGD(params []*Node, lr, momentum float64) *SGD {
-	s := &SGD{Params: params, LR: lr, Momentum: momentum}
-	s.vel = make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		s.vel[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-	}
-	return s
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for i, p := range s.Params {
-		if p.Grad == nil {
-			continue
-		}
-		v := s.vel[i]
-		for j := range v.Data {
-			v.Data[j] = s.Momentum*v.Data[j] - s.LR*p.Grad.Data[j]
-			p.Value.Data[j] += v.Data[j]
-		}
-	}
-}
-
-// ZeroGrad clears all parameter gradients.
-func (s *SGD) ZeroGrad() { ZeroGrads(s.Params) }
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the default for
 // training NECS and all neural baselines.
 type Adam struct {

@@ -24,21 +24,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	x := NewParam(tensor.FromRow([]float64{4}), "x")
-	opt := NewSGD([]*Node{x}, 0.05, 0.9)
-	for i := 0; i < 300; i++ {
-		opt.ZeroGrad()
-		Backward(Sum(Square(x)))
-		opt.Step()
-	}
-	if math.Abs(x.Value.Data[0]) > 1e-2 {
-		t.Fatalf("SGD did not converge: x = %v", x.Value.Data[0])
-	}
-}
-
-// TestMLPLearnsXOR is a classic non-linear sanity check for the full
-// stack: graph construction, backward, and Adam.
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mlp := NewMLP([]int{2, 8, 1}, rng, "xor")

@@ -147,9 +147,6 @@ func (a *Agent) Observe(t Transition) {
 	a.full = true
 }
 
-// BufferLen reports the number of stored transitions.
-func (a *Agent) BufferLen() int { return len(a.buffer) }
-
 // Train runs one mini-batch update of critic and actor plus soft target
 // updates. It is a no-op until the buffer holds a full batch.
 func (a *Agent) Train() {

@@ -41,8 +41,8 @@ func TestObserveRingBuffer(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Observe(Transition{State: []float64{0, 0}, Action: []float64{0, 0}, Reward: float64(i), Next: []float64{0, 0}})
 	}
-	if a.BufferLen() != 8 {
-		t.Fatalf("buffer length %d, want 8", a.BufferLen())
+	if len(a.buffer) != 8 {
+		t.Fatalf("buffer length %d, want 8", len(a.buffer))
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lite/pkg/api"
 )
 
 // saveTestSnapshot writes the shared test tuner to a file the flip tests
@@ -125,9 +128,9 @@ func TestFlipEndpoint(t *testing.T) {
 	}
 }
 
-// TestFollowerMode: a follower acks feedback without queueing it (the
-// router tees training signal to the trainer), never retrains locally, and
-// exposes /admin/flip implicitly so the coordinator can move its model.
+// TestFollowerMode: a follower acks feedback without queueing it (a fleet
+// router sends feedback to the trainer, not here), never retrains locally,
+// and exposes /admin/flip implicitly so the coordinator can move its model.
 func TestFollowerMode(t *testing.T) {
 	s := newTestServer(t, Options{Follower: true, UpdateBatch: 1})
 	srv := httptest.NewServer(s.Handler())
@@ -197,5 +200,42 @@ func TestHealthzRichFields(t *testing.T) {
 	}
 	if h.WALUnfolded != 0 || h.Inflight != 0 {
 		t.Fatalf("idle server reports wal_unfolded=%d inflight=%d, want 0/0", h.WALUnfolded, h.Inflight)
+	}
+}
+
+// TestFollowerEchoesPromotion: a follower has no update loop, so a session
+// win is echoed in the result for the fleet router to post to the trainer
+// and is neither fed to the follower's feedback path nor logged in its
+// WAL; it still counts as a promotion (DESIGN.md §11: promotions counted
+// plus dropped equal winning trials).
+func TestFollowerEchoesPromotion(t *testing.T) {
+	s, _, cl := newSessionServer(t, Options{Follower: true, WALDir: t.TempDir(), WALSyncInterval: -1})
+	ctx := context.Background()
+	sess, err := cl.CreateSession(ctx, api.CreateSessionRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last api.ReportResultResponse
+	for _, secs := range []float64{100, 60} {
+		p, err := cl.NextProposal(ctx, sess.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, err = cl.ReportResult(ctx, sess.ID, api.ReportResultRequest{Trial: p.Trial, Seconds: secs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !last.Promoted || last.Promotion == nil || last.Promotion.App != "WordCount" {
+		t.Fatalf("winning trial = %+v, want a promotion echoed", last)
+	}
+	for name, want := range map[string]uint64{
+		"lite_session_promotions_total":         1,
+		"lite_session_promotions_dropped_total": 0,
+		"lite_feedback_total":                   0,
+		"lite_wal_records_total":                0,
+	} {
+		if got := s.Metrics().Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -126,11 +126,11 @@ type Options struct {
 	SessionDir string
 
 	// Follower runs the server as a fleet follower (DESIGN.md §10): the
-	// adaptive-update loop is not started, accepted feedback is WAL-logged
-	// (when WALDir is set) and acknowledged but never enqueued for local
-	// retraining, and the model only advances when a fleet coordinator
-	// flips it to a published snapshot via FlipTo / POST /admin/flip.
-	// Follower implies EnableAdmin.
+	// adaptive-update loop is not started, feedback posted straight to it
+	// is WAL-logged (when WALDir is set) and acknowledged but never queued
+	// (a fleet router sends feedback to the trainer), session promotions
+	// are only echoed, and the model only advances when a fleet coordinator
+	// flips it via FlipTo / POST /admin/flip. Follower implies EnableAdmin.
 	Follower bool
 
 	// EnableAdmin registers the /admin/flip endpoint (fleet-coordinated
@@ -592,9 +592,14 @@ type resolved struct {
 	sizeMB float64
 }
 
+// MaxSizeMB bounds a request's size_mb: 2^30 MB, 1 PiB, far above every
+// workload's sizes. The model has nothing to say about a larger input, and
+// near the float64 limit a size bucket's canonical size overflows to +Inf.
+const MaxSizeMB = 1 << 30
+
 // resolve is the one place a request's (app, size, cluster) fields are
-// looked up: the cluster must exist and the size be finite (NaN or ±Inf
-// is a client error); a registered app's size defaults to
+// looked up: the cluster must exist and the size be finite and at most
+// MaxSizeMB (else a client error); a registered app's size defaults to
 // its test size, an unseen app's to coldDefaultSizeMB. Every endpoint, WAL
 // replay, the fleet router's key and SimulateOnce go through it, so none
 // of them can disagree on a default.
@@ -605,6 +610,9 @@ func resolve(appName string, sizeMB float64, cluster string) (resolved, error) {
 	}
 	if math.IsNaN(sizeMB) || math.IsInf(sizeMB, 0) {
 		return resolved{}, badRequest("size_mb must be a finite number, got %g", sizeMB)
+	}
+	if sizeMB > MaxSizeMB {
+		return resolved{}, badRequest("size_mb %g is above the largest size served, %d MB", sizeMB, MaxSizeMB)
 	}
 	r := resolved{app: workload.ByName(appName), name: appName, env: env, sizeMB: sizeMB}
 	if r.app != nil {

@@ -289,3 +289,28 @@ func TestRoutingKeyRejectsNonFiniteSizePromptly(t *testing.T) {
 		}
 	}
 }
+
+// A size above MaxSizeMB is a client error on both the routing and the
+// serving path: 1e300 MB used to be served by the NECS tier with a
+// prediction of 0 s, and 1e308 MB scored at a bucket size of +Inf. A
+// size within the bound, such as the benchmark's largest, still answers.
+func TestSizeAboveTheBoundIsRejected(t *testing.T) {
+	s := newTestServer(t, Options{})
+	for _, size := range []float64{1e300, 1e308, 2 * MaxSizeMB} {
+		var reqErr *RequestError
+		if _, err := RoutingKey("WordCount", size, "C"); !errors.As(err, &reqErr) {
+			t.Errorf("RoutingKey(size %g): error %v, want a *RequestError", size, err)
+		}
+		if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); !errors.As(err, &reqErr) {
+			t.Errorf("Recommend(size %g): error %v, want a *RequestError", size, err)
+		}
+	}
+	for _, size := range []float64{32768, MaxSizeMB} {
+		if _, err := RoutingKey("WordCount", size, "C"); err != nil {
+			t.Errorf("RoutingKey(size %g): %v", size, err)
+		}
+		if resp, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); err != nil || len(resp.Config) == 0 {
+			t.Errorf("Recommend(size %g) = %+v, %v; want a configuration", size, resp, err)
+		}
+	}
+}

@@ -18,9 +18,9 @@ import (
 // the store is opened in Start (persisting under Options.SessionDir
 // through the same WAL/snapshot seam as the model), proposals are scored
 // against the live published snapshot, and winning results are promoted
-// through the ordinary feedback path — on a trainer they enter the
-// adaptive-update queue, on a follower they are acknowledged locally and
-// carried to the trainer by the fleet router (the trainer owns promotion).
+// through the ordinary feedback path — on a trainer or a standalone server
+// they enter the adaptive-update queue; a follower only echoes them, and
+// the fleet router posts them to the trainer (the trainer owns promotion).
 
 // sessionsPtr is the store handle; atomic because handlers may race Start
 // in tests that spin the handler up concurrently.
@@ -239,8 +239,8 @@ func (s *Server) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 // handleSessionResult records a trial's measured outcome, exactly once per
 // trial, and promotes new session bests into the model through the
 // feedback path. The promoted body is also echoed in the response
-// (Promotion) so a fleet router can tee it to the trainer shard when this
-// instance is a follower.
+// (Promotion): a follower, which has no update loop, leaves the promotion
+// to the fleet router, which posts it to the trainer shard.
 func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 	st := s.sessionStore()
 	if st == nil {
@@ -283,17 +283,22 @@ func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 			Config:  session.ConfigMap(out.Config),
 		}
 		resp.Promotion = &fb
-		ctx, cancel := s.requestContext(r)
-		if _, ferr := s.FeedbackCtx(ctx, fb); ferr != nil {
+		var ferr error
+		if !s.opts.Follower {
+			// A follower has no update loop: the fleet router posts the
+			// echoed promotion to the trainer.
+			ctx, cancel := s.requestContext(r)
+			_, ferr = s.FeedbackCtx(ctx, fb)
+			cancel()
+		}
+		if ferr != nil {
 			// The result itself is recorded (and durable); a full feedback
 			// queue only delays the model learning this win. Count it —
-			// the session can re-discover the config, and a fleet router
-			// still tees resp.Promotion to the trainer.
+			// the session can re-discover the config.
 			s.reg.Counter("lite_session_promotions_dropped_total").Inc()
 		} else {
 			s.reg.Counter("lite_session_promotions_total").Inc()
 		}
-		cancel()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -72,11 +72,11 @@ func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (Feedback
 		}
 	}
 	if s.opts.Follower {
-		// Followers never retrain locally: the feedback is durable in the
-		// WAL when one is configured, and the fleet router tees every
+		// Followers never retrain locally, and a fleet router sends every
 		// feedback to the trainer shard, whose retrain reaches this shard
-		// through the flip protocol (DESIGN.md §10). Acknowledged but not
-		// queued — there is no local update loop to consume it.
+		// through the flip protocol (DESIGN.md §10). A run posted straight
+		// to a follower is WAL-logged when a WAL is configured and
+		// acknowledged, but not queued: no local update loop consumes it.
 		s.reg.Counter("lite_feedback_total").Inc()
 		return FeedbackResponse{Queued: false, Generation: s.snap.Load().Gen, Seq: item.seq}, nil
 	}

@@ -40,20 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // Min returns the minimum of xs (+Inf for empty input).
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -74,30 +60,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }
 
 // Argsort returns indices that would sort xs ascending.

@@ -18,33 +18,17 @@ func TestDescriptiveStats(t *testing.T) {
 	if StdDev(xs) != 2 {
 		t.Fatalf("StdDev = %v", StdDev(xs))
 	}
-	if Median(xs) != 4.5 {
-		t.Fatalf("Median = %v", Median(xs))
-	}
 	if Min(xs) != 2 || Max(xs) != 9 {
 		t.Fatalf("Min/Max wrong")
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty-input stats should be 0")
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Fatal("empty Min/Max should be ±Inf")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Fatal("endpoint percentiles wrong")
-	}
-	if Percentile(xs, 50) != 3 {
-		t.Fatalf("P50 = %v", Percentile(xs, 50))
-	}
-	if Percentile(xs, 25) != 2 {
-		t.Fatalf("P25 = %v", Percentile(xs, 25))
 	}
 }
 

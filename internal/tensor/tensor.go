@@ -94,13 +94,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Row returns row i as a freshly allocated slice.
-func (t *Tensor) Row(i int) []float64 {
-	out := make([]float64, t.Cols)
-	copy(out, t.Data[i*t.Cols:(i+1)*t.Cols])
-	return out
-}
-
 // RowView returns row i as a view into the underlying data.
 func (t *Tensor) RowView(i int) []float64 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
@@ -358,14 +351,6 @@ func AddInPlace(a, b *Tensor) {
 	mustSameShape("add", a, b)
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
-	}
-}
-
-// AddScaledInPlace computes a += s·b elementwise.
-func AddScaledInPlace(a *Tensor, s float64, b *Tensor) {
-	mustSameShape("addScaled", a, b)
-	for i := range a.Data {
-		a.Data[i] += s * b.Data[i]
 	}
 }
 

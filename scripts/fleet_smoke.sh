@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Fleet smoke test for the sharded serving tier (DESIGN.md §10).
 #
-# Boots a 3-shard litefleet, drives feedback until the trainer publishes a
-# retrained generation and the coordinator flips it fleet-wide, runs one
+# Boots a 3-shard litefleet, drives feedback — each post must be answered
+# by the trainer shard0 — until the trainer publishes a retrained
+# generation and the coordinator flips it fleet-wide, runs one
 # tuning-session lifecycle on a follower-owned key (create → proposals →
-# improving reports → close) and asserts the promotions are teed to the
-# trainer and flip a new generation fleet-wide, then SIGKILLs one follower shard while liteload hammers the router and
+# improving reports → close) and asserts the router forwarded every
+# promotion to the trainer and they flip a new generation fleet-wide, then
+# SIGKILLs one follower shard while liteload hammers the router and
 # asserts:
 #
 #   (a) re-route: the dead shard's arc moves to ring successors — the load
@@ -93,14 +95,17 @@ echo "fleet-smoke: 3/3 shards up"
 
 ############################################################################
 echo "fleet-smoke: driving feedback until a retrained generation flips fleet-wide"
-# update-batch is 4; feedback hashed to followers is teed to the trainer, so
-# 8 posts across two keys guarantee at least one trainer retrain.
+# update-batch is 4; the router sends every feedback to the trainer, so 8
+# posts across two keys guarantee at least one trainer retrain. Each post
+# must be answered by the trainer itself, whichever shard its key hashes to.
 for i in $(seq 1 8); do
     app='{"app":"WordCount","size_mb":512,"cluster":"C"}'
     [[ $((i % 2)) == 0 ]] && app='{"app":"KMeans","size_mb":1024,"cluster":"B"}'
-    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-        -d "$app" "$base/v1/feedback")"
+    code="$(curl -s -D "$workdir/feedback.hdr" -o /dev/null -w '%{http_code}' -X POST \
+        -H 'Content-Type: application/json' -d "$app" "$base/v1/feedback")"
     [[ "$code" == "200" ]] || fail "POST /v1/feedback returned $code"
+    answered="$(awk -F': ' 'tolower($1)=="x-lite-shard" {print $2}' "$workdir/feedback.hdr" | tr -d '\r' | head -n1)"
+    [[ "$answered" == "shard0" ]] || fail "POST /v1/feedback answered by '$answered', want the trainer shard0"
 done
 
 flipped_gen=""
@@ -159,12 +164,13 @@ curl -s -o /dev/null -X DELETE "$base/v1/tuning/sessions/$sess_id" || fail "clos
 curl -s "$base/v1/tuning/sessions" | grep -q "$sess_id" \
     || fail "closed session missing from the fleet-wide list"
 
-# The promotions happened on a follower; the router tees each one to the
-# trainer, whose update loop retrains and the coordinator flips the new
-# generation fleet-wide — the promotion is visible everywhere.
+# The promotions happened on a follower; the router posts each one to the
+# trainer before it answers the result, the trainer's update loop retrains
+# and the coordinator flips the new generation fleet-wide — the promotion
+# is visible everywhere.
 scrape "$base" "$workdir/sess-post.metrics"
-teed="$(metric "$workdir/sess-post.metrics" lite_fleet_session_promotions_teed_total)"
-[[ "$teed" -ge "$promotions" ]] || fail "only $teed of $promotions promotions teed to the trainer"
+forwarded="$(metric "$workdir/sess-post.metrics" lite_fleet_session_promotions_forwarded_total)"
+[[ "$forwarded" -ge "$promotions" ]] || fail "only $forwarded of $promotions promotions forwarded to the trainer"
 
 session_gen=""
 for _ in $(seq 1 240); do
@@ -241,7 +247,7 @@ code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applica
     echo ""
     echo "tuning session on follower $sess_owner ($sess_id):"
     echo "  promotions from improving trials: $promotions"
-    echo "  promotions teed to the trainer:   $teed"
+    echo "  promotions forwarded to trainer:  $forwarded"
     echo "  fleet flipped to generation:      $flipped_gen (promotion visible fleet-wide)"
     echo ""
     echo "3-shard fleet, shard1 SIGKILLed under load (1200 reqs, 8 workers):"
