@@ -200,6 +200,39 @@ func BenchmarkAMU(b *testing.B) {
 	b.ReportMetric(float64(distinctStages(batch)), "stages/update")
 }
 
+// TestAMUAllocs pins the allocations of one Adaptive Model Update on
+// BenchmarkAMU's inputs. A minibatch step's graph lives in the
+// discriminator's arena and its gradients and traversal in Backward's
+// pooled scratch, and the source sample's stage encodings come from the
+// Encoder's memo after the first update, so what is left is per update —
+// the tower inputs, the discriminator and Adam's moments, the rng — and
+// one backward closure per op per step.
+func TestAMUAllocs(t *testing.T) {
+	tuner, ds := parBench()
+	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
+	batch := make([]*core.Encoded, 80)
+	for i := range batch {
+		batch[i] = encoded[i%len(encoded)]
+	}
+	source, target := batch[:64], batch[64:]
+	cfg := core.DefaultAMUConfig()
+	const runs = 5
+	models := make([]*core.NECS, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range models {
+		models[i] = tuner.Model.Clone()
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		core.AdaptiveModelUpdate(models[next], source, target, cfg, rand.New(rand.NewSource(1)))
+		next++
+	})
+	if got > 660 {
+		t.Errorf("%.0f allocs per update, want ≤ 660", got)
+	} else {
+		t.Logf("%.0f allocs per update", got)
+	}
+}
+
 // BenchmarkTunerSave measures the snapshot write that follows every
 // accepted update: Save of a second-generation tuner (CloneForUpdate of the
 // fixture), whose ACG the first generation's save has already encoded, as

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/maphash"
+	"math"
 	"math/rand"
+	"sync"
 
 	"lite/internal/nn"
 	"lite/internal/tensor"
@@ -29,6 +33,9 @@ func DefaultAMUConfig() AMUConfig {
 // sigmoid probability of the instance being from the source domain.
 type Discriminator struct {
 	mlp *nn.MLP
+	// step holds the graph of the update's current minibatch: amuLoss
+	// resets it and builds the next step's graph in the same memory.
+	step nn.Arena
 }
 
 // NewDiscriminator builds the discriminator for a NECS model.
@@ -70,10 +77,21 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 // Θ is the tower alone; the CNN and GCN encoders stay frozen. The two
 // domains differ in data size and resources, which enter only through the
 // dense features the tower reads; a stage's code tokens and DAG, the
-// encoders' only inputs, are the same at every size. So each distinct
-// stage's h_code ‖ h_DAG is encoded once per update (frozenInputs) and
-// every minibatch is one tower-and-discriminator graph over constant
-// [dense ‖ rep] rows (see amuLoss).
+// encoders' only inputs, are the same at every size. So an update
+// computes once (DESIGN.md §12.8):
+//
+//   - each distinct stage's h_code ‖ h_DAG, and only when the Encoder's
+//     memo lacks it under these encoder weights (frozenInputs): serving
+//     retrains a clone of the last generation, whose CNN and GCN are the
+//     ones the memo was built with, so its fixed source sample is encoded
+//     by the first retrain and read by every later one;
+//   - the constant [dense ‖ rep] tower input of every row.
+//
+// and per minibatch step only the tower-and-discriminator graph (amuLoss),
+// its backward pass, the clip and the Adam step. The step's values, nodes
+// and gradients live in storage the next step reuses (the
+// discriminator's arena and Backward's pooled scratch), so a step
+// allocates only its ops' backward closures.
 //
 // The function mutates m's weights in place, so it panics on a model that
 // has scored: serving layers fine-tune a clone and hot-swap (see
@@ -138,18 +156,11 @@ func amuSamples(m *NECS, source, target []*Encoded) []domainSample {
 }
 
 // frozenInputs returns the tower input of every row of xs as one matrix,
-// row i = xs[i].Dense ‖ h_code ‖ h_DAG, running the CNN and GCN once per
-// distinct stage. It reads the weights through the graph-free Infer
-// kernels (bitwise equal to the Forward values) and bypasses the stage-rep
-// cache, which would mark a model under training as having scored.
+// row i = xs[i].Dense ‖ h_code ‖ h_DAG, with each distinct stage's
+// encoding read from the Encoder's frozenReps memo.
 func (m *NECS) frozenInputs(xs []*Encoded) *tensor.Tensor {
 	rowStage, stages := stageSlots(xs)
-	reps := make([][]float64, len(stages))
-	for s, x := range stages {
-		hCode := m.Code.Infer(x.TokenIDs)
-		hDAG := m.DAG.Infer(x.AHat, x.NodeFeats)
-		reps[s] = append(hCode.Data, hDAG.Data...)
-	}
+	reps := m.Encoder.frozen.get(m, stages)
 	dw := len(xs[0].Dense)
 	in := tensor.New(len(xs), dw+len(reps[0]))
 	for i, x := range xs {
@@ -160,22 +171,94 @@ func (m *NECS) frozenInputs(xs []*Encoded) *tensor.Tensor {
 	return in
 }
 
+// frozenReps memoizes stages' h_code ‖ h_DAG for one setting of the CNN
+// and GCN weights, for every model that shares the Encoder. An update
+// never moves those weights, so a chain of retrained generations — each a
+// clone of the last — shares one setting, and the memo is built by the
+// first retrain and read by the rest.
+//
+// The memo holds the fingerprint of the weights it was built under, and
+// get compares it with the model's on every call: a model whose CNN or
+// GCN weights differ in any bit — a fresh Fit, a loaded or flipped
+// snapshot, another model sharing the Encoder — empties the memo and
+// refills it from its own weights. Entries are computed with the
+// graph-free Infer kernels (bitwise equal to the Forward values), which
+// bypass the model's stage-rep cache: filling that would mark a model
+// under training as having scored.
+type frozenReps struct {
+	mu      sync.Mutex
+	weights uint64
+	reps    map[stageKey][]float64
+}
+
+// get returns h_code ‖ h_DAG for each of stages under m's encoder weights,
+// running the CNN and GCN for the stages the memo lacks. The returned
+// slices are shared and read-only.
+func (f *frozenReps) get(m *NECS, stages []*Encoded) [][]float64 {
+	fp := encoderFingerprint(m)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.reps == nil || f.weights != fp {
+		f.reps, f.weights = map[stageKey][]float64{}, fp
+	}
+	out := make([][]float64, len(stages))
+	for s, x := range stages {
+		k := keyOf(x)
+		rep, ok := f.reps[k]
+		if !ok {
+			hCode := m.Code.Infer(x.TokenIDs)
+			hDAG := m.DAG.Infer(x.AHat, x.NodeFeats)
+			rep = append(hCode.Data, hDAG.Data...)
+			f.reps[k] = rep
+		}
+		out[s] = rep
+	}
+	return out
+}
+
+// fingerprintSeed keys encoderFingerprint; frozenReps lives in memory
+// only, so one seed per process is enough.
+var fingerprintSeed = maphash.MakeSeed()
+
+// encoderFingerprint hashes the IEEE-754 bits of every CNN and GCN weight
+// of m, in Params() order.
+func encoderFingerprint(m *NECS) uint64 {
+	var h maphash.Hash
+	h.SetSeed(fingerprintSeed)
+	var chunk [1024]byte
+	buf := chunk[:0]
+	for _, p := range append(m.Code.Params(), m.DAG.Params()...) {
+		for _, v := range p.Value.Data {
+			if len(buf) == len(chunk) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	h.Write(buf)
+	return h.Sum64()
+}
+
 // amuLoss builds one minibatch's Equation 8 objective as one graph: the
 // tower over the batch's constant inputs, the discriminator over the same
 // rows behind one gradient reversal of the concatenated hidden layers,
 // and both losses weighted wᵢ/|batch|. It returns L_p + L_D, to
 // backpropagate, and L_p alone for the epoch-loss bookkeeping.
+//
+// The graph lives in disc's step arena, which amuLoss resets first: the
+// previous call's graph is invalid once it is called again.
 func amuLoss(tower *nn.MLP, disc *Discriminator, batch []domainSample, lambda float64) (loss, lp *nn.Node) {
-	in := tensor.New(len(batch), len(batch[0].in))
-	ys := make([]float64, len(batch))
-	domains := make([]float64, len(batch))
-	ws := make([]float64, len(batch))
+	ar := &disc.step
+	ar.Reset()
+	in := ar.Alloc(len(batch), len(batch[0].in))
+	ys, domains, ws := ar.Floats(len(batch)), ar.Floats(len(batch)), ar.Floats(len(batch))
 	for i, s := range batch {
 		copy(in.RowView(i), s.in)
 		ys[i], domains[i] = s.x.Y, s.domain
 		ws[i] = s.x.Weight / float64(len(batch))
 	}
-	out, hidden := tower.ForwardHidden(nn.NewConst(in))
+	out, hidden := tower.ForwardHidden(ar.Const(in))
 	lp = nn.WeightedMSE(out, ys, ws)
 	ld := nn.WeightedBCE(disc.mlp.Forward(nn.GradReverse(nn.Concat(hidden...), lambda)), domains, ws)
 	return nn.Add(lp, ld), lp

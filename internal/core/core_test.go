@@ -369,11 +369,3 @@ func TestColdStartInstrument(t *testing.T) {
 		t.Fatalf("cold-start overhead too large: %v s", overhead)
 	}
 }
-
-func TestSplitByApp(t *testing.T) {
-	data := []*Encoded{{AppName: "A"}, {AppName: "B"}, {AppName: "A"}}
-	kept, removed := SplitByApp(data, map[string]bool{"A": true})
-	if len(kept) != 1 || len(removed) != 2 {
-		t.Fatalf("split %d/%d", len(kept), len(removed))
-	}
-}

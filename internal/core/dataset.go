@@ -208,17 +208,3 @@ func cfgKey(c sparksim.Config) int {
 	}
 	return h
 }
-
-// SplitByApp partitions encoded instances into those belonging to the named
-// applications and the rest — used by the cold-start experiments
-// (leave-one-application-out, §V-G).
-func SplitByApp(data []*Encoded, exclude map[string]bool) (kept, removed []*Encoded) {
-	for _, d := range data {
-		if exclude[d.AppName] {
-			removed = append(removed, d)
-		} else {
-			kept = append(kept, d)
-		}
-	}
-	return kept, removed
-}

@@ -127,6 +127,10 @@ type Encoder struct {
 	dagCache  map[string]*dagEnc
 	dagByKey  func(ops []string, edges [][2]int) string
 	denseOnly bool
+
+	// frozen is Adaptive Model Update's memo of stage encodings under
+	// frozen encoder weights (amu.go).
+	frozen frozenReps
 }
 
 type dagEnc struct {
@@ -338,17 +342,10 @@ func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
 // ids and DAG matrices (Encoder.stageStatic), so their h_code ‖ h_DAG is
 // one computation.
 func stageSlots(xs []*Encoded) (rowStage []int, stages []*Encoded) {
-	type stageKey struct {
-		toks        *int
-		aHat, nodes *tensor.Tensor
-	}
 	slot := make(map[stageKey]int, len(xs))
 	rowStage = make([]int, len(xs))
 	for i, x := range xs {
-		k := stageKey{aHat: x.AHat, nodes: x.NodeFeats}
-		if len(x.TokenIDs) > 0 {
-			k.toks = &x.TokenIDs[0]
-		}
+		k := keyOf(x)
 		s, ok := slot[k]
 		if !ok {
 			s = len(stages)
@@ -358,6 +355,21 @@ func stageSlots(xs []*Encoded) (rowStage []int, stages []*Encoded) {
 		rowStage[i] = s
 	}
 	return rowStage, stages
+}
+
+// stageKey identifies an encoded instance's stage by the addresses of the
+// token ids and DAG matrices the encoder memoized for it.
+type stageKey struct {
+	toks        *int
+	aHat, nodes *tensor.Tensor
+}
+
+func keyOf(x *Encoded) stageKey {
+	k := stageKey{aHat: x.AHat, nodes: x.NodeFeats}
+	if len(x.TokenIDs) > 0 {
+		k.toks = &x.TokenIDs[0]
+	}
+	return k
 }
 
 // Predict returns the predicted stage label (log space).

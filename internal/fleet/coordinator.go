@@ -73,6 +73,9 @@ func (rt *Router) coordinate() {
 
 	for _, t := range todo {
 		gen, err := rt.flipShard(t.url, target)
+		if err != nil && rt.stopCtx.Err() != nil {
+			return // Stop cancelled the flip: shutting down, not a failure
+		}
 		if err != nil {
 			rt.reg.Counter("lite_fleet_flip_errors_total").Inc()
 			rt.opts.Logf("flip shard %s to generation %d: %v (will retry)", t.id, target, err)

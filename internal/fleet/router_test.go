@@ -475,6 +475,51 @@ func TestFlipSurvivesAWedgedShard(t *testing.T) {
 	}
 }
 
+// TestStopMidFlipIsNotAFlipError: a flip that Stop cancels is shutdown,
+// not a failure — it is neither counted in lite_fleet_flip_errors_total
+// nor logged as one to retry.
+func TestStopMidFlipIsNotAFlipError(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "shard0"), newFakeShard(t, "shard1")}
+	shards[1].wedged.Store(true)
+	var logged []string
+	var logMu sync.Mutex
+	rt := NewRouter(Options{
+		ProbeInterval:   10 * time.Millisecond,
+		TrainerID:       "shard0",
+		TrainerSnapshot: "/fleet/shard0/snapshot.json",
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		},
+	})
+	rt.flipTimeout = time.Minute // no flip ends before Stop
+	for _, f := range shards {
+		rt.AddShard(f.id, f.srv.URL)
+	}
+	rt.Start()
+	shards[0].gen.Store(3)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for shards[1].flipsHeld.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no flip reached the wedged shard")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rt.Stop()
+	if got := rt.Metrics().Counter("lite_fleet_flip_errors_total").Value(); got != 0 {
+		t.Fatalf("flip errors = %d after a clean Stop mid-flip, want 0", got)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, l := range logged {
+		if strings.Contains(l, "will retry") {
+			t.Fatalf("a flip Stop cancelled was logged as a failure: %q", l)
+		}
+	}
+}
+
 // TestFeedbackGoesToTheTrainer: with a trainer designated, every feedback
 // is answered by the trainer, synchronously — its count is exact when the
 // last response returns — and no follower ever receives one, although the

@@ -114,13 +114,3 @@ func ETR(tDefault, tMethod, tMin float64) float64 {
 	}
 	return (tDefault - tMethod) / denom
 }
-
-// SpeedupPercent computes the simpler (t_default − t_method)/t_default
-// ratio, which the paper quotes as "execution time reduction" percentages
-// in the prose of §V-B.
-func SpeedupPercent(tDefault, tMethod float64) float64 {
-	if tDefault <= 0 {
-		return 0
-	}
-	return (tDefault - tMethod) / tDefault
-}

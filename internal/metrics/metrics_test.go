@@ -133,15 +133,6 @@ func TestETRDefinition(t *testing.T) {
 	}
 }
 
-func TestSpeedupPercent(t *testing.T) {
-	if math.Abs(SpeedupPercent(200, 50)-0.75) > 1e-12 {
-		t.Fatalf("speedup = %v", SpeedupPercent(200, 50))
-	}
-	if SpeedupPercent(0, 10) != 0 {
-		t.Fatal("zero default should yield 0")
-	}
-}
-
 func TestKLargerThanLists(t *testing.T) {
 	pred := []int{0, 1}
 	gold := []int{1, 0}

@@ -101,40 +101,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the containing bucket — the same estimate Prometheus's
-// histogram_quantile produces. Values beyond the last bound clamp to it.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank && n > 0 {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // open-ended bucket: clamp
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (rank - cum) / n
-			return lo + (h.bounds[i]-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Registry is a named collection of runtime metrics with text exposition.
 // Metric names may carry Prometheus-style labels baked into the string,
 // e.g. `http_requests_total{endpoint="recommend",code="200"}`. All

@@ -29,7 +29,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
+func TestHistogramCountAndMean(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i%8) + 0.5) // uniform over [0.5, 7.5]
@@ -37,23 +37,12 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	p50 := h.Quantile(0.5)
-	if p50 < 1 || p50 > 5 {
-		t.Fatalf("p50 = %g, want within [1,5]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < p50 || p99 > 8 {
-		t.Fatalf("p99 = %g, want within [p50,8]", p99)
-	}
 	if mean := h.Mean(); math.Abs(mean-4) > 0.2 {
 		t.Fatalf("mean = %g, want ~4", mean)
 	}
-	// Over-the-top observations land in the +Inf bucket and clamp quantiles.
+	// Over-the-top observations land in the +Inf bucket and still count.
 	h2 := NewHistogram([]float64{1})
 	h2.Observe(100)
-	if q := h2.Quantile(0.5); q != 1 {
-		t.Fatalf("overflow quantile = %g, want clamp to 1", q)
-	}
 	h2.Observe(math.NaN()) // ignored
 	if h2.Count() != 1 {
 		t.Fatalf("NaN observation counted")

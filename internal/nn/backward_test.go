@@ -16,7 +16,7 @@ import (
 // refBackward is Backward as it was before the arena: every intermediate
 // gradient freshly allocated by ensureGrad.
 func refBackward(root *Node) {
-	order := topoSort(root)
+	order := new(backwardScratch).topoSort(root)
 	root.ensureGrad().Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]

@@ -23,61 +23,6 @@ import (
 	"lite/internal/tensor"
 )
 
-// Arena is a request-scoped bump allocator for inference activations.
-// Alloc hands out tensors backed by one reusable slab, so a scoring pass
-// performs no per-layer heap allocation after warm-up.
-//
-// Ownership and aliasing rules (DESIGN.md §12):
-//
-//   - An Arena is single-goroutine: exactly one scoring pass may use it at
-//     a time. Concurrent passes take distinct arenas from a pool.
-//   - Tensors returned by Alloc alias the arena's slab and are valid only
-//     until the next Reset. Results that outlive the pass must be copied
-//     out (the scoring kernels copy plain float64s, never arena tensors).
-//   - Alloc returns UNINITIALIZED memory: callers must fully overwrite the
-//     tensor (MatMulInto zeroes its output; row-fill loops write every
-//     element) before reading it.
-//   - Reset recycles the slab without zeroing. Alloc never returns
-//     overlapping tensors between two Resets, so distinct activations
-//     within one pass never alias each other.
-type Arena struct {
-	slab []float64
-	off  int
-}
-
-// Alloc returns an uninitialized rows×cols tensor backed by the arena.
-// The tensor is valid until the next Reset; see the aliasing rules above.
-func (a *Arena) Alloc(rows, cols int) *tensor.Tensor {
-	return tensor.FromSlice(rows, cols, a.Floats(rows*cols))
-}
-
-// Floats returns n uninitialized float64s backed by the arena, under the
-// same rules as Alloc but without a tensor header to allocate.
-func (a *Arena) Floats(n int) []float64 {
-	if a.off+n > len(a.slab) {
-		// Grow to at least double so a steady-state request shape settles
-		// into zero allocations. Tensors handed out before the growth keep
-		// referencing the old slab and stay valid for this pass.
-		grow := 2 * len(a.slab)
-		if grow < a.off+n {
-			grow = a.off + n
-		}
-		a.slab = make([]float64, grow)
-		a.off = 0
-	}
-	f := a.slab[a.off : a.off+n : a.off+n]
-	a.off += n
-	return f
-}
-
-// Reset recycles the arena for the next scoring pass. Every tensor handed
-// out since the previous Reset becomes invalid.
-func (a *Arena) Reset() { a.off = 0 }
-
-// Cap reports the arena's current slab capacity in float64s (diagnostics
-// and tests).
-func (a *Arena) Cap() int { return len(a.slab) }
-
 // reluInPlace applies ReLU elementwise in place with the exact predicate
 // the graph path uses (`x > 0 ? x : 0`), so −0.0 and NaN inputs map to
 // the same bits on both paths.

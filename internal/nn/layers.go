@@ -72,7 +72,7 @@ func (m *MLP) Forward(x *Node) *Node {
 // activation (post-ReLU). Adaptive Model Update concatenates these hidden
 // embeddings h_i = f¹(x)‖…‖f^L as the discriminator input (paper §IV-B).
 func (m *MLP) ForwardHidden(x *Node) (*Node, []*Node) {
-	var hidden []*Node
+	hidden := make([]*Node, 0, len(m.Layers)-1)
 	h := x
 	for i, l := range m.Layers {
 		h = l.Forward(h)

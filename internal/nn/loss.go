@@ -37,7 +37,7 @@ func WeightedMSE(pred *Node, targets, weights []float64) *Node {
 			gp[i] += c*d + c*d
 		}
 	}
-	return newNode(tensor.FromRow([]float64{s}), back, pred)
+	return newNode(scalar(pred, s), back, pred)
 }
 
 // BCELoss returns the scalar binary cross-entropy −y·log(p) − (1−y)·log(1−p)
@@ -53,7 +53,12 @@ func BCELoss(p *Node, y float64) *Node {
 func WeightedBCE(p *Node, labels, weights []float64) *Node {
 	checkRowLoss("WeightedBCE", p, labels, weights)
 	const eps = 1e-9
-	clamped := make([]float64, len(labels))
+	var clamped []float64
+	if p.arena != nil {
+		clamped = p.arena.Floats(len(labels))
+	} else {
+		clamped = make([]float64, len(labels))
+	}
 	var s float64
 	for i, pv := range p.Value.Data {
 		c, y := math.Min(math.Max(pv, eps), 1-eps), labels[i]
@@ -69,7 +74,15 @@ func WeightedBCE(p *Node, labels, weights []float64) *Node {
 			gp[i] += g.Data[0] * weights[i] * ((c - labels[i]) / (c * (1 - c)))
 		}
 	}
-	return newNode(tensor.FromRow([]float64{s}), back, p)
+	return newNode(scalar(p, s), back, p)
+}
+
+// scalar returns a loss op's 1×1 value s, stored where the loss's input
+// lives.
+func scalar(in *Node, s float64) *tensor.Tensor {
+	v := value(in.arena, 1, 1)
+	v.Data[0] = s
+	return v
 }
 
 func checkRowLoss(op string, pred *Node, targets, weights []float64) {
@@ -89,7 +102,7 @@ func HuberLoss(pred *Node, target, delta float64) *Node {
 	} else {
 		v = delta * (math.Abs(d) - 0.5*delta)
 	}
-	out := tensor.FromRow([]float64{v})
+	out := scalar(pred, v)
 	back := func(g *tensor.Tensor) {
 		if !pred.requiresGrad {
 			return
@@ -102,7 +115,7 @@ func HuberLoss(pred *Node, target, delta float64) *Node {
 		} else {
 			grad = -delta
 		}
-		pred.accumGrad(tensor.FromRow([]float64{g.Data[0] * grad}))
+		pred.ensureGrad().Data[0] += float64(g.Data[0] * grad)
 	}
 	return newNode(out, back, pred)
 }

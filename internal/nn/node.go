@@ -8,14 +8,17 @@
 //
 // The engine is tensor-valued: every Node holds a matrix, and the backward
 // pass propagates matrix-shaped gradients. Graphs are built dynamically per
-// forward pass and freed by the garbage collector; only parameter nodes
-// persist across steps. The gradients of intermediate nodes live in one
+// forward pass; only parameter nodes persist across steps. A graph grown
+// from an Arena's Const keeps its values, nodes and parent lists in that
+// arena, which the next step's Reset recycles; any other graph is freed by
+// the garbage collector. The gradients of intermediate nodes live in one
 // pooled buffer that Backward lends them for the duration of that call.
 package nn
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lite/internal/tensor"
 )
@@ -34,6 +37,11 @@ type Node struct {
 	// gradSlot is this node's gradient storage in the arena of the
 	// Backward call in progress; nil outside Backward and for leaves.
 	gradSlot *tensor.Tensor
+	// arena holds the node, its value and its parent list when the graph
+	// was grown from Arena.Const; nil otherwise.
+	arena *Arena
+	// mark is the stamp of the last Backward walk that reached the node.
+	mark uint64
 }
 
 // NewParam wraps t as a trainable parameter node.
@@ -76,7 +84,11 @@ func (n *Node) accumGrad(g *tensor.Tensor) {
 	tensor.AddInPlace(n.ensureGrad(), g)
 }
 
-// newNode builds an op result node; requiresGrad is inherited from parents.
+// newNode builds an op result node; requiresGrad is inherited from
+// parents, and so is the arena: the node and its parent list go where
+// the first parent that has an arena lives (see value). The node keeps a
+// copy of parents, never the argument itself, so an op's variadic
+// parent list stays on its caller's stack.
 func newNode(v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node) *Node {
 	rg := false
 	for _, p := range parents {
@@ -85,12 +97,41 @@ func newNode(v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node)
 			break
 		}
 	}
-	n := &Node{Value: v, parents: parents}
+	var n *Node
+	if ar := arenaOf(parents...); ar != nil {
+		n = ar.node()
+		ps := ar.nodePtrs(len(parents))
+		copy(ps, parents)
+		*n = Node{Value: v, parents: ps, arena: ar}
+	} else {
+		n = &Node{Value: v, parents: append([]*Node(nil), parents...)}
+	}
 	if rg {
 		n.requiresGrad = true
 		n.backFn = back
 	}
 	return n
+}
+
+// arenaOf returns the arena of the first of ps built in one, or nil.
+func arenaOf(ps ...*Node) *Arena {
+	for _, p := range ps {
+		if p.arena != nil {
+			return p.arena
+		}
+	}
+	return nil
+}
+
+// value returns the storage of an op's rows×cols result: arena memory,
+// which the op must overwrite in full, when ar is set, and a fresh zeroed
+// tensor otherwise. Every op takes its result from here with the arena of
+// its inputs (arenaOf), so one implementation serves both kinds of graph.
+func value(ar *Arena, rows, cols int) *tensor.Tensor {
+	if ar == nil {
+		return tensor.New(rows, cols)
+	}
+	return ar.Alloc(rows, cols)
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a
@@ -101,8 +142,9 @@ func Backward(root *Node) {
 	if root.Value.Size() != 1 {
 		panic("nn: Backward root must be scalar")
 	}
-	order := topoSort(root)
-	ar := lendGradSlots(order)
+	sc := backwardScratches.Get().(*backwardScratch)
+	order := sc.topoSort(root)
+	sc.lendGradSlots(order)
 	root.ensureGrad().Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
@@ -111,32 +153,48 @@ func Backward(root *Node) {
 		}
 	}
 	// Drop intermediate gradients so repeated forward passes that share
-	// parameter nodes do not read stale gradients, then hand the arena
-	// back: no node refers to it any more.
+	// parameter nodes do not read stale gradients, then hand the scratch
+	// back: no node refers to it any more, and it refers to no node.
 	for _, n := range order {
 		if len(n.parents) > 0 {
 			n.Grad, n.gradSlot = nil, nil
 		}
 	}
-	gradArenas.Put(ar)
+	clear(order)
+	clear(sc.stack[:cap(sc.stack)])
+	backwardScratches.Put(sc)
 }
 
-// gradArena is the gradient storage of one Backward call: one buffer that
-// every intermediate node's gradient is a slice of, and one tensor header
-// per node. Arenas are pooled, so a training loop's steady state allocates
-// no intermediate gradients; an arena is only ever lent to one call.
-type gradArena struct {
+// backwardScratch is the reusable storage of one Backward call: the
+// gradient arena — one buffer that every intermediate node's gradient is
+// a slice of, and one tensor header per node — and the traversal's order
+// and stack. Scratches are pooled, so a training loop's steady state
+// allocates nothing to differentiate; one is only ever lent to one call.
+type backwardScratch struct {
 	data  []float64
 	heads []tensor.Tensor
+	order []*Node
+	stack []visit
 }
 
-var gradArenas = sync.Pool{New: func() any { return new(gradArena) }}
+// visit is one frame of topoSort's depth-first walk: a node and the index
+// of the next parent to descend into.
+type visit struct {
+	n     *Node
+	child int
+}
 
-// lendGradSlots takes an arena from the pool and gives every intermediate
-// node of order (one with parents) its slot. A slot is zeroed only when
+var backwardScratches = sync.Pool{New: func() any { return new(backwardScratch) }}
+
+// backwardStamps numbers Backward calls; a node's mark holds the stamp of
+// the last walk that reached it, which is topoSort's visited set.
+var backwardStamps atomic.Uint64
+
+// lendGradSlots gives every intermediate node of order (one with parents)
+// its slot in the scratch's gradient arena. A slot is zeroed only when
 // ensureGrad first claims it, so a node that receives no gradient keeps a
 // nil Grad and Backward still skips its backFn.
-func lendGradSlots(order []*Node) *gradArena {
+func (sc *backwardScratch) lendGradSlots(order []*Node) {
 	size, count := 0, 0
 	for _, n := range order {
 		if len(n.parents) > 0 {
@@ -144,14 +202,13 @@ func lendGradSlots(order []*Node) *gradArena {
 			count++
 		}
 	}
-	ar := gradArenas.Get().(*gradArena)
-	if cap(ar.data) < size {
-		ar.data = make([]float64, size)
+	if cap(sc.data) < size {
+		sc.data = make([]float64, size)
 	}
-	if cap(ar.heads) < count {
-		ar.heads = make([]tensor.Tensor, count)
+	if cap(sc.heads) < count {
+		sc.heads = make([]tensor.Tensor, count)
 	}
-	data, heads := ar.data[:size], ar.heads[:count]
+	data, heads := sc.data[:size], sc.heads[:count]
 	for _, n := range order {
 		if len(n.parents) == 0 {
 			continue
@@ -162,35 +219,31 @@ func lendGradSlots(order []*Node) *gradArena {
 		n.gradSlot = h
 		data, heads = data[sz:], heads[1:]
 	}
-	return ar
 }
 
 // topoSort returns nodes in topological order (parents before children),
-// restricted to the subgraph that requires gradients.
-func topoSort(root *Node) []*Node {
-	var order []*Node
-	seen := map[*Node]bool{}
-	// Iterative DFS to avoid deep recursion on long chains (LSTM over
-	// hundreds of timesteps).
-	type frame struct {
-		n     *Node
-		child int
-	}
-	stack := []frame{{n: root}}
-	seen[root] = true
+// restricted to the subgraph that requires gradients, in the scratch's
+// order buffer. The walk is an iterative DFS, so long chains (an LSTM
+// over hundreds of timesteps) cannot overflow the stack, and it marks the
+// nodes it reaches with a fresh stamp instead of keeping a visited map.
+func (sc *backwardScratch) topoSort(root *Node) []*Node {
+	stamp := backwardStamps.Add(1)
+	order, stack := sc.order[:0], append(sc.stack[:0], visit{n: root})
+	root.mark = stamp
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.child < len(f.n.parents) {
 			p := f.n.parents[f.child]
 			f.child++
-			if !seen[p] && p.requiresGrad {
-				seen[p] = true
-				stack = append(stack, frame{n: p})
+			if p.mark != stamp && p.requiresGrad {
+				p.mark = stamp
+				stack = append(stack, visit{n: p})
 			}
 			continue
 		}
 		order = append(order, f.n)
 		stack = stack[:len(stack)-1]
 	}
+	sc.order, sc.stack = order, stack
 	return order
 }

@@ -9,7 +9,11 @@ import (
 
 // MatMul returns a×b with gradient flow to both operands.
 func MatMul(a, b *Node) *Node {
-	v := tensor.MatMul(a.Value, b.Value)
+	if a.Value.Cols != b.Value.Rows {
+		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d × %dx%d", a.Value.Rows, a.Value.Cols, b.Value.Rows, b.Value.Cols))
+	}
+	v := value(arenaOf(a, b), a.Value.Rows, b.Value.Cols)
+	tensor.MatMulInto(v, a.Value, b.Value)
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
 			// ∂a = g·bᵀ: each element is one dot product, finished in a
@@ -73,7 +77,10 @@ func MatMul(a, b *Node) *Node {
 
 // Add returns a+b elementwise.
 func Add(a, b *Node) *Node {
-	v := tensor.Add(a.Value, b.Value)
+	v := elementwise("add", a, b)
+	for i, x := range a.Value.Data {
+		v.Data[i] = x + b.Value.Data[i]
+	}
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
 			a.accumGrad(g)
@@ -87,13 +94,19 @@ func Add(a, b *Node) *Node {
 
 // Sub returns a−b elementwise.
 func Sub(a, b *Node) *Node {
-	v := tensor.Sub(a.Value, b.Value)
+	v := elementwise("sub", a, b)
+	for i, x := range a.Value.Data {
+		v.Data[i] = x - b.Value.Data[i]
+	}
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
 			a.accumGrad(g)
 		}
 		if b.requiresGrad {
-			b.accumGrad(tensor.Scale(g, -1))
+			gb := b.ensureGrad().Data
+			for i, x := range g.Data {
+				gb[i] -= x
+			}
 		}
 	}
 	return newNode(v, back, a, b)
@@ -101,13 +114,22 @@ func Sub(a, b *Node) *Node {
 
 // Mul returns a⊙b (Hadamard product).
 func Mul(a, b *Node) *Node {
-	v := tensor.Mul(a.Value, b.Value)
+	v := elementwise("mul", a, b)
+	for i, x := range a.Value.Data {
+		v.Data[i] = x * b.Value.Data[i]
+	}
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.accumGrad(tensor.Mul(g, b.Value))
+			ga := a.ensureGrad().Data
+			for i, x := range g.Data {
+				ga[i] += float64(x * b.Value.Data[i])
+			}
 		}
 		if b.requiresGrad {
-			b.accumGrad(tensor.Mul(g, a.Value))
+			gb := b.ensureGrad().Data
+			for i, x := range g.Data {
+				gb[i] += float64(x * a.Value.Data[i])
+			}
 		}
 	}
 	return newNode(v, back, a, b)
@@ -115,10 +137,13 @@ func Mul(a, b *Node) *Node {
 
 // Scale returns s·a.
 func Scale(a *Node, s float64) *Node {
-	v := tensor.Scale(a.Value, s)
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
+		v.Data[i] = s * x
+	}
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.accumGrad(tensor.Scale(g, s))
+			accumScaled(a, g, s)
 		}
 	}
 	return newNode(v, back, a)
@@ -126,7 +151,16 @@ func Scale(a *Node, s float64) *Node {
 
 // AddRowBroadcast adds the 1×n bias row b to every row of m.
 func AddRowBroadcast(m, b *Node) *Node {
-	v := tensor.AddRowBroadcast(m.Value, b.Value)
+	if b.Value.Rows != 1 || b.Value.Cols != m.Value.Cols {
+		panic(fmt.Sprintf("nn: broadcast shape mismatch %dx%d + %dx%d", m.Value.Rows, m.Value.Cols, b.Value.Rows, b.Value.Cols))
+	}
+	v := value(arenaOf(m, b), m.Value.Rows, m.Value.Cols)
+	for i := 0; i < v.Rows; i++ {
+		row, in := v.RowView(i), m.Value.RowView(i)
+		for j, x := range b.Value.Data {
+			row[j] = in[j] + x
+		}
+	}
 	back := func(g *tensor.Tensor) {
 		if m.requiresGrad {
 			m.accumGrad(g)
@@ -144,14 +178,16 @@ func AddRowBroadcast(m, b *Node) *Node {
 	return newNode(v, back, m, b)
 }
 
-// ReLU applies max(0,x) elementwise.
+// ReLU applies max(0,x) elementwise: x when x > 0, and +0 for every
+// other input, −0 and NaN included.
 func ReLU(a *Node) *Node {
-	v := tensor.Apply(a.Value, func(x float64) float64 {
-		if x > 0 {
-			return x
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
+		if !(x > 0) {
+			x = 0
 		}
-		return 0
-	})
+		v.Data[i] = x
+	}
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
@@ -171,32 +207,36 @@ func ReLU(a *Node) *Node {
 
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(a *Node) *Node {
-	v := tensor.Apply(a.Value, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
+		v.Data[i] = 1 / (1 + math.Exp(-x))
+	}
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(g.Rows, g.Cols)
+		ga := a.ensureGrad().Data
 		for i, s := range v.Data {
-			gi.Data[i] = g.Data[i] * s * (1 - s)
+			ga[i] += float64(g.Data[i] * s * (1 - s))
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
 
 // Tanh applies tanh elementwise.
 func Tanh(a *Node) *Node {
-	v := tensor.Apply(a.Value, math.Tanh)
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
+		v.Data[i] = math.Tanh(x)
+	}
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(g.Rows, g.Cols)
+		ga := a.ensureGrad().Data
 		for i, t := range v.Data {
-			gi.Data[i] = g.Data[i] * (1 - t*t)
+			ga[i] += float64(g.Data[i] * (1 - t*t))
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -204,11 +244,20 @@ func Tanh(a *Node) *Node {
 // Concat joins nodes with equal row counts side by side: m×n₁, m×n₂, …
 // become one m×Σn node whose row i is row i of every part, in order.
 func Concat(parts ...*Node) *Node {
-	vals := make([]*tensor.Tensor, len(parts))
-	for i, p := range parts {
-		vals[i] = p.Value
+	rows, total := parts[0].Value.Rows, 0
+	for _, p := range parts {
+		if p.Value.Rows != rows {
+			panic(fmt.Sprintf("nn: Concat row mismatch %d vs %d", p.Value.Rows, rows))
+		}
+		total += p.Value.Cols
 	}
-	v := tensor.Concat(vals...)
+	v := value(arenaOf(parts...), rows, total)
+	for i := 0; i < rows; i++ {
+		row := v.RowView(i)
+		for _, p := range parts {
+			row = row[copy(row, p.Value.RowView(i)):]
+		}
+	}
 	back := func(g *tensor.Tensor) {
 		off := 0
 		for _, p := range parts {
@@ -236,30 +285,28 @@ func Slice(a *Node, lo, hi int) *Node {
 	if lo < 0 || hi > a.Value.Cols || lo >= hi {
 		panic(fmt.Sprintf("nn: Slice bounds [%d,%d) out of range for width %d", lo, hi, a.Value.Cols))
 	}
-	v := tensor.New(1, hi-lo)
+	v := value(a.arena, 1, hi-lo)
 	copy(v.Data, a.Value.Data[lo:hi])
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(1, a.Value.Cols)
-		copy(gi.Data[lo:hi], g.Data)
-		a.accumGrad(gi)
+		ga := a.ensureGrad().Data[lo:hi]
+		for j, x := range g.Data {
+			ga[j] += x
+		}
 	}
 	return newNode(v, back, a)
 }
 
 // Sum reduces all elements to a 1×1 scalar.
 func Sum(a *Node) *Node {
-	v := tensor.New(1, 1)
+	v := value(a.arena, 1, 1)
 	v.Data[0] = a.Value.Sum()
 	back := func(g *tensor.Tensor) {
-		if !a.requiresGrad {
-			return
+		if a.requiresGrad {
+			accumFill(a, g.Data[0])
 		}
-		gi := tensor.New(a.Value.Rows, a.Value.Cols)
-		gi.Fill(g.Data[0])
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -267,31 +314,30 @@ func Sum(a *Node) *Node {
 // Mean reduces all elements to their mean as a 1×1 scalar.
 func Mean(a *Node) *Node {
 	n := float64(a.Value.Size())
-	v := tensor.New(1, 1)
+	v := value(a.arena, 1, 1)
 	v.Data[0] = a.Value.Sum() / n
 	back := func(g *tensor.Tensor) {
-		if !a.requiresGrad {
-			return
+		if a.requiresGrad {
+			accumFill(a, g.Data[0]/n)
 		}
-		gi := tensor.New(a.Value.Rows, a.Value.Cols)
-		gi.Fill(g.Data[0] / n)
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
 
 // Square squares elementwise.
 func Square(a *Node) *Node {
-	v := tensor.Apply(a.Value, func(x float64) float64 { return x * x })
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
+		v.Data[i] = x * x
+	}
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(g.Rows, g.Cols)
+		ga := a.ensureGrad().Data
 		for i, x := range a.Value.Data {
-			gi.Data[i] = 2 * x * g.Data[i]
+			ga[i] += float64(2 * x * g.Data[i])
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -304,11 +350,10 @@ func ColMaxPool(a *Node) *Node {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(a.Value.Rows, a.Value.Cols)
-		for j := 0; j < a.Value.Cols; j++ {
-			gi.Set(arg[j], j, g.Data[j])
+		ga := a.ensureGrad()
+		for j, x := range g.Data {
+			ga.Data[arg[j]*ga.Cols+j] += x
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -316,7 +361,8 @@ func ColMaxPool(a *Node) *Node {
 // RowMeanPool reduces an m×n node to the 1×n mean over rows.
 func RowMeanPool(a *Node) *Node {
 	m := float64(a.Value.Rows)
-	v := tensor.New(1, a.Value.Cols)
+	v := value(a.arena, 1, a.Value.Cols)
+	v.Zero()
 	for i := 0; i < a.Value.Rows; i++ {
 		row := a.Value.RowView(i)
 		for j, x := range row {
@@ -327,14 +373,13 @@ func RowMeanPool(a *Node) *Node {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(a.Value.Rows, a.Value.Cols)
-		for i := 0; i < a.Value.Rows; i++ {
-			row := gi.RowView(i)
-			for j := range row {
-				row[j] = g.Data[j] / m
+		ga := a.ensureGrad()
+		for i := 0; i < ga.Rows; i++ {
+			row := ga.RowView(i)
+			for j, x := range g.Data {
+				row[j] += x / m
 			}
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -344,10 +389,11 @@ func RowMeanPool(a *Node) *Node {
 // Adaptive Model Update uses it to train NECS to *fool* the domain
 // discriminator while the discriminator itself is trained normally.
 func GradReverse(a *Node, lambda float64) *Node {
-	v := a.Value.Clone()
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
+	copy(v.Data, a.Value.Data)
 	back := func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.accumGrad(tensor.Scale(g, -lambda))
+			accumScaled(a, g, -lambda)
 		}
 	}
 	return newNode(v, back, a)
@@ -355,7 +401,7 @@ func GradReverse(a *Node, lambda float64) *Node {
 
 // SoftmaxRows applies a numerically-stable softmax independently to each row.
 func SoftmaxRows(a *Node) *Node {
-	v := tensor.New(a.Value.Rows, a.Value.Cols)
+	v := value(a.arena, a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
 		in := a.Value.RowView(i)
 		out := v.RowView(i)
@@ -379,7 +425,7 @@ func SoftmaxRows(a *Node) *Node {
 		if !a.requiresGrad {
 			return
 		}
-		gi := tensor.New(g.Rows, g.Cols)
+		ga := a.ensureGrad()
 		for i := 0; i < g.Rows; i++ {
 			s := v.RowView(i)
 			gr := g.RowView(i)
@@ -387,12 +433,11 @@ func SoftmaxRows(a *Node) *Node {
 			for j := range s {
 				dot += s[j] * gr[j]
 			}
-			out := gi.RowView(i)
+			out := ga.RowView(i)
 			for j := range s {
-				out[j] = s[j] * (gr[j] - dot)
+				out[j] += float64(s[j] * (gr[j] - dot))
 			}
 		}
-		a.accumGrad(gi)
 	}
 	return newNode(v, back, a)
 }
@@ -403,7 +448,7 @@ func StackRows(rows []*Node) *Node {
 		panic("nn: StackRows on empty slice")
 	}
 	n := rows[0].Value.Cols
-	v := tensor.New(len(rows), n)
+	v := value(arenaOf(rows...), len(rows), n)
 	for i, r := range rows {
 		if r.Value.Rows != 1 || r.Value.Cols != n {
 			panic("nn: StackRows shape mismatch")
@@ -428,7 +473,7 @@ func StackRows(rows []*Node) *Node {
 // an index may repeat. The backward pass scatter-adds each row's gradient
 // into the row it was gathered from, in ascending i.
 func GatherRows(a *Node, idx []int) *Node {
-	v := tensor.New(len(idx), a.Value.Cols)
+	v := value(a.arena, len(idx), a.Value.Cols)
 	for i, r := range idx {
 		copy(v.RowView(i), a.Value.RowView(r))
 	}
@@ -449,3 +494,29 @@ func GatherRows(a *Node, idx []int) *Node {
 
 // PickRow extracts row i of a matrix node as a 1×n node.
 func PickRow(a *Node, i int) *Node { return GatherRows(a, []int{i}) }
+
+// elementwise checks that a and b have one shape and returns the storage
+// of their elementwise result.
+func elementwise(op string, a, b *Node) *tensor.Tensor {
+	if !a.Value.SameShape(b.Value) {
+		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d", op, a.Value.Rows, a.Value.Cols, b.Value.Rows, b.Value.Cols))
+	}
+	return value(arenaOf(a, b), a.Value.Rows, a.Value.Cols)
+}
+
+// accumScaled adds s·g into a's gradient, each product rounded before its
+// add: the bits of materialising s·g and then adding it.
+func accumScaled(a *Node, g *tensor.Tensor, s float64) {
+	ga := a.ensureGrad().Data
+	for i, x := range g.Data {
+		ga[i] += float64(s * x)
+	}
+}
+
+// accumFill adds c to every element of a's gradient.
+func accumFill(a *Node, c float64) {
+	ga := a.ensureGrad().Data
+	for i := range ga {
+		ga[i] += c
+	}
+}

@@ -122,20 +122,6 @@ func (a *Agent) Act(state []float64) []float64 {
 	return act
 }
 
-// ActGreedy returns the deterministic policy action (no exploration).
-func (a *Agent) ActGreedy(state []float64) []float64 {
-	act := policy(a.actor, state)
-	for i := range act {
-		if act[i] < 0 {
-			act[i] = 0
-		}
-		if act[i] > 1 {
-			act[i] = 1
-		}
-	}
-	return act
-}
-
 // Observe stores a transition in the replay buffer.
 func (a *Agent) Observe(t Transition) {
 	if len(a.buffer) < a.p.BufferCap {

@@ -21,19 +21,6 @@ func TestActOutputsBoundedActions(t *testing.T) {
 	}
 }
 
-func TestActGreedyDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := NewAgent(DefaultParams(4, 2), rng)
-	s := []float64{0.5, 0.5, 0.5, 0.5}
-	x := a.ActGreedy(s)
-	y := a.ActGreedy(s)
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatal("greedy policy not deterministic")
-		}
-	}
-}
-
 func TestObserveRingBuffer(t *testing.T) {
 	p := DefaultParams(2, 2)
 	p.BufferCap = 8
@@ -76,7 +63,7 @@ func TestLearnsBanditOptimum(t *testing.T) {
 		a.Observe(Transition{State: state, Action: act, Reward: r, Next: state, Terminal: true})
 		a.Train()
 	}
-	final := a.ActGreedy(state)[0]
+	final := policy(a.actor, state)[0]
 	if final < 0.55 || final > 1.0 {
 		t.Fatalf("policy did not move toward optimum 0.8: %v", final)
 	}

@@ -156,15 +156,15 @@ func (v *validator) score(t *core.Tuner) (s valScore) {
 		return s
 	}
 	for _, c := range v.cases {
-		scorer := t.Model.NewAppScorer(c.app.Spec, c.data, c.env)
-		preds := make([]float64, len(c.cands))
-		for i, cand := range c.cands {
-			// ScoreChecked, not Score: the clamp makes a NaN-poisoned model
-			// look like a finite (and constant) one, which would slip past
-			// both the finiteness check and the ranking comparison.
-			pred, finite := scorer.ScoreChecked(cand)
-			preds[i] = pred
-			if !finite || math.IsNaN(pred) || math.IsInf(pred, 0) {
+		// One batched pass per case, bitwise equal to scoring each
+		// candidate with ScoreChecked. The finiteness flags matter: the
+		// clamp makes a NaN-poisoned model look like a finite (and
+		// constant) one, which would slip past both the finiteness check
+		// and the ranking comparison.
+		preds, oks := make([]float64, len(c.cands)), make([]bool, len(c.cands))
+		t.Model.NewAppScorer(c.app.Spec, c.data, c.env).ScoreBatch(c.cands, preds, oks)
+		for i, pred := range preds {
+			if !oks[i] || math.IsNaN(pred) || math.IsInf(pred, 0) {
 				s.NonFinite++
 			}
 		}

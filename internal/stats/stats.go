@@ -77,16 +77,6 @@ func Shuffle[T any](xs []T, rng *rand.Rand) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// SampleWithoutReplacement returns k distinct indices from [0,n) chosen
-// uniformly using rng. Panics if k > n.
-func SampleWithoutReplacement(n, k int, rng *rand.Rand) []int {
-	if k > n {
-		panic("stats: sample size exceeds population")
-	}
-	perm := rng.Perm(n)
-	return perm[:k]
-}
-
 // LatinHypercube returns k points in the unit hypercube [0,1)^d using Latin
 // Hypercube Sampling: each dimension is divided into k strata and each
 // stratum is hit exactly once.

@@ -68,21 +68,6 @@ func TestArgsortIsPermutationAndSorted(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	idx := SampleWithoutReplacement(10, 5, rng)
-	if len(idx) != 5 {
-		t.Fatalf("got %d samples", len(idx))
-	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if i < 0 || i >= 10 || seen[i] {
-			t.Fatalf("invalid or duplicate index %d", i)
-		}
-		seen[i] = true
-	}
-}
-
 func TestLatinHypercubeStratification(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	k, d := 8, 3

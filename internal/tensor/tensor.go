@@ -325,17 +325,6 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Transpose returns tᵀ as a new tensor.
-func (t *Tensor) Transpose() *Tensor {
-	out := New(t.Cols, t.Rows)
-	for i := 0; i < t.Rows; i++ {
-		for j := 0; j < t.Cols; j++ {
-			out.Data[j*out.Cols+i] = t.Data[i*t.Cols+j]
-		}
-	}
-	return out
-}
-
 // Add returns a+b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	mustSameShape("add", a, b)
