@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"math"
 	"math/rand"
-	"sync"
 
 	"lite/internal/nn"
 	"lite/internal/tensor"
@@ -81,10 +80,10 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 // computes once (DESIGN.md §12.8):
 //
 //   - each distinct stage's h_code ‖ h_DAG, and only when the Encoder's
-//     memo lacks it under these encoder weights (frozenInputs): serving
-//     retrains a clone of the last generation, whose CNN and GCN are the
-//     ones the memo was built with, so its fixed source sample is encoded
-//     by the first retrain and read by every later one;
+//     stage-rep table lacks it under these encoder weights (frozenInputs):
+//     serving retrains a clone of the last generation, whose CNN and GCN
+//     every generation shares, so the fixed source sample is encoded by
+//     the first retrain (or by scoring) and read by every later one;
 //   - the constant [dense ‖ rep] tower input of every row.
 //
 // and per minibatch step only the tower-and-discriminator graph (amuLoss),
@@ -121,8 +120,7 @@ func AdaptiveModelUpdate(m *NECS, source, target []*Encoded, cfg AMUConfig, rng 
 			for _, s := range batch {
 				count += s.x.Weight
 			}
-			nn.ClipGrads(params, 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(params, 5)) // clip at 5, folded into the step
 		}
 		if count > 0 {
 			lastLoss = epochLoss / count
@@ -157,10 +155,14 @@ func amuSamples(m *NECS, source, target []*Encoded) []domainSample {
 
 // frozenInputs returns the tower input of every row of xs as one matrix,
 // row i = xs[i].Dense ‖ h_code ‖ h_DAG, with each distinct stage's
-// encoding read from the Encoder's frozenReps memo.
+// encoding read from the Encoder's stage-rep table under m's encoder
+// weights. The lookups do not mark m as having scored.
 func (m *NECS) frozenInputs(xs []*Encoded) *tensor.Tensor {
 	rowStage, stages := stageSlots(xs)
-	reps := m.Encoder.frozen.get(m, stages)
+	reps := make([][]float64, len(stages))
+	for s, x := range stages {
+		reps[s] = m.Encoder.rep(m, x.TokenIDs, x.AHat, x.NodeFeats)
+	}
 	dw := len(xs[0].Dense)
 	in := tensor.New(len(xs), dw+len(reps[0]))
 	for i, x := range xs {
@@ -171,53 +173,8 @@ func (m *NECS) frozenInputs(xs []*Encoded) *tensor.Tensor {
 	return in
 }
 
-// frozenReps memoizes stages' h_code ‖ h_DAG for one setting of the CNN
-// and GCN weights, for every model that shares the Encoder. An update
-// never moves those weights, so a chain of retrained generations — each a
-// clone of the last — shares one setting, and the memo is built by the
-// first retrain and read by the rest.
-//
-// The memo holds the fingerprint of the weights it was built under, and
-// get compares it with the model's on every call: a model whose CNN or
-// GCN weights differ in any bit — a fresh Fit, a loaded or flipped
-// snapshot, another model sharing the Encoder — empties the memo and
-// refills it from its own weights. Entries are computed with the
-// graph-free Infer kernels (bitwise equal to the Forward values), which
-// bypass the model's stage-rep cache: filling that would mark a model
-// under training as having scored.
-type frozenReps struct {
-	mu      sync.Mutex
-	weights uint64
-	reps    map[stageKey][]float64
-}
-
-// get returns h_code ‖ h_DAG for each of stages under m's encoder weights,
-// running the CNN and GCN for the stages the memo lacks. The returned
-// slices are shared and read-only.
-func (f *frozenReps) get(m *NECS, stages []*Encoded) [][]float64 {
-	fp := encoderFingerprint(m)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.reps == nil || f.weights != fp {
-		f.reps, f.weights = map[stageKey][]float64{}, fp
-	}
-	out := make([][]float64, len(stages))
-	for s, x := range stages {
-		k := keyOf(x)
-		rep, ok := f.reps[k]
-		if !ok {
-			hCode := m.Code.Infer(x.TokenIDs)
-			hDAG := m.DAG.Infer(x.AHat, x.NodeFeats)
-			rep = append(hCode.Data, hDAG.Data...)
-			f.reps[k] = rep
-		}
-		out[s] = rep
-	}
-	return out
-}
-
-// fingerprintSeed keys encoderFingerprint; frozenReps lives in memory
-// only, so one seed per process is enough.
+// fingerprintSeed keys encoderFingerprint; the stage-rep table lives in
+// memory only, so one seed per process is enough.
 var fingerprintSeed = maphash.MakeSeed()
 
 // encoderFingerprint hashes the IEEE-754 bits of every CNN and GCN weight

@@ -38,35 +38,40 @@ func requireFreshRows(t *testing.T, what string, m *NECS, xs []*Encoded) {
 }
 
 // TestAMUSourceRowsMatch: consecutive retrains, each on a clone of the
-// last, read the source sample's stage encodings from the Encoder's memo
-// and train the weights the per-update encoding trains, bit for bit; a
-// model whose encoder weights differ — another initialisation, or one
-// weight one ulp away — rebuilds the memo instead of reading it.
+// last, read the source sample's stage encodings from the Encoder's
+// stage-rep table and train the weights the per-update encoding trains,
+// bit for bit; a model whose encoder weights differ — another
+// initialisation, or one weight one ulp away — encodes with its own
+// weights instead of reading another setting's entries.
 func TestAMUSourceRowsMatch(t *testing.T) {
 	m, data := refFixture(t)
 	m.Fit(data, rand.New(rand.NewSource(97)))
 	source, target := data[:len(data)/2], data[len(data)/2:]
 	t1, t2 := target[:len(target)/2], target[len(target)/2:]
-	frozen := &m.Encoder.frozen
+	enc := m.Encoder
 	cfg := DefaultAMUConfig()
 
-	// The per-update path: the memo is emptied before every retrain, so
+	// The per-update path: the table is emptied before every retrain, so
 	// each encodes its rows itself.
 	ref1 := m.Clone()
-	frozen.reps = nil
+	dropStageReps(enc)
 	AdaptiveModelUpdate(ref1, source, t1, cfg, rand.New(rand.NewSource(101)))
 	ref2 := ref1.Clone()
-	frozen.reps = nil
+	dropStageReps(enc)
 	AdaptiveModelUpdate(ref2, source, t2, cfg, rand.New(rand.NewSource(103)))
 
-	frozen.reps = nil
+	dropStageReps(enc)
 	gen1 := m.Clone()
 	AdaptiveModelUpdate(gen1, source, t1, cfg, rand.New(rand.NewSource(101)))
-	built := frozen.reps[keyOf(source[0])]
+	built := enc.rep(gen1, source[0].TokenIDs, source[0].AHat, source[0].NodeFeats)
 	gen2 := gen1.Clone()
+	_, misses0 := gen2.StageRepStats()
 	AdaptiveModelUpdate(gen2, source, t2, cfg, rand.New(rand.NewSource(103)))
-	if read := frozen.reps[keyOf(source[0])]; len(read) == 0 || &read[0] != &built[0] {
-		t.Fatal("the second retrain rebuilt the source sample's encodings instead of reading the memo")
+	_, misses1 := gen2.StageRepStats()
+	read := enc.rep(gen2, source[0].TokenIDs, source[0].AHat, source[0].NodeFeats)
+	if &read[0] != &built[0] || misses1-misses0 > uint64(distinctStageCount(t2)) {
+		t.Fatalf("the second retrain ran the encoders %d times for %d feedback stages: it rebuilt the source sample's encodings",
+			misses1-misses0, distinctStageCount(t2))
 	}
 	requireSameWeights(t, "first retrain", gen1, ref1)
 	requireSameWeights(t, "second retrain", gen2, ref2)
@@ -75,13 +80,14 @@ func TestAMUSourceRowsMatch(t *testing.T) {
 	// the weights: its retrain must encode with its own.
 	other := NewNECS(m.Encoder, m.Cfg, rand.New(rand.NewSource(107)))
 	otherRef := other.Clone()
-	frozen.reps = nil
+	dropStageReps(enc)
 	AdaptiveModelUpdate(otherRef, source, t1, cfg, rand.New(rand.NewSource(109)))
-	AdaptiveModelUpdate(gen2.Clone(), source, t1, cfg, rand.New(rand.NewSource(109))) // the memo now holds gen2's rows
+	dropStageReps(enc)
+	AdaptiveModelUpdate(gen2.Clone(), source, t1, cfg, rand.New(rand.NewSource(109))) // the table now holds gen2's rows
 	AdaptiveModelUpdate(other, source, t1, cfg, rand.New(rand.NewSource(109)))
 	requireSameWeights(t, "retrain of another initialisation", other, otherRef)
-	if frozen.weights != encoderFingerprint(other) {
-		t.Fatal("the memo does not hold the last retrained model's encoder weights")
+	if other.StageRepEntries() == 0 || other.fp == gen2.fp {
+		t.Fatal("the retrain of another initialisation did not encode under its own weights")
 	}
 	requireFreshRows(t, "another initialisation", other.Clone(), source)
 
@@ -89,11 +95,18 @@ func TestAMUSourceRowsMatch(t *testing.T) {
 	nudged := gen2.Clone()
 	w := nudged.Code.Embedding.Value.Data
 	w[0] = math.Nextafter(w[0], math.Inf(1))
+	nudged.RefreshFingerprint()
 	requireFreshRows(t, "one ulp", nudged, source)
 	requireFreshRows(t, "back to the retrained weights", gen2.Clone(), source)
 }
 
-// Concurrent updates share the Encoder's memo: models with two settings
+// distinctStageCount is how many stages xs holds (stageSlots).
+func distinctStageCount(xs []*Encoded) int {
+	_, stages := stageSlots(xs)
+	return len(stages)
+}
+
+// Concurrent updates share the Encoder's table: models with two settings
 // of the encoder weights, retrained at once on several goroutines, train
 // what each trains alone.
 func TestAMUConcurrentMemo(t *testing.T) {
@@ -106,9 +119,10 @@ func TestAMUConcurrentMemo(t *testing.T) {
 	want := make([]*NECS, len(bases))
 	for i, b := range bases {
 		want[i] = b.Clone()
-		m.Encoder.frozen.reps = nil
+		dropStageReps(m.Encoder)
 		AdaptiveModelUpdate(want[i], source, target, cfg, rand.New(rand.NewSource(int64(131+i))))
 	}
+	dropStageReps(m.Encoder)
 	got := make([]*NECS, len(bases))
 	var wg sync.WaitGroup
 	for i, b := range bases {

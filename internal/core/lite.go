@@ -469,9 +469,9 @@ func (t *Tuner) EncodeRun(run instrument.AppInstance) []*Encoded {
 }
 
 // CloneForUpdate returns a tuner that shares the read-only ACG and encoder
-// with the receiver but owns a deep copy of the NECS weights and an empty
-// stage-representation cache: the only tuner Adaptive Model Update may
-// train. The caller publishes it in place of the receiver once trained.
+// with the receiver but owns a deep copy of the NECS weights (NECS.Clone):
+// the only tuner Adaptive Model Update may train. The caller publishes it
+// in place of the receiver once trained.
 func (t *Tuner) CloneForUpdate(seed int64) *Tuner {
 	return &Tuner{
 		Model:         t.Model.Clone(),

@@ -128,9 +128,17 @@ type Encoder struct {
 	dagByKey  func(ops []string, edges [][2]int) string
 	denseOnly bool
 
-	// frozen is Adaptive Model Update's memo of stage encodings under
-	// frozen encoder weights (amu.go).
-	frozen frozenReps
+	// reps is the stage-representation table (DESIGN.md §12.6): each
+	// stage's h_code ‖ h_DAG under one setting of the CNN and GCN weights
+	// (repKey → []float64, see rep). Every model sharing the Encoder reads
+	// it — scorers, the serve layer's gate, Adaptive Model Update — and
+	// repHits and repMisses count its lookups over the Encoder's lifetime.
+	reps               sync.Map
+	repHits, repMisses atomic.Uint64
+
+	// saved memoizes the snapshot bytes of the vocabularies and of one
+	// setting of the encoder weights (persist.go).
+	saved savedEncoder
 }
 
 type dagEnc struct {
@@ -211,97 +219,123 @@ type NECS struct {
 	DAG   *nn.GCNEncoder
 	Tower *nn.MLP
 
-	// reps memoizes each stage's h_code ‖ h_DAG under the model's weights
-	// (stageRepKey → []float64, see stageRep); repHits and repMisses count
-	// its lookups over the model's lifetime. The weights never change once
-	// a rep exists (mustNotHaveScored), so an entry is never stale.
-	reps               sync.Map
-	repHits, repMisses atomic.Uint64
+	// fp is encoderFingerprint of the CNN and GCN weights, the setting
+	// under which the model reads the Encoder's stage-rep table. It is
+	// computed when the model is built, loaded or fitted and copied by
+	// Clone; a direct writer of those weights calls RefreshFingerprint.
+	fp uint64
+	// scored is set by the model's first stage-rep read: a model that has
+	// scored is never trained (mustNotHaveScored).
+	scored atomic.Bool
 }
 
-// stageRepKey identifies a stage's static encoding by the addresses the
-// encoder memoized for it: stageStatic returns the same token-id slice for
-// the same code and the same *dagEnc for the same DAG, and never evicts.
-type stageRepKey struct {
-	toks *int
-	dag  *dagEnc
+// repKey identifies a stage's h_code ‖ h_DAG in the Encoder's table: the
+// stage by the addresses the encoder memoized for it (stageKey), the
+// weights by their fingerprint.
+type repKey struct {
+	stageKey
+	fp uint64
 }
 
-// stageRep returns h_code ‖ h_DAG for one stage: the CNN and GCN forward
-// passes depend only on the stage and on this model's weights, so they run
-// once per (stage, weights) and every later scorer shares the result. The
-// returned slice is shared and read-only. Safe for concurrent use with
-// other readers of the model.
-func (m *NECS) stageRep(toks []int, dag *dagEnc) []float64 {
-	key := stageRepKey{dag: dag}
+// rep returns h_code ‖ h_DAG for one stage under m's encoder weights: the
+// CNN and GCN forward passes depend only on the stage and those weights,
+// so they run once per (stage, setting) and every later reader — any model
+// of the same setting — shares the result. The returned slice is shared
+// and read-only. Lookups are lock-free; safe for concurrent use.
+func (e *Encoder) rep(m *NECS, toks []int, aHat, nodes *tensor.Tensor) []float64 {
+	key := repKey{stageKey{aHat: aHat, nodes: nodes}, m.fp}
 	if len(toks) > 0 {
 		key.toks = &toks[0]
 	}
-	if rep, ok := m.reps.Load(key); ok {
-		m.repHits.Add(1)
+	if rep, ok := e.reps.Load(key); ok {
+		e.repHits.Add(1)
 		return rep.([]float64)
 	}
-	m.repMisses.Add(1)
+	e.repMisses.Add(1)
 	hCode := m.Code.Infer(toks)
-	hDAG := m.DAG.Infer(dag.aHat, dag.nodes)
+	hDAG := m.DAG.Infer(aHat, nodes)
 	rep := make([]float64, 0, hCode.Cols+hDAG.Cols)
 	rep = append(rep, hCode.Data...)
 	rep = append(rep, hDAG.Data...)
 	// A concurrent miss on the same stage may have published first; every
 	// caller then shares that one slice.
-	won, _ := m.reps.LoadOrStore(key, rep)
+	won, _ := e.reps.LoadOrStore(key, rep)
 	return won.([]float64)
 }
 
-// mustNotHaveScored is the model-lifetime rule behind the stage-rep
-// cache: weights are written only before the model's first stage rep, so
-// a trainer handed a model that has already scored panics instead of
-// leaving the cache stale.
+// stageRep is rep on the scoring path: it marks the model as having
+// scored.
+func (m *NECS) stageRep(toks []int, dag *dagEnc) []float64 {
+	if !m.scored.Load() {
+		m.scored.Store(true)
+	}
+	return m.Encoder.rep(m, toks, dag.aHat, dag.nodes)
+}
+
+// mustNotHaveScored is the model-lifetime rule: a model that has scored
+// is never trained. A published model is read concurrently (m.fp above
+// all), so a trainer handed one panics instead of racing its readers.
 func (m *NECS) mustNotHaveScored(trainer string) {
-	if m.repMisses.Load() != 0 {
+	if m.scored.Load() {
 		panic("core: " + trainer + " on a model that has already scored; train a Clone, then publish it")
 	}
 }
 
-// StageRepEntries reports how many stage representations are memoized.
+// RefreshFingerprint records that the CNN or GCN weights were written
+// through Params() directly, so the model reads the stage-rep table under
+// its new setting. It panics on a model that has scored, like a trainer.
+func (m *NECS) RefreshFingerprint() {
+	m.mustNotHaveScored("RefreshFingerprint")
+	m.fp = encoderFingerprint(m)
+}
+
+// StageRepEntries reports how many stage representations the Encoder's
+// table holds under this model's encoder weights.
 func (m *NECS) StageRepEntries() int {
 	n := 0
-	m.reps.Range(func(_, _ any) bool { n++; return true })
+	m.Encoder.reps.Range(func(k, _ any) bool {
+		if k.(repKey).fp == m.fp {
+			n++
+		}
+		return true
+	})
 	return n
 }
 
-// StageRepStats reports how many of this model's stage-representation
-// lookups, over its lifetime, were served from the cache and how many ran
-// the CNN and GCN forward.
+// StageRepStats reports how many lookups of the Encoder's stage-rep table,
+// by every model sharing it over its lifetime, were served from the table
+// and how many ran the CNN and GCN forward.
 func (m *NECS) StageRepStats() (hits, misses uint64) {
-	return m.repHits.Load(), m.repMisses.Load()
+	return m.Encoder.repHits.Load(), m.Encoder.repMisses.Load()
 }
 
 // NewNECS constructs the model for the given encoder.
 func NewNECS(enc *Encoder, cfg NECSConfig, rng *rand.Rand) *NECS {
 	gcnWidths := append([]int{enc.OpVocab.Width()}, cfg.GCNHidden...)
 	towerIn := feature.DenseWidth + cfg.CodeDim + cfg.GCNHidden[len(cfg.GCNHidden)-1]
-	return &NECS{
+	m := &NECS{
 		Cfg:     cfg,
 		Encoder: enc,
 		Code:    nn.NewCNNEncoder(enc.Vocab.Size(), cfg.EmbDim, cfg.Kernels, cfg.FiltersPerKernel, cfg.CodeDim, rng),
 		DAG:     nn.NewGCNEncoder(gcnWidths, rng),
 		Tower:   nn.NewMLP(nn.TowerWidths(towerIn, cfg.TowerFirst, cfg.TowerMin), rng, "tower"),
 	}
+	m.fp = encoderFingerprint(m)
+	return m
 }
 
-// Clone returns a deep copy of the model (shared encoder, copied weights,
-// empty stage-rep cache), the model a trainer may fine-tune without
-// disturbing the original.
+// Clone returns a deep copy of the model that shares the encoder and its
+// stage-rep table: copied weights, the same fingerprint, not yet scored.
+// It is the model a trainer may fine-tune without disturbing the original.
 func (m *NECS) Clone() *NECS {
-	// Reconstruct with a throwaway RNG, then overwrite every weight.
-	c := NewNECS(m.Encoder, m.Cfg, rand.New(rand.NewSource(0)))
-	src := m.Params()
-	dst := c.Params()
-	for i := range src {
-		copy(dst[i].Value.Data, src[i].Value.Data)
+	return &NECS{
+		Cfg:     m.Cfg,
+		Encoder: m.Encoder,
+		Code:    m.Code.Clone(),
+		DAG:     m.DAG.Clone(),
+		Tower:   m.Tower.Clone(),
+		fp:      m.fp,
 	}
-	return c
 }
 
 // Params returns all trainable parameters.
@@ -430,6 +464,7 @@ func (m *NECS) restoreParams(snap [][]float64) {
 	for i, p := range m.Params() {
 		copy(p.Value.Data, snap[i])
 	}
+	m.fp = encoderFingerprint(m)
 }
 
 // paramsFinite reports whether every weight is a finite number.
@@ -516,8 +551,7 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 				opt.ZeroGrad()
 				continue
 			}
-			nn.ClipGrads(params, 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(params, 5)) // clip at 5, folded into the step
 		}
 		if epochWeight > 0 {
 			lastLoss = epochLoss / epochWeight
@@ -537,6 +571,7 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 		m.restoreParams(bestSnap)
 		lastLoss = bestLoss
 	}
+	m.fp = encoderFingerprint(m)
 	return lastLoss
 }
 

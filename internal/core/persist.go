@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"lite/internal/feature"
 )
@@ -29,24 +30,106 @@ const modelFormat = "lite-necs-v1"
 // Save serializes the model (weights + vocabularies + hyperparameters) as
 // JSON. The encoder's caches are not persisted; they rebuild lazily.
 func (m *NECS) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(m.file())
+	buf, err := m.appendJSON(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }
 
-// file is the model's on-disk form. Its Params alias the live weights
-// rather than copying them, so it must be encoded before m trains again.
-func (m *NECS) file() *modelFile {
-	mf := &modelFile{
-		Format:  modelFormat,
-		Config:  m.Cfg,
-		Vocab:   m.Encoder.Vocab.Export(),
-		OpVocab: m.Encoder.OpVocab.Export(),
-		UseOOV:  m.Encoder.Vocab.UseOOV,
+// appendJSON appends the bytes json.Marshal(&modelFile{…}) writes for m,
+// taking the vocabularies and the CNN and GCN weights from the Encoder's
+// memo (savedEncoder) and encoding only the config, the shapes and the
+// tower.
+func (m *NECS) appendJSON(buf []byte) ([]byte, error) {
+	cfg, err := json.Marshal(m.Cfg)
+	if err != nil {
+		return nil, err
 	}
+	var shapes [][2]int
 	for _, p := range m.Params() {
-		mf.Shapes = append(mf.Shapes, [2]int{p.Value.Rows, p.Value.Cols})
-		mf.Params = append(mf.Params, p.Value.Data)
+		shapes = append(shapes, [2]int{p.Value.Rows, p.Value.Cols})
 	}
-	return mf
+	shapesJSON, err := json.Marshal(shapes)
+	if err != nil {
+		return nil, err
+	}
+	vocabs, encoders, err := m.Encoder.saved.get(m)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, `{"format":"`+modelFormat+`","config":`...)
+	buf = append(buf, cfg...)
+	buf = append(buf, vocabs...)
+	buf = append(buf, `,"use_oov":`...)
+	buf = strconv.AppendBool(buf, m.Encoder.Vocab.UseOOV)
+	buf = append(buf, `,"shapes":`...)
+	buf = append(buf, shapesJSON...)
+	buf = append(buf, `,"params":[`...)
+	buf = append(buf, encoders...)
+	for _, p := range m.Tower.Params() {
+		b, err := json.Marshal(p.Value.Data)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(append(buf, ','), b...)
+	}
+	return append(buf, "]}"...), nil
+}
+
+// savedEncoder memoizes, per Encoder, the snapshot bytes of what every
+// generation retrained from one model inherits unchanged (Adaptive Model
+// Update trains the tower alone): the vocabularies, which depend only on
+// the Encoder, and the CNN and GCN weights, which depend on one setting
+// of them and are keyed by its fingerprint. UseOOV, the config, the shapes
+// and the tower are encoded on every save. Safe for concurrent use.
+type savedEncoder struct {
+	mu sync.Mutex
+	// vocabs is `,"vocab":{…},"op_vocab":{…}`, encoded on first use.
+	vocabs []byte
+	// weights is the CNN and GCN tensors' JSON arrays, comma-separated,
+	// under the encoder weights whose fingerprint is fp.
+	weights []byte
+	fp      uint64
+}
+
+// get returns the encoded vocabularies and m's encoded CNN and GCN
+// weights, encoding what the memo lacks. The fingerprint is taken from
+// the weights here, not from m.fp: a snapshot is the durable copy, and
+// hashing the encoder weights costs a few microseconds of a save.
+func (s *savedEncoder) get(m *NECS) (vocabs, weights []byte, err error) {
+	fp := encoderFingerprint(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.vocabs == nil {
+		vocab, err := json.Marshal(m.Encoder.Vocab.Export())
+		if err != nil {
+			return nil, nil, err
+		}
+		opVocab, err := json.Marshal(m.Encoder.OpVocab.Export())
+		if err != nil {
+			return nil, nil, err
+		}
+		b := append([]byte(`,"vocab":`), vocab...)
+		b = append(b, `,"op_vocab":`...)
+		s.vocabs = append(b, opVocab...)
+	}
+	if s.weights == nil || s.fp != fp {
+		var b []byte
+		for i, p := range append(m.Code.Params(), m.DAG.Params()...) {
+			arr, err := json.Marshal(p.Value.Data)
+			if err != nil {
+				return nil, nil, err
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, arr...)
+		}
+		s.weights, s.fp = b, fp
+	}
+	return s.vocabs, s.weights, nil
 }
 
 // LoadNECS reconstructs a model previously written by Save.
@@ -95,14 +178,15 @@ const tunerFormat = "lite-tuner-v1"
 // Save serializes the whole tuner (NECS + ACG) as JSON, in one Write.
 // The bytes are those of json.NewEncoder(w).Encode(&tunerFile{…}) with the
 // encoded model and ACG as its raw fields; the envelope is written here
-// directly so those ≈0.75 MB are not re-validated and re-compacted, and
-// the ACG's forests come from its encode-once cache (encodedForests).
+// directly so those ≈0.75 MB are not re-validated and re-compacted, the
+// model's vocabularies and encoder weights come from the Encoder's memo
+// (savedEncoder), and the ACG's forests from its encode-once cache
+// (encodedForests).
 func (t *Tuner) Save(w io.Writer) error {
-	model, err := json.Marshal(t.Model.file())
-	if err != nil {
-		return err
+	size := 1024 // the envelope and the ACG's small fields
+	for _, p := range t.Model.Params() {
+		size += 24 * p.Value.Size() // a weight's shortest decimal and its comma
 	}
-	size := len(model) + 1024 // the envelope and the ACG's small fields
 	if t.ACG != nil {
 		forests, err := t.ACG.encodedForests()
 		if err != nil {
@@ -111,7 +195,10 @@ func (t *Tuner) Save(w io.Writer) error {
 		size += len(forests)
 	}
 	buf := append(make([]byte, 0, size), `{"format":"`+tunerFormat+`","model":`...)
-	buf = append(buf, model...)
+	buf, err := t.Model.appendJSON(buf)
+	if err != nil {
+		return err
+	}
 	buf = append(buf, `,"acg":`...)
 	if t.ACG == nil {
 		buf = append(buf, "null"...)

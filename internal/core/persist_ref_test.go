@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -50,19 +51,8 @@ func (g *refACG) MarshalJSON() ([]byte, error) { return refACGMarshal((*Candidat
 // every parameter, json.Marshal of the ACG, and both passed as
 // json.RawMessage through a json.Encoder envelope.
 func refTunerSave(t *Tuner, w io.Writer) error {
-	mf := modelFile{
-		Format:  modelFormat,
-		Config:  t.Model.Cfg,
-		Vocab:   t.Model.Encoder.Vocab.Export(),
-		OpVocab: t.Model.Encoder.OpVocab.Export(),
-		UseOOV:  t.Model.Encoder.Vocab.UseOOV,
-	}
-	for _, p := range t.Model.Params() {
-		mf.Shapes = append(mf.Shapes, [2]int{p.Value.Rows, p.Value.Cols})
-		mf.Params = append(mf.Params, append([]float64(nil), p.Value.Data...))
-	}
 	var model bytes.Buffer
-	if err := json.NewEncoder(&model).Encode(&mf); err != nil {
+	if err := refModelSave(t.Model, &model); err != nil {
 		return err
 	}
 	acg, err := json.Marshal((*refACG)(t.ACG))
@@ -75,6 +65,23 @@ func refTunerSave(t *Tuner, w io.Writer) error {
 		ACG:           acg,
 		NumCandidates: t.NumCandidates,
 	})
+}
+
+// refModelSave is the old NECS.Save: a modelFile of copied parameters
+// through a json.Encoder.
+func refModelSave(m *NECS, w io.Writer) error {
+	mf := modelFile{
+		Format:  modelFormat,
+		Config:  m.Cfg,
+		Vocab:   m.Encoder.Vocab.Export(),
+		OpVocab: m.Encoder.OpVocab.Export(),
+		UseOOV:  m.Encoder.Vocab.UseOOV,
+	}
+	for _, p := range m.Params() {
+		mf.Shapes = append(mf.Shapes, [2]int{p.Value.Rows, p.Value.Cols})
+		mf.Params = append(mf.Params, append([]float64(nil), p.Value.Data...))
+	}
+	return json.NewEncoder(w).Encode(&mf)
 }
 
 // requireSameSnapshot saves t both ways and fails unless the bytes match.
@@ -135,6 +142,44 @@ func TestTunerSaveMatchesReferenceBytes(t *testing.T) {
 	b2 := requireSameSnapshot(t, "generation 2", gen2)
 	if bytes.Equal(b1, b2) || bytes.Equal(b1, first) {
 		t.Fatal("retrained generations saved the same bytes; the weights did not reach the snapshot")
+	}
+	var model, refModel bytes.Buffer
+	if err := gen2.Model.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	if err := refModelSave(gen2.Model, &refModel); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(model.Bytes(), refModel.Bytes()) {
+		t.Fatal("NECS.Save differs from the reference model encoder")
+	}
+
+	// The generations share the Encoder's memo of the vocabularies and
+	// encoder weights; each input of those bytes that moves must reach
+	// the file: one encoder weight one ulp away, the config, UseOOV.
+	moved := gen2.CloneForUpdate(6)
+	w := moved.Model.Code.Embedding.Value.Data
+	w[0] = math.Nextafter(w[0], math.Inf(1))
+	moved.Model.RefreshFingerprint()
+	if ulp := requireSameSnapshot(t, "encoder weight one ulp away", moved); bytes.Equal(ulp, b2) {
+		t.Fatal("an encoder weight one ulp away saved generation 2's bytes")
+	}
+	w[0] = math.Nextafter(w[0], math.Inf(-1))
+	moved.Model.RefreshFingerprint()
+	if back := requireSameSnapshot(t, "encoder weight moved back", moved); !bytes.Equal(back, b2) {
+		t.Fatal("the weights of generation 2 saved other bytes the second time")
+	}
+	moved.Model.Cfg.Epochs++
+	if cfg := requireSameSnapshot(t, "config changed", moved); bytes.Equal(cfg, b2) {
+		t.Fatal("a changed config did not reach the snapshot")
+	}
+	moved.Model.Cfg.Epochs--
+	vocab := moved.Model.Encoder.Vocab
+	vocab.UseOOV = !vocab.UseOOV
+	oov := requireSameSnapshot(t, "UseOOV changed", moved)
+	vocab.UseOOV = !vocab.UseOOV
+	if bytes.Equal(oov, b2) {
+		t.Fatal("a changed UseOOV did not reach the snapshot")
 	}
 
 	// The forests are cached, the span scale is not.

@@ -18,6 +18,7 @@ func poisonModel(m *NECS) {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
+	m.RefreshFingerprint()
 }
 
 // Fit must survive a batch whose label is NaN: the poisoned batch is

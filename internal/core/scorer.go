@@ -7,7 +7,8 @@ package core
 // identical across those candidates. AppScorer therefore gathers the shared
 // parts exactly once — stage token ids, DAG matrices, data features,
 // environment features, and each stage's h_code ‖ h_DAG, which depends only
-// on (stage, model weights) and is memoized on the model (NECS.stageRep) —
+// on (stage, encoder weights) and is memoized in the Encoder's stage-rep
+// table (NECS.stageRep) —
 // so per-candidate work is reduced to the candidate's dense features plus
 // the tower MLP. The tower itself runs batched: all candidates' rows go
 // through one GEMM per layer (batch.go). See DESIGN.md §12 for the kernel
@@ -26,7 +27,7 @@ type scorerStage struct {
 	dag   *dagEnc
 	// rep is h_code ‖ h_DAG, the candidate-invariant suffix of this
 	// stage's tower input row, from the forward-only inference path
-	// (bitwise identical to the graph). It aliases the model's memoized
+	// (bitwise identical to the graph). It aliases the Encoder's memoized
 	// slice and is read-only: the kernels copy it into arena rows.
 	rep []float64
 }
@@ -57,7 +58,8 @@ type AppScorer struct {
 
 // NewAppScorer gathers the candidate-invariant encodings for scoring app
 // on data in env. Each unique stage's CNN and GCN forward pass runs the
-// first time this model sees the stage and is looked up afterwards. The
+// first time a model of these encoder weights sees the stage and is
+// looked up afterwards. The
 // returned scorer is immutable and safe for concurrent Score / ScoreBatch
 // calls.
 func (m *NECS) NewAppScorer(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment) *AppScorer {

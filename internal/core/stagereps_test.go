@@ -1,11 +1,12 @@
 package core
 
-// Tests for the per-model stage-representation cache (NECS.stageRep,
-// DESIGN.md §12.6). The contract: a model's weights are written only before
-// its first score, so its memoized h_code ‖ h_DAG always matches them and a
-// warmed model scores bitwise like a fresh Clone of itself — after every
-// trainer, across clones and hot-swaps, and when many scorers fill a cold
-// cache at once. Training a model that has scored panics.
+// Tests for the stage-representation table (Encoder.reps, DESIGN.md
+// §12.6). The contract: an entry is keyed by its stage and by the
+// fingerprint of the encoder weights it was computed under, so a model
+// reads only entries of its own weights and scores bitwise like a copy of
+// itself on an Encoder of its own — after every trainer, across clones and
+// hot-swaps, and when many scorers fill the table at once. A model that has
+// scored is never trained: training it panics.
 
 import (
 	"bytes"
@@ -61,12 +62,30 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// assertFresh fails unless the model scores bitwise like a fresh clone of
-// its current weights, and differently from how its parent scored before
-// the training under test — training that moved nothing proves nothing.
+// uncached returns a copy of m on an Encoder of its own, same
+// vocabularies, whose stage-rep table is empty: it computes every
+// representation from its own weights.
+func uncached(m *NECS) *NECS {
+	c := m.Clone()
+	c.Encoder = NewEncoderFromVocabs(m.Encoder.Vocab, m.Encoder.OpVocab, m.Encoder.cfg)
+	return c
+}
+
+// dropStageReps empties e's stage-rep table.
+func dropStageReps(e *Encoder) {
+	e.reps.Range(func(k, _ any) bool {
+		e.reps.Delete(k)
+		return true
+	})
+}
+
+// assertFresh fails unless the model scores bitwise like an uncached copy
+// of its current weights, and differently from how its parent scored
+// before the training under test — training that moved nothing proves
+// nothing.
 func (f *repFixture) assertFresh(t *testing.T, m *NECS, before []float64) {
 	t.Helper()
-	got, want := f.scores(m), f.scores(m.Clone())
+	got, want := f.scores(m), f.scores(uncached(m))
 	if !bitsEqual(got, want) {
 		t.Fatalf("warmed model serves stale stage representations:\n got  %v\n want %v", got, want)
 	}
@@ -96,9 +115,9 @@ func (f *repFixture) trainers() map[string]func(m *NECS) {
 	}
 }
 
-// TestStageRepsDroppedByEveryMutator trains an unscored clone with each
-// weight writer, then scores it: its first scores must match a fresh clone
-// of the trained weights.
+// TestStageRepsDroppedByEveryMutator trains an unscored clone, whose
+// parent has filled the table, with each weight writer, then scores it:
+// its scores must match an uncached copy of the trained weights.
 func TestStageRepsDroppedByEveryMutator(t *testing.T) {
 	f := newRepFixture(t)
 	before := f.scores(f.tuner.Model)
@@ -139,8 +158,9 @@ func TestTrainingAScoredModelPanics(t *testing.T) {
 }
 
 // TestStageRepsAcrossUpdateSwap: a generation is scored while its
-// successor trains on a clone; the swapped-in successor scores, and
-// recommends, bit for bit like its own Clone().
+// successor trains on a clone; the swapped-in successor reads its
+// predecessor's entries — its first scores run no CNN or GCN — and
+// scores, and recommends, bit for bit like an uncached copy of itself.
 func TestStageRepsAcrossUpdateSwap(t *testing.T) {
 	f := newRepFixture(t)
 	var live atomic.Pointer[Tuner]
@@ -155,76 +175,110 @@ func TestStageRepsAcrossUpdateSwap(t *testing.T) {
 	live.Store(next)
 
 	pub := live.Load()
+	_, misses0 := pub.Model.StageRepStats()
 	f.assertFresh(t, pub.Model, before)
-	// The public read path agrees with a fresh clone too.
+	if _, misses1 := pub.Model.StageRepStats(); misses1 != misses0 {
+		t.Fatalf("the swapped-in generation ran the encoders %d times on stages its predecessor had scored", misses1-misses0)
+	}
+	// The public read path agrees with an uncached copy too.
 	rec := pub.RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
-	want := pub.CloneForUpdate(7).RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
+	fresh := pub.CloneForUpdate(7)
+	fresh.Model = uncached(pub.Model)
+	want := fresh.RecommendFrom(f.app.Spec, f.data, f.env, f.cands)
 	if math.Float64bits(rec.PredictedSeconds) != math.Float64bits(want.PredictedSeconds) || rec.Config != want.Config {
-		t.Fatalf("Recommend after the swap: %v (%v s), fresh clone says %v (%v s)",
+		t.Fatalf("Recommend after the swap: %v (%v s), uncached copy says %v (%v s)",
 			rec.Config, rec.PredictedSeconds, want.Config, want.PredictedSeconds)
 	}
 }
 
-// TestStageRepsNotInheritedByCloneOrLoad: Clone, CloneForUpdate and
-// LoadTuner start with an empty cache, so a new generation never sees its
-// predecessor's representations; a copy scores like the original, and
-// training another copy leaves the original's cache and scores alone.
+// TestStageRepsNotInheritedByCloneOrLoad: a copy never reads
+// representations of weights other than its own. Clone and CloneForUpdate
+// share the original's setting, so they read its entries — no CNN or GCN
+// runs — and score bit for bit like it; a loaded copy has an Encoder and
+// a table of its own; a fitted or NaN-poisoned copy has another
+// fingerprint and reads none of the original's entries. Training or
+// poisoning a copy leaves the original's entries and scores alone.
 func TestStageRepsNotInheritedByCloneOrLoad(t *testing.T) {
 	f := newRepFixture(t)
 	parent := f.tuner.Model
 	parentScores := f.scores(parent)
 	warmed := parent.StageRepEntries()
 	if warmed == 0 {
-		t.Fatal("scoring did not warm the cache")
+		t.Fatal("scoring did not warm the table")
 	}
 
 	var buf bytes.Buffer
 	if err := f.tuner.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	copies := map[string]func(t *testing.T) *NECS{
-		"Clone":          func(*testing.T) *NECS { return parent.Clone() },
-		"CloneForUpdate": func(*testing.T) *NECS { return f.tuner.CloneForUpdate(1).Model },
-		"LoadTuner": func(t *testing.T) *NECS {
+	copies := map[string]struct {
+		copyOf func(t *testing.T) *NECS
+		shares bool
+	}{
+		"Clone":          {func(*testing.T) *NECS { return parent.Clone() }, true},
+		"CloneForUpdate": {func(*testing.T) *NECS { return f.tuner.CloneForUpdate(1).Model }, true},
+		"LoadTuner": {func(t *testing.T) *NECS {
 			loaded, err := LoadTuner(bytes.NewReader(buf.Bytes()), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return loaded.Model
-		},
+		}, false},
 	}
-	for name, copyOf := range copies {
+	for name, tc := range copies {
 		t.Run(name, func(t *testing.T) {
-			c := copyOf(t)
-			if n := c.StageRepEntries(); n != 0 {
-				t.Fatalf("copy starts with %d memoized representations", n)
+			c := tc.copyOf(t)
+			wantEntries := 0
+			if tc.shares {
+				wantEntries = warmed
 			}
+			if n := c.StageRepEntries(); n != wantEntries {
+				t.Fatalf("copy starts with %d readable representations, want %d", n, wantEntries)
+			}
+			_, misses0 := c.StageRepStats()
 			if got := f.scores(c); !bitsEqual(got, parentScores) {
 				t.Fatalf("copy of the same weights scores differently:\n got  %v\n want %v", got, parentScores)
 			}
-			trained := copyOf(t)
+			if _, misses1 := c.StageRepStats(); tc.shares && misses1 != misses0 {
+				t.Fatalf("a copy sharing the original's weights ran the encoders %d times", misses1-misses0)
+			}
+
+			trained := tc.copyOf(t)
 			trained.Cfg.Epochs = 1
 			trained.Fit(f.source, rand.New(rand.NewSource(11)))
+			if trained.fp == parent.fp {
+				t.Fatal("a fitted copy reads the original's representations")
+			}
 			f.assertFresh(t, trained, parentScores)
+
+			poisoned := tc.copyOf(t)
+			poisonModel(poisoned)
+			if poisoned.fp == parent.fp {
+				t.Fatal("a poisoned copy reads the original's representations")
+			}
+			if _, ok := poisoned.NewAppScorer(f.app.Spec, f.data, f.env).ScoreChecked(f.cands[0]); ok {
+				t.Fatal("a poisoned copy scored a candidate finitely")
+			}
 			if parent.StageRepEntries() != warmed || !bitsEqual(f.scores(parent), parentScores) {
-				t.Fatal("training a copy disturbed the original's cache or scores")
+				t.Fatal("training a copy disturbed the original's entries or scores")
 			}
 		})
 	}
 }
 
 // TestStageRepsAfterDirectWeightWrite: code that writes Params() itself
-// does so before the model's first score (poisonModel poisons an unscored
-// clone, as serve's chaosCorrupt does); the poisoned model then computes
-// its representations from the poisoned weights and reports every
-// candidate as un-rankable, which is what the serve layer's validation
-// gate rejects on.
+// does so before the model's first score and then refreshes its
+// fingerprint (poisonModel poisons an unscored clone, as serve's
+// chaosCorrupt does); the poisoned model then computes its
+// representations from the poisoned weights and reports every candidate
+// as un-rankable, which is what the serve layer's validation gate
+// rejects on. Refreshing a scored model's fingerprint panics.
 func TestStageRepsAfterDirectWeightWrite(t *testing.T) {
 	f := newRepFixture(t)
 	f.scores(f.tuner.Model)
 	m := f.tuner.Model.Clone()
 	poisonModel(m)
-	scorer, fresh := m.NewAppScorer(f.app.Spec, f.data, f.env), m.Clone().NewAppScorer(f.app.Spec, f.data, f.env)
+	scorer, fresh := m.NewAppScorer(f.app.Spec, f.data, f.env), uncached(m).NewAppScorer(f.app.Spec, f.data, f.env)
 	for si := range scorer.stages {
 		if !bitsEqual(scorer.stages[si].rep, fresh.stages[si].rep) {
 			t.Fatalf("stage %d carries a representation of other weights", scorer.stages[si].index)
@@ -233,18 +287,23 @@ func TestStageRepsAfterDirectWeightWrite(t *testing.T) {
 	if _, ok := scorer.ScoreChecked(f.cands[0]); ok {
 		t.Fatal("poisoned model scored a candidate finitely")
 	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "train a Clone") {
+			t.Fatalf("RefreshFingerprint on a scored model: recovered %q, want a panic naming the rule", msg)
+		}
+	}()
+	m.RefreshFingerprint()
 }
 
 // TestStageRepsConcurrentColdFill: 16 goroutines build scorers for one app
-// on a cold cache (run under -race). All of them get bitwise the same
-// representations a serial build computes, the cache ends with one entry
-// per unique stage, and a later build is served entirely from it, sharing
-// the memoized slices instead of copying them.
+// on an empty table (run under -race). All of them get bitwise the same
+// representations a serial build on another Encoder computes, the table
+// ends with one entry per unique stage, and a later build is served
+// entirely from it, sharing the memoized slices instead of copying them.
 func TestStageRepsConcurrentColdFill(t *testing.T) {
 	f := newRepFixture(t)
-	want := f.tuner.Model.Clone().NewAppScorer(f.app.Spec, f.data, f.env)
-	m := f.tuner.Model.Clone()
-
+	want := uncached(f.tuner.Model).NewAppScorer(f.app.Spec, f.data, f.env)
+	m := uncached(f.tuner.Model)
 	const n = 16
 	scorers := make([]*AppScorer, n)
 	var wg sync.WaitGroup
@@ -271,7 +330,7 @@ func TestStageRepsConcurrentColdFill(t *testing.T) {
 		}
 	}
 	if got := m.StageRepEntries(); got != len(want.stages) {
-		t.Fatalf("cache holds %d entries for %d unique stages", got, len(want.stages))
+		t.Fatalf("table holds %d entries for %d unique stages", got, len(want.stages))
 	}
 
 	hits0, misses0 := m.StageRepStats()

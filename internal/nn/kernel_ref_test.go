@@ -137,12 +137,12 @@ func refMatMul(a, b *Node) *Node {
 // refReLU is ReLU with its input gradient materialised before it is
 // added.
 func refReLU(a *Node) *Node {
-	v := tensor.Apply(a.Value, func(x float64) float64 {
+	v := tensor.New(a.Value.Rows, a.Value.Cols)
+	for i, x := range a.Value.Data {
 		if x > 0 {
-			return x
+			v.Data[i] = x
 		}
-		return 0
-	})
+	}
 	back := func(g *tensor.Tensor) {
 		gi := tensor.New(g.Rows, g.Cols)
 		for i, x := range a.Value.Data {
@@ -358,9 +358,10 @@ func TestConvAndEmbeddingBackwardMatchReferenceBitwise(t *testing.T) {
 
 func TestMatMulBackwardMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	// k is b.Rows, the width ∂a = g·bᵀ is computed four at a time: every
-	// tail length and more than one full group.
-	for _, m := range []int{1, 3} {
+	// k is b.Rows, the width ∂a = g·bᵀ is computed four at a time, and m
+	// the rows ∂b = aᵀ·g takes four at a time: every tail length and more
+	// than one full group of each.
+	for _, m := range []int{1, 3, 4, 9} {
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 			for _, n := range []int{1, 6} {
 				for _, sparsity := range []float64{0, 0.5, 1} {
@@ -375,8 +376,9 @@ func TestMatMulBackwardMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-// Zeros, −0, NaN and ±Inf in either operand: the four-wide ∂a loop must
-// produce the reference's bits for them too, NaN payloads included.
+// Zeros, −0, NaN and ±Inf in either operand: the four-wide ∂a and ∂b
+// loops must produce the reference's bits for them too, NaN payloads
+// included.
 func TestMatMulBackwardNonFiniteMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -388,19 +390,21 @@ func TestMatMulBackwardNonFiniteMatchesReferenceBitwise(t *testing.T) {
 		}
 		return v
 	}
-	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-		for _, side := range []string{"a", "b", "both"} {
-			name := fmt.Sprintf("2x%dx5/specials in %s", k, side)
-			av, bv := tensor.Randn(2, k, 1, rng), tensor.Randn(k, 5, 1, rng)
-			if side != "b" {
-				spike(av)
+	for _, m := range []int{2, 6} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+			for _, side := range []string{"a", "b", "both"} {
+				name := fmt.Sprintf("%dx%dx5/specials in %s", m, k, side)
+				av, bv := tensor.Randn(m, k, 1, rng), tensor.Randn(k, 5, 1, rng)
+				if side != "b" {
+					spike(av)
+				}
+				if side != "a" {
+					spike(bv)
+				}
+				a, refA := twin(av, rng)
+				b, refB := twin(bv, rng)
+				requireSameMatMulBackward(t, name, a, b, refA, refB, tensor.Randn(m, 5, 1, rng))
 			}
-			if side != "a" {
-				spike(bv)
-			}
-			a, refA := twin(av, rng)
-			b, refB := twin(bv, rng)
-			requireSameMatMulBackward(t, name, a, b, refA, refB, tensor.Randn(2, 5, 1, rng))
 		}
 	}
 }

@@ -29,6 +29,12 @@ func (d *Dense) Forward(x *Node) *Node {
 // Params returns the layer's trainable parameters.
 func (d *Dense) Params() []*Node { return []*Node{d.W, d.B} }
 
+// Clone returns a copy of the layer with its own weights.
+func (d *Dense) Clone() *Dense { return &Dense{W: cloneParam(d.W), B: cloneParam(d.B)} }
+
+// cloneParam returns a trainable copy of p's value under p's name.
+func cloneParam(p *Node) *Node { return NewParam(p.Value.Clone(), p.name) }
+
 // MLP is a multi-layer perceptron with ReLU activations between layers.
 // NECS uses a "tower" MLP whose widths halve per layer (paper §III-F).
 type MLP struct {
@@ -87,6 +93,15 @@ func (m *MLP) ForwardHidden(x *Node) (*Node, []*Node) {
 	return h, hidden
 }
 
+// Clone returns a copy of the MLP with its own weights.
+func (m *MLP) Clone() *MLP {
+	c := &MLP{Layers: make([]*Dense, len(m.Layers)), FinalActivation: m.FinalActivation}
+	for i, l := range m.Layers {
+		c.Layers[i] = l.Clone()
+	}
+	return c
+}
+
 // Params returns all trainable parameters.
 func (m *MLP) Params() []*Node {
 	var ps []*Node
@@ -141,6 +156,26 @@ func (c *CNNEncoder) Forward(ids []int) *Node {
 	}
 	q := Concat(pooled...)
 	return ReLU(c.Proj.Forward(q))
+}
+
+// Clone returns a copy of the encoder with its own weights.
+func (c *CNNEncoder) Clone() *CNNEncoder {
+	out := &CNNEncoder{
+		Embedding: cloneParam(c.Embedding),
+		banks:     make([][]*Node, len(c.banks)),
+		biases:    make([]*Node, len(c.biases)),
+		Proj:      c.Proj.Clone(),
+		OutDim:    c.OutDim,
+		kernels:   c.kernels,
+	}
+	for i, bank := range c.banks {
+		out.banks[i] = make([]*Node, len(bank))
+		for j, f := range bank {
+			out.banks[i][j] = cloneParam(f)
+		}
+		out.biases[i] = cloneParam(c.biases[i])
+	}
+	return out
 }
 
 // Params returns all trainable parameters.
@@ -230,6 +265,15 @@ func (g *GCNEncoder) Forward(aHat, nodeFeatures *Node) *Node {
 		h = l.Forward(aHat, h)
 	}
 	return ColMaxPool(h)
+}
+
+// Clone returns a copy of the encoder with its own weights.
+func (g *GCNEncoder) Clone() *GCNEncoder {
+	c := &GCNEncoder{Layers: make([]*GCNLayer, len(g.Layers)), OutDim: g.OutDim}
+	for i, l := range g.Layers {
+		c.Layers[i] = &GCNLayer{W: cloneParam(l.W)}
+	}
+	return c
 }
 
 // Params returns all trainable parameters.

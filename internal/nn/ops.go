@@ -56,17 +56,36 @@ func MatMul(a, b *Node) *Node {
 			// ∂b = aᵀ·g, added into the gradient in place: element (i, j)
 			// gains a[r][i]·g[r][j] for r ascending, one rounded product and
 			// one add each, so a batch of rows accumulates exactly as that
-			// many one-row backward passes would.
+			// many one-row backward passes would. Row i of ∂b takes the
+			// rows r with a[r][i] ≠ 0 four at a time, adding their four
+			// products to each element left to right: the same adds in the
+			// same order, with one load and store of the element per four.
 			gb, n := b.ensureGrad().Data, g.Cols
-			for r := 0; r < g.Rows; r++ {
-				grow := g.RowView(r)
-				for i, av := range a.Value.RowView(r) {
+			ad, k := a.Value.Data, a.Value.Cols
+			for i := 0; i < k; i++ {
+				brow := gb[i*n:][:n]
+				var avs [4]float64
+				var grows [4][]float64
+				c := 0
+				for r := 0; r < g.Rows; r++ {
+					av := ad[r*k+i]
 					if av == 0 {
 						continue
 					}
-					brow := gb[i*n:][:n]
-					for j, gv := range grow {
-						brow[j] += float64(av * gv)
+					avs[c], grows[c] = av, g.Data[r*n:][:n]
+					if c++; c == 4 {
+						a0, a1, a2, a3 := avs[0], avs[1], avs[2], avs[3]
+						g0, g1, g2, g3 := grows[0][:n], grows[1][:n], grows[2][:n], grows[3][:n]
+						for j := range brow {
+							brow[j] = brow[j] + float64(a0*g0[j]) + float64(a1*g1[j]) + float64(a2*g2[j]) + float64(a3*g3[j])
+						}
+						c = 0
+					}
+				}
+				for q := 0; q < c; q++ {
+					av, gr := avs[q], grows[q][:n]
+					for j := range brow {
+						brow[j] += float64(av * gr[j])
 					}
 				}
 			}

@@ -91,26 +91,7 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 			call = &flightCall{done: make(chan struct{})}
 			c.inflight[key] = call
 			c.mu.Unlock()
-
-			call.resp, call.err = fn()
-			c.mu.Lock()
-			delete(c.inflight, key)
-			// A compute that was in flight across a hot-swap carries the
-			// previous snapshot's generation; flush already raised minGen, so
-			// the stale result is handed to its waiters but never cached.
-			if c.ttl > 0 && call.err == nil && call.resp.Generation >= c.minGen {
-				ttl := c.ttl
-				if call.resp.Tier != string(core.TierNECS) && ttl > degradedCacheTTL {
-					ttl = degradedCacheTTL
-				}
-				now := c.now()
-				if len(c.entries) >= c.sweepAt {
-					c.sweep(now)
-				}
-				c.entries[key] = cacheEntry{resp: call.resp, expires: now.Add(ttl)}
-			}
-			c.mu.Unlock()
-			close(call.done)
+			c.lead(key, call, fn)
 			return call.resp, false, false, call.err
 		}
 		call.waiters++
@@ -129,6 +110,48 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 		}
 		return call.resp, false, true, call.err
 	}
+}
+
+// errComputePanicked is what the waiters of a leader whose compute
+// panicked receive; the panic itself goes on up the leader's stack.
+var errComputePanicked = errors.New("serve: the shared recommendation compute panicked")
+
+// lead runs fn as key's leader, caches the result when it may be, frees
+// the key and releases the waiters. If fn panics, the key is freed and the
+// waiters released with errComputePanicked before the panic goes on, so
+// the next caller computes afresh instead of waiting for a call nobody
+// will finish.
+func (c *ttlCache) lead(key string, call *flightCall, fn func() (RecommendResponse, error)) {
+	finished := false
+	defer func() {
+		if !finished {
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.mu.Unlock()
+			call.err = errComputePanicked
+			close(call.done)
+		}
+	}()
+	call.resp, call.err = fn()
+	finished = true
+	c.mu.Lock()
+	delete(c.inflight, key)
+	// A compute that was in flight across a hot-swap carries the previous
+	// snapshot's generation; flush already raised minGen, so the stale
+	// result is handed to its waiters but never cached.
+	if c.ttl > 0 && call.err == nil && call.resp.Generation >= c.minGen {
+		ttl := c.ttl
+		if call.resp.Tier != string(core.TierNECS) && ttl > degradedCacheTTL {
+			ttl = degradedCacheTTL
+		}
+		now := c.now()
+		if len(c.entries) >= c.sweepAt {
+			c.sweep(now)
+		}
+		c.entries[key] = cacheEntry{resp: call.resp, expires: now.Add(ttl)}
+	}
+	c.mu.Unlock()
+	close(call.done)
 }
 
 // sweep deletes the entries expired at now and sets the next sweep's

@@ -160,3 +160,56 @@ func TestCacheSweepsExpiredEntries(t *testing.T) {
 		t.Fatal("the newest entry was swept")
 	}
 }
+
+// TestCachePanickingLeaderReleasesKey: a leader whose compute panics
+// hands its waiters an error at once and frees the key, so the next caller
+// computes afresh instead of waiting out its deadline on a call nobody
+// will finish.
+func TestCachePanickingLeaderReleasesKey(t *testing.T) {
+	c := newTTLCache(time.Minute, time.Now)
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiterErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _, _, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
+			return RecommendResponse{}, nil
+		})
+		waiterErr <- err
+	}()
+	for attached := false; !attached; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		attached = c.inflight["k"].waiters == 1
+		c.mu.Unlock()
+	}
+	close(release)
+	if r := <-leaderPanic; r != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic to go on", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if err == nil || isCtxErr(err) {
+			t.Fatalf("waiter of a panicking leader: err %v, want the leader's failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter of a panicking leader is still blocked")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	resp, hit, shared, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
+		return RecommendResponse{Tier: "necs"}, nil
+	})
+	if err != nil || hit || shared || resp.Tier != "necs" {
+		t.Fatalf("next caller after the panic: tier %q hit=%v shared=%v err=%v, want a fresh compute", resp.Tier, hit, shared, err)
+	}
+}

@@ -108,21 +108,34 @@ func TestServeParallelScoringRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStageRepCacheExposed: the stage-representation cache shows up in
+// TestStageRepCacheExposed: the stage-representation table shows up in
 // /metrics — a key's first miss fills it, the next miss is served from it,
-// a hot-swapped generation starts empty — and the deleted batcher series
-// are gone.
+// a generation flipped in from a snapshot (an Encoder of its own) starts
+// empty — and the deleted batcher series are gone.
 func TestStageRepCacheExposed(t *testing.T) {
 	s := newTestServer(t, Options{DisableCache: true})
 	req := RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
 	entries := func() int { return s.Snapshot().Tuner.Model.StageRepEntries() }
+
+	// The test tuner's Encoder is shared with other tests; a flip to its
+	// snapshot brings an Encoder, and a table, of its own.
+	path := filepath.Join(t.TempDir(), "next.json")
+	if err := wal.WriteFileAtomic(wal.OSFS{}, path, s.Snapshot().Tuner.Save); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := s.FlipTo(path, 1); err != nil || gen != 1 {
+		t.Fatalf("FlipTo: gen=%d err=%v", gen, err)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("generation 1 inherited %d stage representations", n)
+	}
 
 	if _, err := s.Recommend(req); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
 	filled := entries()
 	if filled == 0 {
-		t.Fatal("a NECS-tier miss left the stage-representation cache empty")
+		t.Fatal("a NECS-tier miss left the stage-representation table empty")
 	}
 	hits0, misses0 := s.Snapshot().Tuner.Model.StageRepStats()
 	if _, err := s.Recommend(req); err != nil {
@@ -151,15 +164,39 @@ func TestStageRepCacheExposed(t *testing.T) {
 	if strings.Contains(out, "lite_batch") {
 		t.Fatalf("exposition still carries a batcher series:\n%s", out)
 	}
+}
 
-	path := filepath.Join(t.TempDir(), "next.json")
-	if err := wal.WriteFileAtomic(wal.OSFS{}, path, s.Snapshot().Tuner.Save); err != nil {
-		t.Fatal(err)
+// TestSwappedGenerationRunsNoEncoder: a retrained generation keeps its
+// predecessor's CNN and GCN weights, so it reads every stage
+// representation the predecessor filled, and its first miss on a key the
+// predecessor served runs no encoder forward.
+func TestSwappedGenerationRunsNoEncoder(t *testing.T) {
+	s := newTestServer(t, Options{DisableCache: true, UpdateBatch: 1})
+	req := RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
+	if _, err := s.Recommend(req); err != nil {
+		t.Fatalf("recommend: %v", err)
 	}
-	if gen, err := s.FlipTo(path, 1); err != nil || gen != 1 {
-		t.Fatalf("FlipTo: gen=%d err=%v", gen, err)
+	filled := s.Snapshot().Tuner.Model.StageRepEntries()
+	if _, err := s.Feedback(FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"}); err != nil {
+		t.Fatalf("feedback: %v", err)
 	}
-	if n := entries(); n != 0 {
-		t.Fatalf("generation 1 inherited %d stage representations", n)
+	deadline := time.Now().Add(120 * time.Second)
+	for s.Snapshot().Gen < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no retrain landed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	m := s.Snapshot().Tuner.Model
+	if n := m.StageRepEntries(); n < filled {
+		t.Fatalf("generation 1 reads %d stage representations, generation 0 had filled %d", n, filled)
+	}
+	_, misses0 := m.StageRepStats()
+	resp, err := s.Recommend(req)
+	if err != nil || resp.Generation != 1 {
+		t.Fatalf("recommend after the swap: generation %d, err %v", resp.Generation, err)
+	}
+	if _, misses1 := m.StageRepStats(); misses1 != misses0 {
+		t.Fatalf("the first miss on generation 1 ran the encoders %d times", misses1-misses0)
 	}
 }

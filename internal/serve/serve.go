@@ -347,8 +347,11 @@ func New(tuner *core.Tuner, opts Options) *Server {
 	s.reg.GaugeFunc("lite_score_pool_items_total", func() float64 {
 		return float64(core.ScorePoolStats().Items)
 	})
-	// Stage-representation cache (DESIGN.md §12) of the live generation's
-	// model: all three series restart from zero at a hot-swap.
+	// Stage-representation table (DESIGN.md §12.6) of the live
+	// generation's Encoder, which every retrained generation shares: the
+	// series carry on across a hot swap and restart only when a flip
+	// loads a snapshot with an Encoder of its own. Entries count the live
+	// model's encoder setting.
 	repStat := func(name string, read func(*core.NECS) float64) {
 		s.reg.GaugeFunc(name, func() float64 {
 			if m := s.snap.Load().Tuner.Model; m != nil {

@@ -473,14 +473,15 @@ func expBackoff(min, max time.Duration, n int) time.Duration {
 // chaosCorrupt poisons a candidate's weights with NaNs — the failpoint the
 // chaos harness uses to prove the validation gate rejects a model that a
 // bad feedback batch (or a training bug) has broken. The candidate has not
-// scored yet, so it holds no stage representation to go stale
-// (DESIGN.md §12.6).
+// scored yet; refreshing its fingerprint keeps it from reading its
+// parent's stage representations (DESIGN.md §12.6).
 func chaosCorrupt(t *core.Tuner) {
 	for _, p := range t.Model.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = math.NaN()
 		}
 	}
+	t.Model.RefreshFingerprint()
 }
 
 // SimulateOnce executes one run with the given configuration on the named

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -40,12 +41,27 @@ func scoreEach(v *validator, t *core.Tuner) (s valScore) {
 // TestValidatorScoreMatchesPerCandidate: scoring each validation case in
 // one batched pass gives the gate the score the per-candidate loop gave —
 // NDCG and regret to the bit, and the same count of non-finite
-// predictions on a NaN-poisoned clone.
+// predictions on a NaN-poisoned clone, which reads none of its parent's
+// stage representations.
 func TestValidatorScoreMatchesPerCandidate(t *testing.T) {
-	tuner, _ := testTuner(t)
-	v := newValidator(tuner, ValidationOptions{Enable: true}.withDefaults(), 101)
+	shared, _ := testTuner(t)
+	v := newValidator(shared, ValidationOptions{Enable: true}.withDefaults(), 101)
+	// A copy with an Encoder of its own: other tests score on the shared
+	// one, poisoned clones included.
+	var buf bytes.Buffer
+	if err := shared.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tuner, err := core.LoadTuner(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.score(tuner)
 	poisoned := tuner.CloneForUpdate(2)
 	chaosCorrupt(poisoned)
+	if n := poisoned.Model.StageRepEntries(); n != 0 {
+		t.Fatalf("a corrupted clone reads %d of its parent's stage representations", n)
+	}
 	for _, tc := range []struct {
 		name  string
 		tuner *core.Tuner

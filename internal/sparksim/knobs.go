@@ -103,7 +103,8 @@ func DefaultConfig() Config {
 // Clamp snaps every knob value into its legal domain, rounding integer and
 // boolean knobs.
 func (c Config) Clamp() Config {
-	for i, k := range Knobs {
+	for i := range Knobs {
+		k := &Knobs[i] // not a copy of the 80-byte Knob per knob per call
 		v := c[i]
 		switch k.Type {
 		case KnobInt:
@@ -130,7 +131,8 @@ func (c Config) Clamp() Config {
 // encoding fed to learned models.
 func (c Config) Normalized() []float64 {
 	out := make([]float64, NumKnobs)
-	for i, k := range Knobs {
+	for i := range Knobs {
+		k := &Knobs[i]
 		out[i] = (c[i] - k.Min) / (k.Max - k.Min)
 	}
 	return out
@@ -139,7 +141,8 @@ func (c Config) Normalized() []float64 {
 // FromNormalized maps a point in [0,1]^16 back into a legal Config.
 func FromNormalized(u []float64) Config {
 	var c Config
-	for i, k := range Knobs {
+	for i := range Knobs {
+		k := &Knobs[i]
 		c[i] = k.Min + u[i]*(k.Max-k.Min)
 	}
 	return c.Clamp()

@@ -325,51 +325,12 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	mustSameShape("add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace computes a += b elementwise.
 func AddInPlace(a, b *Tensor) {
 	mustSameShape("add", a, b)
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
 	}
-}
-
-// Sub returns a−b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	mustSameShape("sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns a⊙b (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	mustSameShape("mul", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·t as a new tensor.
-func Scale(t *Tensor, s float64) *Tensor {
-	out := New(t.Rows, t.Cols)
-	for i := range t.Data {
-		out.Data[i] = s * t.Data[i]
-	}
-	return out
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -389,15 +350,6 @@ func AddRowBroadcast(m, v *Tensor) *Tensor {
 		for j := 0; j < m.Cols; j++ {
 			out.Data[i*m.Cols+j] = m.Data[i*m.Cols+j] + v.Data[j]
 		}
-	}
-	return out
-}
-
-// Apply returns f applied elementwise.
-func Apply(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.Rows, t.Cols)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
 	}
 	return out
 }
