@@ -25,7 +25,8 @@ lint:
 # verify is the tier-1 gate plus the serving-stack race check: everything
 # must compile, every test pass, every exported symbol be documented, and
 # the concurrent read/hot-swap paths — and the pooled gradient arenas of
-# nn.Backward — be clean under the race detector. The
+# nn.Backward — be clean under the race detector, the root package's
+# tests too (its allocation pins check only in non-race builds). The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
 # The first grep keeps every rename and directory fsync inside internal/wal, so a
@@ -43,7 +44,7 @@ verify:
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
 	! grep -nE 'sync\.RWMutex|\.RLock\(' internal/core/lite.go
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
+	$(GO) test -race -shuffle=on . ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendRequestCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/feature

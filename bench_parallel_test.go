@@ -228,7 +228,8 @@ func BenchmarkAMU(b *testing.B) {
 // pooled scratch, and the source sample's stage encodings come from the
 // Encoder's memo after the first update, so what is left is per update —
 // the tower inputs, the discriminator and Adam's moments, the rng — and
-// one backward closure per op per step.
+// one backward closure per op per step. Under -race the updates still run,
+// but the pin is not checked (see raceEnabled).
 func TestAMUAllocs(t *testing.T) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -248,7 +249,7 @@ func TestAMUAllocs(t *testing.T) {
 		core.AdaptiveModelUpdate(models[next], source, target, cfg, rand.New(rand.NewSource(1)))
 		next++
 	})
-	if got > 660 {
+	if got > 660 && !raceEnabled {
 		t.Errorf("%.0f allocs per update, want ≤ 660", got)
 	} else {
 		t.Logf("%.0f allocs per update", got)

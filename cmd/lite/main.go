@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"lite/internal/core"
+	"lite/internal/serve"
 	"lite/internal/sparksim"
 	"lite/internal/wal"
 	"lite/internal/workload"
@@ -108,7 +109,7 @@ func cmdAnalyze(args []string) {
 		fmt.Fprintf(os.Stderr, "unknown application %q (try 'lite apps')\n", *appName)
 		os.Exit(2)
 	}
-	env, ok := clusterByName(*cluster)
+	env, ok := serve.ClusterByName(*cluster)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *cluster)
 		os.Exit(2)
@@ -168,15 +169,6 @@ func cmdKnobs() {
 	}
 }
 
-func clusterByName(name string) (sparksim.Environment, bool) {
-	for _, e := range sparksim.AllClusters {
-		if strings.EqualFold(e.Name, name) {
-			return e, true
-		}
-	}
-	return sparksim.Environment{}, false
-}
-
 func cmdRecommend(args []string, alsoSimulate bool) {
 	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
 	appName := fs.String("app", "", "application name or abbreviation")
@@ -194,7 +186,7 @@ func cmdRecommend(args []string, alsoSimulate bool) {
 		fmt.Fprintf(os.Stderr, "unknown application %q (try 'lite apps')\n", *appName)
 		os.Exit(2)
 	}
-	env, ok := clusterByName(*cluster)
+	env, ok := serve.ClusterByName(*cluster)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *cluster)
 		os.Exit(2)

@@ -33,8 +33,7 @@ type CollectStats struct {
 	// were retried — the backoff-equivalent cost the collection paid.
 	RetrySeconds float64
 	// Censored counts kept runs whose label is the FailCap ceiling (the
-	// run failed or exceeded two hours even after retries); their stage
-	// instances carry Failed=true so NECS.Fit can down-weight them.
+	// run failed or exceeded two hours even after retries).
 	Censored int
 }
 
@@ -168,10 +167,9 @@ func collectRun(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Envi
 // the Figure 9 augmentation statistics.
 func EncodeAll(enc *Encoder, instances []instrument.StageInstance) []*Encoded {
 	type agg struct {
-		enc      *Encoded
-		sumY     float64
-		count    float64
-		censored bool
+		enc   *Encoded
+		sumY  float64
+		count float64
 	}
 	byKey := map[string]*agg{}
 	var order []string
@@ -187,14 +185,12 @@ func EncodeAll(enc *Encoder, instances []instrument.StageInstance) []*Encoded {
 		}
 		a.sumY += LabelOf(inst.Seconds)
 		a.count++
-		a.censored = a.censored || inst.Failed
 	}
 	out := make([]*Encoded, 0, len(order))
 	for _, key := range order {
 		a := byKey[key]
 		a.enc.Y = a.sumY / a.count
 		a.enc.Weight = a.count
-		a.enc.Censored = a.censored
 		out = append(out, a.enc)
 	}
 	return out

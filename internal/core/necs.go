@@ -49,13 +49,6 @@ type NECSConfig struct {
 	// Table XI. Unseen code tokens are dropped and unseen operations
 	// collapse onto an arbitrary known column.
 	DisableOOV bool
-
-	// CensoredWeight multiplies the training weight of FailCap-censored
-	// instances (runs that failed or exceeded the two-hour cap, whose
-	// label is the cap rather than a true measurement). 0 or 1 leaves them at
-	// full weight — the pre-robustness behavior; fault experiments use
-	// values below 1 so censored labels cannot dominate the regression.
-	CensoredWeight float64
 }
 
 // DefaultNECSConfig returns the configuration used by the experiments.
@@ -91,9 +84,6 @@ type Encoded struct {
 	// represents (iterated stages of one run share identical features, so
 	// the dataset builder deduplicates them into one weighted instance).
 	Weight float64
-	// Censored marks instances whose label is the FailCap ceiling (the
-	// source run failed); Fit can down-weight them via CensoredWeight.
-	Censored bool
 }
 
 // LabelOf converts stage seconds to the regression label. Non-finite or
@@ -202,7 +192,6 @@ func (e *Encoder) Encode(inst *instrument.StageInstance) *Encoded {
 		Dense:      feature.DenseFeatures(inst),
 		Y:          LabelOf(inst.Seconds),
 		Weight:     1,
-		Censored:   inst.Failed,
 	}
 }
 
@@ -439,16 +428,6 @@ func secondsChecked(raw float64) (float64, bool) {
 	return s, ok
 }
 
-// trainWeight is the instance's effective weight under censoring: FailCap-
-// censored labels can be down-weighted via CensoredWeight (0 and 1 both
-// mean "no down-weighting", preserving the pre-robustness arithmetic).
-func (m *NECS) trainWeight(x *Encoded) float64 {
-	if x.Censored && m.Cfg.CensoredWeight > 0 {
-		return x.Weight * m.Cfg.CensoredWeight
-	}
-	return x.Weight
-}
-
 // snapshotParams copies every parameter tensor (rollback support).
 func (m *NECS) snapshotParams() [][]float64 {
 	ps := m.Params()
@@ -538,7 +517,7 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 			opt.ZeroGrad()
 			loss, batchWeight := m.batchLoss(batch)
 			if loss == nil {
-				continue // every instance censored away
+				continue // the batch weighs nothing
 			}
 			lv := loss.Scalar()
 			if math.IsNaN(lv) || math.IsInf(lv, 0) {
@@ -576,14 +555,14 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 }
 
 // batchLoss builds one minibatch's Equation 4 objective,
-// Σᵢ (wᵢ/W)·(ŷᵢ − yᵢ)² with W = Σᵢ wᵢ over the censoring-adjusted weights,
+// Σᵢ (wᵢ/W)·(ŷᵢ − yᵢ)² with W = Σᵢ wᵢ over the instance weights,
 // and returns it with W. The loss is nil when W ≤ 0.
 func (m *NECS) batchLoss(batch []*Encoded) (*nn.Node, float64) {
 	ys := make([]float64, len(batch))
 	ws := make([]float64, len(batch))
 	var total float64
 	for i, x := range batch {
-		ys[i], ws[i] = x.Y, m.trainWeight(x)
+		ys[i], ws[i] = x.Y, x.Weight
 		total += ws[i]
 	}
 	if total <= 0 {

@@ -199,19 +199,22 @@ func TestLoadTunerValidatesNumCandidates(t *testing.T) {
 	}
 }
 
-// A tuner snapshot written before the data-parallel training option was
-// retired still loads: its model config carries the retired key, which
-// encoding/json ignores. testdata/necs_config_parent.json is that config
-// exactly as the earlier code serialized it (default architecture, one
-// epoch); the test splices it into a current snapshot of the same
-// architecture and loads the result.
+// A tuner snapshot written before the data-parallel training option and
+// the censoring weight were retired still loads: its model config carries
+// both retired keys, which encoding/json ignores.
+// testdata/necs_config_parent.json is that config exactly as the earlier
+// code serialized it (default architecture, one epoch); the test splices
+// it into a current snapshot of the same architecture and loads the
+// result.
 func TestLoadTunerIgnoresRetiredConfigKey(t *testing.T) {
 	parentCfg, err := os.ReadFile("testdata/necs_config_parent.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(parentCfg, []byte(`Workers":1`)) {
-		t.Fatal("the fixture lost the retired key; the test proves nothing")
+	for _, key := range []string{`"FitWorkers":1`, `"CensoredWeight":0`} {
+		if !bytes.Contains(parentCfg, []byte(key)) {
+			t.Fatalf("the fixture lost the retired key %s; the test proves nothing", key)
+		}
 	}
 	opts := DefaultTrainOptions()
 	opts.NECS.Epochs = 1

@@ -33,7 +33,7 @@ func refFitStep(m *NECS, batch []*Encoded, batchWeight float64) ([]float64, bool
 	var rows []float64
 	for _, x := range batch {
 		out, _ := refForward(m, x)
-		loss := nn.Scale(nn.MSELoss(out, x.Y), m.trainWeight(x)/batchWeight)
+		loss := nn.Scale(nn.MSELoss(out, x.Y), x.Weight/batchWeight)
 		lv := loss.Scalar()
 		if math.IsNaN(lv) || math.IsInf(lv, 0) {
 			return rows, false
@@ -72,7 +72,7 @@ func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
 			opt.ZeroGrad()
 			var batchWeight float64
 			for _, x := range batch {
-				batchWeight += m.trainWeight(x)
+				batchWeight += x.Weight
 			}
 			if batchWeight <= 0 {
 				continue
@@ -80,7 +80,7 @@ func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
 			rows, ok := refFitStep(m, batch, batchWeight)
 			for i, lv := range rows {
 				epochLoss += lv * batchWeight
-				epochWeight += m.trainWeight(batch[i])
+				epochWeight += batch[i].Weight
 			}
 			if !ok || !gradsFinite(params) {
 				opt.ZeroGrad()
@@ -173,22 +173,17 @@ func refDomainSamples(source, target []*Encoded) []domainSample {
 
 // refFixture is an untrained model and a training set that exercises
 // everything the batched step reorders: stages repeated across (config,
-// size) rows, code padded to TokenLen, censored rows under a
-// CensoredWeight, and instance weights other than 1.
+// size) rows, code padded to TokenLen, and instance weights other than 1.
 func refFixture(t *testing.T) (*NECS, []*Encoded) {
 	t.Helper()
 	ds := smallDataset(t, []*workload.App{workload.ByName("WordCount"), workload.ByName("PageRank")}, 3, 41)
 	cfg := fastConfig()
 	cfg.Epochs = 3
-	cfg.CensoredWeight = 0.5
 	enc := NewEncoder(ds.Instances, cfg)
 	data := EncodeAll(enc, ds.Instances)
 	padded := false
 	stages := map[*int]bool{}
 	for i, x := range data {
-		if i%5 == 0 {
-			x.Censored = true
-		}
 		if i%7 == 0 {
 			x.Weight = 3
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"lite/internal/core"
+	"lite/internal/feature"
+	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/stats"
 )
@@ -166,7 +168,7 @@ func Figure9(s *Suite) *Figure9Result {
 		res.Apps = append(res.Apps, a.Spec.Name)
 		mainCode[a.Spec.Name] = a.Spec.MainCode
 	}
-	agg := instrumentAugmentation(ds, mainCode)
+	agg := instrument.Augmentation(ds.Runs, mainCode, feature.Tokenize)
 	for _, name := range res.Apps {
 		st := agg[name]
 		if st == nil {
@@ -194,47 +196,4 @@ func (r *Figure9Result) Format() string {
 			fmt.Sprintf("%.0f", r.MeanStageTokens[app]))
 	}
 	return t.String()
-}
-
-func instrumentAugmentation(ds *core.Dataset, mainCode map[string]string) map[string]*augStats {
-	out := map[string]*augStats{}
-	for i := range ds.Runs {
-		run := &ds.Runs[i]
-		st, ok := out[run.AppName]
-		if !ok {
-			st = &augStats{MainTokens: tokenCount(mainCode[run.AppName])}
-			out[run.AppName] = st
-		}
-		st.AppInstances++
-		st.StageInstances += len(run.Stages)
-		for j := range run.Stages {
-			st.MeanStageTokens += float64(tokenCount(run.Stages[j].Code))
-		}
-	}
-	for _, st := range out {
-		if st.StageInstances > 0 {
-			st.MeanStageTokens /= float64(st.StageInstances)
-		}
-	}
-	return out
-}
-
-type augStats struct {
-	AppInstances    int
-	StageInstances  int
-	MainTokens      int
-	MeanStageTokens float64
-}
-
-func tokenCount(code string) int {
-	n := 0
-	inTok := false
-	for _, r := range code {
-		isWord := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_'
-		if isWord && !inTok {
-			n++
-		}
-		inTok = isWord
-	}
-	return n
 }

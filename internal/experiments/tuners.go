@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lite/internal/core"
+	"lite/internal/feature"
 	"lite/internal/gp"
 	"lite/internal/instrument"
 	"lite/internal/rl"
@@ -324,7 +325,7 @@ func (t *DDPGTuner) Name() string {
 // embedding for DDPG-C's state.
 func codeVector(app *workload.App, width int) []float64 {
 	v := make([]float64, width)
-	for _, tok := range tokenizeForState(app.Spec.MainCode) {
+	for _, tok := range feature.Tokenize(app.Spec.MainCode) {
 		h := 0
 		for _, r := range tok {
 			h = h*131 + int(r)
@@ -407,21 +408,4 @@ func (t *DDPGTuner) Tune(app *workload.App, data sparksim.DataSpec, env sparksim
 		prevSec = run.Seconds
 	}
 	return res
-}
-
-func tokenizeForState(code string) []string {
-	var toks []string
-	cur := ""
-	for _, r := range code {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' {
-			cur += string(r)
-		} else if cur != "" {
-			toks = append(toks, cur)
-			cur = ""
-		}
-	}
-	if cur != "" {
-		toks = append(toks, cur)
-	}
-	return toks
 }

@@ -12,11 +12,7 @@
 // many training instances as it has stage executions.
 package instrument
 
-import (
-	"bytes"
-
-	"lite/internal/sparksim"
-)
+import "lite/internal/sparksim"
 
 // StageInstance is one training instance x_i of the paper's §III-C
 // six-tuple ⟨o_i, C_i, G_i, d_i, e_i, y_i⟩, before feature encoding.
@@ -44,8 +40,6 @@ type StageInstance struct {
 	Seconds float64
 	// AppSeconds is the total execution time of the application instance.
 	AppSeconds float64
-	// Failed marks instances synthesized from failed runs (time FailCap).
-	Failed bool
 
 	// Stage-level data statistics from the "Spark monitor UI": used only
 	// by the S/SC feature baselines of Table VII, never by NECS (they are
@@ -97,7 +91,6 @@ func Run(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment
 				Env:        env,
 				Seconds:    per,
 				AppSeconds: res.Seconds,
-				Failed:     true,
 			})
 		}
 		return inst
@@ -123,52 +116,6 @@ func Run(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment
 		})
 	}
 	return inst
-}
-
-// RunViaEventLog executes the application and recovers the stage-level
-// instances by writing and re-parsing a Spark-style event log, exercising
-// the same path the paper's agent uses ("after the application is
-// finished, we parse the application logs to extract stage-level codes …
-// we also extract stage-level scheduler DAGs by parsing the event log
-// files"). It produces the same instances as Run for successful runs.
-func RunViaEventLog(app *sparksim.AppSpec, data sparksim.DataSpec, env sparksim.Environment, cfg sparksim.Config) (AppInstance, error) {
-	res := sparksim.Simulate(app, data, env, cfg)
-	var buf bytes.Buffer
-	if err := sparksim.WriteEventLog(&buf, app, data, env, cfg, res); err != nil {
-		return AppInstance{}, err
-	}
-	parsed, err := sparksim.ParseEventLog(&buf)
-	if err != nil {
-		return AppInstance{}, err
-	}
-	inst := AppInstance{
-		AppName: parsed.AppName,
-		Config:  cfg,
-		Data:    data,
-		Env:     env,
-		Result:  res,
-	}
-	for _, ps := range parsed.Stages {
-		st := &app.Stages[ps.StageIndex]
-		inst.Stages = append(inst.Stages, StageInstance{
-			AppName:    app.Name,
-			AppFamily:  app.Family,
-			StageIndex: ps.StageIndex,
-			StageName:  ps.Name,
-			Code:       st.Code,
-			Ops:        ps.Ops,
-			Edges:      ps.Edges,
-			Config:     cfg,
-			Data:       data,
-			Env:        env,
-			Seconds:    ps.Seconds,
-			AppSeconds: parsed.Total,
-			InputMB:    ps.InputMB,
-			ShuffleMB:  ps.ShuffleMB,
-			Tasks:      ps.Tasks,
-		})
-	}
-	return inst, nil
 }
 
 // Stats summarizes the augmentation effect of Stage-based Code Organization

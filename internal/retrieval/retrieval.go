@@ -263,8 +263,6 @@ type Query struct {
 	// EnvFP is the caller's environment fingerprint; same-environment
 	// neighbours rank higher among equally similar ones.
 	EnvFP string
-	// MinSimilarity overrides DefaultMinSimilarity when positive.
-	MinSimilarity float64
 }
 
 // Store is the concurrent retrieval store. Lookup is lock-free (it reads
@@ -282,6 +280,9 @@ type Store struct {
 	// recluster; rebuilds compact and recluster once it exceeds a fraction
 	// of the index size.
 	sinceRebuild int
+	// live is len(best), published under mu by every insert (a rebuild
+	// keeps the key count), so Len never waits behind an Add or a rebuild.
+	live atomic.Int64
 
 	idx atomic.Pointer[index]
 }
@@ -426,6 +427,7 @@ func (s *Store) insertLocked(e *Entry) bool {
 	}
 	s.entries = append(s.entries, e)
 	s.best[k] = len(s.entries) - 1
+	s.live.Store(int64(len(s.best)))
 	return true
 }
 
@@ -481,11 +483,10 @@ func (s *Store) Rebuild() {
 	s.mu.Unlock()
 }
 
-// Len reports the number of live (best-per-key) entries.
+// Len reports the number of live (best-per-key) entries. Like Lookup it
+// takes no lock.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.best)
+	return int(s.live.Load())
 }
 
 // clusterCount picks k ≈ √n, bounded to keep both the centroid scan and
@@ -596,10 +597,6 @@ func (s *Store) Lookup(q Query) (Result, bool) {
 	if len(ix.entries) == 0 {
 		return Result{}, false
 	}
-	minSim := q.MinSimilarity
-	if minSim <= 0 {
-		minSim = DefaultMinSimilarity
-	}
 	qBucket := SizeBucket(q.SizeMB)
 
 	var best *Entry
@@ -630,7 +627,7 @@ func (s *Store) Lookup(q Query) (Result, bool) {
 			}
 		}
 	}
-	if best == nil || bestSim < minSim {
+	if best == nil || bestSim < DefaultMinSimilarity {
 		return Result{}, false
 	}
 	return Result{Entry: *best, Similarity: bestSim}, true

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lite/internal/feature"
 	"lite/internal/instrument"
@@ -317,6 +318,27 @@ func TestConcurrentLookupDuringRebuild(t *testing.T) {
 	wg.Wait()
 	if got := s.Len(); got < len(seedEntries) {
 		t.Fatalf("Len = %d after concurrent adds, want ≥ %d", got, len(seedEntries))
+	}
+}
+
+// Len is read on every unseen-app request (and by the entries gauge), so
+// it must not wait for the writer mutex that Add holds across an insert
+// and a k-means rebuild.
+func TestLenDoesNotWaitForWriter(t *testing.T) {
+	s := FromEntries([]Entry{testEntry("wordcount", 0, 512, "envA", 50), testEntry("kmeans", 0, 512, "envA", 60)})
+	s.mu.Lock()
+	got := make(chan int, 1)
+	go func() { got <- s.Len() }()
+	select {
+	case n := <-got:
+		s.mu.Unlock()
+		if n != 2 {
+			t.Fatalf("Len = %d, want 2", n)
+		}
+	case <-time.After(2 * time.Second):
+		s.mu.Unlock()
+		<-got
+		t.Fatal("Len blocked while the writer mutex was held")
 	}
 }
 

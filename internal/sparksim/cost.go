@@ -24,16 +24,6 @@ type StageResult struct {
 	SpillRatio float64
 	Waves      int
 	Tasks      int
-
-	// Recovery counters, nonzero only under an active FaultProfile:
-	// Attempts counts stage attempts (1 = no fetch-failure reattempt),
-	// TasksRetried the transiently failed and re-run tasks, Speculative
-	// the speculative backup copies launched, ExecutorsLost the executors
-	// lost while the stage ran.
-	Attempts      int
-	TasksRetried  int
-	Speculative   int
-	ExecutorsLost int
 }
 
 // Result is the outcome of one simulated application run.
@@ -64,8 +54,7 @@ type Result struct {
 // are deliberately NOT part of it, because its width determines the DDPG
 // networks' shapes and changing it would silently alter every RL baseline's
 // weight initialization (breaking reproducibility of the seed experiments).
-// Consumers that want the recovery picture use FaultCounters(), and the
-// event-log round-trip carries the counters faithfully.
+// Consumers that want the recovery picture use FaultCounters().
 func (r *Result) Metrics() []float64 {
 	var spill, shuffle, waves float64
 	for _, s := range r.Stages {
@@ -314,7 +303,6 @@ func Simulate(app *AppSpec, data DataSpec, env Environment, cfg Config) Result {
 			SpillRatio: spillRatio,
 			Waves:      int(waves),
 			Tasks:      int(parts),
-			Attempts:   1,
 		}
 
 		// Transient-fault injection with Spark's recovery semantics; inert
@@ -352,10 +340,6 @@ func Simulate(app *AppSpec, data DataSpec, env Environment, cfg Config) Result {
 			}
 			stageSec += fi.ExtraSec
 			sr.Seconds = stageSec
-			sr.Attempts = 1 + fi.Reattempts
-			sr.TasksRetried = fi.TasksRetried
-			sr.Speculative = fi.Speculative
-			sr.ExecutorsLost = fi.ExecutorsLost
 		}
 
 		res.Stages = append(res.Stages, sr)

@@ -1,7 +1,6 @@
 package sparksim
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -90,58 +89,6 @@ func TestFaultsIncreaseTimeMonotonically(t *testing.T) {
 	}
 	if hot.Seconds < base.Seconds {
 		t.Fatalf("full fault intensity should not speed the run up: %v < %v", hot.Seconds, base.Seconds)
-	}
-}
-
-// Fault-free event logs must not contain any of the new recovery fields, so
-// logs written today are byte-identical to logs written before fault
-// injection existed.
-func TestFaultFreeEventLogHasNoRecoveryFields(t *testing.T) {
-	app := testApp()
-	data := DataSpec{SizeMB: 1024, Iterations: 1}
-	res := Simulate(app, data, ClusterB, DefaultConfig())
-	var buf bytes.Buffer
-	if err := WriteEventLog(&buf, app, data, ClusterB, DefaultConfig(), res); err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"Stage Attempts", "Tasks Retried", "Speculative Tasks", "Removed Reason", EventExecutorLost} {
-		if bytes.Contains(buf.Bytes(), []byte(field)) {
-			t.Fatalf("fault-free log leaks recovery field %q:\n%s", field, buf.String())
-		}
-	}
-}
-
-// The recovery counters must survive the event-log round trip.
-func TestEventLogRoundTripFaultCounters(t *testing.T) {
-	app := iterApp()
-	data := DataSpec{SizeMB: 8192, Iterations: app.DefaultIterations}
-	cfg := DefaultConfig()
-	var res Result
-	env := Environment{}
-	found := false
-	for seed := int64(0); seed < 20; seed++ {
-		env = faultyEnv(1.0, seed)
-		res = Simulate(app, data, env, cfg)
-		c := res.FaultCounters()
-		if !res.Failed && c != (FaultCounters{}) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no seed produced a successful faulty run with non-zero counters")
-	}
-
-	var buf bytes.Buffer
-	if err := WriteEventLog(&buf, app, data, env, cfg, res); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseEventLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Counters != res.FaultCounters() {
-		t.Fatalf("round trip lost counters: wrote %+v, read %+v", res.FaultCounters(), parsed.Counters)
 	}
 }
 
