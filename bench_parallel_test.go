@@ -222,6 +222,36 @@ func BenchmarkAMU(b *testing.B) {
 	b.ReportMetric(float64(distinctStages(batch)), "stages/update")
 }
 
+// TestFitAllocs pins the allocations of one Fit on BenchmarkFit's inputs.
+// Each minibatch's graph — values, nodes, parent lists, the conv
+// accumulators — lives in the model's step arena and its gradients in
+// Backward's pooled scratch, so what is left is per Fit — Adam's moments,
+// the epoch orders, the best-epoch snapshots — and per step the ops'
+// backward closures, their argmax and parent slices and the batch's stage
+// map. Under -race the Fits still run, but the pin is not checked (see
+// raceEnabled).
+func TestFitAllocs(t *testing.T) {
+	tuner, ds := parBench()
+	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
+	cfg := tuner.Model.Cfg
+	cfg.Epochs = 2
+	const runs = 5
+	models := make([]*core.NECS, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range models {
+		models[i] = core.NewNECS(tuner.Model.Encoder, cfg, rand.New(rand.NewSource(1)))
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		models[next].Fit(encoded, rand.New(rand.NewSource(1)))
+		next++
+	})
+	if got > 1550 && !raceEnabled {
+		t.Errorf("%.0f allocs per Fit, want ≤ 1550", got)
+	} else {
+		t.Logf("%.0f allocs per Fit", got)
+	}
+}
+
 // TestAMUAllocs pins the allocations of one Adaptive Model Update on
 // BenchmarkAMU's inputs. A minibatch step's graph lives in the
 // discriminator's arena and its gradients and traversal in Backward's

@@ -93,14 +93,34 @@ func Train(apps []*workload.App, opts TrainOptions) (*Tuner, *Dataset) {
 }
 
 // TrainOn trains a tuner from an already-collected dataset.
+//
+// The ACG forests are fitted on a second goroutine while NECS trains. That
+// is exact: Fit's epoch shuffles are its only use of rng, so TrainOn draws
+// them first (epochOrders) and the forests then take rng at the very draw
+// they took when they were fitted after Fit. A panic in the forests is
+// raised again here.
 func TrainOn(ds *Dataset, opts TrainOptions) *Tuner {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	enc := NewEncoder(ds.Instances, opts.NECS)
 	model := NewNECS(enc, opts.NECS, rng)
-	model.Fit(EncodeAll(enc, ds.Instances), rng)
+	data := EncodeAll(enc, ds.Instances)
+	orders := epochOrders(len(data), opts.NECS.Epochs, rng)
+	var acg *CandidateGenerator
+	var acgPanic any
+	acgDone := make(chan struct{})
+	go func() {
+		defer close(acgDone)
+		defer func() { acgPanic = recover() }()
+		acg = NewCandidateGenerator(ds.Runs, rng)
+	}()
+	model.fit(data, orders)
+	<-acgDone
+	if acgPanic != nil {
+		panic(acgPanic)
+	}
 	return &Tuner{
 		Model:         model,
-		ACG:           NewCandidateGenerator(ds.Runs, rng),
+		ACG:           acg,
 		NumCandidates: 64,
 		AMU:           DefaultAMUConfig(),
 		rng:           rng,

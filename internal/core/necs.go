@@ -216,6 +216,10 @@ type NECS struct {
 	// scored is set by the model's first stage-rep read: a model that has
 	// scored is never trained (mustNotHaveScored).
 	scored atomic.Bool
+	// step holds the graph of Fit's current minibatch: batchLoss resets it
+	// and builds the next step's graph in the same memory. Fit drops it
+	// when it returns.
+	step nn.Arena
 }
 
 // repKey identifies a stage's h_code ‖ h_DAG in the Encoder's table: the
@@ -342,20 +346,38 @@ func (m *NECS) Params() []*nn.Node {
 // each distinct stage's CNN and GCN run once and their h_code ‖ h_DAG is
 // gathered to every row of that stage, whose backward pass scatter-adds
 // the rows' gradients before the encoders see them. The tower then runs
-// over all rows as one GEMM per layer (DESIGN.md §12.8).
+// over all rows as one GEMM per layer (DESIGN.md §12.8). The graph lives
+// on the heap; Fit builds the same graph in its step arena (forward).
 func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
+	return m.forward(nil, xs)
+}
+
+// forward is Forward with the graph held in ar when it is set: the
+// constants (A-hat, node features, the dense block) are wrapped by
+// ar.Const, so every op's value, node and parent list comes from ar, and
+// the graph is invalid after ar's next Reset.
+func (m *NECS) forward(ar *nn.Arena, xs []*Encoded) (*nn.Node, []*nn.Node) {
+	cnst := nn.NewConst
+	if ar != nil {
+		cnst = ar.Const
+	}
 	rowStage, stages := stageSlots(xs)
 	reps := make([]*nn.Node, len(stages))
 	for s, x := range stages {
-		hCode := m.Code.Forward(x.TokenIDs)
-		hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
+		hCode := m.Code.ForwardIn(ar, x.TokenIDs)
+		hDAG := m.DAG.Forward(cnst(x.AHat), cnst(x.NodeFeats))
 		reps[s] = nn.Concat(hCode, hDAG)
 	}
-	dense := tensor.New(len(xs), len(xs[0].Dense))
+	var dense *tensor.Tensor
+	if ar != nil {
+		dense = ar.Alloc(len(xs), len(xs[0].Dense))
+	} else {
+		dense = tensor.New(len(xs), len(xs[0].Dense))
+	}
 	for i, x := range xs {
 		copy(dense.RowView(i), x.Dense)
 	}
-	in := nn.Concat(nn.NewConst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
+	in := nn.Concat(cnst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
 	return m.Tower.ForwardHidden(in)
 }
 
@@ -478,7 +500,12 @@ func gradsFinite(params []*nn.Node) bool {
 //
 // Each minibatch is one graph (Forward over the whole batch, one
 // row-loss op) and one backward pass, so every distinct stage in the batch
-// is encoded once however many instances share it (DESIGN.md §12.8).
+// is encoded once however many instances share it (DESIGN.md §12.8). The
+// graph lives in a step arena that the next minibatch reuses.
+//
+// The epochs' shuffles are Fit's only use of rng, and it draws all of
+// them before the first step (epochOrders), so TrainOn can hand rng on
+// while the steps still run.
 //
 // Training is poisoning-resistant: a batch whose loss or gradients are
 // non-finite (a NaN label, a diverged forward pass) is skipped whole —
@@ -488,18 +515,35 @@ func gradsFinite(params []*nn.Node) bool {
 // model. Fit must not be called concurrently with anything that reads or
 // writes this model's weights, and panics on a model that has scored.
 func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
-	m.mustNotHaveScored("NECS.Fit")
-	params := m.Params()
-	opt := nn.NewAdam(params, m.Cfg.LR)
-	idx := make([]int, len(data))
+	return m.fit(data, epochOrders(len(data), m.Cfg.Epochs, rng))
+}
+
+// epochOrders draws the row order of each of epochs passes over n rows:
+// order e is order e−1 (the identity before the first) shuffled once by
+// rng, the sequence of draws Fit has always made.
+func epochOrders(n, epochs int, rng *rand.Rand) [][]int {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
+	orders := make([][]int, epochs)
+	for e := range orders {
+		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		orders[e] = append([]int(nil), idx...)
+	}
+	return orders
+}
+
+// fit is Fit over drawn epoch orders.
+func (m *NECS) fit(data []*Encoded, orders [][]int) float64 {
+	m.mustNotHaveScored("NECS.Fit")
+	params := m.Params()
+	opt := nn.NewAdam(params, m.Cfg.LR)
 	batch := make([]*Encoded, 0, m.Cfg.BatchSize)
 	var lastLoss float64
 	bestLoss := math.Inf(1)
 	var bestSnap [][]float64
-	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
+	for epoch, idx := range orders {
 		// Step learning-rate decay: ÷2 at 60% and 85% of the schedule.
 		switch {
 		case epoch == m.Cfg.Epochs*85/100:
@@ -507,7 +551,6 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 		case epoch == m.Cfg.Epochs*60/100:
 			opt.LR = m.Cfg.LR / 2
 		}
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var epochLoss, epochWeight float64
 		for start := 0; start < len(idx); start += m.Cfg.BatchSize {
 			batch = batch[:0]
@@ -550,6 +593,7 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 		m.restoreParams(bestSnap)
 		lastLoss = bestLoss
 	}
+	m.step = nn.Arena{}
 	m.fp = encoderFingerprint(m)
 	return lastLoss
 }
@@ -557,9 +601,13 @@ func (m *NECS) Fit(data []*Encoded, rng *rand.Rand) float64 {
 // batchLoss builds one minibatch's Equation 4 objective,
 // Σᵢ (wᵢ/W)·(ŷᵢ − yᵢ)² with W = Σᵢ wᵢ over the instance weights,
 // and returns it with W. The loss is nil when W ≤ 0.
+//
+// The graph lives in m's step arena, which batchLoss resets first: the
+// previous call's graph is invalid once it is called again.
 func (m *NECS) batchLoss(batch []*Encoded) (*nn.Node, float64) {
-	ys := make([]float64, len(batch))
-	ws := make([]float64, len(batch))
+	ar := &m.step
+	ar.Reset()
+	ys, ws := ar.Floats(len(batch)), ar.Floats(len(batch))
 	var total float64
 	for i, x := range batch {
 		ys[i], ws[i] = x.Y, x.Weight
@@ -571,7 +619,7 @@ func (m *NECS) batchLoss(batch []*Encoded) (*nn.Node, float64) {
 	for i := range ws {
 		ws[i] /= total
 	}
-	out, _ := m.Forward(batch...)
+	out, _ := m.forward(ar, batch)
 	return nn.WeightedMSE(out, ys, ws), total
 }
 

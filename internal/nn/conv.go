@@ -15,7 +15,14 @@ import (
 //
 // filters holds F parameter nodes, each of shape D×k (all with the same k
 // for one instance of the op; use several ops for multiple kernel sizes).
+// The result lives in input's arena when input was built in one.
 func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
+	return conv1DMaxPool(input, liveCols(input.Value), filters, bias)
+}
+
+// conv1DMaxPool is Conv1DMaxPool with live = liveCols(input.Value) given,
+// so an encoder running several banks over one embedding scans it once.
+func conv1DMaxPool(input *Node, live int, filters []*Node, bias *Node) *Node {
 	d := input.Value.Rows
 	n := input.Value.Cols
 	f := len(filters)
@@ -23,7 +30,7 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 	for i, filt := range filters {
 		vals[i] = filt.Value
 	}
-	out, argmax := conv1DMaxPoolValue(input.Value, vals, bias.Value)
+	out, argmax := conv1DMaxPoolValue(input.arena, input.Value, live, vals, bias.Value)
 	k := vals[0].Cols
 	parents := make([]*Node, 0, f+2)
 	parents = append(parents, input)
@@ -46,17 +53,18 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 				// skipping that rounding).
 				gw := filt.ensureGrad().Data
 				for r := 0; r < d; r++ {
-					win := in[r*n+p:][:k]
-					for c, x := range win {
-						gw[r*k+c] += float64(gv * x)
+					gr := gw[r*k:][:k]
+					for c, x := range in[r*n+p:][:k] {
+						gr[c] += float64(gv * x)
 					}
 				}
 			}
 			if gin != nil {
-				w := filt.Value
+				w := filt.Value.Data
 				for r := 0; r < d; r++ {
-					for c := 0; c < k; c++ {
-						gin[r*n+p+c] += gv * w.Data[r*k+c]
+					gi := gin[r*n+p:][:k]
+					for c, x := range w[r*k:][:k] {
+						gi[c] += gv * x
 					}
 				}
 			}
@@ -73,6 +81,9 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 
 // conv1DMaxPoolValue is the shared forward kernel of Conv1DMaxPool: it
 // computes the 1×F pooled feature map and the argmax position per filter.
+// live must be liveCols(input). The map and the window accumulator come
+// from ar when it is set (arena memory is uninitialized, so both are
+// written before they are read) and from the heap otherwise.
 // Both the autograd op above and the inference path (infer.go) call it, so
 // the two paths are bitwise identical by construction.
 //
@@ -84,13 +95,14 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 //
 // Padding is convolved once, not once per position: every window that
 // starts at or after live (1 + the last column holding a non-zero value)
-// is all zeros, so those windows share one response, computed by the same
-// row-by-row accumulation over a zero window. It competes only at position
+// is all zeros, so those windows share one response: the same row-by-row
+// accumulation over a zero window, which is one running sum of 0·w over
+// the filter's weights in row-major order. It competes only at position
 // live, the first of them, which is where strict > would have kept it. A
 // NaN or ±Inf weight still makes that response non-finite, exactly as it
 // made every padded position's; values and argmax are bit-identical to
 // convolving all N−k+1 positions.
-func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *tensor.Tensor) (*tensor.Tensor, []int) {
+func conv1DMaxPoolValue(ar *Arena, input *tensor.Tensor, live int, filters []*tensor.Tensor, bias *tensor.Tensor) (*tensor.Tensor, []int) {
 	d := input.Rows
 	n := input.Cols
 	f := len(filters)
@@ -101,11 +113,9 @@ func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *te
 	if n < k {
 		panic("nn: Conv1DMaxPool input shorter than kernel")
 	}
-	live := liveCols(input)
-	out := tensor.New(1, f)
+	out := value(ar, 1, f)
 	argmax := make([]int, f)
-	acc := make([]float64, min(live, n-k+1))
-	zeros := make([]float64, k)
+	acc := floats(ar, min(live, n-k+1))
 	for fi, w := range filters {
 		if w.Rows != d || w.Cols != k {
 			panic("nn: Conv1DMaxPool filter shape mismatch")
@@ -121,12 +131,12 @@ func conv1DMaxPoolValue(input *tensor.Tensor, filters []*tensor.Tensor, bias *te
 			}
 		}
 		if live < n-k+1 {
-			var z [1]float64
-			for r := 0; r < d; r++ {
-				convRowAccum(z[:], zeros, w.Data[r*k:(r+1)*k])
+			var z float64
+			for _, x := range w.Data[:d*k] {
+				z += 0 * x
 			}
-			if z[0] > best {
-				best, bp = z[0], live
+			if z > best {
+				best, bp = z, live
 			}
 		}
 		out.Data[fi] = best + bias.Data[fi]
@@ -191,11 +201,13 @@ func convRowAccum(acc, in, w []float64) {
 // EmbeddingLookup gathers rows of the embedding table for the given ids and
 // returns them transposed as a D×N matrix (embedding dim × sequence length),
 // the orientation NECS's CNN expects. id < 0 selects the zero padding
-// column, which receives no gradient.
-func EmbeddingLookup(table *Node, ids []int) *Node {
+// column, which receives no gradient. The table is a parameter, so the
+// arena cannot come from the inputs: the node is held in ar (see
+// Arena.Const) when it is set and on the heap when it is nil.
+func EmbeddingLookup(ar *Arena, table *Node, ids []int) *Node {
 	d := table.Value.Cols
 	n := len(ids)
-	v := embeddingLookupValue(table.Value, ids)
+	v := embeddingLookupValue(ar, table.Value, ids)
 	back := func(g *tensor.Tensor) {
 		if !table.requiresGrad {
 			return
@@ -226,17 +238,23 @@ func EmbeddingLookup(table *Node, ids []int) *Node {
 			}
 		}
 	}
-	return newNode(v, back, table)
+	return newNodeIn(ar, v, back, table)
 }
 
 // embeddingLookupValue is the shared forward kernel of EmbeddingLookup,
-// also used by the inference path (infer.go).
-func embeddingLookupValue(table *tensor.Tensor, ids []int) *tensor.Tensor {
+// also used by the inference path (infer.go). An arena result is
+// uninitialized, so its padding columns are zeroed here.
+func embeddingLookupValue(ar *Arena, table *tensor.Tensor, ids []int) *tensor.Tensor {
 	d := table.Cols
 	n := len(ids)
-	v := tensor.New(d, n)
+	v := value(ar, d, n)
 	for j, id := range ids {
 		if id < 0 {
+			if ar != nil {
+				for r := 0; r < d; r++ {
+					v.Data[r*n+j] = 0
+				}
+			}
 			continue
 		}
 		row := table.RowView(id)

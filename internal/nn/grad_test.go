@@ -163,7 +163,7 @@ func TestEmbeddingLookupGrad(t *testing.T) {
 	table := NewParam(tensor.Randn(5, 3, 1, rng), "embed")
 	ids := []int{0, 2, 2, -1, 4}
 	checkGrad(t, []*Node{table}, func() *Node {
-		return Sum(Square(EmbeddingLookup(table, ids)))
+		return Sum(Square(EmbeddingLookup(nil, table, ids)))
 	})
 	checkGrad(t, []*Node{table}, func() *Node {
 		return Sum(Square(EmbeddingLookupRows(table, ids)))

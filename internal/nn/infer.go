@@ -56,7 +56,8 @@ func addBiasInPlace(m, v *tensor.Tensor, relu bool) {
 // Infer encodes a token-id sequence into the 1×OutDim code representation
 // without building an autograd graph — bitwise identical to Forward.
 func (c *CNNEncoder) Infer(ids []int) *tensor.Tensor {
-	emb := embeddingLookupValue(c.Embedding.Value, ids)
+	emb := embeddingLookupValue(nil, c.Embedding.Value, ids)
+	live := liveCols(emb)
 	pooled := make([]*tensor.Tensor, len(c.banks))
 	ws := make([]*tensor.Tensor, 0, 8)
 	for i, bank := range c.banks {
@@ -64,7 +65,7 @@ func (c *CNNEncoder) Infer(ids []int) *tensor.Tensor {
 		for _, f := range bank {
 			ws = append(ws, f.Value)
 		}
-		v, _ := conv1DMaxPoolValue(emb, ws, c.biases[i].Value)
+		v, _ := conv1DMaxPoolValue(nil, emb, live, ws, c.biases[i].Value)
 		pooled[i] = v
 	}
 	q := tensor.Concat(pooled...)

@@ -95,7 +95,7 @@ func refConv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 // and added a full vocab×D temporary per call.
 func refEmbeddingLookup(table *Node, ids []int) *Node {
 	d, n := table.Value.Cols, len(ids)
-	v := embeddingLookupValue(table.Value, ids)
+	v := embeddingLookupValue(nil, table.Value, ids)
 	back := func(g *tensor.Tensor) {
 		if !table.requiresGrad {
 			return
@@ -230,17 +230,39 @@ func padTail(in *tensor.Tensor, live int, rng *rand.Rand) *tensor.Tensor {
 	return in
 }
 
+// dirtyArena returns an arena whose next allocations hold NaN, as the
+// memory an earlier step left behind may: an op that reads a float it did
+// not write first shows up as a NaN.
+func dirtyArena() *Arena {
+	ar := new(Arena)
+	for i := range ar.Floats(1 << 16) {
+		ar.floats[i] = math.NaN()
+	}
+	ar.Reset()
+	return ar
+}
+
+// requireSameConv checks conv1DMaxPoolValue against the reference, on the
+// heap and in a dirty arena, with live computed once by the caller as the
+// CNN encoder does for its banks.
 func requireSameConv(t *testing.T, name string, in *tensor.Tensor, filters []*tensor.Tensor, bias *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	got, gotArg := conv1DMaxPoolValue(in, filters, bias)
 	want, wantArg := refConv1DMaxPoolValue(in, filters, bias)
-	requireSameBits(t, name+": pooled", got.Data, want.Data)
-	for i := range wantArg {
-		if gotArg[i] != wantArg[i] {
-			t.Fatalf("%s: argmax[%d] = %d, reference %d", name, i, gotArg[i], wantArg[i])
+	var heap *tensor.Tensor
+	for _, ar := range []*Arena{nil, dirtyArena()} {
+		got, gotArg := conv1DMaxPoolValue(ar, in, liveCols(in), filters, bias)
+		what := fmt.Sprintf("%s (arena %t)", name, ar != nil)
+		requireSameBits(t, what+": pooled", got.Data, want.Data)
+		for i := range wantArg {
+			if gotArg[i] != wantArg[i] {
+				t.Fatalf("%s: argmax[%d] = %d, reference %d", what, i, gotArg[i], wantArg[i])
+			}
+		}
+		if ar == nil {
+			heap = got
 		}
 	}
-	return got
+	return heap
 }
 
 // Trailing zero columns — none live, fewer live than the kernel is wide,
@@ -282,7 +304,7 @@ func TestConv1DMaxPoolValuePaddingBoundaryArgmax(t *testing.T) {
 		in := tensor.FromSlice(1, len(c.in), c.in)
 		w := tensor.FromSlice(1, len(c.w), c.w)
 		requireSameConv(t, c.name, in, []*tensor.Tensor{w}, tensor.New(1, 1))
-		if _, arg := conv1DMaxPoolValue(in, []*tensor.Tensor{w}, tensor.New(1, 1)); arg[0] != c.wantArg {
+		if _, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*tensor.Tensor{w}, tensor.New(1, 1)); arg[0] != c.wantArg {
 			t.Fatalf("%s: argmax %d, want %d", c.name, arg[0], c.wantArg)
 		}
 	}
@@ -313,18 +335,19 @@ func TestConv1DMaxPoolValueKeepsFirstArgmaxOnTies(t *testing.T) {
 	in.Fill(0.5)
 	w := tensor.New(2, 3)
 	w.Fill(0.25)
-	_, arg := conv1DMaxPoolValue(in, []*tensor.Tensor{w}, tensor.New(1, 1))
+	_, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*tensor.Tensor{w}, tensor.New(1, 1))
 	if arg[0] != 0 {
 		t.Fatalf("argmax on a constant response = %d, want 0", arg[0])
 	}
 }
 
+// The conv and embedding ops, on the heap and in a dirty arena, send the
+// reference's gradients back bit for bit.
 func TestConvAndEmbeddingBackwardMatchReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const vocab, d = 12, 5
 	for k := 1; k <= 5; k++ {
 		for _, n := range []int{k, k + 3, 40} {
-			name := fmt.Sprintf("k=%d/n=%d", k, n)
 			// Repeated ids (n can exceed vocab) and −1 padding.
 			ids := make([]int, n)
 			for i := range ids {
@@ -334,25 +357,76 @@ func TestConvAndEmbeddingBackwardMatchReferenceBitwise(t *testing.T) {
 				}
 			}
 			ids[rng.Intn(n)] = 3
-			tab, refTab := twin(sparsify(tensor.Randn(vocab, d, 1, rng), 0.2, rng), rng)
-			const f = 4
-			filts, refFilts := make([]*Node, f), make([]*Node, f)
-			for i := range filts {
-				filts[i], refFilts[i] = twin(tensor.Randn(d, k, 1, rng), rng)
-			}
-			bias, refBias := twin(tensor.Randn(1, f, 1, rng), rng)
-			w := tensor.Randn(1, f, 1, rng)
-			// Two backward passes accumulate into the same buffers.
-			for pass := 0; pass < 2; pass++ {
-				Backward(weightedSum(Conv1DMaxPool(EmbeddingLookup(tab, ids), filts, bias), w))
-				Backward(weightedSum(refConv1DMaxPool(refEmbeddingLookup(refTab, ids), refFilts, refBias), w))
-			}
-			requireSameBits(t, name+": table grad", tab.Grad.Data, refTab.Grad.Data)
-			requireSameBits(t, name+": bias grad", bias.Grad.Data, refBias.Grad.Data)
-			for i := range filts {
-				requireSameBits(t, fmt.Sprintf("%s: filter %d grad", name, i), filts[i].Grad.Data, refFilts[i].Grad.Data)
+			for _, ar := range []*Arena{nil, dirtyArena()} {
+				name := fmt.Sprintf("k=%d/n=%d/arena=%t", k, n, ar != nil)
+				tab, refTab := twin(sparsify(tensor.Randn(vocab, d, 1, rng), 0.2, rng), rng)
+				const f = 4
+				filts, refFilts := make([]*Node, f), make([]*Node, f)
+				for i := range filts {
+					filts[i], refFilts[i] = twin(tensor.Randn(d, k, 1, rng), rng)
+				}
+				bias, refBias := twin(tensor.Randn(1, f, 1, rng), rng)
+				w := tensor.Randn(1, f, 1, rng)
+				// Two backward passes accumulate into the same buffers.
+				for pass := 0; pass < 2; pass++ {
+					if ar != nil {
+						ar.Reset()
+					}
+					Backward(weightedSum(Conv1DMaxPool(EmbeddingLookup(ar, tab, ids), filts, bias), w))
+					Backward(weightedSum(refConv1DMaxPool(refEmbeddingLookup(refTab, ids), refFilts, refBias), w))
+				}
+				requireSameBits(t, name+": table grad", tab.Grad.Data, refTab.Grad.Data)
+				requireSameBits(t, name+": bias grad", bias.Grad.Data, refBias.Grad.Data)
+				for i := range filts {
+					requireSameBits(t, fmt.Sprintf("%s: filter %d grad", name, i), filts[i].Grad.Data, refFilts[i].Grad.Data)
+				}
 			}
 		}
+	}
+}
+
+// refCNNForward is CNNEncoder.Forward as it stood before the encoder
+// scanned the embedding for live columns once for all its banks: a heap
+// graph in which each bank's Conv1DMaxPool scans it again.
+func refCNNForward(c *CNNEncoder, ids []int) *Node {
+	emb := EmbeddingLookup(nil, c.Embedding, ids)
+	pooled := make([]*Node, len(c.banks))
+	for i, bank := range c.banks {
+		pooled[i] = Conv1DMaxPool(emb, bank, c.biases[i])
+	}
+	return ReLU(c.Proj.Forward(Concat(pooled...)))
+}
+
+// The CNN encoder — ForwardIn on the heap and on a dirty arena, and Infer —
+// matches the per-bank reference bit for bit in its value, and the graph
+// paths in every parameter's gradient, over sequences with no padding,
+// some, and padding only.
+func TestCNNEncoderMatchesPerBankReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const vocab = 20
+	for _, pad := range []int{0, 7, 30} {
+		ids := make([]int, 30)
+		for i := range ids {
+			ids[i] = rng.Intn(vocab)
+			if i >= len(ids)-pad {
+				ids[i] = -1
+			}
+		}
+		ref := NewCNNEncoder(vocab, 6, []int{2, 3, 4}, 3, 5, rand.New(rand.NewSource(int64(pad))))
+		w := tensor.Randn(1, ref.OutDim, 1, rng)
+		Backward(weightedSum(refCNNForward(ref, ids), w))
+		want := refCNNForward(ref, ids).Value
+		for _, ar := range []*Arena{nil, dirtyArena()} {
+			name := fmt.Sprintf("pad=%d/arena=%t", pad, ar != nil)
+			c := ref.Clone()
+			out := c.ForwardIn(ar, ids)
+			requireSameBits(t, name+": value", out.Value.Data, want.Data)
+			Backward(weightedSum(out, w))
+			for i, p := range c.Params() {
+				requireSameBits(t, fmt.Sprintf("%s: %s grad", name, p.Name()), p.Grad.Data, ref.Params()[i].Grad.Data)
+			}
+		}
+		requireSameBits(t, fmt.Sprintf("pad=%d: Infer", pad), ref.Infer(ids).Data, want.Data)
 	}
 }
 

@@ -53,12 +53,7 @@ func BCELoss(p *Node, y float64) *Node {
 func WeightedBCE(p *Node, labels, weights []float64) *Node {
 	checkRowLoss("WeightedBCE", p, labels, weights)
 	const eps = 1e-9
-	var clamped []float64
-	if p.arena != nil {
-		clamped = p.arena.Floats(len(labels))
-	} else {
-		clamped = make([]float64, len(labels))
-	}
+	clamped := floats(p.arena, len(labels))
 	var s float64
 	for i, pv := range p.Value.Data {
 		c, y := math.Min(math.Max(pv, eps), 1-eps), labels[i]

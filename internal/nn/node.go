@@ -90,6 +90,13 @@ func (n *Node) accumGrad(g *tensor.Tensor) {
 // copy of parents, never the argument itself, so an op's variadic
 // parent list stays on its caller's stack.
 func newNode(v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node) *Node {
+	return newNodeIn(arenaOf(parents...), v, back, parents...)
+}
+
+// newNodeIn is newNode with the arena named: the node and its parent list
+// go in ar when it is set, on the heap otherwise. An op whose inputs
+// cannot carry the arena (EmbeddingLookup reads a parameter) uses it.
+func newNodeIn(ar *Arena, v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node) *Node {
 	rg := false
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -98,7 +105,7 @@ func newNode(v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node)
 		}
 	}
 	var n *Node
-	if ar := arenaOf(parents...); ar != nil {
+	if ar != nil {
 		n = ar.node()
 		ps := ar.nodePtrs(len(parents))
 		copy(ps, parents)
@@ -132,6 +139,15 @@ func value(ar *Arena, rows, cols int) *tensor.Tensor {
 		return tensor.New(rows, cols)
 	}
 	return ar.Alloc(rows, cols)
+}
+
+// floats is value for a scratch slice of n float64s: uninitialized arena
+// memory when ar is set, zeroed heap memory otherwise.
+func floats(ar *Arena, n int) []float64 {
+	if ar == nil {
+		return make([]float64, n)
+	}
+	return ar.Floats(n)
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a

@@ -364,7 +364,8 @@ func Square(a *Node) *Node {
 // ColMaxPool reduces an m×n node to a 1×n row of per-column maxima (used
 // as the GCN read-out in NECS).
 func ColMaxPool(a *Node) *Node {
-	v, arg := a.Value.ColMax()
+	v, arg := value(a.arena, 1, a.Value.Cols), make([]int, a.Value.Cols)
+	a.Value.ColMaxInto(v, arg)
 	back := func(g *tensor.Tensor) {
 		if !a.requiresGrad {
 			return

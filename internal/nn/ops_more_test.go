@@ -35,7 +35,7 @@ func TestConcatPanicsOnMatrix(t *testing.T) {
 func TestEmbeddingLookupAllPadding(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	table := NewParam(tensor.Randn(4, 3, 1, rng), "e")
-	out := EmbeddingLookup(table, []int{-1, -1})
+	out := EmbeddingLookup(nil, table, []int{-1, -1})
 	if out.Value.Norm() != 0 {
 		t.Fatal("padding-only lookup should be all zeros")
 	}

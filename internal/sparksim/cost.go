@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // FailCap is the execution time recorded for failed or over-long runs,
@@ -362,11 +363,25 @@ func failResult(app *AppSpec, reason string) Result {
 // run identity. Configurations are quantized so that nearby float knob
 // values share jitter, keeping response surfaces smooth.
 func jitter(appName, envName string, stage, seqIdx int, cfg Config, sizeMB float64) float64 {
+	var buf [256]byte
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%.0f", appName, envName, stage, seqIdx, sizeMB)
-	for _, v := range cfg {
-		fmt.Fprintf(h, "|%.2f", v)
-	}
+	h.Write(jitterKey(buf[:0], appName, envName, stage, seqIdx, cfg, sizeMB))
 	u := h.Sum64()
 	return float64(u%20001)/10000 - 1
+}
+
+// jitterKey appends the bytes jitter hashes to b: the run identity as
+// fmt's "%s|%s|%d|%d|%.0f", then "|%.2f" per knob. strconv writes what
+// fmt writes for these verbs, NaN and ±Inf included, without fmt's
+// per-call cost.
+func jitterKey(b []byte, appName, envName string, stage, seqIdx int, cfg Config, sizeMB float64) []byte {
+	b = append(append(b, appName...), '|')
+	b = append(append(b, envName...), '|')
+	b = append(strconv.AppendInt(b, int64(stage), 10), '|')
+	b = append(strconv.AppendInt(b, int64(seqIdx), 10), '|')
+	b = strconv.AppendFloat(b, sizeMB, 'f', 0, 64)
+	for _, v := range cfg {
+		b = strconv.AppendFloat(append(b, '|'), v, 'f', 2, 64)
+	}
+	return b
 }

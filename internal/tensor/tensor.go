@@ -382,6 +382,16 @@ func (t *Tensor) Max() (float64, int) {
 func (t *Tensor) ColMax() (*Tensor, []int) {
 	out := New(1, t.Cols)
 	arg := make([]int, t.Cols)
+	t.ColMaxInto(out, arg)
+	return out, arg
+}
+
+// ColMaxInto is ColMax into caller storage: out (1×cols) receives the
+// column maxima and arg the argmax row of each column, overwriting both.
+func (t *Tensor) ColMaxInto(out *Tensor, arg []int) {
+	if out.Rows != 1 || out.Cols != t.Cols || len(arg) != t.Cols {
+		panic("tensor: ColMaxInto shape mismatch")
+	}
 	for j := 0; j < t.Cols; j++ {
 		best, bi := math.Inf(-1), 0
 		for i := 0; i < t.Rows; i++ {
@@ -392,7 +402,6 @@ func (t *Tensor) ColMax() (*Tensor, []int) {
 		out.Data[j] = best
 		arg[j] = bi
 	}
-	return out, arg
 }
 
 // Norm returns the Frobenius norm.
