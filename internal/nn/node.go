@@ -2,7 +2,7 @@
 // engine and the neural building blocks used by the LITE reproduction:
 // dense layers, 1-D convolutions with max-pooling (the NECS code encoder),
 // graph convolutions (the NECS scheduler encoder), LSTM and Transformer
-// encoders (ablation baselines), Adam/SGD optimizers, and a
+// encoders (ablation baselines), the Adam optimizer, and a
 // gradient-reversal operation used by Adaptive Model Update's adversarial
 // fine-tuning.
 //

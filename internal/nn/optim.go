@@ -6,15 +6,6 @@ import (
 	"lite/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored on the
-	// parameters, then leaves the gradients untouched (call ZeroGrad).
-	Step()
-	// ZeroGrad clears all parameter gradients.
-	ZeroGrad()
-}
-
 // ZeroGrads clears the gradient buffers of the given parameters.
 func ZeroGrads(params []*Node) {
 	for _, p := range params {

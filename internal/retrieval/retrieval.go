@@ -547,11 +547,17 @@ func buildIndex(entries []*Entry) *index {
 			}
 		}
 	}
-	ix.centroids = centroids
-	ix.clusters = make([][]int32, k)
-	for i := range entries {
-		c := assign[i]
-		ix.clusters[c] = append(ix.clusters[c], int32(i))
+	clusters := make([][]int32, k)
+	for i, c := range assign {
+		clusters[c] = append(clusters[c], int32(i))
+	}
+	// A centroid re-seeded in the last round owns no entries. Keep only the
+	// owned clusters, so a Lookup never spends a probe on an empty one.
+	for c, members := range clusters {
+		if len(members) > 0 {
+			ix.centroids = append(ix.centroids, centroids[c])
+			ix.clusters = append(ix.clusters, members)
+		}
 	}
 	return ix
 }

@@ -434,3 +434,62 @@ func TestIndexIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFullStoreProbesOnlyOwnedClusters builds the largest store serving
+// can reach for the registered apps: each of them at every size bucket
+// 0–30 on every built-in cluster, so each app's many entries share one
+// vector. k-means then empties most of its clusters; an empty cluster must
+// not take one of a Lookup's probes, or an app can miss its own entries
+// and a query an exact scan answers can find nothing.
+func TestFullStoreProbesOnlyOwnedClusters(t *testing.T) {
+	apps := workload.All()
+	var entries []Entry
+	embs := make([][]float64, len(apps))
+	for i, app := range apps {
+		embs[i] = EmbedApp(app.Spec)
+		for b := 0; b <= 30; b++ {
+			for _, env := range sparksim.AllClusters {
+				entries = append(entries, Entry{
+					App:       app.Spec.Name,
+					Embedding: embs[i],
+					SizeMB:    math.Ldexp(1, b),
+					EnvFP:     EnvFingerprint(env),
+					Config:    sparksim.DefaultConfig(),
+					Seconds:   100,
+				})
+			}
+		}
+	}
+	st := FromEntries(entries)
+	ix := st.idx.Load()
+	for c, members := range ix.clusters {
+		if len(members) == 0 {
+			t.Errorf("cluster %d of %d owns no entries", c, len(ix.clusters))
+		}
+	}
+	envFP := EnvFingerprint(sparksim.AllClusters[0])
+	for i, app := range apps {
+		res, ok := st.Lookup(Query{Embedding: embs[i], SizeMB: 1024, EnvFP: envFP})
+		if !ok || res.App != app.Spec.Name {
+			t.Errorf("%s: own lookup = (%q, %v), want itself", app.Spec.Name, res.App, ok)
+		}
+	}
+	// Blends of two apps stand in for mutated, never-seen code: whenever
+	// an exact scan finds a neighbour above the floor, the index must too.
+	for i := range embs {
+		for j := range embs {
+			q := make([]float64, Dim)
+			for d := range q {
+				q[d] = 0.7*embs[i][d] + 0.3*embs[j][d]
+			}
+			normalize(q)
+			exact := 0.0
+			for _, e := range embs {
+				exact = math.Max(exact, dot(e, q))
+			}
+			if _, ok := st.Lookup(Query{Embedding: q, SizeMB: 1024, EnvFP: envFP}); ok != (exact >= DefaultMinSimilarity) {
+				t.Errorf("blend %s/%s: index hit = %v, exact best similarity %.3f", apps[i].Spec.Name, apps[j].Spec.Name, ok, exact)
+			}
+		}
+	}
+}

@@ -832,20 +832,22 @@ func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeature
 	return resp, nil
 }
 
+// knobIndex maps each knob name to its position in a Config.
+var knobIndex = func() map[string]int {
+	index := make(map[string]int, sparksim.NumKnobs)
+	for i, k := range sparksim.Knobs {
+		index[k.Name] = i
+	}
+	return index
+}()
+
 // ConfigFromMap builds a Config from a knob-name → value map, starting
 // from the default configuration for unspecified knobs. Unknown knob names
 // are an error.
 func ConfigFromMap(m map[string]float64) (sparksim.Config, error) {
 	cfg := sparksim.DefaultConfig()
-	if len(m) == 0 {
-		return cfg, nil
-	}
-	index := make(map[string]int, sparksim.NumKnobs)
-	for i, k := range sparksim.Knobs {
-		index[k.Name] = i
-	}
 	for name, v := range m {
-		i, ok := index[name]
+		i, ok := knobIndex[name]
 		if !ok {
 			return cfg, badRequest("unknown knob %q", name)
 		}

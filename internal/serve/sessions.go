@@ -220,20 +220,16 @@ func (s *Server) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("lite_session_proposals_total{source=\"" + prop.Source + "\"}").Inc()
-	resp := api.ProposalResponse{
+	s.writeJSON(w, http.StatusOK, api.ProposalResponse{
 		SessionID:         prop.SessionID,
 		Trial:             prop.Trial,
 		Config:            session.ConfigMap(prop.Config),
+		PredictedSeconds:  prop.Predicted,
 		Source:            prop.Source,
 		BudgetRemaining:   prop.BudgetRemaining,
 		Generation:        snap.Gen,
 		AbortAfterSeconds: prop.AbortAfterSeconds,
-	}
-	if !math.IsNaN(prop.Predicted) && !math.IsInf(prop.Predicted, 0) {
-		p := prop.Predicted
-		resp.PredictedSeconds = &p
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleSessionResult records a trial's measured outcome, exactly once per
@@ -251,44 +247,21 @@ func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	id := r.PathValue("id")
-	meta, err := st.Get(id, false)
+	resp, err := st.Report(r.PathValue("id"), req.Trial, req.Seconds, req.Failed)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	out, err := st.Report(id, req.Trial, req.Seconds, req.Failed)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if out.Violation {
+	if resp.Violation {
 		s.reg.Counter("lite_session_violations_total").Inc()
 	}
-	resp := api.ReportResultResponse{
-		SessionID:       id,
-		Trial:           req.Trial,
-		Improved:        out.Improved,
-		Promoted:        out.Promote,
-		Violation:       out.Violation,
-		BestSeconds:     out.BestSeconds,
-		BaselineSeconds: out.BaselineSeconds,
-		BudgetRemaining: out.BudgetRemaining,
-	}
-	if out.Promote {
-		fb := api.FeedbackRequest{
-			App:     meta.App,
-			SizeMB:  meta.SizeMB,
-			Cluster: meta.Cluster,
-			Config:  session.ConfigMap(out.Config),
-		}
-		resp.Promotion = &fb
+	if fb := resp.Promotion; fb != nil {
 		var ferr error
 		if !s.opts.Follower {
 			// A follower has no update loop: the fleet router posts the
 			// echoed promotion to the trainer.
 			ctx, cancel := s.requestContext(r)
-			_, ferr = s.FeedbackCtx(ctx, fb)
+			_, ferr = s.FeedbackCtx(ctx, *fb)
 			cancel()
 		}
 		if ferr != nil {

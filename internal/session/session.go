@@ -146,17 +146,21 @@ type Scorer interface {
 	Feasible(cfg sparksim.Config) bool
 }
 
-// Trial is one proposed (and possibly reported) trial.
+// Trial is one proposed (and possibly reported) trial. It is also the
+// persisted form: propose events and sessions.json carry it as is.
 type Trial struct {
-	Trial     int             `json:"trial"`
-	Config    sparksim.Config `json:"config"`
-	Predicted float64         `json:"predicted"` // NaN marshals as a sentinel; see trialJSON
-	Source    string          `json:"source"`
-	Reported  bool            `json:"reported"`
-	Seconds   float64         `json:"seconds"`
-	Failed    bool            `json:"failed"`
-	Improved  bool            `json:"improved"`
-	Promoted  bool            `json:"promoted"`
+	Trial  int             `json:"trial"`
+	Config sparksim.Config `json:"config"`
+	// Predicted is the model's estimate; nil when it had none. The store
+	// never writes through an estimate, so the baseline trial shares the
+	// session's.
+	Predicted *float64 `json:"predicted,omitempty"`
+	Source    string   `json:"source"`
+	Reported  bool     `json:"reported,omitempty"`
+	Seconds   float64  `json:"seconds,omitempty"`
+	Failed    bool     `json:"failed,omitempty"`
+	Improved  bool     `json:"improved,omitempty"`
+	Promoted  bool     `json:"promoted,omitempty"`
 }
 
 // Proposal sources.
@@ -166,40 +170,60 @@ const (
 	SourceBest     = "best"
 )
 
-// Session is the mutable state of one tuning session. It is owned by a
+// Session is the mutable state of one tuning session, and its persisted
+// form: create events and sessions.json carry it as is. It is owned by a
 // Store; callers only ever see copies (views).
 type Session struct {
-	ID       string
-	App      string
-	SizeMB   float64
-	Cluster  string
-	Strategy Strategy
-	Params   Params
+	ID       string   `json:"id"`
+	App      string   `json:"app"`
+	SizeMB   float64  `json:"size_mb"`
+	Cluster  string   `json:"cluster"`
+	Strategy Strategy `json:"strategy"`
+	Params   Params   `json:"params"`
 
-	SafetyBound float64
-	MaxTrials   int
+	SafetyBound float64 `json:"safety_bound"`
+	MaxTrials   int     `json:"max_trials"`
 
 	// Radius is the current trust-region step size (fraction of each
 	// knob's range). It starts at min(TrustStart, Params.Radius) and is
 	// adapted by applyReport from measured outcomes only.
-	Radius float64
+	Radius float64 `json:"radius,omitempty"`
 
-	BaselineConfig    sparksim.Config
-	BaselinePredicted float64 // NaN when the static tier had no estimate
-	BaselineSeconds   float64 // 0 until trial 0 reports
+	BaselineConfig    sparksim.Config `json:"baseline_config"`
+	BaselinePredicted *float64        `json:"baseline_predicted,omitempty"` // nil when the static tier had no estimate
+	BaselineSeconds   float64         `json:"baseline_seconds,omitempty"`   // 0 until trial 0 reports
 
-	BestConfig  sparksim.Config
-	BestSeconds float64
-	BestTrial   int
-	HasBest     bool
+	BestConfig  sparksim.Config `json:"best_config"`
+	BestSeconds float64         `json:"best_seconds,omitempty"`
+	BestTrial   int             `json:"best_trial,omitempty"`
+	HasBest     bool            `json:"has_best,omitempty"`
 
-	Trials     []Trial
-	Violations int
-	Promotions int
+	Trials     []Trial `json:"trials,omitempty"`
+	Violations int     `json:"violations,omitempty"`
+	Promotions int     `json:"promotions,omitempty"`
 
-	Closed    bool
-	CreatedAt time.Time
-	ClosedAt  time.Time
+	Closed    bool      `json:"closed,omitempty"`
+	CreatedAt time.Time `json:"created_at"`
+	ClosedAt  time.Time `json:"closed_at,omitempty"`
+}
+
+// estimate stores a model estimate: nil when it is NaN or infinite, which
+// is how the model says it has none.
+func estimate(x float64) *float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return nil
+	}
+	return &x
+}
+
+// clone copies an estimate for a view, so callers cannot write into the
+// store through it.
+func clone(p *float64) *float64 {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // trialsUsed is the budget spent: every issued trial counts, reported or
@@ -232,8 +256,8 @@ func (s *Session) safetyRef() float64 {
 	if s.BaselineSeconds > 0 {
 		return s.BaselineSeconds
 	}
-	if !math.IsNaN(s.BaselinePredicted) && s.BaselinePredicted > 0 {
-		return s.BaselinePredicted
+	if p := s.BaselinePredicted; p != nil && *p > 0 {
+		return *p
 	}
 	return math.Inf(1)
 }
@@ -279,7 +303,7 @@ func (s *Session) propose(sc Scorer, rng *rand.Rand) Trial {
 			return Trial{
 				Trial:     len(s.Trials),
 				Config:    best,
-				Predicted: bestPred,
+				Predicted: &bestPred,
 				Source:    SourceExplore,
 			}
 		}
@@ -288,7 +312,7 @@ func (s *Session) propose(sc Scorer, rng *rand.Rand) Trial {
 	return Trial{
 		Trial:     len(s.Trials),
 		Config:    anchor,
-		Predicted: sc.Score(anchor),
+		Predicted: estimate(sc.Score(anchor)),
 		Source:    SourceBest,
 	}
 }
@@ -303,21 +327,6 @@ func perturb(anchor sparksim.Config, radius float64, rng *rand.Rand) sparksim.Co
 		c[i] += (rng.Float64()*2 - 1) * span
 	}
 	return c.Clamp()
-}
-
-// ReportOutcome is what a reported result changed.
-type ReportOutcome struct {
-	Improved bool
-	// Promote is true when the caller should feed the trial's config into
-	// the model's feedback path — exactly once per winning trial.
-	Promote bool
-	// Violation is true when the measured time exceeded
-	// SafetyBound × the measured baseline.
-	Violation       bool
-	BestSeconds     float64
-	BaselineSeconds float64
-	BudgetRemaining int
-	Config          sparksim.Config
 }
 
 // ID format: <app>.<sizeMB>.<cluster>.<nonce>. The identifying fields are
@@ -354,28 +363,25 @@ func ParseID(id string) (app string, sizeMB float64, cluster string, err error) 
 // deep: callers can hold it across store mutations.
 func (s *Session) View(includeTrials bool) api.Session {
 	v := api.Session{
-		ID:              s.ID,
-		App:             s.App,
-		SizeMB:          s.SizeMB,
-		Cluster:         s.Cluster,
-		Strategy:        string(s.Strategy),
-		State:           "active",
-		SafetyBound:     s.SafetyBound,
-		MaxTrials:       s.MaxTrials,
-		TrialsUsed:      s.trialsUsed(),
-		Violations:      s.Violations,
-		Promotions:      s.Promotions,
-		BaselineConfig:  ConfigMap(s.BaselineConfig),
-		BaselineSeconds: s.BaselineSeconds,
-		CreatedAt:       s.CreatedAt.UTC().Format(time.RFC3339Nano),
+		ID:                       s.ID,
+		App:                      s.App,
+		SizeMB:                   s.SizeMB,
+		Cluster:                  s.Cluster,
+		Strategy:                 string(s.Strategy),
+		State:                    "active",
+		SafetyBound:              s.SafetyBound,
+		MaxTrials:                s.MaxTrials,
+		TrialsUsed:               s.trialsUsed(),
+		Violations:               s.Violations,
+		Promotions:               s.Promotions,
+		BaselineConfig:           ConfigMap(s.BaselineConfig),
+		BaselinePredictedSeconds: clone(s.BaselinePredicted),
+		BaselineSeconds:          s.BaselineSeconds,
+		CreatedAt:                s.CreatedAt.UTC().Format(time.RFC3339Nano),
 	}
 	if s.Closed {
 		v.State = "closed"
 		v.ClosedAt = s.ClosedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !math.IsNaN(s.BaselinePredicted) {
-		p := s.BaselinePredicted
-		v.BaselinePredictedSeconds = &p
 	}
 	if s.HasBest {
 		v.BestConfig = ConfigMap(s.BestConfig)
@@ -392,21 +398,17 @@ func (s *Session) View(includeTrials bool) api.Session {
 }
 
 func (t *Trial) view() api.SessionTrial {
-	v := api.SessionTrial{
-		Trial:    t.Trial,
-		Config:   ConfigMap(t.Config),
-		Source:   t.Source,
-		Reported: t.Reported,
-		Seconds:  t.Seconds,
-		Failed:   t.Failed,
-		Improved: t.Improved,
-		Promoted: t.Promoted,
+	return api.SessionTrial{
+		Trial:            t.Trial,
+		Config:           ConfigMap(t.Config),
+		PredictedSeconds: clone(t.Predicted),
+		Source:           t.Source,
+		Reported:         t.Reported,
+		Seconds:          t.Seconds,
+		Failed:           t.Failed,
+		Improved:         t.Improved,
+		Promoted:         t.Promoted,
 	}
-	if !math.IsNaN(t.Predicted) && !math.IsInf(t.Predicted, 0) {
-		p := t.Predicted
-		v.PredictedSeconds = &p
-	}
-	return v
 }
 
 // ConfigMap renders a Config as the knob-name → value map the wire types

@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -279,6 +280,9 @@ func TestReportValidation(t *testing.T) {
 	if _, err := st.Report("nope", 0, 1, false); err != ErrNotFound {
 		t.Fatalf("unknown id: %v, want ErrNotFound", err)
 	}
+	if _, err := st.Report("nope", 0, -1, false); err != ErrNotFound {
+		t.Fatalf("unknown id with bad seconds: %v, want ErrNotFound before the argument check", err)
+	}
 	if _, err := st.Report(v.ID, 0, 1, false); err != ErrUnknownTrial {
 		t.Fatalf("unissued trial: %v, want ErrUnknownTrial", err)
 	}
@@ -399,7 +403,7 @@ func TestPromotionExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Promote {
+	if out.Promoted {
 		t.Fatal("baseline report promoted")
 	}
 
@@ -410,8 +414,12 @@ func TestPromotionExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Improved || !out.Promote {
+	if !out.Improved || !out.Promoted {
 		t.Fatalf("win not promoted: %+v", out)
+	}
+	if fb := out.Promotion; fb == nil || fb.App != "A" || fb.SizeMB != 100 || fb.Cluster != "C" ||
+		!reflect.DeepEqual(fb.Config, ConfigMap(p.Config)) {
+		t.Fatalf("promotion = %+v, want the session's key and the trial's config", out.Promotion)
 	}
 	if _, err := st.Report(v.ID, p.Trial, 90, false); err != ErrTrialAlreadyReported {
 		t.Fatalf("double report: %v", err)
@@ -423,7 +431,7 @@ func TestPromotionExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Improved || out.Promote {
+	if out.Improved || out.Promoted || out.Promotion != nil {
 		t.Fatalf("non-improving trial promoted: %+v", out)
 	}
 
@@ -469,7 +477,7 @@ func TestFirstSuccessAfterFailedBaselineDoesNotPromote(t *testing.T) {
 	}
 	// First success only seeds the best; it beat nothing measured, so it is
 	// not a model-worthy signal.
-	if out.Promote {
+	if out.Promoted {
 		t.Fatal("incidental first success promoted")
 	}
 }

@@ -83,153 +83,6 @@ type Store struct {
 	RecoveredEvents   int
 }
 
-// Persistence shapes. NaN never reaches JSON: unknown predictions are
-// pointers, omitted when absent.
-
-type trialJSON struct {
-	Trial     int             `json:"trial"`
-	Config    sparksim.Config `json:"config"`
-	Predicted *float64        `json:"predicted,omitempty"`
-	Source    string          `json:"source"`
-	Reported  bool            `json:"reported,omitempty"`
-	Seconds   float64         `json:"seconds,omitempty"`
-	Failed    bool            `json:"failed,omitempty"`
-	Improved  bool            `json:"improved,omitempty"`
-	Promoted  bool            `json:"promoted,omitempty"`
-}
-
-func (t *Trial) toJSON() trialJSON {
-	j := trialJSON{
-		Trial:    t.Trial,
-		Config:   t.Config,
-		Source:   t.Source,
-		Reported: t.Reported,
-		Seconds:  t.Seconds,
-		Failed:   t.Failed,
-		Improved: t.Improved,
-		Promoted: t.Promoted,
-	}
-	if !math.IsNaN(t.Predicted) && !math.IsInf(t.Predicted, 0) {
-		p := t.Predicted
-		j.Predicted = &p
-	}
-	return j
-}
-
-func (j *trialJSON) toTrial() Trial {
-	t := Trial{
-		Trial:     j.Trial,
-		Config:    j.Config,
-		Predicted: math.NaN(),
-		Source:    j.Source,
-		Reported:  j.Reported,
-		Seconds:   j.Seconds,
-		Failed:    j.Failed,
-		Improved:  j.Improved,
-		Promoted:  j.Promoted,
-	}
-	if j.Predicted != nil {
-		t.Predicted = *j.Predicted
-	}
-	return t
-}
-
-type sessionJSON struct {
-	ID                string          `json:"id"`
-	App               string          `json:"app"`
-	SizeMB            float64         `json:"size_mb"`
-	Cluster           string          `json:"cluster"`
-	Strategy          Strategy        `json:"strategy"`
-	Params            Params          `json:"params"`
-	SafetyBound       float64         `json:"safety_bound"`
-	MaxTrials         int             `json:"max_trials"`
-	Radius            float64         `json:"radius,omitempty"`
-	BaselineConfig    sparksim.Config `json:"baseline_config"`
-	BaselinePredicted *float64        `json:"baseline_predicted,omitempty"`
-	BaselineSeconds   float64         `json:"baseline_seconds,omitempty"`
-	BestConfig        sparksim.Config `json:"best_config"`
-	BestSeconds       float64         `json:"best_seconds,omitempty"`
-	BestTrial         int             `json:"best_trial,omitempty"`
-	HasBest           bool            `json:"has_best,omitempty"`
-	Trials            []trialJSON     `json:"trials,omitempty"`
-	Violations        int             `json:"violations,omitempty"`
-	Promotions        int             `json:"promotions,omitempty"`
-	Closed            bool            `json:"closed,omitempty"`
-	CreatedAt         time.Time       `json:"created_at"`
-	ClosedAt          time.Time       `json:"closed_at,omitempty"`
-}
-
-func (s *Session) toJSON() sessionJSON {
-	j := sessionJSON{
-		ID:              s.ID,
-		App:             s.App,
-		SizeMB:          s.SizeMB,
-		Cluster:         s.Cluster,
-		Strategy:        s.Strategy,
-		Params:          s.Params,
-		SafetyBound:     s.SafetyBound,
-		MaxTrials:       s.MaxTrials,
-		Radius:          s.Radius,
-		BaselineConfig:  s.BaselineConfig,
-		BaselineSeconds: s.BaselineSeconds,
-		BestConfig:      s.BestConfig,
-		BestSeconds:     s.BestSeconds,
-		BestTrial:       s.BestTrial,
-		HasBest:         s.HasBest,
-		Violations:      s.Violations,
-		Promotions:      s.Promotions,
-		Closed:          s.Closed,
-		CreatedAt:       s.CreatedAt,
-		ClosedAt:        s.ClosedAt,
-	}
-	if !math.IsNaN(s.BaselinePredicted) {
-		p := s.BaselinePredicted
-		j.BaselinePredicted = &p
-	}
-	j.Trials = make([]trialJSON, 0, len(s.Trials))
-	for i := range s.Trials {
-		j.Trials = append(j.Trials, s.Trials[i].toJSON())
-	}
-	return j
-}
-
-func (j *sessionJSON) toSession() *Session {
-	s := &Session{
-		ID:                j.ID,
-		App:               j.App,
-		SizeMB:            j.SizeMB,
-		Cluster:           j.Cluster,
-		Strategy:          j.Strategy,
-		Params:            j.Params,
-		SafetyBound:       j.SafetyBound,
-		MaxTrials:         j.MaxTrials,
-		Radius:            j.Radius,
-		BaselineConfig:    j.BaselineConfig,
-		BaselinePredicted: math.NaN(),
-		BaselineSeconds:   j.BaselineSeconds,
-		BestConfig:        j.BestConfig,
-		BestSeconds:       j.BestSeconds,
-		BestTrial:         j.BestTrial,
-		HasBest:           j.HasBest,
-		Violations:        j.Violations,
-		Promotions:        j.Promotions,
-		Closed:            j.Closed,
-		CreatedAt:         j.CreatedAt,
-		ClosedAt:          j.ClosedAt,
-	}
-	if j.BaselinePredicted != nil {
-		s.BaselinePredicted = *j.BaselinePredicted
-	}
-	if s.Radius <= 0 {
-		s.Radius = math.Min(TrustStart, s.Params.Radius)
-	}
-	s.Trials = make([]Trial, 0, len(j.Trials))
-	for i := range j.Trials {
-		s.Trials = append(s.Trials, j.Trials[i].toTrial())
-	}
-	return s
-}
-
 // event is one WAL record. Replay is idempotent: a create for an existing
 // ID, a propose at an already-present trial index, a report of an
 // already-reported trial and a close of a closed session are all no-ops,
@@ -237,12 +90,12 @@ func (j *sessionJSON) toSession() *Session {
 // double-apply. Promotions never re-fire on replay — the promoted feedback
 // went through the feedback WAL, which made it durable on its own.
 type event struct {
-	Op      string       `json:"op"` // create | propose | report | close
-	ID      string       `json:"id"`
-	Session *sessionJSON `json:"session,omitempty"`
-	Trial   *trialJSON   `json:"trial,omitempty"`
-	Report  *reportJSON  `json:"report,omitempty"`
-	At      time.Time    `json:"at,omitempty"`
+	Op      string      `json:"op"` // create | propose | report | close
+	ID      string      `json:"id"`
+	Session *Session    `json:"session,omitempty"`
+	Trial   *Trial      `json:"trial,omitempty"`
+	Report  *reportJSON `json:"report,omitempty"`
+	At      time.Time   `json:"at,omitempty"`
 }
 
 type reportJSON struct {
@@ -252,7 +105,7 @@ type reportJSON struct {
 }
 
 type storeSnapshot struct {
-	Sessions []sessionJSON `json:"sessions"`
+	Sessions []*Session `json:"sessions"`
 }
 
 // Open loads (or creates) a session store. With a Dir it reads
@@ -322,11 +175,21 @@ func (st *Store) loadSnapshot() error {
 	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return fmt.Errorf("session: decode snapshot %s: %w", path, err)
 	}
-	for i := range snap.Sessions {
-		s := snap.Sessions[i].toSession()
-		st.sessions[s.ID] = s
+	for _, s := range snap.Sessions {
+		if s != nil {
+			st.adopt(s)
+		}
 	}
 	return nil
+}
+
+// adopt installs a decoded session, giving one persisted without a trust
+// radius its starting radius.
+func (st *Store) adopt(s *Session) {
+	if s.Radius <= 0 {
+		s.Radius = math.Min(TrustStart, s.Params.Radius)
+	}
+	st.sessions[s.ID] = s
 }
 
 // apply replays one event onto the table, idempotently. Called with st.mu
@@ -340,13 +203,13 @@ func (st *Store) apply(ev *event) {
 		if _, ok := st.sessions[ev.Session.ID]; ok {
 			return
 		}
-		st.sessions[ev.Session.ID] = ev.Session.toSession()
+		st.adopt(ev.Session)
 	case "propose":
 		s := st.sessions[ev.ID]
 		if s == nil || ev.Trial == nil || ev.Trial.Trial != len(s.Trials) {
 			return
 		}
-		s.Trials = append(s.Trials, ev.Trial.toTrial())
+		s.Trials = append(s.Trials, *ev.Trial)
 	case "report":
 		s := st.sessions[ev.ID]
 		if s == nil || ev.Report == nil {
@@ -401,14 +264,14 @@ func (st *Store) snapshotLocked() error {
 	if st.opts.Dir == "" {
 		return nil
 	}
-	snap := storeSnapshot{Sessions: make([]sessionJSON, 0, len(st.sessions))}
+	snap := storeSnapshot{Sessions: make([]*Session, 0, len(st.sessions))}
 	ids := make([]string, 0, len(st.sessions))
 	for id := range st.sessions {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		snap.Sessions = append(snap.Sessions, st.sessions[id].toJSON())
+		snap.Sessions = append(snap.Sessions, st.sessions[id])
 	}
 	data, err := json.MarshalIndent(&snap, "", " ")
 	if err != nil {
@@ -474,11 +337,10 @@ func (st *Store) Create(app string, sizeMB float64, cluster string, strategy Str
 		MaxTrials:         maxTrials,
 		Radius:            math.Min(TrustStart, params.Radius),
 		BaselineConfig:    baseline,
-		BaselinePredicted: predicted,
+		BaselinePredicted: estimate(predicted),
 		CreatedAt:         st.opts.Now(),
 	}
-	j := s.toJSON()
-	if err := st.append(&event{Op: "create", ID: id, Session: &j}); err != nil {
+	if err := st.append(&event{Op: "create", ID: id, Session: s}); err != nil {
 		return api.Session{}, err
 	}
 	st.sessions[id] = s
@@ -543,7 +405,7 @@ type Proposal struct {
 	SessionID       string
 	Trial           int
 	Config          sparksim.Config
-	Predicted       float64 // NaN when the model had no estimate
+	Predicted       *float64 // nil when the model had no estimate
 	Source          string
 	BudgetRemaining int
 	// AbortAfterSeconds is SafetyBound × the measured baseline — the
@@ -574,8 +436,7 @@ func (st *Store) NextProposal(id string, sc Scorer) (Proposal, error) {
 		return Proposal{}, ErrBudgetExhausted
 	}
 	t := s.propose(sc, st.rng)
-	j := t.toJSON()
-	if err := st.append(&event{Op: "propose", ID: id, Trial: &j}); err != nil {
+	if err := st.append(&event{Op: "propose", ID: id, Trial: &t}); err != nil {
 		return Proposal{}, err
 	}
 	s.Trials = append(s.Trials, t)
@@ -587,7 +448,7 @@ func proposalOf(s *Session, t *Trial) Proposal {
 		SessionID:       s.ID,
 		Trial:           t.Trial,
 		Config:          t.Config,
-		Predicted:       t.Predicted,
+		Predicted:       clone(t.Predicted),
 		Source:          t.Source,
 		BudgetRemaining: s.MaxTrials - s.trialsUsed(),
 	}
@@ -599,9 +460,10 @@ func proposalOf(s *Session, t *Trial) Proposal {
 
 // applyReport folds one measured result into the session. Pure state
 // transition — shared verbatim between the live path and WAL replay, so
-// replayed state is bit-identical to what the live path produced. Returns
-// the outcome (the live path acts on Promote; replay ignores it).
-func (s *Session) applyReport(trial int, seconds float64, failed bool) ReportOutcome {
+// replayed state is bit-identical to what the live path produced. The
+// trial records whether it improved and was promoted; the return value
+// says whether it violated the bound.
+func (s *Session) applyReport(trial int, seconds float64, failed bool) (violation bool) {
 	t := &s.Trials[trial]
 	t.Reported = true
 	t.Seconds = seconds
@@ -616,7 +478,7 @@ func (s *Session) applyReport(trial int, seconds float64, failed bool) ReportOut
 	// is therefore not a violation: the trial regressed *to* the bound,
 	// never past it. Failures are recorded on the trial (and shrink the
 	// trust region below) without being counted here.
-	violation := s.BaselineSeconds > 0 && t.Source != SourceBaseline &&
+	violation = s.BaselineSeconds > 0 && t.Source != SourceBaseline &&
 		seconds > s.SafetyBound*s.BaselineSeconds
 	if violation {
 		s.Violations++
@@ -660,45 +522,54 @@ func (s *Session) applyReport(trial int, seconds float64, failed bool) ReportOut
 		s.Promotions++
 	}
 
-	return ReportOutcome{
-		Improved:        improved,
-		Promote:         promote,
-		Violation:       violation,
-		BestSeconds:     s.BestSeconds,
-		BaselineSeconds: s.BaselineSeconds,
-		BudgetRemaining: s.MaxTrials - s.trialsUsed(),
-		Config:          t.Config,
-	}
+	return violation
 }
 
-// Report records a trial's measured result, exactly once per trial. The
-// caller promotes Outcome.Config through the feedback path when
-// Outcome.Promote is true; because the event is WAL-appended before the
-// outcome is returned, a crash after promotion replays the report as a
-// no-op promote (the feedback WAL already holds the promotion).
-func (st *Store) Report(id string, trial int, seconds float64, failed bool) (ReportOutcome, error) {
-	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
-		return ReportOutcome{}, fmt.Errorf("%w: seconds must be a finite value >= 0", errInvalid)
-	}
+// Report records a trial's measured result, exactly once per trial, and
+// answers in the wire type. When the trial is promoted, the response's
+// Promotion is the feedback body the caller feeds to the model; because
+// the event is WAL-appended before the response is returned, a crash after
+// promotion replays the report as a no-op promote (the feedback WAL
+// already holds the promotion). An unknown session is ErrNotFound before
+// any argument is checked.
+func (st *Store) Report(id string, trial int, seconds float64, failed bool) (api.ReportResultResponse, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.sessions[id]
 	if s == nil {
-		return ReportOutcome{}, ErrNotFound
+		return api.ReportResultResponse{}, ErrNotFound
+	}
+	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
+		return api.ReportResultResponse{}, fmt.Errorf("%w: seconds must be a finite value >= 0", errInvalid)
 	}
 	if s.Closed {
-		return ReportOutcome{}, ErrClosed
+		return api.ReportResultResponse{}, ErrClosed
 	}
 	if trial < 0 || trial >= len(s.Trials) {
-		return ReportOutcome{}, ErrUnknownTrial
+		return api.ReportResultResponse{}, ErrUnknownTrial
 	}
 	if s.Trials[trial].Reported {
-		return ReportOutcome{}, ErrTrialAlreadyReported
+		return api.ReportResultResponse{}, ErrTrialAlreadyReported
 	}
 	if err := st.append(&event{Op: "report", ID: id, Report: &reportJSON{Trial: trial, Seconds: seconds, Failed: failed}}); err != nil {
-		return ReportOutcome{}, err
+		return api.ReportResultResponse{}, err
 	}
-	return s.applyReport(trial, seconds, failed), nil
+	violation := s.applyReport(trial, seconds, failed)
+	t := &s.Trials[trial]
+	resp := api.ReportResultResponse{
+		SessionID:       id,
+		Trial:           trial,
+		Improved:        t.Improved,
+		Promoted:        t.Promoted,
+		Violation:       violation,
+		BestSeconds:     s.BestSeconds,
+		BaselineSeconds: s.BaselineSeconds,
+		BudgetRemaining: s.MaxTrials - s.trialsUsed(),
+	}
+	if t.Promoted {
+		resp.Promotion = &api.FeedbackRequest{App: s.App, SizeMB: s.SizeMB, Cluster: s.Cluster, Config: ConfigMap(t.Config)}
+	}
+	return resp, nil
 }
 
 // CloseSession closes a session (idempotent: closing a closed session
