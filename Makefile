@@ -24,15 +24,16 @@ lint:
 
 # verify is the tier-1 gate plus the serving-stack race check: everything
 # must compile, every test pass, every exported symbol be documented, and
-# the concurrent read/hot-swap paths — and the pooled gradient arenas of
-# nn.Backward — be clean under the race detector, the root package's
-# tests too (its allocation pins check only in non-race builds). The
+# the concurrent read/hot-swap paths and the training steps be clean under
+# the race detector, the root package's tests and allocation pins too. The
 # arm64 cross-build (offline, seconds) keeps the tensor/nn kernels portable
 # pure Go: no assembly, no build tag, nothing amd64-only (DESIGN.md §12.7).
 # The first grep keeps every rename and directory fsync inside internal/wal, so a
 # durable file can only be written through wal.WriteFileAtomic (DESIGN.md §9).
 # The second keeps a tuner-wide lock off the recommend path: a published
-# model is a value, never written in place (DESIGN.md §12.6).
+# model is a value, never written in place (DESIGN.md §12.6). The third
+# keeps internal/nn free of sync.Pool: a training step's memory is its
+# arena's, which a GC does not empty (DESIGN.md §12.8).
 # Each fuzz target (testing.F) then runs for 10 s; -fuzzminimizetime keeps
 # the engine fuzzing instead of minimizing every new corpus entry for a
 # minute. The fidelity gate last: the paper tables must not drift silently.
@@ -43,6 +44,7 @@ verify:
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.(Rename|SyncDir)\(' . | grep -v '^\./internal/wal/'
 	! grep -nE 'sync\.RWMutex|\.RLock\(' internal/core/lite.go
+	! grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal/nn
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on . ./internal/serve/... ./internal/core/... ./internal/nn/... ./internal/fleet/... ./internal/retrieval/... ./internal/wal/... ./internal/session/... ./pkg/...
 	$(GO) test -run '^$$' -fuzz '^FuzzRecommendResponseCodec$$' -fuzztime 10s -fuzzminimizetime 100x ./pkg/api

@@ -223,13 +223,12 @@ func BenchmarkAMU(b *testing.B) {
 }
 
 // TestFitAllocs pins the allocations of one Fit on BenchmarkFit's inputs.
-// Each minibatch's graph — values, nodes, parent lists, the conv
-// accumulators — lives in the model's step arena and its gradients in
-// Backward's pooled scratch, so what is left is per Fit — Adam's moments,
-// the epoch orders, the best-epoch snapshots — and per step the ops'
-// backward closures, their argmax and parent slices and the batch's stage
-// map. Under -race the Fits still run, but the pin is not checked (see
-// raceEnabled).
+// Each minibatch's graph — values, nodes, parent lists, gradients, the conv
+// and pooling scratch, Backward's traversal — lives in the model's step
+// arena, so what is left is per Fit — Adam's moments, the epoch orders, the
+// best-epoch snapshots, the arena's slabs — and per step the ops' backward
+// closures, the conv banks' parent and filter slices and the batch's stage
+// map. Nothing is pooled, so the pin holds under -race as well.
 func TestFitAllocs(t *testing.T) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -245,21 +244,20 @@ func TestFitAllocs(t *testing.T) {
 		models[next].Fit(encoded, rand.New(rand.NewSource(1)))
 		next++
 	})
-	if got > 1550 && !raceEnabled {
-		t.Errorf("%.0f allocs per Fit, want ≤ 1550", got)
+	if got > 1330 {
+		t.Errorf("%.0f allocs per Fit, want ≤ 1330", got)
 	} else {
 		t.Logf("%.0f allocs per Fit", got)
 	}
 }
 
 // TestAMUAllocs pins the allocations of one Adaptive Model Update on
-// BenchmarkAMU's inputs. A minibatch step's graph lives in the
-// discriminator's arena and its gradients and traversal in Backward's
-// pooled scratch, and the source sample's stage encodings come from the
-// Encoder's memo after the first update, so what is left is per update —
-// the tower inputs, the discriminator and Adam's moments, the rng — and
-// one backward closure per op per step. Under -race the updates still run,
-// but the pin is not checked (see raceEnabled).
+// BenchmarkAMU's inputs. A minibatch step's graph, its gradients and its
+// traversal live in the discriminator's arena, and the source sample's
+// stage encodings come from the Encoder's memo after the first update, so
+// what is left is per update — the tower inputs, the discriminator, its
+// arena's slabs and Adam's moments, the rng — and one backward closure per
+// op per step. Nothing is pooled, so the pin holds under -race as well.
 func TestAMUAllocs(t *testing.T) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -279,8 +277,8 @@ func TestAMUAllocs(t *testing.T) {
 		core.AdaptiveModelUpdate(models[next], source, target, cfg, rand.New(rand.NewSource(1)))
 		next++
 	})
-	if got > 660 && !raceEnabled {
-		t.Errorf("%.0f allocs per update, want ≤ 660", got)
+	if got > 640 {
+		t.Errorf("%.0f allocs per update, want ≤ 640", got)
 	} else {
 		t.Logf("%.0f allocs per update", got)
 	}

@@ -32,8 +32,9 @@ func DefaultAMUConfig() AMUConfig {
 // sigmoid probability of the instance being from the source domain.
 type Discriminator struct {
 	mlp *nn.MLP
-	// step holds the graph of the update's current minibatch: amuLoss
-	// resets it and builds the next step's graph in the same memory.
+	// step holds the graph of the current minibatch (amuLoss) or sample
+	// (DomainAccuracy), which resets it and builds the next step's graph
+	// in the same memory.
 	step nn.Arena
 }
 
@@ -51,11 +52,6 @@ func NewDiscriminator(m *NECS, cfg AMUConfig, rng *rand.Rand) *Discriminator {
 
 func towerInputWidth(m *NECS) int {
 	return m.Tower.Layers[0].W.Value.Rows
-}
-
-// Forward returns P(source domain | hidden embeddings).
-func (d *Discriminator) Forward(hidden []*nn.Node) *nn.Node {
-	return d.mlp.Forward(nn.Concat(hidden...))
 }
 
 // Params returns the discriminator's trainable parameters.
@@ -88,9 +84,8 @@ func (d *Discriminator) Params() []*nn.Node { return d.mlp.Params() }
 //
 // and per minibatch step only the tower-and-discriminator graph (amuLoss),
 // its backward pass, the clip and the Adam step. The step's values, nodes
-// and gradients live in storage the next step reuses (the
-// discriminator's arena and Backward's pooled scratch), so a step
-// allocates only its ops' backward closures.
+// and gradients live in the discriminator's arena, which the next step
+// reuses, so a step allocates only its ops' backward closures.
 //
 // The function mutates m's weights in place, so it panics on a model that
 // has scored: serving layers fine-tune a clone and hot-swap (see
@@ -230,21 +225,32 @@ func amuLoss(tower *nn.MLP, disc *Discriminator, batch []domainSample, lambda fl
 func DomainAccuracy(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) float64 {
 	disc := NewDiscriminator(m, cfg, rng)
 	opt := nn.NewAdam(disc.Params(), 2e-3)
+	ar := &disc.step
 	type sample struct {
-		hidden []*nn.Node
+		hidden *tensor.Tensor
 		domain float64
 	}
+	// The tower is not trained here, so a sample's hidden embeddings are a
+	// constant discriminator input: computed once, from the sample's own
+	// graph, and copied out of the arena.
 	var data []sample
+	embed := func(x *Encoded, domain float64) {
+		ar.Reset()
+		_, h := m.forward(ar, []*Encoded{x})
+		data = append(data, sample{nn.Concat(h...).Value.Clone(), domain})
+	}
 	for _, x := range source {
-		_, h := m.Forward(x)
-		data = append(data, sample{h, 1})
+		embed(x, 1)
 	}
 	for _, x := range target {
-		_, h := m.Forward(x)
-		data = append(data, sample{h, 0})
+		embed(x, 0)
 	}
 	if len(data) < 4 {
 		return 0.5
+	}
+	predict := func(s sample) *nn.Node {
+		ar.Reset()
+		return disc.mlp.Forward(ar.Const(s.hidden))
 	}
 	rng.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
 	cut := len(data) * 7 / 10
@@ -253,13 +259,13 @@ func DomainAccuracy(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand
 		rng.Shuffle(len(train), func(i, j int) { train[i], train[j] = train[j], train[i] })
 		for _, s := range train {
 			opt.ZeroGrad()
-			nn.Backward(nn.BCELoss(disc.Forward(s.hidden), s.domain))
+			nn.Backward(nn.BCELoss(predict(s), s.domain))
 			opt.Step()
 		}
 	}
 	correct := 0
 	for _, s := range eval {
-		p := disc.Forward(s.hidden).Scalar()
+		p := predict(s).Scalar()
 		if (p >= 0.5) == (s.domain == 1) {
 			correct++
 		}

@@ -136,9 +136,8 @@ func TestUpdateSwapConcurrentWithRecommend(t *testing.T) {
 	}
 }
 
-// Two clones trained at once share the pooled gradient arenas of
-// nn.Backward (each call takes its own): both must end with the weights of
-// the same training run done alone. Run with -race.
+// Two clones trained at once, each in its own step arena, must both end
+// with the weights of the same training run done alone. Run with -race.
 func TestConcurrentFitMatchesSerial(t *testing.T) {
 	tuner, ds := concurrencyTuner(t)
 	encoded := EncodeAll(tuner.Model.Encoder, ds.Instances)

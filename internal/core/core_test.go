@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lite/internal/instrument"
+	"lite/internal/nn"
 	"lite/internal/sparksim"
 	"lite/internal/stats"
 	"lite/internal/workload"
@@ -311,8 +312,8 @@ func TestDiscriminatorOutputsProbability(t *testing.T) {
 	model := NewNECS(enc, cfg, rng)
 	disc := NewDiscriminator(model, DefaultAMUConfig(), rng)
 	encoded := EncodeAll(enc, ds.Instances)
-	_, hidden := model.Forward(encoded[0])
-	p := disc.Forward(hidden).Scalar()
+	_, hidden := model.forward(new(nn.Arena), encoded[:1])
+	p := disc.mlp.Forward(nn.Concat(hidden...)).Scalar()
 	if p < 0 || p > 1 {
 		t.Fatalf("discriminator output %v not a probability", p)
 	}

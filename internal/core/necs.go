@@ -339,45 +339,30 @@ func (m *NECS) Params() []*nn.Node {
 	return ps
 }
 
-// Forward runs NECS over a minibatch as one autograd graph and returns the
-// m×1 prediction node plus the tower's hidden activations (used by Adaptive
-// Model Update's discriminator); row i of each is xs[i]. Instances of the
-// same stage share the encoder's memoized token ids and DAG matrices, so
-// each distinct stage's CNN and GCN run once and their h_code ‖ h_DAG is
-// gathered to every row of that stage, whose backward pass scatter-adds
-// the rows' gradients before the encoders see them. The tower then runs
-// over all rows as one GEMM per layer (DESIGN.md §12.8). The graph lives
-// on the heap; Fit builds the same graph in its step arena (forward).
-func (m *NECS) Forward(xs ...*Encoded) (*nn.Node, []*nn.Node) {
-	return m.forward(nil, xs)
-}
-
-// forward is Forward with the graph held in ar when it is set: the
-// constants (A-hat, node features, the dense block) are wrapped by
-// ar.Const, so every op's value, node and parent list comes from ar, and
-// the graph is invalid after ar's next Reset.
+// forward runs NECS over a minibatch as one autograd graph held in ar and
+// returns the m×1 prediction node plus the tower's hidden activations;
+// row i of each is xs[i]. Instances of the same stage share the encoder's
+// memoized token ids and DAG matrices, so each distinct stage's CNN and
+// GCN run once and their h_code ‖ h_DAG is gathered to every row of that
+// stage, whose backward pass scatter-adds the rows' gradients before the
+// encoders see them. The tower then runs over all rows as one GEMM per
+// layer (DESIGN.md §12.8). The constants (A-hat, node features, the dense
+// block) are wrapped by ar.Const, so every op's value, node, parent list
+// and gradient comes from ar, and the graph is invalid after ar's next
+// Reset.
 func (m *NECS) forward(ar *nn.Arena, xs []*Encoded) (*nn.Node, []*nn.Node) {
-	cnst := nn.NewConst
-	if ar != nil {
-		cnst = ar.Const
-	}
 	rowStage, stages := stageSlots(xs)
 	reps := make([]*nn.Node, len(stages))
 	for s, x := range stages {
-		hCode := m.Code.ForwardIn(ar, x.TokenIDs)
-		hDAG := m.DAG.Forward(cnst(x.AHat), cnst(x.NodeFeats))
+		hCode := m.Code.Forward(ar, x.TokenIDs)
+		hDAG := m.DAG.Forward(ar.Const(x.AHat), ar.Const(x.NodeFeats))
 		reps[s] = nn.Concat(hCode, hDAG)
 	}
-	var dense *tensor.Tensor
-	if ar != nil {
-		dense = ar.Alloc(len(xs), len(xs[0].Dense))
-	} else {
-		dense = tensor.New(len(xs), len(xs[0].Dense))
-	}
+	dense := ar.Alloc(len(xs), len(xs[0].Dense))
 	for i, x := range xs {
 		copy(dense.RowView(i), x.Dense)
 	}
-	in := nn.Concat(cnst(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
+	in := nn.Concat(ar.Const(dense), nn.GatherRows(nn.StackRows(reps), rowStage))
 	return m.Tower.ForwardHidden(in)
 }
 
@@ -417,9 +402,12 @@ func keyOf(x *Encoded) stageKey {
 	return k
 }
 
-// Predict returns the predicted stage label (log space).
+// Predict returns the predicted stage label (log space) from the autograd
+// graph of x alone, built in a local arena: the golden the batched
+// inference kernel is checked against.
 func (m *NECS) Predict(x *Encoded) float64 {
-	out, _ := m.Forward(x)
+	var ar nn.Arena
+	out, _ := m.forward(&ar, []*Encoded{x})
 	return out.Scalar()
 }
 
@@ -498,10 +486,11 @@ func gradsFinite(params []*nn.Node) bool {
 // Fit trains the model with Adam on the weighted squared error of
 // Equation 4. It reports the mean training loss of the final epoch.
 //
-// Each minibatch is one graph (Forward over the whole batch, one
+// Each minibatch is one graph (forward over the whole batch, one
 // row-loss op) and one backward pass, so every distinct stage in the batch
 // is encoded once however many instances share it (DESIGN.md §12.8). The
-// graph lives in a step arena that the next minibatch reuses.
+// graph and its gradients live in a step arena that the next minibatch
+// reuses.
 //
 // The epochs' shuffles are Fit's only use of rng, and it draws all of
 // them before the first step (epochOrders), so TrainOn can hand rng on

@@ -21,7 +21,7 @@ import (
 // refForward is one instance's forward pass as its own graph: CNN, GCN and
 // tower over a single row.
 func refForward(m *NECS, x *Encoded) (*nn.Node, []*nn.Node) {
-	hCode := m.Code.Forward(x.TokenIDs)
+	hCode := m.Code.Forward(nil, x.TokenIDs)
 	hDAG := m.DAG.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats))
 	return m.Tower.ForwardHidden(nn.Concat(nn.NewConst(tensor.FromRow(x.Dense)), hCode, hDAG))
 }
@@ -86,8 +86,7 @@ func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
 				opt.ZeroGrad()
 				continue
 			}
-			nn.ClipGrads(params, 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(params, 5))
 		}
 		if epochWeight > 0 {
 			lastLoss = epochLoss / epochWeight
@@ -115,7 +114,7 @@ func refFit(m *NECS, data []*Encoded, rng *rand.Rand) float64 {
 // wᵢ/|batch|. It returns the epoch-loss increments Σ wᵢ·L_p,ᵢ and Σ wᵢ.
 func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float64) (loss, weight float64) {
 	for _, s := range batch {
-		hCode := m.Code.Forward(s.x.TokenIDs).Value
+		hCode := m.Code.Forward(nil, s.x.TokenIDs).Value
 		hDAG := m.DAG.Forward(nn.NewConst(s.x.AHat), nn.NewConst(s.x.NodeFeats)).Value
 		in := tensor.Concat(tensor.FromRow(s.x.Dense), hCode, hDAG)
 		out, hidden := m.Tower.ForwardHidden(nn.NewConst(in))
@@ -124,7 +123,7 @@ func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float
 		for i, h := range hidden {
 			rev[i] = nn.GradReverse(h, lambda)
 		}
-		ld := nn.BCELoss(disc.Forward(rev), s.domain)
+		ld := nn.BCELoss(disc.mlp.Forward(nn.Concat(rev...)), s.domain)
 		nn.Backward(nn.Scale(nn.Add(lp, ld), s.x.Weight/float64(len(batch))))
 		loss += lp.Scalar() * s.x.Weight
 		weight += s.x.Weight
@@ -148,8 +147,7 @@ func refAMU(m *NECS, source, target []*Encoded, cfg AMUConfig, rng *rand.Rand) f
 			l, w := refAMUStep(m, disc, data[start:min(start+cfg.BatchSize, len(data))], cfg.Lambda)
 			epochLoss += l
 			count += w
-			nn.ClipGrads(params, 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(params, 5))
 		}
 		if count > 0 {
 			lastLoss = epochLoss / count

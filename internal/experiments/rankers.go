@@ -9,7 +9,6 @@ import (
 	"lite/internal/gbm"
 	"lite/internal/instrument"
 	"lite/internal/nn"
-	"lite/internal/tensor"
 	"lite/internal/workload"
 )
 
@@ -54,6 +53,8 @@ type MLPModel struct {
 	Epochs int
 	LR     float64
 	mlp    *nn.MLP
+	// step holds the graph of the current minibatch or prediction.
+	step nn.Arena
 }
 
 // NewMLPModel returns the Table VII MLP baseline regressor.
@@ -76,19 +77,20 @@ func (m *MLPModel) Fit(x [][]float64, y []float64, rng *rand.Rand) {
 				e = len(idx)
 			}
 			opt.ZeroGrad()
+			m.step.Reset()
 			for _, i := range idx[s:e] {
-				loss := nn.Scale(nn.MSELoss(m.mlp.Forward(nn.NewConst(tensor.FromRow(x[i]))), y[i]), 1/float64(e-s))
+				loss := nn.Scale(nn.MSELoss(m.mlp.Forward(m.step.ConstRow(x[i])), y[i]), 1/float64(e-s))
 				nn.Backward(loss)
 			}
-			nn.ClipGrads(m.mlp.Params(), 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(m.mlp.Params(), 5))
 		}
 	}
 }
 
 // Predict scores one row.
 func (m *MLPModel) Predict(row []float64) float64 {
-	return m.mlp.Forward(nn.NewConst(tensor.FromRow(row))).Scalar()
+	m.step.Reset()
+	return m.mlp.Forward(m.step.ConstRow(row)).Scalar()
 }
 
 // FlatRanker pairs a featurizer mode with a regressor.
@@ -220,6 +222,8 @@ type NeuralRanker struct {
 	tfm   *nn.TransformerEncoder
 	gcn   *nn.GCNEncoder
 	tower *nn.MLP
+	// step holds the graph of the current minibatch or stage score.
+	step nn.Arena
 }
 
 // NewNeuralRanker builds a ranker of the given variant.
@@ -271,6 +275,7 @@ func (r *NeuralRanker) Fit(ds *core.Dataset, rng *rand.Rand) {
 				e = len(idx)
 			}
 			opt.ZeroGrad()
+			r.step.Reset()
 			var bw float64
 			for _, i := range idx[s:e] {
 				bw += data[i].Weight
@@ -280,8 +285,7 @@ func (r *NeuralRanker) Fit(ds *core.Dataset, rng *rand.Rand) {
 				loss := nn.Scale(nn.MSELoss(r.forward(x), x.Y), x.Weight/bw)
 				nn.Backward(loss)
 			}
-			nn.ClipGrads(r.params(), 5)
-			opt.Step()
+			opt.StepScaled(nn.ClipScale(r.params(), 5))
 		}
 	}
 }
@@ -299,15 +303,18 @@ func (r *NeuralRanker) params() []*nn.Node {
 	return ps
 }
 
+// forward builds x's prediction graph in r's step arena, which the caller
+// resets.
 func (r *NeuralRanker) forward(x *core.Encoded) *nn.Node {
-	parts := []*nn.Node{nn.NewConst(tensor.FromRow(x.Dense))}
+	ar := &r.step
+	parts := []*nn.Node{ar.ConstRow(x.Dense)}
 	switch r.Variant {
 	case VariantLSTM:
-		parts = append(parts, r.lstm.Forward(x.TokenIDs))
+		parts = append(parts, r.lstm.Forward(ar, x.TokenIDs))
 	case VariantTransformer:
-		parts = append(parts, r.tfm.Forward(x.TokenIDs))
+		parts = append(parts, r.tfm.Forward(ar, x.TokenIDs))
 	}
-	parts = append(parts, r.gcn.Forward(nn.NewConst(x.AHat), nn.NewConst(x.NodeFeats)))
+	parts = append(parts, r.gcn.Forward(ar.Const(x.AHat), ar.Const(x.NodeFeats)))
 	return r.tower.Forward(nn.Concat(parts...))
 }
 
@@ -332,6 +339,7 @@ func (r *NeuralRanker) Scores(gc *GoldCase) []float64 {
 					Code: st.Code, Ops: st.Ops, Edges: st.Edges,
 					Config: cfg, Data: gc.Data, Env: gc.Env,
 				}
+				r.step.Reset()
 				sec = clampNonNeg(core.SecondsOf(r.forward(r.enc.Encode(&inst)).Scalar()))
 				perStage[si] = sec
 			}

@@ -52,13 +52,7 @@ func ernestFeatures(cfg sparksim.Config, data sparksim.DataSpec, env sparksim.En
 // featureSlots computes allocatable task slots for a configuration.
 func featureSlots(cfg sparksim.Config, env sparksim.Environment) float64 {
 	cfg = cfg.Clamp()
-	perNodeByCores := math.Floor(float64(env.Cores) / cfg[sparksim.KnobExecutorCores])
-	perNodeByMem := math.Floor((env.MemGB - 1) / (cfg[sparksim.KnobExecutorMemory] + cfg[sparksim.KnobExecutorMemoryOverhead]/1024))
-	perNode := math.Min(perNodeByCores, perNodeByMem)
-	if perNode < 1 {
-		return 0
-	}
-	executors := math.Min(cfg[sparksim.KnobExecutorInstances], perNode*float64(env.Nodes))
+	executors, _ := sparksim.Placement(cfg, env)
 	return executors * cfg[sparksim.KnobExecutorCores]
 }
 

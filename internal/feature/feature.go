@@ -230,14 +230,7 @@ func DerivedResourceFeaturesInto(dst []float64, cfg sparksim.Config, data sparks
 	cfg = cfg.Clamp()
 	cores := cfg[sparksim.KnobExecutorCores]
 	memGB := cfg[sparksim.KnobExecutorMemory]
-	overheadGB := cfg[sparksim.KnobExecutorMemoryOverhead] / 1024
-	perNodeByCores := math.Floor(float64(env.Cores) / cores)
-	perNodeByMem := math.Floor((env.MemGB - 1) / (memGB + overheadGB))
-	perNode := math.Min(perNodeByCores, perNodeByMem)
-	executors := 0.0
-	if perNode >= 1 {
-		executors = math.Min(cfg[sparksim.KnobExecutorInstances], perNode*float64(env.Nodes))
-	}
+	executors, fits := sparksim.Placement(cfg, env)
 	slots := executors * cores
 	heapMB := memGB * 1024
 	unified := heapMB * cfg[sparksim.KnobMemoryFraction]
@@ -246,7 +239,7 @@ func DerivedResourceFeaturesInto(dst []float64, cfg sparksim.Config, data sparks
 	parallelism := cfg[sparksim.KnobDefaultParallelism]
 	mbPerPartition := data.SizeMB / parallelism
 	feasible := 0.0
-	if perNode >= 1 {
+	if fits {
 		feasible = 1
 	}
 	dst = dst[:DerivedWidth]

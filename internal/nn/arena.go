@@ -4,9 +4,10 @@ import "lite/internal/tensor"
 
 // Arena is a pass-scoped bump allocator. It holds the activations of one
 // inference pass (InferBatch) or the whole graph of one training step —
-// values, nodes and parent lists — for a graph grown from Const. All of
-// it comes from slabs the arena keeps across Resets, so a pass or step of
-// a shape seen before performs no heap allocation for them.
+// values, nodes, parent lists, gradients, op scratch and Backward's
+// traversal — for a graph grown from Const. All of it comes from slabs
+// the arena keeps across Resets, so a pass or step of a shape seen before
+// performs no heap allocation for them.
 //
 // Ownership and aliasing rules (DESIGN.md §12):
 //
@@ -24,20 +25,24 @@ import "lite/internal/tensor"
 //     distinct activations within one pass never alias each other.
 type Arena struct {
 	floats []float64
+	ints   []int
 	heads  []tensor.Tensor
 	nodes  []Node
 	ptrs   []*Node
 	// Offsets of the next free element of each slab.
-	nf, nh, nn, np int
+	nf, ni, nh, nn, np int
+	// walk is the traversal storage of Backward from a root held here.
+	walk walk
 }
 
 // take returns n elements of *slab from *off on. When the slab is short it
-// is replaced by one at least twice as large, so a steady-state shape
-// settles into no allocation; what was handed out before keeps the old
-// slab and stays valid until Reset.
+// is replaced by one at least twice as large, and of at least 64
+// elements, so a new arena skips the smallest sizes and a steady-state
+// shape settles into no allocation; what was handed out before keeps the
+// old slab and stays valid until Reset.
 func take[T any](slab *[]T, off *int, n int) []T {
 	if *off+n > len(*slab) {
-		*slab = make([]T, max(2*len(*slab), n))
+		*slab = make([]T, max(2*len(*slab), n, 64))
 		*off = 0
 	}
 	s := (*slab)[*off : *off+n : *off+n]
@@ -71,6 +76,21 @@ func (a *Arena) Const(t *tensor.Tensor) *Node {
 	return n
 }
 
+// ConstRow copies the concatenation of parts into the arena as a 1×n
+// constant node, valid until the next Reset.
+func (a *Arena) ConstRow(parts ...[]float64) *Node {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	t := a.Alloc(1, n)
+	d := t.Data
+	for _, p := range parts {
+		d = d[copy(d, p):]
+	}
+	return a.Const(t)
+}
+
 // node returns an uninitialized node slot; the caller overwrites it whole.
 func (a *Arena) node() *Node { return &take(&a.nodes, &a.nn, 1)[0] }
 
@@ -79,4 +99,4 @@ func (a *Arena) nodePtrs(n int) []*Node { return take(&a.ptrs, &a.np, n) }
 
 // Reset recycles the arena for the next pass. Everything handed out since
 // the previous Reset becomes invalid.
-func (a *Arena) Reset() { a.nf, a.nh, a.nn, a.np = 0, 0, 0, 0 }
+func (a *Arena) Reset() { a.nf, a.ni, a.nh, a.nn, a.np = 0, 0, 0, 0, 0 }

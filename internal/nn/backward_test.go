@@ -1,11 +1,12 @@
 package nn
 
-// Backward lends intermediate nodes gradient storage from one pooled
-// arena per call. These tests pin that the arena changes where gradients
-// live and nothing else: the same bits as a Backward that allocates every
-// gradient, the same nil-gradient skip, and no gradient left behind.
+// Backward keeps an arena graph's gradients and traversal in its arena.
+// These tests pin that the arena changes where they live and nothing
+// else: the bits of the same graph on the heap, the same nil-gradient
+// skip, and no gradient left behind.
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,38 +14,20 @@ import (
 	"lite/internal/tensor"
 )
 
-// refBackward is Backward as it was before the arena: every intermediate
-// gradient freshly allocated by ensureGrad.
-func refBackward(root *Node) {
-	order := new(backwardScratch).topoSort(root)
-	root.ensureGrad().Data[0] = 1
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		if n.backFn != nil && n.Grad != nil {
-			n.backFn(n.Grad)
-		}
-	}
-	for _, n := range order {
-		if len(n.parents) > 0 {
-			n.Grad = nil
-		}
-	}
-}
-
-// sharedHiddenGrads builds one hidden layer over fixed inputs, then — as
-// DomainAccuracy does with NECS's hidden embeddings — runs a backward pass
-// from several different heads over those same hidden nodes, returning the
-// parameter gradients after each pass.
-func sharedHiddenGrads(t *testing.T, backward func(*Node), seed int64) [][]float64 {
+// sharedHiddenGrads builds one hidden layer over fixed inputs, in ar (on
+// the heap when it is nil), then runs a backward pass from several
+// different heads over those same hidden nodes, returning the parameter
+// gradients after each pass.
+func sharedHiddenGrads(t *testing.T, ar *Arena, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
-	x := NewConst(tensor.Randn(5, 7, 1, rng))
+	x := constant(ar, tensor.Randn(5, 7, 1, rng))
 	w1 := NewParam(tensor.Randn(7, 6, 1, rng), "w1")
 	w2 := NewParam(tensor.Randn(6, 3, 1, rng), "w2")
 	hidden := ReLU(MatMul(x, w1))
 	var out [][]float64
 	for pass := 0; pass < 4; pass++ {
-		head := Sum(Mul(Sigmoid(MatMul(hidden, w2)), NewConst(tensor.Randn(5, 3, 1, rng))))
-		backward(head)
+		head := Sum(Mul(Sigmoid(MatMul(hidden, w2)), constant(ar, tensor.Randn(5, 3, 1, rng))))
+		Backward(head)
 		if hidden.Grad != nil || head.Grad != nil {
 			t.Error("an intermediate gradient outlived Backward")
 		}
@@ -54,24 +37,24 @@ func sharedHiddenGrads(t *testing.T, backward func(*Node), seed int64) [][]float
 }
 
 func TestBackwardOverSharedHiddenMatchesReference(t *testing.T) {
-	got := sharedHiddenGrads(t, Backward, 5)
-	want := sharedHiddenGrads(t, refBackward, 5)
+	got := sharedHiddenGrads(t, dirtyArena(), 5)
+	want := sharedHiddenGrads(t, nil, 5)
 	for pass := range want {
 		requireSameBits(t, "parameter gradients after pass", got[pass], want[pass])
 	}
 }
 
-// Concurrent backward passes take distinct arenas: goroutines training
-// their own graphs at once must produce the gradients of a serial run.
+// Concurrent backward passes over graphs in distinct arenas must produce
+// the gradients of a serial run on the heap.
 func TestBackwardConcurrentMatchesSerial(t *testing.T) {
-	want := sharedHiddenGrads(t, refBackward, 11)
+	want := sharedHiddenGrads(t, nil, 11)
 	var wg sync.WaitGroup
 	results := make([][][]float64, 4)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = sharedHiddenGrads(t, Backward, 11)
+			results[i] = sharedHiddenGrads(t, new(Arena), 11)
 		}(i)
 	}
 	wg.Wait()
@@ -83,19 +66,56 @@ func TestBackwardConcurrentMatchesSerial(t *testing.T) {
 }
 
 // A node whose children send it no gradient keeps a nil Grad, and its
-// backFn does not run — exactly as when every gradient was allocated on
-// first use.
+// backFn does not run, on the heap and in an arena.
 func TestBackwardSkipsNodesWithoutGradient(t *testing.T) {
-	p := NewParam(tensor.FromRow([]float64{1, 2}), "p")
-	ran := false
-	mid := newNode(tensor.FromRow([]float64{3, 4}), func(*tensor.Tensor) { ran = true }, p)
-	var midGrad *tensor.Tensor
-	root := newNode(tensor.FromRow([]float64{5}), func(*tensor.Tensor) { midGrad = mid.Grad }, mid)
-	Backward(root)
-	if ran || midGrad != nil || p.Grad != nil {
-		t.Fatalf("a node that received no gradient: backFn ran %v, Grad %v, parent Grad %v", ran, midGrad, p.Grad)
+	for _, ar := range []*Arena{nil, dirtyArena()} {
+		p := NewParam(tensor.FromRow([]float64{1, 2}), "p")
+		ran := false
+		mid := newNodeIn(ar, tensor.FromRow([]float64{3, 4}), func(*tensor.Tensor) { ran = true }, p)
+		var midGrad *tensor.Tensor
+		root := newNodeIn(ar, tensor.FromRow([]float64{5}), func(*tensor.Tensor) { midGrad = mid.Grad }, mid)
+		Backward(root)
+		if ran || midGrad != nil || p.Grad != nil {
+			t.Fatalf("arena=%t: a node that received no gradient: backFn ran %v, Grad %v, parent Grad %v", ar != nil, ran, midGrad, p.Grad)
+		}
+		if root.Grad != nil {
+			t.Fatalf("arena=%t: Backward left a gradient on an intermediate node", ar != nil)
+		}
 	}
-	if root.Grad != nil || mid.gradSlot != nil || root.gradSlot != nil {
-		t.Fatal("Backward left a gradient or arena slot on an intermediate node")
+}
+
+// The LSTM and Transformer encoders, in a dirty arena, give the heap
+// graph's value and every parameter's gradient bit for bit, over two
+// steps that reuse the arena, on sequences with repeated ids and padding.
+func TestSequenceEncodersArenaMatchesHeapBitwise(t *testing.T) {
+	ids := []int{1, 4, 2, -1, 4, 6, 1, 1}
+	type encoder struct {
+		forward func(*Arena, []int) *Node
+		params  []*Node
+	}
+	build := map[string]func() encoder{
+		"lstm": func() encoder {
+			e := NewLSTMEncoder(8, 3, 4, 16, rand.New(rand.NewSource(14)))
+			return encoder{e.Forward, e.Params()}
+		},
+		"transformer": func() encoder {
+			e := NewTransformerEncoder(8, 4, 2, 6, 10, rand.New(rand.NewSource(15)))
+			return encoder{e.Forward, e.Params()}
+		},
+	}
+	for name, newEnc := range build {
+		heap, arena := newEnc(), newEnc()
+		w := tensor.Randn(1, heap.forward(nil, ids).Value.Cols, 1, rand.New(rand.NewSource(3)))
+		ar := dirtyArena()
+		for step := 0; step < 2; step++ {
+			ar.Reset()
+			want, got := heap.forward(nil, ids), arena.forward(ar, ids)
+			requireSameBits(t, fmt.Sprintf("%s step %d: value", name, step), got.Value.Data, want.Value.Data)
+			Backward(weightedSum(want, w))
+			Backward(weightedSum(got, w))
+			for i, p := range arena.params {
+				requireSameBits(t, fmt.Sprintf("%s step %d: %s grad", name, step, p.Name()), p.Grad.Data, heap.params[i].Grad.Data)
+			}
+		}
 	}
 }

@@ -113,8 +113,7 @@ func conv1DMaxPoolValue(ar *Arena, input *tensor.Tensor, live int, filters []*te
 	if n < k {
 		panic("nn: Conv1DMaxPool input shorter than kernel")
 	}
-	out := value(ar, 1, f)
-	argmax := make([]int, f)
+	out, argmax := value(ar, 1, f), ints(ar, f)
 	acc := floats(ar, min(live, n-k+1))
 	for fi, w := range filters {
 		if w.Rows != d || w.Cols != k {
@@ -205,40 +204,43 @@ func convRowAccum(acc, in, w []float64) {
 // arena cannot come from the inputs: the node is held in ar (see
 // Arena.Const) when it is set and on the heap when it is nil.
 func EmbeddingLookup(ar *Arena, table *Node, ids []int) *Node {
-	d := table.Value.Cols
-	n := len(ids)
 	v := embeddingLookupValue(ar, table.Value, ids)
-	back := func(g *tensor.Tensor) {
-		if !table.requiresGrad {
-			return
+	back := func(g *tensor.Tensor) { scatterRows(ar, table, ids, g.Data, len(ids), 1) }
+	return newNodeIn(ar, v, back, table)
+}
+
+// scatterRows adds an embedding gather's gradient g into table's: element
+// r of position j's vector, g[r·rs + j·js], belongs to row ids[j]. Only
+// the rows ids names change. A repeated id's vectors are summed first and
+// added to its row once, grad + (g₁+g₂+…), the association the
+// full-table temporary this replaces produced. The scratch comes from ar
+// when it is set.
+func scatterRows(ar *Arena, table *Node, ids []int, g []float64, rs, js int) {
+	if !table.requiresGrad {
+		return
+	}
+	grad := table.ensureGrad()
+	sum, done := floats(ar, table.Value.Cols), ints(ar, len(ids))
+	clear(done)
+	for j, id := range ids {
+		if id < 0 || done[j] != 0 {
+			continue
 		}
-		// Only the rows ids names change. A repeated id's columns of g are
-		// summed first and added to its row once, grad + (g₁+g₂+…), the
-		// association the full-table temporary this replaces produced.
-		grad := table.ensureGrad()
-		sum := make([]float64, d)
-		done := make([]bool, n)
-		for j, id := range ids {
-			if id < 0 || done[j] {
+		clear(sum)
+		for j2 := j; j2 < len(ids); j2++ {
+			if ids[j2] != id {
 				continue
 			}
-			clear(sum)
-			for j2 := j; j2 < n; j2++ {
-				if ids[j2] != id {
-					continue
-				}
-				done[j2] = true
-				for r := range sum {
-					sum[r] += g.Data[r*n+j2]
-				}
-			}
-			grow := grad.RowView(id)
-			for r, s := range sum {
-				grow[r] += s
+			done[j2] = 1
+			for r := range sum {
+				sum[r] += g[r*rs+j2*js]
 			}
 		}
+		grow := grad.RowView(id)
+		for r, s := range sum {
+			grow[r] += s
+		}
 	}
-	return newNodeIn(ar, v, back, table)
 }
 
 // embeddingLookupValue is the shared forward kernel of EmbeddingLookup,
@@ -267,31 +269,17 @@ func embeddingLookupValue(ar *Arena, table *tensor.Tensor, ids []int) *tensor.Te
 
 // EmbeddingLookupRows gathers rows of the embedding table as an N×D matrix
 // (sequence length × embedding dim), the orientation the LSTM and
-// Transformer encoders expect.
-func EmbeddingLookupRows(table *Node, ids []int) *Node {
+// Transformer encoders expect, held in ar as EmbeddingLookup's is.
+func EmbeddingLookupRows(ar *Arena, table *Node, ids []int) *Node {
 	d := table.Value.Cols
-	v := tensor.New(len(ids), d)
+	v := value(ar, len(ids), d)
 	for i, id := range ids {
 		if id < 0 {
+			clear(v.RowView(i))
 			continue
 		}
 		copy(v.RowView(i), table.Value.RowView(id))
 	}
-	back := func(g *tensor.Tensor) {
-		if !table.requiresGrad {
-			return
-		}
-		gt := tensor.New(table.Value.Rows, table.Value.Cols)
-		for i, id := range ids {
-			if id < 0 {
-				continue
-			}
-			grow := gt.RowView(id)
-			for j, gv := range g.RowView(i) {
-				grow[j] += gv
-			}
-		}
-		table.accumGrad(gt)
-	}
-	return newNode(v, back, table)
+	back := func(g *tensor.Tensor) { scatterRows(ar, table, ids, g.Data, 1, d) }
+	return newNodeIn(ar, v, back, table)
 }

@@ -166,7 +166,7 @@ func TestEmbeddingLookupGrad(t *testing.T) {
 		return Sum(Square(EmbeddingLookup(nil, table, ids)))
 	})
 	checkGrad(t, []*Node{table}, func() *Node {
-		return Sum(Square(EmbeddingLookupRows(table, ids)))
+		return Sum(Square(EmbeddingLookupRows(nil, table, ids)))
 	})
 }
 
@@ -193,33 +193,33 @@ func TestCNNEncoderGradAndShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	enc := NewCNNEncoder(10, 4, []int{2, 3}, 2, 5, rng)
 	ids := []int{1, 3, 5, 7, 2, -1, -1, 4}
-	out := enc.Forward(ids)
+	out := enc.Forward(nil, ids)
 	if out.Value.Rows != 1 || out.Value.Cols != 5 {
 		t.Fatalf("CNN encoder output shape %dx%d, want 1x5", out.Value.Rows, out.Value.Cols)
 	}
-	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(ids))) })
+	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(nil, ids))) })
 }
 
 func TestLSTMEncoderGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	enc := NewLSTMEncoder(8, 3, 4, 16, rng)
 	ids := []int{1, 4, 2, -1, 6}
-	out := enc.Forward(ids)
+	out := enc.Forward(nil, ids)
 	if out.Value.Cols != 4 {
 		t.Fatalf("LSTM output width %d, want 4", out.Value.Cols)
 	}
-	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(ids))) })
+	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(nil, ids))) })
 }
 
 func TestTransformerEncoderGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	enc := NewTransformerEncoder(8, 4, 2, 6, 10, rng)
 	ids := []int{1, 4, 2, 6}
-	out := enc.Forward(ids)
+	out := enc.Forward(nil, ids)
 	if out.Value.Cols != 4 {
 		t.Fatalf("Transformer output width %d, want 4", out.Value.Cols)
 	}
-	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(ids))) })
+	checkGrad(t, enc.Params(), func() *Node { return Sum(Square(enc.Forward(nil, ids))) })
 }
 
 func TestLayerNormGrad(t *testing.T) {

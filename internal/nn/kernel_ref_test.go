@@ -230,13 +230,17 @@ func padTail(in *tensor.Tensor, live int, rng *rand.Rand) *tensor.Tensor {
 	return in
 }
 
-// dirtyArena returns an arena whose next allocations hold NaN, as the
-// memory an earlier step left behind may: an op that reads a float it did
-// not write first shows up as a NaN.
+// dirtyArena returns an arena whose next allocations hold NaN, and whose
+// index scratch holds 1s, as the memory an earlier step left behind may:
+// an op that reads a float it did not write first shows up as a NaN.
 func dirtyArena() *Arena {
 	ar := new(Arena)
 	for i := range ar.Floats(1 << 16) {
 		ar.floats[i] = math.NaN()
+	}
+	junk := ints(ar, 1<<12)
+	for i := range junk {
+		junk[i] = 1
 	}
 	ar.Reset()
 	return ar
@@ -397,7 +401,7 @@ func refCNNForward(c *CNNEncoder, ids []int) *Node {
 	return ReLU(c.Proj.Forward(Concat(pooled...)))
 }
 
-// The CNN encoder — ForwardIn on the heap and on a dirty arena, and Infer —
+// The CNN encoder — Forward on the heap and on a dirty arena, and Infer —
 // matches the per-bank reference bit for bit in its value, and the graph
 // paths in every parameter's gradient, over sequences with no padding,
 // some, and padding only.
@@ -419,7 +423,7 @@ func TestCNNEncoderMatchesPerBankReferenceBitwise(t *testing.T) {
 		for _, ar := range []*Arena{nil, dirtyArena()} {
 			name := fmt.Sprintf("pad=%d/arena=%t", pad, ar != nil)
 			c := ref.Clone()
-			out := c.ForwardIn(ar, ids)
+			out := c.Forward(ar, ids)
 			requireSameBits(t, name+": value", out.Value.Data, want.Data)
 			Backward(weightedSum(out, w))
 			for i, p := range c.Params() {

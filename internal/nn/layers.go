@@ -147,12 +147,10 @@ func NewCNNEncoder(vocab, embDim int, kernels []int, filtersPer, outDim int, rng
 }
 
 // Forward encodes a token-id sequence into the 1×OutDim code representation
-// h_code (Equation 1). ids may contain −1 entries for padding.
-func (c *CNNEncoder) Forward(ids []int) *Node { return c.ForwardIn(nil, ids) }
-
-// ForwardIn is Forward with the graph held in ar (see Arena.Const) when ar
-// is set, and on the heap when it is nil.
-func (c *CNNEncoder) ForwardIn(ar *Arena, ids []int) *Node {
+// h_code (Equation 1). ids may contain −1 entries for padding. The graph is
+// held in ar (see Arena.Const) when it is set, and on the heap when it is
+// nil.
+func (c *CNNEncoder) Forward(ar *Arena, ids []int) *Node {
 	emb := EmbeddingLookup(ar, c.Embedding, ids)
 	live := liveCols(emb.Value)
 	pooled := make([]*Node, len(c.banks))

@@ -9,15 +9,14 @@
 // The engine is tensor-valued: every Node holds a matrix, and the backward
 // pass propagates matrix-shaped gradients. Graphs are built dynamically per
 // forward pass; only parameter nodes persist across steps. A graph grown
-// from an Arena's Const keeps its values, nodes and parent lists in that
-// arena, which the next step's Reset recycles; any other graph is freed by
-// the garbage collector. The gradients of intermediate nodes live in one
-// pooled buffer that Backward lends them for the duration of that call.
+// from an Arena's Const keeps its values, nodes, parent lists and
+// gradients, and Backward its traversal buffers, in that arena, which the
+// next step's Reset recycles; any other graph, gradients included, is
+// freed by the garbage collector.
 package nn
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lite/internal/tensor"
@@ -34,11 +33,8 @@ type Node struct {
 	backFn       func(grad *tensor.Tensor)
 	name         string
 
-	// gradSlot is this node's gradient storage in the arena of the
-	// Backward call in progress; nil outside Backward and for leaves.
-	gradSlot *tensor.Tensor
-	// arena holds the node, its value and its parent list when the graph
-	// was grown from Arena.Const; nil otherwise.
+	// arena holds the node, its value, its parent list and its gradient
+	// when the graph was grown from Arena.Const; nil otherwise.
 	arena *Arena
 	// mark is the stamp of the last Backward walk that reached the node.
 	mark uint64
@@ -65,16 +61,13 @@ func (n *Node) Scalar() float64 {
 	return n.Value.Data[0]
 }
 
-// ensureGrad lazily provides the gradient buffer, zeroed: the node's arena
-// slot during Backward, a fresh tensor for a parameter.
+// ensureGrad lazily provides the gradient buffer, zeroed, where the value
+// lives: in the node's arena, or a heap tensor for a heap node, which a
+// parameter keeps across steps.
 func (n *Node) ensureGrad() *tensor.Tensor {
 	if n.Grad == nil {
-		if s := n.gradSlot; s != nil {
-			clear(s.Data)
-			n.Grad = s
-		} else {
-			n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
-		}
+		n.Grad = value(n.arena, n.Value.Rows, n.Value.Cols)
+		clear(n.Grad.Data)
 	}
 	return n.Grad
 }
@@ -120,6 +113,15 @@ func newNodeIn(ar *Arena, v *tensor.Tensor, back func(grad *tensor.Tensor), pare
 	return n
 }
 
+// constant wraps t as a constant node held in ar when it is set, and on
+// the heap otherwise.
+func constant(ar *Arena, t *tensor.Tensor) *Node {
+	if ar == nil {
+		return NewConst(t)
+	}
+	return ar.Const(t)
+}
+
 // arenaOf returns the arena of the first of ps built in one, or nil.
 func arenaOf(ps ...*Node) *Arena {
 	for _, p := range ps {
@@ -150,17 +152,34 @@ func floats(ar *Arena, n int) []float64 {
 	return ar.Floats(n)
 }
 
+// ints is floats for an op's index scratch (argmax positions, flags).
+func ints(ar *Arena, n int) []int {
+	if ar == nil {
+		return make([]int, n)
+	}
+	return take(&ar.ints, &ar.ni, n)
+}
+
 // Backward runs reverse-mode differentiation from root, which must be a
 // scalar (1×1) node, seeding its gradient with 1. Gradients accumulate into
 // every reachable node with requiresGrad set; call ZeroGrad on parameters
-// between optimizer steps.
+// between optimizer steps. The traversal's buffers, like the gradients,
+// come from the root's arena when it has one.
 func Backward(root *Node) {
 	if root.Value.Size() != 1 {
 		panic("nn: Backward root must be scalar")
 	}
-	sc := backwardScratches.Get().(*backwardScratch)
-	order := sc.topoSort(root)
-	sc.lendGradSlots(order)
+	w := new(walk)
+	if ar := root.arena; ar != nil {
+		// The graph has at most the arena's nodes plus the heap nodes
+		// (parameters) in their parent lists: once the arena's slabs have
+		// settled, a walk sized for that many does not grow.
+		w = &ar.walk
+		if n := ar.nn + ar.np; cap(w.order) < n {
+			w.order, w.stack = make([]*Node, 0, n), make([]visit, 0, n)
+		}
+	}
+	order := w.topoSort(root)
 	root.ensureGrad().Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
@@ -169,26 +188,17 @@ func Backward(root *Node) {
 		}
 	}
 	// Drop intermediate gradients so repeated forward passes that share
-	// parameter nodes do not read stale gradients, then hand the scratch
-	// back: no node refers to it any more, and it refers to no node.
+	// parameter nodes do not read stale gradients.
 	for _, n := range order {
 		if len(n.parents) > 0 {
-			n.Grad, n.gradSlot = nil, nil
+			n.Grad = nil
 		}
 	}
-	clear(order)
-	clear(sc.stack[:cap(sc.stack)])
-	backwardScratches.Put(sc)
 }
 
-// backwardScratch is the reusable storage of one Backward call: the
-// gradient arena — one buffer that every intermediate node's gradient is
-// a slice of, and one tensor header per node — and the traversal's order
-// and stack. Scratches are pooled, so a training loop's steady state
-// allocates nothing to differentiate; one is only ever lent to one call.
-type backwardScratch struct {
-	data  []float64
-	heads []tensor.Tensor
+// walk is the storage of Backward's traversal: the topological order and
+// the depth-first stack. An Arena keeps one for the graphs grown in it.
+type walk struct {
 	order []*Node
 	stack []visit
 }
@@ -200,51 +210,18 @@ type visit struct {
 	child int
 }
 
-var backwardScratches = sync.Pool{New: func() any { return new(backwardScratch) }}
-
 // backwardStamps numbers Backward calls; a node's mark holds the stamp of
 // the last walk that reached it, which is topoSort's visited set.
 var backwardStamps atomic.Uint64
 
-// lendGradSlots gives every intermediate node of order (one with parents)
-// its slot in the scratch's gradient arena. A slot is zeroed only when
-// ensureGrad first claims it, so a node that receives no gradient keeps a
-// nil Grad and Backward still skips its backFn.
-func (sc *backwardScratch) lendGradSlots(order []*Node) {
-	size, count := 0, 0
-	for _, n := range order {
-		if len(n.parents) > 0 {
-			size += n.Value.Size()
-			count++
-		}
-	}
-	if cap(sc.data) < size {
-		sc.data = make([]float64, size)
-	}
-	if cap(sc.heads) < count {
-		sc.heads = make([]tensor.Tensor, count)
-	}
-	data, heads := sc.data[:size], sc.heads[:count]
-	for _, n := range order {
-		if len(n.parents) == 0 {
-			continue
-		}
-		sz := n.Value.Size()
-		h := &heads[0]
-		*h = tensor.Tensor{Rows: n.Value.Rows, Cols: n.Value.Cols, Data: data[:sz:sz]}
-		n.gradSlot = h
-		data, heads = data[sz:], heads[1:]
-	}
-}
-
 // topoSort returns nodes in topological order (parents before children),
-// restricted to the subgraph that requires gradients, in the scratch's
-// order buffer. The walk is an iterative DFS, so long chains (an LSTM
-// over hundreds of timesteps) cannot overflow the stack, and it marks the
+// restricted to the subgraph that requires gradients, in w's order
+// buffer. The walk is an iterative DFS, so long chains (an LSTM over
+// hundreds of timesteps) cannot overflow the stack, and it marks the
 // nodes it reaches with a fresh stamp instead of keeping a visited map.
-func (sc *backwardScratch) topoSort(root *Node) []*Node {
+func (w *walk) topoSort(root *Node) []*Node {
 	stamp := backwardStamps.Add(1)
-	order, stack := sc.order[:0], append(sc.stack[:0], visit{n: root})
+	order, stack := w.order[:0], append(w.stack[:0], visit{n: root})
 	root.mark = stamp
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -260,6 +237,6 @@ func (sc *backwardScratch) topoSort(root *Node) []*Node {
 		order = append(order, f.n)
 		stack = stack[:len(stack)-1]
 	}
-	sc.order, sc.stack = order, stack
+	w.order, w.stack = order, stack
 	return order
 }

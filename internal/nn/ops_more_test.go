@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -91,8 +92,8 @@ func TestLSTMTruncatesToMaxLen(t *testing.T) {
 		long[i] = i % 6
 	}
 	short := long[:5]
-	a := enc.Forward(long)
-	b := enc.Forward(short)
+	a := enc.Forward(nil, long)
+	b := enc.Forward(nil, short)
 	for i := range a.Value.Data {
 		if a.Value.Data[i] != b.Value.Data[i] {
 			t.Fatal("truncation should make long and short inputs identical")
@@ -103,7 +104,7 @@ func TestLSTMTruncatesToMaxLen(t *testing.T) {
 func TestLSTMEmptyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	enc := NewLSTMEncoder(6, 3, 4, 8, rng)
-	out := enc.Forward([]int{-1, -1, -1})
+	out := enc.Forward(nil, []int{-1, -1, -1})
 	if out.Value.Cols != 4 {
 		t.Fatalf("empty-input output width %d", out.Value.Cols)
 	}
@@ -117,7 +118,7 @@ func TestLSTMEmptyInput(t *testing.T) {
 func TestTransformerHandlesPaddingAndTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	enc := NewTransformerEncoder(8, 4, 2, 6, 6, rng)
-	out := enc.Forward([]int{-1, 1, -1, 2, 3, 4, 5, 6, 7, 1, 2, 3})
+	out := enc.Forward(nil, []int{-1, 1, -1, 2, 3, 4, 5, 6, 7, 1, 2, 3})
 	if out.Value.Cols != 4 {
 		t.Fatalf("output width %d", out.Value.Cols)
 	}
@@ -154,8 +155,8 @@ func TestCNNEncoderDeterministicForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	enc := NewCNNEncoder(12, 4, []int{2, 3}, 3, 5, rng)
 	ids := []int{1, 2, 3, 4, 5, 6}
-	a := enc.Forward(ids)
-	b := enc.Forward(ids)
+	a := enc.Forward(nil, ids)
+	b := enc.Forward(nil, ids)
 	for i := range a.Value.Data {
 		if a.Value.Data[i] != b.Value.Data[i] {
 			t.Fatal("forward pass not deterministic")
@@ -218,5 +219,13 @@ func TestGradCheckRandomCompositeGraphs(t *testing.T) {
 		a := NewParam(tensor.Randn(2, 3, 0.8, rng), "a")
 		b := NewParam(tensor.Randn(2, 3, 0.8, rng), "b")
 		checkGrad(t, []*Node{a, b}, func() *Node { return build(a, b) })
+	}
+}
+
+func TestArenaConstRow(t *testing.T) {
+	ar := dirtyArena()
+	n := ar.ConstRow([]float64{1, 2}, nil, []float64{3})
+	if n.Value.Rows != 1 || !reflect.DeepEqual(n.Value.Data, []float64{1, 2, 3}) || n.requiresGrad || n.arena != ar {
+		t.Fatalf("ConstRow = %dx%d %v (requiresGrad %v)", n.Value.Rows, n.Value.Cols, n.Value.Data, n.requiresGrad)
 	}
 }

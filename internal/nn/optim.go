@@ -15,23 +15,10 @@ func ZeroGrads(params []*Node) {
 	}
 }
 
-// ClipGrads scales gradients down so their global L2 norm is at most c.
-func ClipGrads(params []*Node, c float64) {
-	s := ClipScale(params, c)
-	if s == 1 {
-		return
-	}
-	for _, p := range params {
-		if p.Grad != nil {
-			p.Grad.ScaleInPlace(s)
-		}
-	}
-}
-
-// ClipScale returns the factor ClipGrads multiplies every gradient by so
-// their global L2 norm is at most c: c/norm, or 1 when the norm is 0 or
-// already at most c. Adam.StepScaled applies it as it reads the
-// gradients, saving ClipGrads' pass over them.
+// ClipScale returns the factor that clips the gradients of params to a
+// global L2 norm of at most c: c/norm, or 1 when the norm is 0 or already
+// at most c. Adam.StepScaled applies it as it reads the gradients, which
+// it leaves unscaled.
 func ClipScale(params []*Node, c float64) float64 {
 	var total float64
 	for _, p := range params {
@@ -80,8 +67,9 @@ func NewAdam(params []*Node, lr float64) *Adam {
 func (a *Adam) Step() { a.step(1, false) }
 
 // StepScaled applies one Adam update to the gradients multiplied by s
-// (ClipScale): the weights and moments ClipGrads followed by Step give,
-// bit for bit, without writing the gradients.
+// (ClipScale): the weights and moments that scaling every gradient in
+// place by s and then calling Step give, bit for bit, without writing the
+// gradients.
 func (a *Adam) StepScaled(s float64) { a.step(s, s != 1) }
 
 func (a *Adam) step(s float64, scaled bool) {

@@ -45,8 +45,8 @@ func NewLSTMEncoder(vocab, embDim, hidden, maxLen int, rng *rand.Rand) *LSTMEnco
 }
 
 // Forward encodes ids (−1 entries are treated as padding and skipped) into
-// the final 1×Hidden state.
-func (l *LSTMEncoder) Forward(ids []int) *Node {
+// the final 1×Hidden state, the graph held in ar as CNNEncoder.Forward's is.
+func (l *LSTMEncoder) Forward(ar *Arena, ids []int) *Node {
 	if len(ids) > l.MaxLen {
 		ids = ids[:l.MaxLen]
 	}
@@ -59,9 +59,11 @@ func (l *LSTMEncoder) Forward(ids []int) *Node {
 	if len(kept) == 0 {
 		kept = []int{0}
 	}
-	emb := EmbeddingLookupRows(l.Embedding, kept)
-	h := NewConst(tensor.New(1, l.Hidden))
-	c := NewConst(tensor.New(1, l.Hidden))
+	emb := EmbeddingLookupRows(ar, l.Embedding, kept)
+	zero := value(ar, 1, l.Hidden)
+	clear(zero.Data)
+	h := constant(ar, zero)
+	c := h
 	for t := 0; t < len(kept); t++ {
 		x := PickRow(emb, t)
 		i := Sigmoid(gate(x, h, l.Wxi, l.Whi, l.Bi))

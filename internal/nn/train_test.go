@@ -84,12 +84,12 @@ func TestCNNEncoderLearnsTokenPattern(t *testing.T) {
 	for epoch := 0; epoch < 60; epoch++ {
 		for _, s := range data {
 			opt.ZeroGrad()
-			Backward(MSELoss(head.Forward(enc.Forward(s.ids)), s.y))
+			Backward(MSELoss(head.Forward(enc.Forward(nil, s.ids)), s.y))
 			opt.Step()
 		}
 	}
-	slow := head.Forward(enc.Forward(mkSeq(15))).Scalar()
-	fast := head.Forward(enc.Forward(mkSeq(-1))).Scalar()
+	slow := head.Forward(enc.Forward(nil, mkSeq(15))).Scalar()
+	fast := head.Forward(enc.Forward(nil, mkSeq(-1))).Scalar()
 	if slow-fast < 0.5 {
 		t.Fatalf("CNN failed to separate token classes: slow=%v fast=%v", slow, fast)
 	}
@@ -120,21 +120,32 @@ func TestForwardHiddenReturnsAllHiddenLayers(t *testing.T) {
 	}
 }
 
-func TestClipGrads(t *testing.T) {
+// ClipScale is the factor that clips the global gradient norm, and
+// StepScaled applies it: the weights of scaling every gradient in place
+// and then stepping, bit for bit, with the gradients left as they were.
+func TestClipScale(t *testing.T) {
 	x := NewParam(tensor.FromRow([]float64{3, 4}), "x") // grad will be (6,8), norm 10
+	if s := ClipScale([]*Node{x}, 5); s != 1 {
+		t.Fatalf("ClipScale without gradients = %v, want 1", s)
+	}
 	Backward(Sum(Square(x)))
-	ClipGrads([]*Node{x}, 5)
-	norm := x.Grad.Norm()
-	if math.Abs(norm-5) > 1e-9 {
-		t.Fatalf("clipped norm = %v, want 5", norm)
+	if s := ClipScale([]*Node{x}, 5); s != 0.5 {
+		t.Fatalf("ClipScale = %v, want 0.5", s)
 	}
 	// Clipping below the threshold is a no-op.
-	ZeroGrads([]*Node{x})
-	Backward(Sum(Square(x)))
-	ClipGrads([]*Node{x}, 1e6)
-	if math.Abs(x.Grad.Norm()-10) > 1e-9 {
-		t.Fatalf("no-op clip changed gradient")
+	if s := ClipScale([]*Node{x}, 1e6); s != 1 {
+		t.Fatalf("ClipScale under the threshold = %v, want 1", s)
 	}
+	ref := NewParam(x.Value.Clone(), "ref")
+	ref.Grad = x.Grad.Clone()
+	ref.Grad.ScaleInPlace(0.5)
+	opt, refOpt := NewAdam([]*Node{x}, 0.1), NewAdam([]*Node{ref}, 0.1)
+	for step := 0; step < 3; step++ {
+		opt.StepScaled(ClipScale([]*Node{x}, 5))
+		refOpt.Step()
+	}
+	requireSameBits(t, "weights", x.Value.Data, ref.Value.Data)
+	requireSameBits(t, "gradient", x.Grad.Data, []float64{6, 8})
 }
 
 func TestZeroGrads(t *testing.T) {

@@ -69,8 +69,9 @@ func sinusoidalPositions(maxLen, dim int) *tensor.Tensor {
 }
 
 // Forward encodes ids into a 1×dim representation by mean-pooling the
-// block's output rows. Padding ids (−1) are dropped before encoding.
-func (t *TransformerEncoder) Forward(ids []int) *Node {
+// block's output rows. Padding ids (−1) are dropped before encoding. The
+// graph is held in ar as CNNEncoder.Forward's is.
+func (t *TransformerEncoder) Forward(ar *Arena, ids []int) *Node {
 	kept := ids[:0:0]
 	for _, id := range ids {
 		if id >= 0 {
@@ -83,12 +84,10 @@ func (t *TransformerEncoder) Forward(ids []int) *Node {
 	if len(kept) == 0 {
 		kept = []int{0}
 	}
-	x := EmbeddingLookupRows(t.Embedding, kept)
-	pos := tensor.New(len(kept), t.dim)
-	for i := range kept {
-		copy(pos.RowView(i), t.posEnc.RowView(i))
-	}
-	x = Add(x, NewConst(pos))
+	x := EmbeddingLookupRows(ar, t.Embedding, kept)
+	pos := value(ar, len(kept), t.dim)
+	copy(pos.Data, t.posEnc.Data)
+	x = Add(x, constant(ar, pos))
 
 	// Multi-head scaled dot-product self-attention.
 	scale := 1 / math.Sqrt(float64(t.headDim))
@@ -157,9 +156,8 @@ func NewLayerNorm(dim int, name string) *LayerNorm {
 // Forward applies layer normalization row-wise.
 func (l *LayerNorm) Forward(x *Node) *Node {
 	rows, cols := x.Value.Rows, x.Value.Cols
-	v := tensor.New(rows, cols)
-	means := make([]float64, rows)
-	invStds := make([]float64, rows)
+	v := value(x.arena, rows, cols)
+	means, invStds := floats(x.arena, rows), floats(x.arena, rows)
 	for i := 0; i < rows; i++ {
 		row := x.Value.RowView(i)
 		var m float64

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 
 	"lite/internal/nn"
-	"lite/internal/tensor"
 )
 
 // Params configures a DDPG agent.
@@ -72,6 +71,8 @@ type Agent struct {
 
 	noise []float64
 	rng   *rand.Rand
+	// step holds the graph of the current update or action.
+	step nn.Arena
 }
 
 // NewAgent constructs the agent with Xavier-initialized networks.
@@ -98,17 +99,18 @@ func cloneMLP(src *nn.MLP) *nn.MLP {
 	return dst
 }
 
-// policy runs the actor; outputs are squashed into (0,1) per dimension
-// because knob vectors are normalized.
-func policy(actor *nn.MLP, state []float64) []float64 {
-	out := nn.Sigmoid(actor.Forward(nn.NewConst(tensor.FromRow(state))))
-	return append([]float64(nil), out.Value.Data...)
+// policy runs the actor in ar; outputs are squashed into (0,1) per
+// dimension because knob vectors are normalized. The action is valid
+// until ar's next Reset.
+func policy(ar *nn.Arena, actor *nn.MLP, state []float64) []float64 {
+	return nn.Sigmoid(actor.Forward(ar.ConstRow(state))).Value.Data
 }
 
 // Act returns the exploration action for the given state: actor output
 // plus Ornstein–Uhlenbeck noise, clipped to [0,1].
 func (a *Agent) Act(state []float64) []float64 {
-	act := policy(a.actor, state)
+	a.step.Reset()
+	act := append([]float64(nil), policy(&a.step, a.actor, state)...)
 	for i := range act {
 		a.noise[i] += a.p.NoiseTheta*(0-a.noise[i]) + a.p.NoiseSigma*a.rng.NormFloat64()
 		act[i] += a.noise[i]
@@ -145,16 +147,18 @@ func (a *Agent) Train() {
 	}
 
 	// --- Critic update: regress Q(s,a) to r + γ·Q'(s', μ'(s')). ---
+	ar := &a.step
+	ar.Reset()
 	a.criticOpt.ZeroGrad()
 	var criticLoss *nn.Node
 	for _, tr := range batch {
 		target := tr.Reward
 		if !tr.Terminal {
-			nextAct := policy(a.actorTarget, tr.Next)
-			qNext := a.criticTarget.Forward(nn.NewConst(tensor.FromRow(concat(tr.Next, nextAct)))).Scalar()
+			nextAct := policy(ar, a.actorTarget, tr.Next)
+			qNext := a.criticTarget.Forward(ar.ConstRow(tr.Next, nextAct)).Scalar()
 			target += a.p.Gamma * qNext
 		}
-		q := a.critic.Forward(nn.NewConst(tensor.FromRow(concat(tr.State, tr.Action))))
+		q := a.critic.Forward(ar.ConstRow(tr.State, tr.Action))
 		l := nn.HuberLoss(q, target, 1.0)
 		if criticLoss == nil {
 			criticLoss = l
@@ -164,15 +168,15 @@ func (a *Agent) Train() {
 	}
 	criticLoss = nn.Scale(criticLoss, 1/float64(a.p.BatchSize))
 	nn.Backward(criticLoss)
-	nn.ClipGrads(a.critic.Params(), 5)
-	a.criticOpt.Step()
+	a.criticOpt.StepScaled(nn.ClipScale(a.critic.Params(), 5))
 
 	// --- Actor update: ascend Q(s, μ(s)). ---
+	ar.Reset()
 	a.actorOpt.ZeroGrad()
 	a.criticOpt.ZeroGrad() // critic grads from the actor pass are discarded
 	var actorLoss *nn.Node
 	for _, tr := range batch {
-		s := nn.NewConst(tensor.FromRow(tr.State))
+		s := ar.ConstRow(tr.State)
 		act := nn.Sigmoid(a.actor.Forward(s))
 		q := a.critic.Forward(nn.Concat(s, act))
 		l := nn.Scale(q, -1)
@@ -184,8 +188,7 @@ func (a *Agent) Train() {
 	}
 	actorLoss = nn.Scale(actorLoss, 1/float64(a.p.BatchSize))
 	nn.Backward(actorLoss)
-	nn.ClipGrads(a.actor.Params(), 5)
-	a.actorOpt.Step()
+	a.actorOpt.StepScaled(nn.ClipScale(a.actor.Params(), 5))
 	a.criticOpt.ZeroGrad()
 
 	// --- Soft target updates. ---
@@ -201,10 +204,4 @@ func softUpdate(target, src *nn.MLP, tau float64) {
 			tp[i].Value.Data[j] = (1-tau)*tp[i].Value.Data[j] + tau*sp[i].Value.Data[j]
 		}
 	}
-}
-
-func concat(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
 }

@@ -63,7 +63,7 @@ func TestLearnsBanditOptimum(t *testing.T) {
 		a.Observe(Transition{State: state, Action: act, Reward: r, Next: state, Terminal: true})
 		a.Train()
 	}
-	final := policy(a.actor, state)[0]
+	final := policy(&a.step, a.actor, state)[0]
 	if final < 0.55 || final > 1.0 {
 		t.Fatalf("policy did not move toward optimum 0.8: %v", final)
 	}

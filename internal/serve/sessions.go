@@ -200,12 +200,12 @@ func (s *Server) handleSessionProposal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	meta, err := st.Get(id, false)
+	app, sizeMB, cluster, err := st.Target(id)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	tgt, err := resolveRegistered(meta.App, meta.SizeMB, meta.Cluster)
+	tgt, err := resolveRegistered(app, sizeMB, cluster)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -20,7 +20,7 @@ func FuzzSessionStoreOpen(f *testing.F) {
 	f.Add(snap, []byte(`{"op":"report","id":"B.0.5.edge.aa152218","report":{"trial":0,"seconds":30,"failed":true}}`))
 	f.Add(snap, []byte(`{"op":"propose","id":"A.100.C.454dfff3","trial":{"trial":3,"config":[1,2,3],"source":"explore"}}`))
 	f.Add([]byte(`{"sessions":[null]}`), []byte(`{"op":"create","id":"x","session":null}`))
-	f.Add([]byte(`{"sessions":[{"id":"x","params":{"Radius":1e308,"Candidates":4},"max_trials":9,"radius":-1}]}`),
+	f.Add([]byte(`{"sessions":[{"id":"x","strategy":"aggressive","params":{"Radius":1e308,"Candidates":3000000},"max_trials":9,"radius":-1}]}`),
 		[]byte(`{"op":"close","id":"x","at":"2026-01-02T03:04:05Z"}`))
 	f.Add([]byte(`{}`), []byte(`{"op":"create","id":"y","session":{"id":"y","trials":[{"trial":7}]}}`))
 	f.Fuzz(func(t *testing.T, snapshot, record []byte) {
@@ -46,11 +46,6 @@ func FuzzSessionStoreOpen(f *testing.F) {
 		for _, v := range st.List() {
 			if _, err := st.Get(v.ID, true); err != nil {
 				t.Fatalf("Get(%q) of a listed session: %v", v.ID, err)
-			}
-			// A snapshot may ask for any number of candidates per
-			// proposal; a huge count is slow, not a fault.
-			if st.sessions[v.ID].Params.Candidates > 1024 {
-				continue
 			}
 			trial := 0
 			if p, err := st.NextProposal(v.ID, stubScorer{}); err == nil {

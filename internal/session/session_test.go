@@ -2,8 +2,12 @@ package session
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -584,5 +588,94 @@ func TestCrashReplay(t *testing.T) {
 	g, _ := json.Marshal(again)
 	if string(a) != string(g) {
 		t.Fatalf("snapshot round-trip differs:\n %s\n %s", a, g)
+	}
+}
+
+// A loaded session's Params come from its strategy, never from the file:
+// a snapshot asking for three million candidates per proposal still
+// proposes at the preset's count, and a session of an unknown strategy
+// is skipped and logged.
+func TestLoadedParamsFollowStrategy(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := st.Create("A", 100, "C", Moderate, 8, 1.5, sparksim.DefaultConfig(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := st.NextProposal(v.ID, stubScorer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Report(v.ID, p.Trial, 100, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, snapshotFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Sessions []map[string]any `json:"sessions"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Sessions[0]["params"].(map[string]any)["Candidates"] = 3000000
+	bogus := map[string]any{}
+	for k, val := range snap.Sessions[0] {
+		bogus[k] = val
+	}
+	bogus["id"], bogus["strategy"] = "bogus", "reckless"
+	snap.Sessions = append(snap.Sessions, bogus)
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	re, err := Open(Options{Dir: dir, Seed: 3, Logf: func(f string, args ...any) { logs = append(logs, fmt.Sprintf(f, args...)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	start := time.Now()
+	if _, err := re.NextProposal(v.ID, stubScorer{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("a proposal from a snapshot asking for 3e6 candidates took %v, want < 100ms", d)
+	}
+	if _, err := re.Get("bogus", false); err != ErrNotFound || len(logs) != 1 || !strings.Contains(logs[0], "reckless") {
+		t.Fatalf("unknown strategy: Get err %v, logs %q; want not found and one log line", err, logs)
+	}
+	want, _ := ParamsFor(Moderate)
+	if got := re.sessions[v.ID].Params; got != want {
+		t.Fatalf("loaded Params %+v, want the moderate preset %+v", got, want)
+	}
+}
+
+func TestTarget(t *testing.T) {
+	st, err := Open(Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := st.Create("KMeans", 2048, "B", Aggressive, 0, 0, sparksim.DefaultConfig(), math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app, size, cluster, err := st.Target(v.ID); err != nil || app != "KMeans" || size != 2048 || cluster != "B" {
+		t.Fatalf("Target = %q, %v, %q, %v", app, size, cluster, err)
+	}
+	if _, _, _, err := st.Target("no-such-id"); err != ErrNotFound {
+		t.Fatalf("Target of an unknown id: %v, want ErrNotFound", err)
 	}
 }

@@ -183,9 +183,18 @@ func (st *Store) loadSnapshot() error {
 	return nil
 }
 
-// adopt installs a decoded session, giving one persisted without a trust
-// radius its starting radius.
+// adopt installs a decoded session. Its Params are re-derived from its
+// strategy, the only preset Create stores, so a persisted count cannot make
+// one proposal score an unbounded number of candidates; a session whose
+// strategy is unknown is skipped. One persisted without a trust radius
+// gets its starting radius.
 func (st *Store) adopt(s *Session) {
+	params, ok := ParamsFor(s.Strategy)
+	if !ok {
+		st.opts.Logf("session: skipping session %q with unknown strategy %q", s.ID, s.Strategy)
+		return
+	}
+	s.Params = params
 	if s.Radius <= 0 {
 		s.Radius = math.Min(TrustStart, s.Params.Radius)
 	}
@@ -363,6 +372,18 @@ func (st *Store) Get(id string, includeTrials bool) (api.Session, error) {
 		return api.Session{}, ErrNotFound
 	}
 	return s.View(includeTrials), nil
+}
+
+// Target returns the app, input size and cluster a session tunes, without
+// building its view.
+func (st *Store) Target(id string) (app string, sizeMB float64, cluster string, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s := st.sessions[id]
+	if s == nil {
+		return "", 0, "", ErrNotFound
+	}
+	return s.App, s.SizeMB, s.Cluster, nil
 }
 
 // List returns every session's view (no trials), sorted by creation time

@@ -91,10 +91,25 @@ const MetricsLen = 7
 // statically impossible candidates; dynamic failures (OOM, result-size
 // overflow) are only discovered by running.
 func Feasible(cfg Config, env Environment) bool {
-	cfg = cfg.Clamp()
+	_, fits := Placement(cfg.Clamp(), env)
+	return fits
+}
+
+// Placement is the resource manager's placement of a clamped
+// configuration on env: fits reports whether one executor fits on a node
+// — its cores within the node's, its heap plus overhead within the node's
+// memory less 1 GB for the OS — and executors is how many run, as many
+// per node as fit, across all nodes, at most the requested instances (0
+// when none fits). Feasibility, the simulator and the dense features all
+// read it, so they agree on every configuration.
+func Placement(cfg Config, env Environment) (executors float64, fits bool) {
 	perNodeByCores := math.Floor(float64(env.Cores) / cfg[KnobExecutorCores])
 	perNodeByMem := math.Floor((env.MemGB - 1) / (cfg[KnobExecutorMemory] + cfg[KnobExecutorMemoryOverhead]/1024))
-	return math.Min(perNodeByCores, perNodeByMem) >= 1
+	perNode := math.Min(perNodeByCores, perNodeByMem)
+	if !(perNode >= 1) {
+		return 0, false
+	}
+	return math.Min(cfg[KnobExecutorInstances], perNode*float64(env.Nodes)), true
 }
 
 // Simulate executes the application on the given data, environment and
@@ -105,15 +120,10 @@ func Simulate(app *AppSpec, data DataSpec, env Environment, cfg Config) Result {
 
 	execCores := cfg[KnobExecutorCores]
 	execMemGB := cfg[KnobExecutorMemory]
-	overheadGB := cfg[KnobExecutorMemoryOverhead] / 1024
-
-	perNodeByCores := math.Floor(float64(env.Cores) / execCores)
-	perNodeByMem := math.Floor((env.MemGB - 1) / (execMemGB + overheadGB))
-	perNode := math.Min(perNodeByCores, perNodeByMem)
-	if perNode < 1 {
+	executors, fits := Placement(cfg, env)
+	if !fits {
 		return failResult(app, "executor does not fit on any node (cores or memory)")
 	}
-	executors := math.Min(cfg[KnobExecutorInstances], perNode*float64(env.Nodes))
 	slots := executors * execCores
 
 	// Core speed relative to a 3.0 GHz baseline, with a small memory-speed

@@ -201,3 +201,34 @@ func TestFailCapIsUpperBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Feasible and Simulate read one placement: a configuration is feasible
+// exactly when it fits, and a run places Placement's executors.
+func TestPlacementIsFeasibilityAndExecutors(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	app := testApp()
+	d := app.MakeData(500)
+	for i := 0; i < 300; i++ {
+		cfg := RandomConfig(rng)
+		for _, env := range []Environment{ClusterA, ClusterB, ClusterC} {
+			executors, fits := Placement(cfg.Clamp(), env)
+			if Feasible(cfg, env) != fits {
+				t.Fatalf("Feasible = %v, Placement fits = %v", !fits, fits)
+			}
+			res := Simulate(app, d, env, cfg)
+			if !fits && !res.Failed {
+				t.Fatalf("a configuration that does not fit ran: %+v", res)
+			}
+			if fits && res.Executors != int(executors) {
+				t.Fatalf("Simulate placed %d executors, Placement %v", res.Executors, executors)
+			}
+		}
+	}
+	var nan Config
+	for i := range nan {
+		nan[i] = math.NaN()
+	}
+	if executors, fits := Placement(nan, ClusterB); fits || executors != 0 {
+		t.Fatalf("a NaN configuration fits: %v executors", executors)
+	}
+}
