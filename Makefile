@@ -54,6 +54,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingKey$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulIntoMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionStoreOpen$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTuner$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 	./scripts/fidelity.sh
 
 # fidelity re-runs litebench's Table VI and Table IX and diffs them, timing

@@ -227,8 +227,8 @@ func BenchmarkAMU(b *testing.B) {
 // and pooling scratch, Backward's traversal — lives in the model's step
 // arena, so what is left is per Fit — Adam's moments, the epoch orders, the
 // best-epoch snapshots, the arena's slabs — and per step the ops' backward
-// closures, the conv banks' parent and filter slices and the batch's stage
-// map. Nothing is pooled, so the pin holds under -race as well.
+// closures and the batch's stage map. Nothing is pooled, so the pin holds
+// under -race as well.
 func TestFitAllocs(t *testing.T) {
 	tuner, ds := parBench()
 	encoded := core.EncodeAll(tuner.Model.Encoder, ds.Instances)
@@ -244,8 +244,8 @@ func TestFitAllocs(t *testing.T) {
 		models[next].Fit(encoded, rand.New(rand.NewSource(1)))
 		next++
 	})
-	if got > 1330 {
-		t.Errorf("%.0f allocs per Fit, want ≤ 1330", got)
+	if got > 1100 {
+		t.Errorf("%.0f allocs per Fit, want ≤ 1100", got)
 	} else {
 		t.Logf("%.0f allocs per Fit", got)
 	}

@@ -68,16 +68,16 @@ func main() {
 // makeTraffic builds a deterministic repeated-key workload: keys are
 // (app, size, cluster) combos, drawn Zipf-skewed so a few keys are hot —
 // the regime the cache is built for.
-func makeTraffic(n, keys int, seed int64) []serve.RecommendRequest {
+func makeTraffic(n, keys int, seed int64) []api.RecommendRequest {
 	apps := workload.All()
 	clusters := []string{"A", "B", "C"}
 	sizes := []float64{256, 512, 1024, 2048, 4096}
 	if keys < 1 {
 		keys = 1
 	}
-	combos := make([]serve.RecommendRequest, keys)
+	combos := make([]api.RecommendRequest, keys)
 	for i := range combos {
-		combos[i] = serve.RecommendRequest{
+		combos[i] = api.RecommendRequest{
 			App:     apps[i%len(apps)].Spec.Name,
 			SizeMB:  sizes[i%len(sizes)],
 			Cluster: clusters[i%len(clusters)],
@@ -85,7 +85,7 @@ func makeTraffic(n, keys int, seed int64) []serve.RecommendRequest {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.3, 1, uint64(keys-1))
-	out := make([]serve.RecommendRequest, n)
+	out := make([]api.RecommendRequest, n)
 	for i := range out {
 		out[i] = combos[zipf.Uint64()]
 	}
@@ -161,7 +161,7 @@ func markUp(res *runResult) {
 	}
 }
 
-func runRemote(url string, reqs []serve.RecommendRequest, workers int, timeout time.Duration) runResult {
+func runRemote(url string, reqs []api.RecommendRequest, workers int, timeout time.Duration) runResult {
 	var mu sync.Mutex
 	res := runResult{}
 	idx := make(chan int)

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"lite/internal/feature"
+	"lite/internal/nn"
 )
 
 // modelFile is the on-disk representation of a trained NECS model: the
@@ -132,7 +133,10 @@ func (s *savedEncoder) get(m *NECS) (vocabs, weights []byte, err error) {
 	return s.vocabs, s.weights, nil
 }
 
-// LoadNECS reconstructs a model previously written by Save.
+// LoadNECS reconstructs a model previously written by Save. The file is
+// checked against its own config before the model is built (check), so
+// a malformed one returns an error instead of panicking, and the model
+// allocates no more values than the file holds.
 func LoadNECS(r io.Reader) (*NECS, error) {
 	var mf modelFile
 	if err := json.NewDecoder(r).Decode(&mf); err != nil {
@@ -141,27 +145,78 @@ func LoadNECS(r io.Reader) (*NECS, error) {
 	if mf.Format != modelFormat {
 		return nil, fmt.Errorf("core: unsupported model format %q", mf.Format)
 	}
+	if err := mf.check(); err != nil {
+		return nil, err
+	}
 	enc := NewEncoderFromVocabs(
 		feature.NewVocabFromMap(mf.Vocab, mf.UseOOV),
 		feature.NewOpVocabFromMap(mf.OpVocab, mf.UseOOV),
 		mf.Config,
 	)
 	m := NewNECS(enc, mf.Config, rand.New(rand.NewSource(0)))
-	params := m.Params()
-	if len(params) != len(mf.Params) {
-		return nil, fmt.Errorf("core: model has %d parameter tensors, file has %d", len(params), len(mf.Params))
-	}
-	for i, p := range params {
-		if p.Value.Rows != mf.Shapes[i][0] || p.Value.Cols != mf.Shapes[i][1] {
-			return nil, fmt.Errorf("core: parameter %d shape %dx%d, file has %dx%d",
-				i, p.Value.Rows, p.Value.Cols, mf.Shapes[i][0], mf.Shapes[i][1])
-		}
-		if len(mf.Params[i]) != p.Value.Size() {
-			return nil, fmt.Errorf("core: parameter %d has %d values, want %d", i, len(mf.Params[i]), p.Value.Size())
-		}
+	for i, p := range m.Params() {
 		copy(p.Value.Data, mf.Params[i])
 	}
 	return m, nil
+}
+
+// check validates a decoded model file before anything is sized by it:
+// every kernel fits the padded token sequence, every vocabulary id names
+// a row of its table, and the file holds, in Params order, one tensor of
+// each shape NewNECS builds from its config, each shape positive, with
+// that many values.
+func (mf *modelFile) check() error {
+	c := mf.Config
+	// TowerWidths halves down to TowerMin, which must be positive for it
+	// to stop; the count below divides by FiltersPerKernel.
+	if c.FiltersPerKernel < 1 || c.TowerMin < 1 || len(c.GCNHidden) == 0 {
+		return fmt.Errorf("core: model config %+v builds no model", c)
+	}
+	for _, k := range c.Kernels {
+		if k > c.TokenLen {
+			return fmt.Errorf("core: model kernel width %d exceeds TokenLen %d", k, c.TokenLen)
+		}
+	}
+	for _, v := range []map[string]int{mf.Vocab, mf.OpVocab} {
+		for tok, id := range v {
+			if id < 0 || id > len(v) {
+				return fmt.Errorf("core: model vocabulary id %d of %q outside [0, %d]", id, tok, len(v))
+			}
+		}
+	}
+	// The CNN's embedding, filter banks, bank biases and projection, the
+	// GCN layers, the tower. A negative CodeDim or GCN width fails its
+	// own shape before the tower's input width, which sums them, is read.
+	tower := nn.TowerWidths(feature.DenseWidth+c.CodeDim+c.GCNHidden[len(c.GCNHidden)-1], c.TowerFirst, c.TowerMin)
+	banks, n := len(c.Kernels), len(mf.Params)
+	if banks > n/c.FiltersPerKernel || len(mf.Shapes) != n ||
+		n != 1+banks*c.FiltersPerKernel+banks+2+len(c.GCNHidden)+2*(len(tower)-1) {
+		return fmt.Errorf("core: model file has %d parameter tensors and %d shapes, not the count its config builds", n, len(mf.Shapes))
+	}
+	want := [][2]int{{len(mf.Vocab) + 1, c.EmbDim}}
+	for _, k := range c.Kernels {
+		for range c.FiltersPerKernel {
+			want = append(want, [2]int{c.EmbDim, k})
+		}
+	}
+	for range c.Kernels {
+		want = append(want, [2]int{1, c.FiltersPerKernel})
+	}
+	want = append(want, [2]int{banks * c.FiltersPerKernel, c.CodeDim}, [2]int{1, c.CodeDim})
+	gcn := append([]int{len(mf.OpVocab) + 1}, c.GCNHidden...)
+	for i := 1; i < len(gcn); i++ {
+		want = append(want, [2]int{gcn[i-1], gcn[i]})
+	}
+	for i := 1; i < len(tower); i++ {
+		want = append(want, [2]int{tower[i-1], tower[i]}, [2]int{1, tower[i]})
+	}
+	for i, s := range want {
+		if v := len(mf.Params[i]); s[0] < 1 || s[1] < 1 || mf.Shapes[i] != s || v%s[0] != 0 || v/s[0] != s[1] {
+			return fmt.Errorf("core: parameter %d is %dx%d with %d values in the file; its config builds %dx%d",
+				i, mf.Shapes[i][0], mf.Shapes[i][1], v, s[0], s[1])
+		}
+	}
+	return nil
 }
 
 // tunerFile is the on-disk representation of a full LITE tuner: the NECS

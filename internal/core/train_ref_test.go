@@ -116,7 +116,7 @@ func refAMUStep(m *NECS, disc *Discriminator, batch []domainSample, lambda float
 	for _, s := range batch {
 		hCode := m.Code.Forward(nil, s.x.TokenIDs).Value
 		hDAG := m.DAG.Forward(nn.NewConst(s.x.AHat), nn.NewConst(s.x.NodeFeats)).Value
-		in := tensor.Concat(tensor.FromRow(s.x.Dense), hCode, hDAG)
+		in := tensor.FromRow(append(append(append([]float64(nil), s.x.Dense...), hCode.Data...), hDAG.Data...))
 		out, hidden := m.Tower.ForwardHidden(nn.NewConst(in))
 		lp := nn.MSELoss(out, s.x.Y)
 		rev := make([]*nn.Node, len(hidden))

@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"time"
 
-	"lite/internal/serve"
+	"lite/pkg/api"
 )
 
 // flipLoop is the fleet's hot-swap coordinator (publish-then-flip,
@@ -98,7 +98,7 @@ func (rt *Router) coordinate() {
 // gives up after rt.flipTimeout, or as soon as Stop is called: a shard
 // that never answers is retried on a later pass, not waited for.
 func (rt *Router) flipShard(url string, gen uint64) (uint64, error) {
-	body, err := json.Marshal(serve.FlipRequest{SnapshotPath: rt.opts.TrainerSnapshot, Generation: gen})
+	body, err := json.Marshal(api.FlipRequest{SnapshotPath: rt.opts.TrainerSnapshot, Generation: gen})
 	if err != nil {
 		return 0, err
 	}
@@ -118,7 +118,7 @@ func (rt *Router) flipShard(url string, gen uint64) (uint64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("flip status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var fr serve.FlipResponse
+	var fr api.FlipResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 		return 0, err
 	}

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"lite/internal/serve"
+	"lite/pkg/api"
 )
 
 // healthLoop actively probes every registered shard's /healthz on
@@ -61,31 +61,31 @@ func (rt *Router) probeAll() {
 }
 
 // probe fetches and parses one shard's JSON /healthz.
-func (rt *Router) probe(url string) (serve.HealthResponse, error) {
+func (rt *Router) probe(url string) (api.HealthResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/healthz", nil)
 	if err != nil {
-		return serve.HealthResponse{}, err
+		return api.HealthResponse{}, err
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return serve.HealthResponse{}, err
+		return api.HealthResponse{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return serve.HealthResponse{}, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return api.HealthResponse{}, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var h serve.HealthResponse
+	var h api.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return serve.HealthResponse{}, fmt.Errorf("healthz body: %w", err)
+		return api.HealthResponse{}, fmt.Errorf("healthz body: %w", err)
 	}
 	return h, nil
 }
 
 // applyProbe folds one probe result into the shard's state, ejecting or
 // re-admitting per the policy above.
-func (rt *Router) applyProbe(id string, h serve.HealthResponse, err error) {
+func (rt *Router) applyProbe(id string, h api.HealthResponse, err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	sh := rt.shards[id]

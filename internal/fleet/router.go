@@ -107,7 +107,7 @@ type shard struct {
 	readmitAfter time.Time
 	// health is the shard's last successfully parsed /healthz body;
 	// healthKnown is false until the first good probe.
-	health      serve.HealthResponse
+	health      api.HealthResponse
 	healthKnown bool
 	lastErr     string
 }

@@ -31,7 +31,7 @@ type fakeShard struct {
 	recs       atomic.Int64
 	feeds      atomic.Int64
 	sessionOps atomic.Int64
-	lastFlip   atomic.Value // serve.FlipRequest
+	lastFlip   atomic.Value // api.FlipRequest
 	// wedged makes /v1/admin/flip accept the request and never answer it
 	// (until the caller gives up); flipsHeld counts those left hanging.
 	wedged    atomic.Bool
@@ -48,7 +48,7 @@ func newFakeShard(t *testing.T, id string) *fakeShard {
 			http.Error(w, "sick", http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(serve.HealthResponse{Status: "ok", Generation: f.gen.Load(), Follower: id != "shard0"})
+		json.NewEncoder(w).Encode(api.HealthResponse{Status: "ok", Generation: f.gen.Load(), Follower: id != "shard0"})
 	})
 	mux.HandleFunc("/v1/recommend", func(w http.ResponseWriter, r *http.Request) {
 		f.recs.Add(1)
@@ -67,11 +67,11 @@ func newFakeShard(t *testing.T, id string) *fakeShard {
 			<-r.Context().Done()
 			return
 		}
-		var req serve.FlipRequest
+		var req api.FlipRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.lastFlip.Store(req)
 		f.gen.Store(req.Generation)
-		json.NewEncoder(w).Encode(serve.FlipResponse{Generation: req.Generation})
+		json.NewEncoder(w).Encode(api.FlipResponse{Generation: req.Generation})
 	})
 	// Session endpoints: enough of the /v1/tuning/sessions contract for the
 	// router's placement, fan-out list and promotion paths.
@@ -400,7 +400,7 @@ func TestCoordinatorFlipsFleet(t *testing.T) {
 	if shards[1].gen.Load() != 3 || shards[2].gen.Load() != 3 {
 		t.Fatalf("followers at generations %d/%d, want 3/3", shards[1].gen.Load(), shards[2].gen.Load())
 	}
-	flip, _ := shards[1].lastFlip.Load().(serve.FlipRequest)
+	flip, _ := shards[1].lastFlip.Load().(api.FlipRequest)
 	if flip.SnapshotPath != "/fleet/shard0/snapshot.json" || flip.Generation != 3 {
 		t.Fatalf("flip request = %+v, want trainer snapshot at generation 3", flip)
 	}

@@ -3,11 +3,12 @@ package nn
 import "lite/internal/tensor"
 
 // Arena is a pass-scoped bump allocator. It holds the activations of one
-// inference pass (InferBatch) or the whole graph of one training step —
-// values, nodes, parent lists, gradients, op scratch and Backward's
-// traversal — for a graph grown from Const. All of it comes from slabs
-// the arena keeps across Resets, so a pass or step of a shape seen before
-// performs no heap allocation for them.
+// inference pass (InferBatch), the graph of one encoder's Infer, or the
+// whole graph of one training step — values, nodes, parent lists,
+// gradients, op scratch and Backward's traversal — for a graph grown from
+// Const. All of it comes from slabs the arena keeps across Resets, so a
+// pass or step of a shape seen before performs no heap allocation for
+// them.
 //
 // Ownership and aliasing rules (DESIGN.md §12):
 //
@@ -93,9 +94,6 @@ func (a *Arena) ConstRow(parts ...[]float64) *Node {
 
 // node returns an uninitialized node slot; the caller overwrites it whole.
 func (a *Arena) node() *Node { return &take(&a.nodes, &a.nn, 1)[0] }
-
-// nodePtrs returns room for an op's n parents.
-func (a *Arena) nodePtrs(n int) []*Node { return take(&a.ptrs, &a.np, n) }
 
 // Reset recycles the arena for the next pass. Everything handed out since
 // the previous Reset becomes invalid.

@@ -25,17 +25,12 @@ func Conv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 func conv1DMaxPool(input *Node, live int, filters []*Node, bias *Node) *Node {
 	d := input.Value.Rows
 	n := input.Value.Cols
-	f := len(filters)
-	vals := make([]*tensor.Tensor, f)
-	for i, filt := range filters {
-		vals[i] = filt.Value
-	}
-	out, argmax := conv1DMaxPoolValue(input.arena, input.Value, live, vals, bias.Value)
-	k := vals[0].Cols
-	parents := make([]*Node, 0, f+2)
-	parents = append(parents, input)
-	parents = append(parents, filters...)
-	parents = append(parents, bias)
+	ar := input.arena
+	out, argmax := conv1DMaxPoolValue(ar, input.Value, live, filters, bias.Value)
+	k := filters[0].Value.Cols
+	parents := nodeList(ar, len(filters)+2)
+	parents[0], parents[len(parents)-1] = input, bias
+	copy(parents[1:], filters)
 	back := func(g *tensor.Tensor) {
 		// Every bank adds its filters' window gradients straight into the
 		// input's gradient, which the encoder's banks share.
@@ -76,16 +71,15 @@ func conv1DMaxPool(input *Node, live int, filters []*Node, bias *Node) *Node {
 			}
 		}
 	}
-	return newNode(out, back, parents...)
+	return newNodeIn(ar, out, back, parents...)
 }
 
-// conv1DMaxPoolValue is the shared forward kernel of Conv1DMaxPool: it
-// computes the 1×F pooled feature map and the argmax position per filter.
-// live must be liveCols(input). The map and the window accumulator come
-// from ar when it is set (arena memory is uninitialized, so both are
-// written before they are read) and from the heap otherwise.
-// Both the autograd op above and the inference path (infer.go) call it, so
-// the two paths are bitwise identical by construction.
+// conv1DMaxPoolValue is the forward kernel of Conv1DMaxPool: it computes
+// the 1×F pooled feature map of the filter nodes' values and the argmax
+// position per filter. live must be liveCols(input). The map and the
+// window accumulator come from ar when it is set (arena memory is
+// uninitialized, so both are written before they are read) and from the
+// heap otherwise.
 //
 // Per (filter, embedding row) it makes one pass over the window
 // positions, acc[p] = ((acc[p] + in[p]·w0) + in[p+1]·w1) + …, so every
@@ -102,20 +96,21 @@ func conv1DMaxPool(input *Node, live int, filters []*Node, bias *Node) *Node {
 // NaN or ±Inf weight still makes that response non-finite, exactly as it
 // made every padded position's; values and argmax are bit-identical to
 // convolving all N−k+1 positions.
-func conv1DMaxPoolValue(ar *Arena, input *tensor.Tensor, live int, filters []*tensor.Tensor, bias *tensor.Tensor) (*tensor.Tensor, []int) {
+func conv1DMaxPoolValue(ar *Arena, input *tensor.Tensor, live int, filters []*Node, bias *tensor.Tensor) (*tensor.Tensor, []int) {
 	d := input.Rows
 	n := input.Cols
 	f := len(filters)
 	if f == 0 {
 		panic("nn: Conv1DMaxPool requires at least one filter")
 	}
-	k := filters[0].Cols
+	k := filters[0].Value.Cols
 	if n < k {
 		panic("nn: Conv1DMaxPool input shorter than kernel")
 	}
 	out, argmax := value(ar, 1, f), ints(ar, f)
 	acc := floats(ar, min(live, n-k+1))
-	for fi, w := range filters {
+	for fi, filt := range filters {
+		w := filt.Value
 		if w.Rows != d || w.Cols != k {
 			panic("nn: Conv1DMaxPool filter shape mismatch")
 		}
@@ -204,7 +199,18 @@ func convRowAccum(acc, in, w []float64) {
 // arena cannot come from the inputs: the node is held in ar (see
 // Arena.Const) when it is set and on the heap when it is nil.
 func EmbeddingLookup(ar *Arena, table *Node, ids []int) *Node {
-	v := embeddingLookupValue(ar, table.Value, ids)
+	d, n := table.Value.Cols, len(ids)
+	v := value(ar, d, n)
+	for j, id := range ids {
+		// Padding columns are written too: arena memory is uninitialized.
+		for r := 0; r < d; r++ {
+			if id < 0 {
+				v.Data[r*n+j] = 0
+			} else {
+				v.Data[r*n+j] = table.Value.Data[id*d+r]
+			}
+		}
+	}
 	back := func(g *tensor.Tensor) { scatterRows(ar, table, ids, g.Data, len(ids), 1) }
 	return newNodeIn(ar, v, back, table)
 }
@@ -241,30 +247,6 @@ func scatterRows(ar *Arena, table *Node, ids []int, g []float64, rs, js int) {
 			grow[r] += s
 		}
 	}
-}
-
-// embeddingLookupValue is the shared forward kernel of EmbeddingLookup,
-// also used by the inference path (infer.go). An arena result is
-// uninitialized, so its padding columns are zeroed here.
-func embeddingLookupValue(ar *Arena, table *tensor.Tensor, ids []int) *tensor.Tensor {
-	d := table.Cols
-	n := len(ids)
-	v := value(ar, d, n)
-	for j, id := range ids {
-		if id < 0 {
-			if ar != nil {
-				for r := 0; r < d; r++ {
-					v.Data[r*n+j] = 0
-				}
-			}
-			continue
-		}
-		row := table.RowView(id)
-		for r := 0; r < d; r++ {
-			v.Data[r*n+j] = row[r]
-		}
-	}
-	return v
 }
 
 // EmbeddingLookupRows gathers rows of the embedding table as an N×D matrix

@@ -1,42 +1,23 @@
 package nn
 
 // This file is the forward-only inference path of the NECS building
-// blocks (DESIGN.md §12). The autograd graph in ops.go/conv.go allocates
-// one Node per operation so gradients can flow; serving never needs
-// gradients, so the hot path below computes the same values with plain
-// tensor arithmetic — no graph nodes, no backward closures — and batches
-// the tower MLP so each layer is a single GEMM over all candidates
-// instead of one small matmul per candidate. Rows that repeat a prefix —
-// a candidate's stage rows repeat its dense features — share the prefix's
-// partial sums inside tensor.MatMulInto, so layer 1 multiplies it once per
-// candidate (DESIGN.md §12.7).
-//
-// Bitwise contract: every Infer* function must produce values bit-identical
-// to its graph counterpart (CNNEncoder.Forward, GCNEncoder.Forward,
-// MLP.ForwardHidden applied row by row). That holds because both paths
-// share the exact same value kernels — conv1DMaxPoolValue,
-// embeddingLookupValue, tensor.MatMulInto's per-row k-ascending
-// accumulation — and the elementwise ops (bias add, ReLU) are order-free.
-// TestScoreBatchBitwiseGolden in internal/core enforces the contract.
+// blocks (DESIGN.md §12). The CNN and GCN encoders have one forward, the
+// graph's: their Infer runs Forward in an arena of its own, once per stage
+// and encoder setting (core.Encoder memoizes the result). The tower is the
+// hot path: InferBatch computes the graph's values with plain tensor
+// arithmetic, one GEMM per layer over all candidates, and MatMulInto lets
+// rows that repeat a prefix (a candidate's dense features) share its
+// partial sums (DESIGN.md §12.7). Row i of InferBatch is bit-identical to
+// MLP.ForwardHidden over row i alone (TestScoreBatchBitwiseGolden).
 
 import (
 	"lite/internal/tensor"
 )
 
-// reluInPlace applies ReLU elementwise in place with the exact predicate
-// the graph path uses (`x > 0 ? x : 0`), so −0.0 and NaN inputs map to
-// the same bits on both paths.
-func reluInPlace(t *tensor.Tensor) {
-	for i, v := range t.Data {
-		if !(v > 0) {
-			t.Data[i] = 0
-		}
-	}
-}
-
 // addBiasInPlace adds the 1×cols row v to every row of m in place and,
-// when relu is set, applies ReLU to the sum in the same pass — with
-// reluInPlace's predicate, so the bits match the two-pass form.
+// when relu is set, applies ReLU to the sum in the same pass, with the
+// ReLU op's predicate (`x > 0 ? x : 0`), so −0.0 and NaN map to the bits
+// the graph gives them.
 func addBiasInPlace(m, v *tensor.Tensor, relu bool) {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic("nn: broadcast shape mismatch")
@@ -53,37 +34,17 @@ func addBiasInPlace(m, v *tensor.Tensor, relu bool) {
 	}
 }
 
-// Infer encodes a token-id sequence into the 1×OutDim code representation
-// without building an autograd graph — bitwise identical to Forward.
+// Infer encodes a token-id sequence into the 1×OutDim code representation:
+// Forward's value, its graph built in an arena of its own.
 func (c *CNNEncoder) Infer(ids []int) *tensor.Tensor {
-	emb := embeddingLookupValue(nil, c.Embedding.Value, ids)
-	live := liveCols(emb)
-	pooled := make([]*tensor.Tensor, len(c.banks))
-	ws := make([]*tensor.Tensor, 0, 8)
-	for i, bank := range c.banks {
-		ws = ws[:0]
-		for _, f := range bank {
-			ws = append(ws, f.Value)
-		}
-		v, _ := conv1DMaxPoolValue(nil, emb, live, ws, c.biases[i].Value)
-		pooled[i] = v
-	}
-	q := tensor.Concat(pooled...)
-	h := tensor.AddRowBroadcast(tensor.MatMul(q, c.Proj.W.Value), c.Proj.B.Value)
-	reluInPlace(h)
-	return h
+	return c.Forward(new(Arena), ids).Value
 }
 
-// Infer encodes a DAG into the 1×OutDim representation without building an
-// autograd graph — bitwise identical to Forward.
+// Infer encodes a DAG into the 1×OutDim representation: Forward's value,
+// its graph built in an arena of its own.
 func (g *GCNEncoder) Infer(aHat, nodeFeatures *tensor.Tensor) *tensor.Tensor {
-	h := nodeFeatures
-	for _, l := range g.Layers {
-		h = tensor.MatMul(tensor.MatMul(aHat, h), l.W.Value)
-		reluInPlace(h)
-	}
-	out, _ := h.ColMax()
-	return out
+	ar := new(Arena)
+	return g.Forward(ar.Const(aHat), ar.Const(nodeFeatures)).Value
 }
 
 // InferBatch runs the MLP forward over an n×in batch with ONE GEMM per

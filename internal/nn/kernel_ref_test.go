@@ -95,7 +95,7 @@ func refConv1DMaxPool(input *Node, filters []*Node, bias *Node) *Node {
 // and added a full vocab×D temporary per call.
 func refEmbeddingLookup(table *Node, ids []int) *Node {
 	d, n := table.Value.Cols, len(ids)
-	v := embeddingLookupValue(nil, table.Value, ids)
+	v := EmbeddingLookup(nil, table, ids).Value
 	back := func(g *tensor.Tensor) {
 		if !table.requiresGrad {
 			return
@@ -252,9 +252,13 @@ func dirtyArena() *Arena {
 func requireSameConv(t *testing.T, name string, in *tensor.Tensor, filters []*tensor.Tensor, bias *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	want, wantArg := refConv1DMaxPoolValue(in, filters, bias)
+	nodes := make([]*Node, len(filters))
+	for i, w := range filters {
+		nodes[i] = NewConst(w)
+	}
 	var heap *tensor.Tensor
 	for _, ar := range []*Arena{nil, dirtyArena()} {
-		got, gotArg := conv1DMaxPoolValue(ar, in, liveCols(in), filters, bias)
+		got, gotArg := conv1DMaxPoolValue(ar, in, liveCols(in), nodes, bias)
 		what := fmt.Sprintf("%s (arena %t)", name, ar != nil)
 		requireSameBits(t, what+": pooled", got.Data, want.Data)
 		for i := range wantArg {
@@ -308,7 +312,7 @@ func TestConv1DMaxPoolValuePaddingBoundaryArgmax(t *testing.T) {
 		in := tensor.FromSlice(1, len(c.in), c.in)
 		w := tensor.FromSlice(1, len(c.w), c.w)
 		requireSameConv(t, c.name, in, []*tensor.Tensor{w}, tensor.New(1, 1))
-		if _, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*tensor.Tensor{w}, tensor.New(1, 1)); arg[0] != c.wantArg {
+		if _, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*Node{NewConst(w)}, tensor.New(1, 1)); arg[0] != c.wantArg {
 			t.Fatalf("%s: argmax %d, want %d", c.name, arg[0], c.wantArg)
 		}
 	}
@@ -339,7 +343,7 @@ func TestConv1DMaxPoolValueKeepsFirstArgmaxOnTies(t *testing.T) {
 	in.Fill(0.5)
 	w := tensor.New(2, 3)
 	w.Fill(0.25)
-	_, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*tensor.Tensor{w}, tensor.New(1, 1))
+	_, arg := conv1DMaxPoolValue(nil, in, liveCols(in), []*Node{NewConst(w)}, tensor.New(1, 1))
 	if arg[0] != 0 {
 		t.Fatalf("argmax on a constant response = %d, want 0", arg[0])
 	}

@@ -153,7 +153,7 @@ func NewCNNEncoder(vocab, embDim int, kernels []int, filtersPer, outDim int, rng
 func (c *CNNEncoder) Forward(ar *Arena, ids []int) *Node {
 	emb := EmbeddingLookup(ar, c.Embedding, ids)
 	live := liveCols(emb.Value)
-	pooled := make([]*Node, len(c.banks))
+	pooled := nodeList(ar, len(c.banks))
 	for i, bank := range c.banks {
 		pooled[i] = conv1DMaxPool(emb, live, bank, c.biases[i])
 	}

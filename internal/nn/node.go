@@ -90,27 +90,32 @@ func newNode(v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node)
 // go in ar when it is set, on the heap otherwise. An op whose inputs
 // cannot carry the arena (EmbeddingLookup reads a parameter) uses it.
 func newNodeIn(ar *Arena, v *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Node) *Node {
-	rg := false
-	for _, p := range parents {
-		if p.requiresGrad {
-			rg = true
-			break
-		}
-	}
 	var n *Node
 	if ar != nil {
 		n = ar.node()
-		ps := ar.nodePtrs(len(parents))
-		copy(ps, parents)
-		*n = Node{Value: v, parents: ps, arena: ar}
 	} else {
-		n = &Node{Value: v, parents: append([]*Node(nil), parents...)}
+		n = new(Node)
 	}
-	if rg {
-		n.requiresGrad = true
-		n.backFn = back
+	*n = Node{Value: v, parents: nodeList(ar, len(parents)), arena: ar}
+	copy(n.parents, parents)
+	for _, p := range parents {
+		if p.requiresGrad {
+			n.requiresGrad, n.backFn = true, back
+			break
+		}
 	}
 	return n
+}
+
+// nodeList returns room for n node pointers: in ar when it is set, and on
+// the heap otherwise. An op that gathers a list of nodes to hand to
+// newNode (a conv bank's parents, the CNN's pooled banks) takes it here,
+// so a step's graph allocates none.
+func nodeList(ar *Arena, n int) []*Node {
+	if ar == nil {
+		return make([]*Node, n)
+	}
+	return take(&ar.ptrs, &ar.np, n)
 }
 
 // constant wraps t as a constant node held in ar when it is set, and on

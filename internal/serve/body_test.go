@@ -20,7 +20,7 @@ import (
 
 // serveRecommend posts req to /v1/recommend through h and returns the
 // recorded response.
-func serveRecommend(t *testing.T, h http.Handler, req RecommendRequest) *httptest.ResponseRecorder {
+func serveRecommend(t *testing.T, h http.Handler, req api.RecommendRequest) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -34,7 +34,7 @@ func serveRecommend(t *testing.T, h http.Handler, req RecommendRequest) *httptes
 // checkEncoderBody fails unless rec holds a 200 recommend answer whose
 // bytes are what json.NewEncoder writes for the struct the body decodes
 // to, and returns that struct.
-func checkEncoderBody(t *testing.T, name string, rec *httptest.ResponseRecorder) RecommendResponse {
+func checkEncoderBody(t *testing.T, name string, rec *httptest.ResponseRecorder) api.RecommendResponse {
 	t.Helper()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
@@ -42,7 +42,7 @@ func checkEncoderBody(t *testing.T, name string, rec *httptest.ResponseRecorder)
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("%s: Content-Type %q", name, ct)
 	}
-	var resp RecommendResponse
+	var resp api.RecommendResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -63,7 +63,7 @@ func checkEncoderBody(t *testing.T, name string, rec *httptest.ResponseRecorder)
 func TestRecommendBodiesMatchEncodingJSON(t *testing.T) {
 	s := newTestServer(t, Options{Retrieval: testStore(t, "WordCount", "KMeans")})
 	h := s.Handler()
-	req := RecommendRequest{App: "WordCount", SizeMB: 700, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 700, Cluster: "C"}
 	if r := checkEncoderBody(t, "miss", serveRecommend(t, h, req)); r.Cached || r.PredictedSeconds == nil {
 		t.Fatalf("miss: %+v", r)
 	}
@@ -71,7 +71,7 @@ func TestRecommendBodiesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("hit: %+v", r)
 	}
 	for _, app := range []string{"NeverRegistered", "Spärk ジョブ <&> \u2028\u2029 \"q\" \\ \x7f\t"} {
-		r := checkEncoderBody(t, "unseen "+app, serveRecommend(t, h, RecommendRequest{
+		r := checkEncoderBody(t, "unseen "+app, serveRecommend(t, h, api.RecommendRequest{
 			App: app, SizeMB: 1024, Cluster: "C", Features: specFeatures(workload.ByName("KMeans")),
 		}))
 		if r.App != app || r.Tier != string(core.TierRetrieval) {
@@ -208,7 +208,7 @@ func TestBadBodiesAnswerAsBefore(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body)
 		}
 		if tc.status == http.StatusOK {
-			var resp RecommendResponse
+			var resp api.RecommendResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.App != tc.message {
 				t.Fatalf("%s: %s, want an answer for %s", tc.name, rec.Body, tc.message)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lite/internal/core"
+	"lite/pkg/api"
 )
 
 // degradedCacheTTL caps how long a non-NECS answer may be served from
@@ -41,13 +42,13 @@ type ttlCache struct {
 const minSweep = 1024
 
 type cacheEntry struct {
-	resp    RecommendResponse
+	resp    api.RecommendResponse
 	expires time.Time
 }
 
 type flightCall struct {
 	done    chan struct{}
-	resp    RecommendResponse
+	resp    api.RecommendResponse
 	err     error
 	waiters int // callers that attached to this call, under ttlCache.mu
 }
@@ -79,7 +80,7 @@ func isCtxErr(err error) bool {
 // produced by the *leader's* cancellation (its own ctx still live) does
 // not inherit the leader's fate: it loops and recomputes, becoming the new
 // leader if nobody else already has.
-func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (RecommendResponse, error)) (resp RecommendResponse, hit, shared bool, err error) {
+func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (api.RecommendResponse, error)) (resp api.RecommendResponse, hit, shared bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok && c.now().Before(e.expires) {
@@ -102,7 +103,7 @@ func (c *ttlCache) getOrDo(ctx context.Context, key string, fn func() (Recommend
 		case <-ctx.Done():
 			// Detach without killing the leader: its result still serves
 			// every waiter that stayed.
-			return RecommendResponse{}, false, false, ctx.Err()
+			return api.RecommendResponse{}, false, false, ctx.Err()
 		}
 		if isCtxErr(call.err) && ctx.Err() == nil {
 			// The leader gave up, we did not: retry the lookup/compute.
@@ -121,7 +122,7 @@ var errComputePanicked = errors.New("serve: the shared recommendation compute pa
 // waiters released with errComputePanicked before the panic goes on, so
 // the next caller computes afresh instead of waiting for a call nobody
 // will finish.
-func (c *ttlCache) lead(key string, call *flightCall, fn func() (RecommendResponse, error)) {
+func (c *ttlCache) lead(key string, call *flightCall, fn func() (api.RecommendResponse, error)) {
 	finished := false
 	defer func() {
 		if !finished {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lite/pkg/api"
 )
 
 func TestCacheTTLExpiry(t *testing.T) {
@@ -17,9 +19,9 @@ func TestCacheTTLExpiry(t *testing.T) {
 
 	c := newTTLCache(10*time.Second, now)
 	calls := 0
-	fn := func() (RecommendResponse, error) {
+	fn := func() (api.RecommendResponse, error) {
 		calls++
-		return RecommendResponse{Tier: "necs"}, nil
+		return api.RecommendResponse{Tier: "necs"}, nil
 	}
 	if _, hit, _, _ := c.getOrDo(context.Background(), "k", fn); hit {
 		t.Fatal("first call must miss")
@@ -48,10 +50,10 @@ func TestCacheTTLExpiry(t *testing.T) {
 func TestCacheStaleGenerationNotInserted(t *testing.T) {
 	c := newTTLCache(time.Minute, time.Now)
 	calls := 0
-	stale := func() (RecommendResponse, error) {
+	stale := func() (api.RecommendResponse, error) {
 		calls++
 		c.flush(1) // hot-swap to generation 1 mid-compute
-		return RecommendResponse{Tier: "necs", Generation: 0}, nil
+		return api.RecommendResponse{Tier: "necs", Generation: 0}, nil
 	}
 	if _, hit, _, err := c.getOrDo(context.Background(), "k", stale); err != nil || hit {
 		t.Fatalf("leader compute: hit=%v err=%v", hit, err)
@@ -59,9 +61,9 @@ func TestCacheStaleGenerationNotInserted(t *testing.T) {
 	if c.len() != 0 {
 		t.Fatalf("stale-generation entry was cached (%d entries)", c.len())
 	}
-	fresh := func() (RecommendResponse, error) {
+	fresh := func() (api.RecommendResponse, error) {
 		calls++
-		return RecommendResponse{Tier: "necs", Generation: 1}, nil
+		return api.RecommendResponse{Tier: "necs", Generation: 1}, nil
 	}
 	if _, hit, _, _ := c.getOrDo(context.Background(), "k", fresh); hit {
 		t.Fatal("stale entry served after flush")
@@ -78,10 +80,10 @@ func TestCacheSingleflight(t *testing.T) {
 	c := newTTLCache(time.Minute, time.Now)
 	var calls atomic.Int32
 	gate := make(chan struct{})
-	fn := func() (RecommendResponse, error) {
+	fn := func() (api.RecommendResponse, error) {
 		calls.Add(1)
 		<-gate
-		return RecommendResponse{Tier: "necs"}, nil
+		return api.RecommendResponse{Tier: "necs"}, nil
 	}
 
 	const n = 16
@@ -123,7 +125,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheErrorsNotCached(t *testing.T) {
 	c := newTTLCache(time.Minute, time.Now)
 	calls := 0
-	fail := func() (RecommendResponse, error) { calls++; return RecommendResponse{}, ErrQueueFull }
+	fail := func() (api.RecommendResponse, error) { calls++; return api.RecommendResponse{}, ErrQueueFull }
 	c.getOrDo(context.Background(), "k", fail)
 	c.getOrDo(context.Background(), "k", fail)
 	if calls != 2 {
@@ -140,7 +142,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 func TestCacheSweepsExpiredEntries(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	c := newTTLCache(30*time.Second, func() time.Time { return clock })
-	fn := func() (RecommendResponse, error) { return RecommendResponse{Tier: "retrieval"}, nil }
+	fn := func() (api.RecommendResponse, error) { return api.RecommendResponse{Tier: "retrieval"}, nil }
 	const keys = 100_000
 	live := int(degradedCacheTTL / time.Millisecond) // keys inserted within one TTL
 	peak := 0
@@ -171,7 +173,7 @@ func TestCachePanickingLeaderReleasesKey(t *testing.T) {
 	leaderPanic := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanic <- recover() }()
-		c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+		c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
 			close(started)
 			<-release
 			panic("boom")
@@ -182,8 +184,8 @@ func TestCachePanickingLeaderReleasesKey(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, _, _, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
-			return RecommendResponse{}, nil
+		_, _, _, err := c.getOrDo(ctx, "k", func() (api.RecommendResponse, error) {
+			return api.RecommendResponse{}, nil
 		})
 		waiterErr <- err
 	}()
@@ -206,8 +208,8 @@ func TestCachePanickingLeaderReleasesKey(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	resp, hit, shared, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
-		return RecommendResponse{Tier: "necs"}, nil
+	resp, hit, shared, err := c.getOrDo(ctx, "k", func() (api.RecommendResponse, error) {
+		return api.RecommendResponse{Tier: "necs"}, nil
 	})
 	if err != nil || hit || shared || resp.Tier != "necs" {
 		t.Fatalf("next caller after the panic: tier %q hit=%v shared=%v err=%v, want a fresh compute", resp.Tier, hit, shared, err)

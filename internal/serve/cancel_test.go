@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lite/pkg/api"
 )
 
 // --- cache cancellation semantics ---
@@ -21,9 +23,9 @@ func TestCacheWaiterDetachOnCancel(t *testing.T) {
 	gate := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+		_, _, _, err := c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
 			<-gate
-			return RecommendResponse{Tier: "necs"}, nil
+			return api.RecommendResponse{Tier: "necs"}, nil
 		})
 		leaderDone <- err
 	}()
@@ -33,9 +35,9 @@ func TestCacheWaiterDetachOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
+		_, _, _, err := c.getOrDo(ctx, "k", func() (api.RecommendResponse, error) {
 			t.Error("detached waiter must not compute")
-			return RecommendResponse{}, nil
+			return api.RecommendResponse{}, nil
 		})
 		waiterDone <- err
 	}()
@@ -69,23 +71,23 @@ func TestCacheLeaderCancelledWaiterRetries(t *testing.T) {
 	go func() {
 		// Leader whose own context was cancelled mid-compute: its fn
 		// surfaces the context error.
-		c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+		c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
 			<-gate
-			return RecommendResponse{}, context.Canceled
+			return api.RecommendResponse{}, context.Canceled
 		})
 	}()
 	waitInflight(t, c, "k")
 
 	var retried atomic.Int32
 	waiterDone := make(chan struct{})
-	var resp RecommendResponse
+	var resp api.RecommendResponse
 	var shared bool
 	var werr error
 	go func() {
 		defer close(waiterDone)
-		resp, _, shared, werr = c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+		resp, _, shared, werr = c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
 			retried.Add(1)
-			return RecommendResponse{Tier: "necs"}, nil
+			return api.RecommendResponse{Tier: "necs"}, nil
 		})
 	}()
 	waitParked(t, c, "k", 1)
@@ -118,10 +120,10 @@ func TestCacheSingleflightErrorShared(t *testing.T) {
 	sentinel := fmt.Errorf("model exploded")
 	var calls atomic.Int32
 	gate := make(chan struct{})
-	fn := func() (RecommendResponse, error) {
+	fn := func() (api.RecommendResponse, error) {
 		calls.Add(1)
 		<-gate
-		return RecommendResponse{}, sentinel
+		return api.RecommendResponse{}, sentinel
 	}
 
 	const n = 8
@@ -153,8 +155,8 @@ func TestCacheSingleflightErrorShared(t *testing.T) {
 	}
 	gate2 := make(chan struct{})
 	close(gate2)
-	if _, _, _, err := c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
-		return RecommendResponse{Tier: "necs"}, nil
+	if _, _, _, err := c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
+		return api.RecommendResponse{Tier: "necs"}, nil
 	}); err != nil {
 		t.Fatalf("post-error recompute err = %v", err)
 	}
@@ -170,10 +172,10 @@ func TestCacheNoStoreStillCoalesces(t *testing.T) {
 	c := newTTLCache(0, time.Now)
 	var calls atomic.Int32
 	gate := make(chan struct{})
-	fn := func() (RecommendResponse, error) {
+	fn := func() (api.RecommendResponse, error) {
 		calls.Add(1)
 		<-gate
-		return RecommendResponse{Tier: "necs"}, nil
+		return api.RecommendResponse{Tier: "necs"}, nil
 	}
 
 	const n = 8
@@ -219,9 +221,9 @@ func TestCacheAllWaitersCancelled(t *testing.T) {
 	gate := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.getOrDo(context.Background(), "k", func() (RecommendResponse, error) {
+		_, _, _, err := c.getOrDo(context.Background(), "k", func() (api.RecommendResponse, error) {
 			<-gate
-			return RecommendResponse{Tier: "necs"}, nil
+			return api.RecommendResponse{Tier: "necs"}, nil
 		})
 		leaderDone <- err
 	}()
@@ -232,9 +234,9 @@ func TestCacheAllWaitersCancelled(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, _, _, err := c.getOrDo(ctx, "k", func() (RecommendResponse, error) {
+			_, _, _, err := c.getOrDo(ctx, "k", func() (api.RecommendResponse, error) {
 				t.Error("a cancelled waiter must not compute")
-				return RecommendResponse{}, nil
+				return api.RecommendResponse{}, nil
 			})
 			errs <- err
 		}()

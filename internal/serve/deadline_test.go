@@ -17,13 +17,13 @@ import (
 // holdKey makes the test the singleflight leader for key: until release is
 // called, every request for that key parks in the cache as a waiter; then
 // the leader runs compute and hands them its result.
-func holdKey(t *testing.T, s *Server, key string, compute func() (RecommendResponse, error)) (release func()) {
+func holdKey(t *testing.T, s *Server, key string, compute func() (api.RecommendResponse, error)) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.cache.getOrDo(context.Background(), key, func() (RecommendResponse, error) {
+		s.cache.getOrDo(context.Background(), key, func() (api.RecommendResponse, error) {
 			<-gate
 			return compute()
 		})
@@ -36,13 +36,13 @@ func holdKey(t *testing.T, s *Server, key string, compute func() (RecommendRespo
 }
 
 // scoreOf is the computation the serving path runs on a miss of req's key.
-func scoreOf(t *testing.T, s *Server, req RecommendRequest) func() (RecommendResponse, error) {
+func scoreOf(t *testing.T, s *Server, req api.RecommendRequest) func() (api.RecommendResponse, error) {
 	t.Helper()
 	r, err := resolve(req.App, req.SizeMB, req.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func() (RecommendResponse, error) { return s.score(context.Background(), r, req.Features) }
+	return func() (api.RecommendResponse, error) { return s.score(context.Background(), r, req.Features) }
 }
 
 // TestEndToEndShedAndCancel exercises the full admission-control story on a
@@ -63,21 +63,21 @@ func TestEndToEndShedAndCancel(t *testing.T) {
 	// Park request 1: it acquires the in-flight slot, finds its key being
 	// computed and waits for that leader until cancelled.
 	envC, _ := ClusterByName("C")
-	holdKey(t, s, requestKey("WordCount", 512, envC), func() (RecommendResponse, error) {
-		return RecommendResponse{}, nil
+	holdKey(t, s, requestKey("WordCount", 512, envC), func() (api.RecommendResponse, error) {
+		return api.RecommendResponse{}, nil
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	parked := make(chan error, 1)
 	go func() {
-		_, err := s.RecommendCtx(ctx, RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
+		_, err := s.RecommendCtx(ctx, api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
 		parked <- err
 	}()
 	waitFor(t, func() bool { return len(s.inflight) == 1 })
 
 	// Request 2 (different key) must be shed immediately: 503, Retry-After,
 	// and the shed counter moves.
-	body, _ := json.Marshal(RecommendRequest{App: "KMeans", SizeMB: 1024, Cluster: "C"})
+	body, _ := json.Marshal(api.RecommendRequest{App: "KMeans", SizeMB: 1024, Cluster: "C"})
 	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestEndToEndShedAndCancel(t *testing.T) {
 	}
 	// The in-process API sheds with the typed error.
 	if _, err := s.RecommendCtx(context.Background(),
-		RecommendRequest{App: "KMeans", SizeMB: 1024, Cluster: "C"}); !errors.Is(err, ErrOverloaded) {
+		api.RecommendRequest{App: "KMeans", SizeMB: 1024, Cluster: "C"}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("in-process shed err = %v, want ErrOverloaded", err)
 	}
 
@@ -128,9 +128,9 @@ func TestEndToEndCancelWhileOthersComplete(t *testing.T) {
 	const others = 4
 	s := newTestServer(t, Options{MaxInFlight: others + 1, DisableCache: true})
 	envC, _ := ClusterByName("C")
-	req := RecommendRequest{App: "WordCount", SizeMB: 256, Cluster: "C"}
-	leaderGivesUp := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), func() (RecommendResponse, error) {
-		return RecommendResponse{}, context.Canceled
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 256, Cluster: "C"}
+	leaderGivesUp := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), func() (api.RecommendResponse, error) {
+		return api.RecommendResponse{}, context.Canceled
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -140,7 +140,7 @@ func TestEndToEndCancelWhileOthersComplete(t *testing.T) {
 		cancelled <- err
 	}()
 	var wg sync.WaitGroup
-	resps := make([]RecommendResponse, others)
+	resps := make([]api.RecommendResponse, others)
 	errs := make([]error, others)
 	for i := 0; i < others; i++ {
 		wg.Add(1)
@@ -196,7 +196,7 @@ func TestDisabledCacheCoalescesSameKey(t *testing.T) {
 	const n = 8
 	s := newTestServer(t, Options{MaxInFlight: n, DisableCache: true})
 	envC, _ := ClusterByName("C")
-	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
 	scored := s.reg.Counter(`lite_recommendations_total{tier="necs"}`)
 
 	// The leader is a real scoring pass, held at its start so the requests
@@ -204,7 +204,7 @@ func TestDisabledCacheCoalescesSameKey(t *testing.T) {
 	score := holdKey(t, s, requestKey(req.App, req.SizeMB, envC), scoreOf(t, s, req))
 
 	var wg sync.WaitGroup
-	resps := make([]RecommendResponse, n)
+	resps := make([]api.RecommendResponse, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -243,7 +243,7 @@ func TestEndToEndRequestTimeout(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	body, _ := json.Marshal(RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
+	body, _ := json.Marshal(api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
 	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

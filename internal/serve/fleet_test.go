@@ -110,12 +110,12 @@ func TestFlipEndpoint(t *testing.T) {
 		t.Fatalf("empty flip request: status %d, want 400", res.StatusCode)
 	}
 
-	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 7})
+	body, _ := json.Marshal(api.FlipRequest{SnapshotPath: snap, Generation: 7})
 	res, err = http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fr FlipResponse
+	var fr api.FlipResponse
 	if err := json.NewDecoder(res.Body).Decode(&fr); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFollowerMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fb FeedbackResponse
+		var fb api.FeedbackResponse
 		if err := json.NewDecoder(res.Body).Decode(&fb); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestFollowerMode(t *testing.T) {
 	}
 
 	snap := saveTestSnapshot(t)
-	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 2})
+	body, _ := json.Marshal(api.FlipRequest{SnapshotPath: snap, Generation: 2})
 	res, err := http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestHealthzRichFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.NewDecoder(res.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}

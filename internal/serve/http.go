@@ -146,7 +146,7 @@ var jsonContentType = []string{"application/json"}
 // and encode-error accounting of writeJSON, encoded by
 // api.AppendRecommendResponse into a pooled buffer: every cache hit ends
 // here, and reflection was a third of a hit's CPU.
-func (s *Server) writeRecommend(w http.ResponseWriter, resp *RecommendResponse) {
+func (s *Server) writeRecommend(w http.ResponseWriter, resp *api.RecommendResponse) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	buf := bodyPool.Get().(*[]byte)
@@ -258,7 +258,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	buf := bodyPool.Get().(*[]byte)
 	data, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, (*buf)[:0])
 	if err == nil {
-		if req, ok := v.(*RecommendRequest); ok {
+		if req, ok := v.(*api.RecommendRequest); ok {
 			err = api.DecodeRecommendRequest(data, req)
 		} else {
 			err = api.DecodeStrict(data, v)
@@ -308,7 +308,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
+	var req api.RecommendRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -323,7 +323,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
+	var req api.FeedbackRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -337,16 +337,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// HealthResponse is the JSON body of GET /v1/healthz (see
-// api.HealthResponse; aliased so existing callers keep their name).
-type HealthResponse = api.HealthResponse
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet, http.MethodHead) {
 		return
 	}
 	snap := s.snap.Load()
-	resp := HealthResponse{
+	resp := api.HealthResponse{
 		Status:             "ok",
 		Generation:         snap.Gen,
 		Feedbacks:          snap.Feedbacks,
@@ -369,15 +365,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// FlipRequest / FlipResponse are the /v1/admin/flip wire types (see
-// pkg/api).
-type (
-	FlipRequest  = api.FlipRequest
-	FlipResponse = api.FlipResponse
-)
-
 func (s *Server) handleFlip(w http.ResponseWriter, r *http.Request) {
-	var req FlipRequest
+	var req api.FlipRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -390,7 +379,7 @@ func (s *Server) handleFlip(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, FlipResponse{Generation: gen})
+	s.writeJSON(w, http.StatusOK, api.FlipResponse{Generation: gen})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 	"lite/internal/core"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
+	"lite/pkg/api"
 )
 
 // TestSnapshotPersistRoundTrip drives the serve loop until it publishes and
@@ -28,7 +29,7 @@ func TestSnapshotPersistRoundTrip(t *testing.T) {
 	})
 
 	for i := 0; i < 2; i++ {
-		if _, err := s.Feedback(FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"}); err != nil {
+		if _, err := s.Feedback(api.FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"lite/internal/core"
 	"lite/internal/wal"
+	"lite/pkg/api"
 )
 
 // TestPoolGaugesExposed: the server registers scoring-pool gauges that show
@@ -19,7 +20,7 @@ func TestPoolGaugesExposed(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
 	core.SetScoreWorkers(3)
 	s := newTestServer(t, Options{})
-	if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
+	if _, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
 
@@ -64,7 +65,7 @@ func TestServeParallelScoringRace(t *testing.T) {
 				return
 			default:
 			}
-			_, err := s.Feedback(FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"})
+			_, err := s.Feedback(api.FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"})
 			if err != nil && err != ErrQueueFull {
 				t.Errorf("feedback: %v", err)
 				return
@@ -80,7 +81,7 @@ func TestServeParallelScoringRace(t *testing.T) {
 		go func(g int) {
 			defer rwg.Done()
 			for i := 0; i < 6; i++ {
-				resp, err := s.Recommend(RecommendRequest{
+				resp, err := s.Recommend(api.RecommendRequest{
 					App:     "WordCount",
 					SizeMB:  sizes[(g+i)%len(sizes)],
 					Cluster: "C",
@@ -114,7 +115,7 @@ func TestServeParallelScoringRace(t *testing.T) {
 // empty — and the deleted batcher series are gone.
 func TestStageRepCacheExposed(t *testing.T) {
 	s := newTestServer(t, Options{DisableCache: true})
-	req := RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
 	entries := func() int { return s.Snapshot().Tuner.Model.StageRepEntries() }
 
 	// The test tuner's Encoder is shared with other tests; a flip to its
@@ -172,12 +173,12 @@ func TestStageRepCacheExposed(t *testing.T) {
 // predecessor served runs no encoder forward.
 func TestSwappedGenerationRunsNoEncoder(t *testing.T) {
 	s := newTestServer(t, Options{DisableCache: true, UpdateBatch: 1})
-	req := RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}
 	if _, err := s.Recommend(req); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
 	filled := s.Snapshot().Tuner.Model.StageRepEntries()
-	if _, err := s.Feedback(FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"}); err != nil {
+	if _, err := s.Feedback(api.FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"}); err != nil {
 		t.Fatalf("feedback: %v", err)
 	}
 	deadline := time.Now().Add(120 * time.Second)

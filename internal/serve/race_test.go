@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lite/internal/sparksim"
+	"lite/pkg/api"
 )
 
 // TestConcurrentServingOverlapsHotSwap is the acceptance test for the
@@ -36,7 +37,7 @@ func TestConcurrentServingOverlapsHotSwap(t *testing.T) {
 				return
 			default:
 			}
-			_, err := s.Feedback(FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"})
+			_, err := s.Feedback(api.FeedbackRequest{App: "KMeans", SizeMB: 64, Cluster: "C"})
 			if err != nil && err != ErrQueueFull {
 				t.Errorf("feedback: %v", err)
 				return
@@ -61,7 +62,7 @@ func TestConcurrentServingOverlapsHotSwap(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := s.Recommend(RecommendRequest{
+				resp, err := s.Recommend(api.RecommendRequest{
 					App:     "WordCount",
 					SizeMB:  sizes[(g+i)%len(sizes)],
 					Cluster: "C",
@@ -112,7 +113,7 @@ func TestGracefulShutdownDrainsFeedback(t *testing.T) {
 	s := New(tuner.CloneForUpdate(3), Options{UpdateBatch: 100, SourceSample: source})
 	s.Start()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Feedback(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
+		if _, err := s.Feedback(api.FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 			t.Fatal(err)
 		}
 	}

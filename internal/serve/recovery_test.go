@@ -17,6 +17,7 @@ import (
 	"lite/internal/core"
 	"lite/internal/wal"
 	"lite/internal/workload"
+	"lite/pkg/api"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -58,7 +59,7 @@ func crashServer(t *testing.T, s *Server) {
 func feedbackN(t *testing.T, s *Server, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := s.Feedback(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
+		if _, err := s.Feedback(api.FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 			t.Fatalf("feedback %d: %v", i, err)
 		}
 	}
@@ -89,7 +90,7 @@ func TestWALReplaysFeedbackAfterCrash(t *testing.T) {
 
 	const n = 5
 	for i := 0; i < n; i++ {
-		resp, err := a.Feedback(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
+		resp, err := a.Feedback(api.FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
 		if err != nil {
 			t.Fatalf("feedback %d: %v", i, err)
 		}
@@ -151,7 +152,7 @@ func TestServerSkipsTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := json.Marshal(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
+	payload, _ := json.Marshal(api.FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
 	for i := 0; i < 3; i++ {
 		if _, err := w.Append(payload); err != nil {
 			t.Fatal(err)
@@ -218,7 +219,7 @@ func TestWALReplayValidatesLikeTheHandler(t *testing.T) {
 		if _, err := w.Append([]byte(b)); err != nil {
 			t.Fatal(err)
 		}
-		var req FeedbackRequest
+		var req api.FeedbackRequest
 		if json.Unmarshal([]byte(b), &req) == nil {
 			if _, err := live.Feedback(req); err == nil {
 				accepted++
@@ -261,7 +262,7 @@ func TestFollowerKeepsNoRecoveredFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := json.Marshal(FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
+	payload, _ := json.Marshal(api.FeedbackRequest{App: "WordCount", SizeMB: 64, Cluster: "C"})
 	for i := 0; i < n; i++ {
 		if _, err := w.Append(payload); err != nil {
 			t.Fatal(err)
@@ -323,7 +324,7 @@ func TestValidationGateRejectsPoisonedCandidate(t *testing.T) {
 	if gen := s.Snapshot().Gen; gen != 0 {
 		t.Fatalf("generation = %d after rejected swap, want 0 (old model keeps serving)", gen)
 	}
-	if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
+	if _, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 		t.Fatalf("serving broken after rejected swap: %v", err)
 	}
 	if got := s.Metrics().Counter("lite_feedback_quarantined_total").Value(); got != 2 {
@@ -387,7 +388,7 @@ func TestUpdateLoopPanicRestarts(t *testing.T) {
 	if gen := s.Snapshot().Gen; gen != 0 {
 		t.Fatalf("generation = %d, want 0 (no retrain ever completed)", gen)
 	}
-	if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
+	if _, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: 64, Cluster: "C"}); err != nil {
 		t.Fatalf("serving broken while update loop crash-loops: %v", err)
 	}
 	shutdownServer(t, s)

@@ -68,7 +68,7 @@ func TestDegradedTierCacheNotPinned(t *testing.T) {
 	// the permanently degraded worst case.
 	s := New(&core.Tuner{}, Options{CacheTTL: 30 * time.Second, Now: clock})
 
-	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
 	r1, err := s.RecommendCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestNECSTierStillCachesFullTTL(t *testing.T) {
 
 	tuner, _ := testTuner(t)
 	s := New(tuner.CloneForUpdate(1), Options{CacheTTL: 30 * time.Second, Now: clock})
-	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
+	req := api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
 	r1, err := s.RecommendCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestUnseenAppServedFromRetrievalTier(t *testing.T) {
 	store := testStore(t, "WordCount", "Terasort")
 	s := New(&core.Tuner{}, Options{Retrieval: store})
 
-	req := RecommendRequest{
+	req := api.RecommendRequest{
 		App:      "BrandNewWordCountLike",
 		SizeMB:   2048,
 		Cluster:  "C",
@@ -175,7 +175,7 @@ func TestUnseenAppServedFromRetrievalTier(t *testing.T) {
 	}
 
 	// Unknown app without features stays a 400-class request error.
-	_, err = s.RecommendCtx(context.Background(), RecommendRequest{App: "Mystery", SizeMB: 512, Cluster: "C"})
+	_, err = s.RecommendCtx(context.Background(), api.RecommendRequest{App: "Mystery", SizeMB: 512, Cluster: "C"})
 	var reqErr *RequestError
 	if err == nil || !isRequestError(err, &reqErr) {
 		t.Fatalf("featureless unknown app: err = %v, want RequestError", err)
@@ -206,7 +206,7 @@ func TestUnseenAppHTTP(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	body, _ := json.Marshal(RecommendRequest{
+	body, _ := json.Marshal(api.RecommendRequest{
 		App:      "NeverRegistered",
 		SizeMB:   1024,
 		Cluster:  "C",
@@ -220,7 +220,7 @@ func TestUnseenAppHTTP(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", res.StatusCode)
 	}
-	var resp RecommendResponse
+	var resp api.RecommendResponse
 	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestUnseenAppHTTP(t *testing.T) {
 	}
 
 	// And without features the same app is still a 400.
-	body, _ = json.Marshal(RecommendRequest{App: "NeverRegistered", SizeMB: 1024, Cluster: "C"})
+	body, _ = json.Marshal(api.RecommendRequest{App: "NeverRegistered", SizeMB: 1024, Cluster: "C"})
 	res2, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

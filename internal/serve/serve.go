@@ -287,7 +287,7 @@ const feedbackQueueLen = 256
 
 type feedbackItem struct {
 	app *workload.App
-	req FeedbackRequest
+	req api.FeedbackRequest
 	cfg sparksim.Config
 	env sparksim.Environment
 	// seq is the WAL sequence number (0 when the WAL is off or the append
@@ -455,7 +455,7 @@ func (s *Server) replayable(recs []wal.Record) []feedbackItem {
 	var items []feedbackItem
 	skipped := 0
 	for _, rec := range recs {
-		var req FeedbackRequest
+		var req api.FeedbackRequest
 		err := json.Unmarshal(rec.Data, &req)
 		var item feedbackItem
 		if err == nil {
@@ -539,15 +539,6 @@ func (s *Server) Shutdown(done <-chan struct{}) error {
 		return fmt.Errorf("serve: shutdown deadline exceeded with update loop still running")
 	}
 }
-
-// RecommendRequest is one /v1/recommend call. The wire shape lives in
-// pkg/api (the single definition clients share); the alias keeps the
-// serving layer's historical names working.
-type RecommendRequest = api.RecommendRequest
-
-// RecommendResponse is the JSON answer to /v1/recommend (see
-// api.RecommendResponse).
-type RecommendResponse = api.RecommendResponse
 
 // ErrOverloaded is returned when the in-flight limiter (Options.
 // MaxInFlight) is at capacity: the request is shed immediately rather than
@@ -676,7 +667,7 @@ func ClusterByName(name string) (sparksim.Environment, bool) {
 // Recommend serves one recommendation request through the cache and the
 // current model snapshot. It is safe for concurrent use. It never times
 // out on its own; callers that want a deadline use RecommendCtx.
-func (s *Server) Recommend(req RecommendRequest) (RecommendResponse, error) {
+func (s *Server) Recommend(req api.RecommendRequest) (api.RecommendResponse, error) {
 	return s.RecommendCtx(context.Background(), req)
 }
 
@@ -687,7 +678,7 @@ func (s *Server) Recommend(req RecommendRequest) (RecommendResponse, error) {
 // Typed failures: ErrOverloaded when the in-flight limit sheds the
 // request, ctx.Err() (context.Canceled / context.DeadlineExceeded) when
 // the caller's budget ran out first.
-func (s *Server) RecommendCtx(ctx context.Context, req RecommendRequest) (RecommendResponse, error) {
+func (s *Server) RecommendCtx(ctx context.Context, req api.RecommendRequest) (api.RecommendResponse, error) {
 	start := s.opts.Now()
 	resp, err := s.recommend(ctx, req)
 	if err != nil {
@@ -699,13 +690,13 @@ func (s *Server) RecommendCtx(ctx context.Context, req RecommendRequest) (Recomm
 		case errors.Is(err, context.Canceled):
 			s.reg.Counter("lite_requests_cancelled_total").Inc()
 		}
-		return RecommendResponse{}, err
+		return api.RecommendResponse{}, err
 	}
 	resp.OverheadMS = float64(s.opts.Now().Sub(start)) / float64(time.Millisecond)
 	return resp, nil
 }
 
-func (s *Server) recommend(ctx context.Context, req RecommendRequest) (RecommendResponse, error) {
+func (s *Server) recommend(ctx context.Context, req api.RecommendRequest) (api.RecommendResponse, error) {
 	// Admission control first: when the pipeline is full, shedding must be
 	// cheap — no resolution, no cache probe, no queueing.
 	if s.inflight != nil {
@@ -713,16 +704,16 @@ func (s *Server) recommend(ctx context.Context, req RecommendRequest) (Recommend
 		case s.inflight <- struct{}{}:
 			defer func() { <-s.inflight }()
 		default:
-			return RecommendResponse{}, ErrOverloaded
+			return api.RecommendResponse{}, ErrOverloaded
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return RecommendResponse{}, err // dead on arrival
+		return api.RecommendResponse{}, err // dead on arrival
 	}
 
 	r, err := resolve(req.App, req.SizeMB, req.Cluster)
 	if err != nil {
-		return RecommendResponse{}, err
+		return api.RecommendResponse{}, err
 	}
 	key := r.key()
 	if r.app == nil {
@@ -731,12 +722,12 @@ func (s *Server) recommend(ctx context.Context, req RecommendRequest) (Recommend
 		// with guidance otherwise. Two apps reusing a name with different
 		// code must not share an answer, so the key carries the features.
 		if !hasEmbeddableFeatures(req.Features) {
-			return RecommendResponse{}, badRequest(
+			return api.RecommendResponse{}, badRequest(
 				"unknown application %q (send features.code and/or features.ops to serve it from the retrieval tier)", req.App)
 		}
 		key = "cold:" + strconv.FormatUint(featureHash(req.Features), 16) + "|" + key
 	}
-	return s.cached(ctx, key, r.sizeMB, func() (RecommendResponse, error) {
+	return s.cached(ctx, key, r.sizeMB, func() (api.RecommendResponse, error) {
 		return s.score(ctx, r, req.Features)
 	})
 }
@@ -746,10 +737,10 @@ func (s *Server) recommend(ctx context.Context, req RecommendRequest) (Recommend
 // and stamps the answer with how this caller got it and with the size it
 // asked for: the answer may be shared with other callers in the same
 // bucket, but it is a value copy, so the stamp does not leak across.
-func (s *Server) cached(ctx context.Context, key string, sizeMB float64, compute func() (RecommendResponse, error)) (RecommendResponse, error) {
+func (s *Server) cached(ctx context.Context, key string, sizeMB float64, compute func() (api.RecommendResponse, error)) (api.RecommendResponse, error) {
 	resp, hit, shared, err := s.cache.getOrDo(ctx, key, compute)
 	if err != nil {
-		return RecommendResponse{}, err
+		return api.RecommendResponse{}, err
 	}
 	if hit {
 		s.ctr.cacheHits.Inc()
@@ -795,7 +786,7 @@ func featureHash(f *api.AppFeatures) uint64 {
 // the estimator has no stage features for an app it never instrumented.
 // The snapshot pointer is loaded exactly once, so a hot-swap mid-request
 // can never mix two generations in one answer.
-func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeatures) (RecommendResponse, error) {
+func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeatures) (api.RecommendResponse, error) {
 	snap := s.snap.Load()
 	sizeMB := bucketSizeMB(retrieval.SizeBucket(r.sizeMB))
 	var sr core.SafeRecommendation
@@ -808,15 +799,15 @@ func (s *Server) score(ctx context.Context, r resolved, features *api.AppFeature
 	}
 	if err != nil {
 		if isCtxErr(err) {
-			return RecommendResponse{}, err
+			return api.RecommendResponse{}, err
 		}
-		return RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
+		return api.RecommendResponse{}, fmt.Errorf("serve: no feasible configuration: %w", err)
 	}
 	s.ctr.recsByTier[sr.Tier].Inc()
 	if r.app == nil {
 		s.ctr.coldByTier[sr.Tier].Inc()
 	}
-	resp := RecommendResponse{
+	resp := api.RecommendResponse{
 		App:        r.name,
 		SizeMB:     sizeMB,
 		Cluster:    r.env.Name,

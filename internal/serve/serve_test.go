@@ -16,6 +16,7 @@ import (
 	"lite/internal/retrieval"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
+	"lite/pkg/api"
 )
 
 var (
@@ -70,7 +71,7 @@ func TestRecommendEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	body, _ := json.Marshal(RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
+	body, _ := json.Marshal(api.RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"})
 	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestRecommendEndpoint(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", res.StatusCode)
 	}
-	var resp RecommendResponse
+	var resp api.RecommendResponse
 	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRecommendEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res2.Body.Close()
-	var resp2 RecommendResponse
+	var resp2 api.RecommendResponse
 	if err := json.NewDecoder(res2.Body).Decode(&resp2); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestFeedbackHealthzMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fb FeedbackResponse
+	var fb api.FeedbackResponse
 	if err := json.NewDecoder(res.Body).Decode(&fb); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFeedbackHealthzMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.NewDecoder(res.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFeedbackQueueFull(t *testing.T) {
 	tuner, source := testTuner(t)
 	// Unstarted server: the queue fills because nothing drains it.
 	s := New(tuner.CloneForUpdate(2), Options{SourceSample: source})
-	req := FeedbackRequest{App: "WordCount", SizeMB: 128, Cluster: "C"}
+	req := api.FeedbackRequest{App: "WordCount", SizeMB: 128, Cluster: "C"}
 	for i := 0; i < feedbackQueueLen; i++ {
 		if _, err := s.Feedback(req); err != nil {
 			t.Fatalf("feedback %d: %v", i, err)
@@ -218,11 +219,11 @@ func TestFeedbackQueueFull(t *testing.T) {
 // asked for — never the leader's size.
 func TestBucketSharersGetConsistentAnswers(t *testing.T) {
 	s := newTestServer(t, Options{})
-	r600, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 600, Cluster: "C"})
+	r600, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: 600, Cluster: "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1000, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: 1000, Cluster: "C"})
+	r1000, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: 1000, Cluster: "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestSizeAboveTheBoundIsRejected(t *testing.T) {
 		if _, err := RoutingKey("WordCount", size, "C"); !errors.As(err, &reqErr) {
 			t.Errorf("RoutingKey(size %g): error %v, want a *RequestError", size, err)
 		}
-		if _, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); !errors.As(err, &reqErr) {
+		if _, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); !errors.As(err, &reqErr) {
 			t.Errorf("Recommend(size %g): error %v, want a *RequestError", size, err)
 		}
 	}
@@ -309,7 +310,7 @@ func TestSizeAboveTheBoundIsRejected(t *testing.T) {
 		if _, err := RoutingKey("WordCount", size, "C"); err != nil {
 			t.Errorf("RoutingKey(size %g): %v", size, err)
 		}
-		if resp, err := s.Recommend(RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); err != nil || len(resp.Config) == 0 {
+		if resp, err := s.Recommend(api.RecommendRequest{App: "WordCount", SizeMB: size, Cluster: "C"}); err != nil || len(resp.Config) == 0 {
 			t.Errorf("Recommend(size %g) = %+v, %v; want a configuration", size, resp, err)
 		}
 	}

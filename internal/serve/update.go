@@ -17,22 +17,15 @@ import (
 	"lite/pkg/api"
 )
 
-// FeedbackRequest reports the outcome of executing a recommendation in
-// production (online Step 4). The server executes the run on the simulated
-// cluster to recover stage-level instances — the stand-in for the paper's
-// instrumented production system. The wire shape lives in pkg/api.
-type FeedbackRequest = api.FeedbackRequest
-
-// FeedbackResponse acknowledges queued feedback (see api.FeedbackResponse).
-type FeedbackResponse = api.FeedbackResponse
-
 // ErrQueueFull is reported when the feedback queue cannot absorb another
 // item; the client should retry later.
 var ErrQueueFull = fmt.Errorf("serve: feedback queue full")
 
 // Feedback validates and enqueues one feedback run for the background
-// adaptive-update loop. It never blocks on training.
-func (s *Server) Feedback(req FeedbackRequest) (FeedbackResponse, error) {
+// adaptive-update loop. It never blocks on training. The server executes
+// the run on the simulated cluster to recover stage-level instances — the
+// stand-in for the paper's instrumented production system.
+func (s *Server) Feedback(req api.FeedbackRequest) (api.FeedbackResponse, error) {
 	return s.FeedbackCtx(context.Background(), req)
 }
 
@@ -45,13 +38,13 @@ func (s *Server) Feedback(req FeedbackRequest) (FeedbackResponse, error) {
 // the log before it is enqueued, so a crash replays it on the next boot.
 // Durability is at-least-once: feedback the WAL accepted but the queue
 // rejected (ErrQueueFull) is not lost — it is replayed on restart.
-func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (FeedbackResponse, error) {
+func (s *Server) FeedbackCtx(ctx context.Context, req api.FeedbackRequest) (api.FeedbackResponse, error) {
 	if err := ctx.Err(); err != nil {
-		return FeedbackResponse{}, err
+		return api.FeedbackResponse{}, err
 	}
 	item, err := newFeedbackItem(req)
 	if err != nil {
-		return FeedbackResponse{}, err
+		return api.FeedbackResponse{}, err
 	}
 	if s.wal != nil {
 		// Append before enqueue: once the WAL fsyncs, this feedback cannot
@@ -78,16 +71,16 @@ func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (Feedback
 		// to a follower is WAL-logged when a WAL is configured and
 		// acknowledged, but not queued: no local update loop consumes it.
 		s.reg.Counter("lite_feedback_total").Inc()
-		return FeedbackResponse{Queued: false, Generation: s.snap.Load().Gen, Seq: item.seq}, nil
+		return api.FeedbackResponse{Queued: false, Generation: s.snap.Load().Gen, Seq: item.seq}, nil
 	}
 	select {
 	case s.feedbackCh <- item:
 		s.reg.Counter("lite_feedback_total").Inc()
 		s.reg.Gauge("lite_feedback_queue_depth").Set(float64(len(s.feedbackCh)))
-		return FeedbackResponse{Queued: true, Pending: len(s.feedbackCh), Generation: s.snap.Load().Gen, Seq: item.seq}, nil
+		return api.FeedbackResponse{Queued: true, Pending: len(s.feedbackCh), Generation: s.snap.Load().Gen, Seq: item.seq}, nil
 	default:
 		s.reg.Counter("lite_feedback_dropped_total").Inc()
-		return FeedbackResponse{}, ErrQueueFull
+		return api.FeedbackResponse{}, ErrQueueFull
 	}
 }
 
@@ -95,7 +88,7 @@ func (s *Server) FeedbackCtx(ctx context.Context, req FeedbackRequest) (Feedback
 // item: the live handler and WAL replay both go through it, so a replayed
 // record is accepted exactly when the live request was. The item's req has
 // its size defaulted, which is what the WAL records.
-func newFeedbackItem(req FeedbackRequest) (feedbackItem, error) {
+func newFeedbackItem(req api.FeedbackRequest) (feedbackItem, error) {
 	r, err := resolveRegistered(req.App, req.SizeMB, req.Cluster)
 	if err != nil {
 		return feedbackItem{}, err
@@ -113,7 +106,7 @@ func newFeedbackItem(req FeedbackRequest) (feedbackItem, error) {
 // (for folding).
 type pendingRun struct {
 	run instrument.AppInstance
-	req FeedbackRequest
+	req api.FeedbackRequest
 	seq uint64
 }
 
@@ -364,11 +357,11 @@ func (s *Server) markFolded(maxSeq uint64, persisted bool) {
 // the rejected batch's raw feedback requests with enough context to triage
 // and, if judged innocent, re-post.
 type quarantineEntry struct {
-	Time       string            `json:"time"`
-	Generation uint64            `json:"generation"`
-	Reason     string            `json:"reason"`
-	Seqs       []uint64          `json:"seqs"`
-	Records    []FeedbackRequest `json:"records"`
+	Time       string                `json:"time"`
+	Generation uint64                `json:"generation"`
+	Reason     string                `json:"reason"`
+	Seqs       []uint64              `json:"seqs"`
+	Records    []api.FeedbackRequest `json:"records"`
 }
 
 func (s *Server) quarantine(batch []pendingRun, liveGen uint64, reason string) {

@@ -333,27 +333,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// AddRowBroadcast returns m with the 1×cols row vector v added to every row.
-func AddRowBroadcast(m, v *Tensor) *Tensor {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: broadcast shape mismatch %dx%d + %dx%d", m.Rows, m.Cols, v.Rows, v.Cols))
-	}
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[i*m.Cols+j] = m.Data[i*m.Cols+j] + v.Data[j]
-		}
-	}
-	return out
-}
-
 // Sum returns the sum over all elements.
 func (t *Tensor) Sum() float64 {
 	var s float64
@@ -363,31 +342,9 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Mean returns the mean over all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(t.Size()) }
-
-// Max returns the maximum element and its flat index.
-func (t *Tensor) Max() (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range t.Data {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// ColMax writes, for each column j, the maximum over rows into a 1×cols
-// tensor and returns both the maxima and the argmax row per column.
-func (t *Tensor) ColMax() (*Tensor, []int) {
-	out := New(1, t.Cols)
-	arg := make([]int, t.Cols)
-	t.ColMaxInto(out, arg)
-	return out, arg
-}
-
-// ColMaxInto is ColMax into caller storage: out (1×cols) receives the
-// column maxima and arg the argmax row of each column, overwriting both.
+// ColMaxInto writes, for each column j, the maximum over rows into out
+// (1×cols) and the argmax row into arg[j], overwriting both; strict >
+// keeps the first maximum.
 func (t *Tensor) ColMaxInto(out *Tensor, arg []int) {
 	if out.Rows != 1 || out.Cols != t.Cols || len(arg) != t.Cols {
 		panic("tensor: ColMaxInto shape mismatch")
@@ -402,39 +359,6 @@ func (t *Tensor) ColMaxInto(out *Tensor, arg []int) {
 		out.Data[j] = best
 		arg[j] = bi
 	}
-}
-
-// Norm returns the Frobenius norm.
-func (t *Tensor) Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Concat joins tensors with equal row counts side by side: row i of the
-// rows×Σcols result is row i of every part, in order.
-func Concat(parts ...*Tensor) *Tensor {
-	rows, total := 1, 0
-	if len(parts) > 0 {
-		rows = parts[0].Rows
-	}
-	for _, p := range parts {
-		if p.Rows != rows {
-			panic(fmt.Sprintf("tensor: Concat row mismatch %d vs %d", p.Rows, rows))
-		}
-		total += p.Cols
-	}
-	out := New(rows, total)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(out.RowView(i)[off:], p.RowView(i))
-		}
-		off += p.Cols
-	}
-	return out
 }
 
 // String renders the tensor for debugging.

@@ -145,64 +145,22 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 	}
 }
 
-func TestAddRowBroadcast(t *testing.T) {
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	v := FromRow([]float64{10, 20})
-	out := AddRowBroadcast(m, v)
-	want := []float64{11, 22, 13, 24}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("broadcast[%d] = %v, want %v", i, out.Data[i], w)
-		}
-	}
-}
-
-func TestScaleAndInPlaceOps(t *testing.T) {
-	m := FromSlice(1, 3, []float64{1, -2, 3})
-	m.ScaleInPlace(2)
-	if m.Data[0] != 2 || m.Data[1] != -4 || m.Data[2] != 6 {
-		t.Fatalf("ScaleInPlace wrong: %v", m.Data)
-	}
-	m.ScaleInPlace(0)
-	if m.Sum() != 0 {
-		t.Fatalf("ScaleInPlace(0) should zero")
-	}
-}
-
-func TestSumMeanMaxNorm(t *testing.T) {
+func TestSum(t *testing.T) {
 	m := FromSlice(2, 2, []float64{3, -1, 4, 0})
 	if m.Sum() != 6 {
 		t.Fatalf("Sum = %v", m.Sum())
-	}
-	if m.Mean() != 1.5 {
-		t.Fatalf("Mean = %v", m.Mean())
-	}
-	max, idx := m.Max()
-	if max != 4 || idx != 2 {
-		t.Fatalf("Max = %v @ %d", max, idx)
-	}
-	if !almostEq(m.Norm(), math.Sqrt(9+1+16)) {
-		t.Fatalf("Norm = %v", m.Norm())
 	}
 }
 
 func TestColMax(t *testing.T) {
 	m := FromSlice(3, 2, []float64{1, 9, 5, 2, 3, 7})
-	maxes, args := m.ColMax()
+	maxes, args := New(1, 2), make([]int, 2)
+	m.ColMaxInto(maxes, args)
 	if maxes.Data[0] != 5 || maxes.Data[1] != 9 {
 		t.Fatalf("ColMax values wrong: %v", maxes.Data)
 	}
 	if args[0] != 1 || args[1] != 0 {
 		t.Fatalf("ColMax argmax wrong: %v", args)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := FromRow([]float64{1, 2})
-	b := FromRow([]float64{3})
-	c := Concat(a, b)
-	if c.Cols != 3 || c.Data[2] != 3 {
-		t.Fatalf("Concat wrong: %v", c.Data)
 	}
 }
 
