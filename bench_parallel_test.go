@@ -1,11 +1,12 @@
 // Benchmarks for the parallel scoring engine, the training step and the
 // serving hit path (see DESIGN.md §7, §12.8 and §8). These are what
 // scripts/bench.sh runs to produce BENCH_parallel.json: recommend latency
-// at several pool widths, Fit and AMU cost, the snapshot write after an
-// update, the tower GEMM shapes, and the work of one cache hit through the
-// handler and through the client. A small dedicated fixture keeps them
-// fast enough for a CI smoke run (-benchtime=1x); the paper-scale
-// benchmarks live in bench_test.go. Run with:
+// at several pool widths and under concurrent misses, Fit and AMU cost,
+// the snapshot write after an update, the tower GEMM shapes, and the work
+// of one cache hit through the handler and through the client. A small
+// dedicated fixture keeps them fast enough for a CI smoke run
+// (-benchtime=1x); the paper-scale benchmarks live in bench_test.go. Run
+// with:
 //
 //	go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit|BenchmarkAMU|BenchmarkTunerSave|BenchmarkTowerGEMM|BenchmarkHandlerHit' -benchtime 3x
 package lite
@@ -22,6 +23,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lite/internal/core"
@@ -90,6 +92,39 @@ func BenchmarkRecommend(b *testing.B) {
 			}
 		})
 	}
+
+	// concurrent runs one miss per goroutine (GOMAXPROCS of them) on the
+	// one tuner at the default pool width, keys spread over the fixture's
+	// apps and their sizes: the shape of a serving process's closed loop,
+	// where misses contend on what the tuner shares, the candidate RNG's
+	// lock above all.
+	b.Run("concurrent", func(b *testing.B) {
+		type key struct {
+			app  *sparksim.AppSpec
+			data sparksim.DataSpec
+		}
+		var keys []key
+		for _, name := range []string{"WordCount", "KMeans", "PageRank"} {
+			a := workload.ByName(name)
+			for _, mb := range append(append([]float64(nil), a.Sizes.Train...), a.Sizes.Valid, a.Sizes.Test) {
+				keys = append(keys, key{a.Spec, a.Spec.MakeData(mb)})
+			}
+		}
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(next.Add(1))
+			for pb.Next() {
+				k := keys[i%len(keys)]
+				i++
+				if rec := tuner.Recommend(k.app, k.data, env); len(rec.Ranked) != 64 {
+					b.Errorf("ranked %d candidates, want 64", len(rec.Ranked))
+					return
+				}
+			}
+		})
+	})
 }
 
 // TestRecommendMissAllocs pins the allocations of one warm miss on the

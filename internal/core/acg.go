@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lite/internal/forest"
 	"lite/internal/instrument"
@@ -31,19 +33,80 @@ type CandidateGenerator struct {
 	// forestsJSON memoizes the encoded models (see encodedForests).
 	forestsMu   sync.Mutex
 	forestsJSON []byte
+
+	// centres is the centre table (DESIGN.md §12.6.1): every knob's forest
+	// prediction per request key (centreKey → *sparksim.Config, see
+	// centre), and centreCount its entries, at most maxCentres.
+	centres     sync.Map
+	centreCount atomic.Int64
 }
 
-// acgFeatures builds the RFR input: log-scaled datasize, iteration count
+// maxCentres bounds the centre table. A serving process asks for one key
+// per (application, size bucket), a few hundred; past the cap a new key's
+// forests are walked on every request, as they were before the table.
+const maxCentres = 4096
+
+// centreKey is everything the forests read of a request: the application's
+// one-hot index (−1 for a name they were not fitted on, which reads as no
+// application at all) and the two DataSpec fields their data features are
+// computed from.
+type centreKey struct {
+	app   int
+	rows  float64
+	iters int
+}
+
+// keyOf returns the centre table's key for an application on the given data.
+func (g *CandidateGenerator) keyOf(appName string, data sparksim.DataSpec) centreKey {
+	k := centreKey{app: -1, rows: data.Rows, iters: data.Iterations}
+	if i, ok := g.appIdx[appName]; ok {
+		k.app = i
+	}
+	return k
+}
+
+// row builds the RFR input of a key: log-scaled datasize, iteration count
 // and a one-hot application indicator.
-func (g *CandidateGenerator) acgFeatures(appName string, data sparksim.DataSpec) []float64 {
+func (g *CandidateGenerator) row(k centreKey) []float64 {
 	f := make([]float64, 2+g.numApps)
-	df := data.Features()
+	df := sparksim.DataSpec{Rows: k.rows, Iterations: k.iters}.Features()
 	f[0] = df[0] // log rows
 	f[1] = df[2] // iterations
-	if i, ok := g.appIdx[appName]; ok {
-		f[2+i] = 1
+	if k.app >= 0 {
+		f[2+k.app] = 1
 	}
 	return f
+}
+
+// centre returns every knob's forest prediction for the application on the
+// given data: the region's centre before SigmaScale and clamping. The
+// forests never change after training or loading, so the walk runs once
+// per key and later calls share its result, which nobody writes. A hit is
+// a lock-free load; a miss walks outside any lock, and the first of
+// concurrent misses on a key to publish wins. A key with NaN rows would
+// never match itself, so it is walked and not stored.
+func (g *CandidateGenerator) centre(appName string, data sparksim.DataSpec) *sparksim.Config {
+	k := g.keyOf(appName, data)
+	if c, ok := g.centres.Load(k); ok {
+		return c.(*sparksim.Config)
+	}
+	f := g.row(k)
+	c := new(sparksim.Config)
+	for d := 0; d < sparksim.NumKnobs; d++ {
+		c[d] = g.models[d].Predict(f)
+	}
+	if math.IsNaN(k.rows) {
+		return c
+	}
+	if g.centreCount.Add(1) > maxCentres {
+		g.centreCount.Add(-1)
+		return c
+	}
+	won, loaded := g.centres.LoadOrStore(k, c)
+	if loaded {
+		g.centreCount.Add(-1)
+	}
+	return won.(*sparksim.Config)
 }
 
 // NewCandidateGenerator trains the per-knob RFR models from application
@@ -91,7 +154,7 @@ func NewCandidateGenerator(runs []instrument.AppInstance, rng *rand.Rand) *Candi
 
 	x := make([][]float64, len(good))
 	for j, i := range good {
-		x[j] = g.acgFeatures(runs[i].AppName, runs[i].Data)
+		x[j] = g.row(g.keyOf(runs[i].AppName, runs[i].Data))
 	}
 	params := forest.ForestParams{NumTrees: 30, Tree: forest.TreeParams{MaxDepth: 8, MinSamplesLeaf: 2}}
 	for d := 0; d < sparksim.NumKnobs; d++ {
@@ -114,13 +177,13 @@ func NewCandidateGenerator(runs []instrument.AppInstance, rng *rand.Rand) *Candi
 // Region returns the per-knob search interval [lo, hi] for the application
 // on the given data (Equation 7).
 func (g *CandidateGenerator) Region(appName string, data sparksim.DataSpec) (lo, hi sparksim.Config) {
-	f := g.acgFeatures(appName, data)
+	centre := g.centre(appName, data)
 	scale := g.SigmaScale
 	if scale <= 0 {
 		scale = 1
 	}
 	for d := 0; d < sparksim.NumKnobs; d++ {
-		center := g.models[d].Predict(f)
+		center := centre[d]
 		k := sparksim.Knobs[d]
 		l := center - scale*g.sigma[d]
 		h := center + scale*g.sigma[d]
@@ -147,7 +210,12 @@ func (g *CandidateGenerator) Region(appName string, data sparksim.DataSpec) (lo,
 // times and falls back to clamping executor memory/cores into capacity.
 func (g *CandidateGenerator) SampleFeasible(appName string, data sparksim.DataSpec, env sparksim.Environment, n int, rng *rand.Rand) []sparksim.Config {
 	lo, hi := g.Region(appName, data)
-	out := make([]sparksim.Config, 0, n)
+	return sampleRegion(make([]sparksim.Config, 0, n), n, lo, hi, env, rng)
+}
+
+// sampleRegion appends n feasible draws from [lo, hi] to out: the part of
+// SampleFeasible that uses rng.
+func sampleRegion(out []sparksim.Config, n int, lo, hi sparksim.Config, env sparksim.Environment, rng *rand.Rand) []sparksim.Config {
 	for len(out) < n {
 		var c sparksim.Config
 		for attempt := 0; ; attempt++ {
@@ -155,7 +223,9 @@ func (g *CandidateGenerator) SampleFeasible(appName string, data sparksim.DataSp
 				c[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
 			}
 			c = c.Clamp()
-			if sparksim.Feasible(c, env) {
+			// Feasible would clamp c again; Clamp is idempotent, so ask
+			// Placement directly.
+			if _, fits := sparksim.Placement(c, env); fits {
 				break
 			}
 			if attempt >= 16 {
@@ -279,16 +349,16 @@ func (g *CandidateGenerator) UnmarshalJSON(b []byte) error {
 	g.numApps = in.NumApps
 	g.SigmaScale = in.SigmaScale
 	g.forestsJSON = nil
+	g.centres.Range(func(k, _ any) bool {
+		g.centres.Delete(k)
+		return true
+	})
+	g.centreCount.Store(0)
 	return nil
 }
 
 // PointPrediction returns the raw RFR point estimate per knob — the "RFR"
 // competitor of Table VIII(a), which recommends exactly this configuration.
 func (g *CandidateGenerator) PointPrediction(appName string, data sparksim.DataSpec) sparksim.Config {
-	f := g.acgFeatures(appName, data)
-	var c sparksim.Config
-	for d := 0; d < sparksim.NumKnobs; d++ {
-		c[d] = g.models[d].Predict(f)
-	}
-	return c.Clamp()
+	return g.centre(appName, data).Clamp()
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,16 +54,20 @@ type Tuner struct {
 	rngMu sync.Mutex
 }
 
-// sampleFeasible draws candidates from the ACG region under the RNG lock.
-// A hand-assembled or deserialized tuner may lack an RNG; serving must not
-// crash over it, so the first draw installs a deterministic one.
+// sampleFeasible draws candidates from the ACG region: the region and the
+// slice are computed first, and the RNG lock covers only the draws and
+// their feasibility retries. A hand-assembled or deserialized tuner may
+// lack an RNG; serving must not crash over it, so the first draw installs
+// a deterministic one.
 func (t *Tuner) sampleFeasible(appName string, data sparksim.DataSpec, env sparksim.Environment, n int) []sparksim.Config {
+	lo, hi := t.ACG.Region(appName, data)
+	out := make([]sparksim.Config, 0, n)
 	t.rngMu.Lock()
 	defer t.rngMu.Unlock()
 	if t.rng == nil {
 		t.rng = rand.New(rand.NewSource(1))
 	}
-	return t.ACG.SampleFeasible(appName, data, env, n, t.rng)
+	return sampleRegion(out, n, lo, hi, env, t.rng)
 }
 
 // TrainOptions bundles everything needed to train LITE offline.
@@ -214,9 +218,43 @@ func (t *Tuner) recommendFrom(ctx context.Context, app *sparksim.AppSpec, data s
 }
 
 // rank orders a non-empty scored candidate set best-first and recommends
-// its head. The sort is stable, so ties keep candidate-index order.
+// its head. The sort is stable, so ties keep candidate-index order. It
+// sorts candidate indices and then moves each candidate once: the order is
+// sort.SliceStable's by Predicted (slices.SortStableFunc runs the same
+// algorithm and reads only whether a compares below b), without
+// reflection or swapping the candidates themselves.
 func rank(scored []ScoredConfig, start time.Time) Recommendation {
-	sort.SliceStable(scored, func(a, b int) bool { return scored[a].Predicted < scored[b].Predicted })
+	order := make([]int, len(scored))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch pa, pb := scored[a].Predicted, scored[b].Predicted; {
+		case pa < pb:
+			return -1
+		case pb < pa:
+			return 1
+		}
+		return 0
+	})
+	// Position i takes the candidate at order[i]; follow each cycle of the
+	// permutation once, marking a position done by pointing it at itself.
+	for i := range order {
+		if order[i] == i {
+			continue
+		}
+		first, j := scored[i], i
+		for {
+			k := order[j]
+			order[j] = j
+			if k == i {
+				scored[j] = first
+				break
+			}
+			scored[j] = scored[k]
+			j = k
+		}
+	}
 	return Recommendation{
 		Config:           scored[0].Config,
 		PredictedSeconds: scored[0].Predicted,

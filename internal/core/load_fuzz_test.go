@@ -30,7 +30,8 @@ func tinySnapshot(tb testing.TB) []byte {
 }
 
 // A snapshot whose model lists no shapes, or whose config asks for a
-// negative width, is an error, not a panic in LoadNECS or NewNECS. The
+// negative width or a TokenLen no encoder can allocate, is an error, not a
+// panic in LoadNECS, NewNECS or the first Recommend. The
 // unmodified snapshot, with two kernel widths and two GCN layers, loads.
 func TestLoadTunerRejectsMalformedModel(t *testing.T) {
 	snap := string(tinySnapshot(t))
@@ -44,6 +45,7 @@ func TestLoadTunerRejectsMalformedModel(t *testing.T) {
 		{"kernel wider than TokenLen", `"Kernels":[2,3]`, `"Kernels":[2,9]`},
 		{"a wrong shape", `"shapes":[[30,2]`, `"shapes":[[30,3]`},
 		{"one shape fewer than params", `,[1,1]],"params"`, `],"params"`},
+		{"TokenLen past the ceiling", `"TokenLen":8`, `"TokenLen":4611686018427387904`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if !strings.Contains(snap, c.old) {
@@ -66,6 +68,7 @@ func FuzzLoadTuner(f *testing.F) {
 	for _, n := range []int{0, 1, len(snap) / 3, len(snap) / 2, len(snap) - 2} {
 		f.Add(snap[:n])
 	}
+	f.Add(bytes.Replace(snap, []byte(`"TokenLen":8`), []byte(`"TokenLen":4611686018427387904`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

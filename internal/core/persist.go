@@ -160,17 +160,24 @@ func LoadNECS(r io.Reader) (*NECS, error) {
 	return m, nil
 }
 
+// maxTokenLen bounds a loaded model's TokenLen, about 40× the default 96:
+// the encoder allocates that many token ids per distinct stage code.
+const maxTokenLen = 4096
+
 // check validates a decoded model file before anything is sized by it:
-// every kernel fits the padded token sequence, every vocabulary id names
-// a row of its table, and the file holds, in Params order, one tensor of
-// each shape NewNECS builds from its config, each shape positive, with
-// that many values.
+// TokenLen is at most maxTokenLen, every kernel fits the padded token
+// sequence, every vocabulary id names a row of its table, and the file
+// holds, in Params order, one tensor of each shape NewNECS builds from its
+// config, each shape positive, with that many values.
 func (mf *modelFile) check() error {
 	c := mf.Config
 	// TowerWidths halves down to TowerMin, which must be positive for it
 	// to stop; the count below divides by FiltersPerKernel.
 	if c.FiltersPerKernel < 1 || c.TowerMin < 1 || len(c.GCNHidden) == 0 {
 		return fmt.Errorf("core: model config %+v builds no model", c)
+	}
+	if c.TokenLen > maxTokenLen {
+		return fmt.Errorf("core: model TokenLen %d exceeds %d", c.TokenLen, maxTokenLen)
 	}
 	for _, k := range c.Kernels {
 		if k > c.TokenLen {

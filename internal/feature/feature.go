@@ -245,12 +245,12 @@ func DerivedResourceFeaturesInto(dst []float64, cfg sparksim.Config, data sparks
 	dst = dst[:DerivedWidth]
 	dst[0] = feasible
 	dst[1] = slots / 256
-	dst[2] = logScale(executors, 64)
-	dst[3] = logScale(execPerTask, 32*1024)
-	dst[4] = logScale(storage*executors/(data.SizeMB+1), 64)
-	dst[5] = logScale(parallelism/math.Max(slots, 1), 64)
-	dst[6] = logScale(mbPerPartition, 4096)
-	dst[7] = logScale(data.SizeMB/math.Max(slots, 1), 1<<20)
+	dst[2] = logScale(executors, log2Ceil64)
+	dst[3] = logScale(execPerTask, log2Ceil32Ki)
+	dst[4] = logScale(storage*executors/(data.SizeMB+1), log2Ceil64)
+	dst[5] = logScale(parallelism/math.Max(slots, 1), log2Ceil64)
+	dst[6] = logScale(mbPerPartition, log2Ceil4Ki)
+	dst[7] = logScale(data.SizeMB/math.Max(slots, 1), log2Ceil1Mi)
 	return dst
 }
 
@@ -263,21 +263,32 @@ const DenseWidth = sparksim.NumKnobs + 4 + 6 + DerivedWidth
 // accessible when the application has been actually executed").
 func StageStats(inst *instrument.StageInstance) []float64 {
 	return []float64{
-		logScale(inst.InputMB, 1<<20),
-		logScale(inst.ShuffleMB, 1<<20),
-		logScale(float64(inst.Tasks), 4096),
+		logScale(inst.InputMB, log2Ceil1Mi),
+		logScale(inst.ShuffleMB, log2Ceil1Mi),
+		logScale(float64(inst.Tasks), log2Ceil4Ki),
 	}
 }
 
 // StageStatsWidth is the width of StageStats' output.
 const StageStatsWidth = 3
 
-func logScale(v, max float64) float64 {
+// logScale maps v ≥ 0 onto [0, 1] for v up to a ceiling, given
+// log2(1+ceiling): one of the values below, computed once rather than per
+// feature.
+func logScale(v, log2Ceiling float64) float64 {
 	if v <= 0 {
 		return 0
 	}
-	return log2(1+v) / log2(1+max)
+	return log2(1+v) / log2Ceiling
 }
+
+// log2(1+ceiling) for each ceiling the features scale by.
+var (
+	log2Ceil64   = log2(1 + 64)
+	log2Ceil4Ki  = log2(1 + 4096)
+	log2Ceil32Ki = log2(1 + 32*1024)
+	log2Ceil1Mi  = log2(1 + 1<<20)
+)
 
 func log2(x float64) float64 {
 	// Thin wrapper to keep math import out of the public surface.

@@ -65,7 +65,7 @@ END {
     best_r = ""; best_rv = 0
     for (i = 0; i < n; i++) {
         name = order[i]
-        if (name ~ /^BenchmarkRecommend\// && name != "BenchmarkRecommend/workers=1" && nsop[name] > 0) {
+        if (name ~ /^BenchmarkRecommend\/workers=/ && name != "BenchmarkRecommend/workers=1" && nsop[name] > 0) {
             v = rs / nsop[name]
             if (v > best_rv) { best_rv = v; best_r = name }
         }
